@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pyarrow as pa
@@ -42,7 +42,7 @@ import pyarrow.parquet as pq
 
 from lucene_ray.analysis import get_analyzer
 from lucene_ray.codec.postings_codec import build_segment_postings
-from lucene_ray.config import TARGET_DOCS_PER_SEGMENT
+from lucene_ray.config import KEYWORD_FIELDS, TARGET_DOCS_PER_SEGMENT
 from lucene_ray.index.manifest import (
     Manifest,
     SegmentEntry,
@@ -244,6 +244,159 @@ def _derive_rev_terms(terms: pa.Array) -> pa.Array:
 ANALYZED_FIELD_DERIVERS = {"rev": _derive_rev_terms}
 
 
+# (BuildOptions field, variant tag) in variant order. A set option appends
+# ":<tag>" (a flag) or ":<tag>=<values>"; declaring a build option means
+# one BuildOptions field plus one row here.
+_VARIANT_TAGS = (
+    ("index_sort", "sort"),
+    ("point2d_fields", "geo"),
+    ("term_vectors", "tv"),
+    ("dv_fields", "dv"),
+    ("sorted_dv_fields", "sdv"),
+    ("sorted_set_dv_fields", "ssdv"),
+    ("payload_fn", "pay"),
+    ("range_fields", "rng"),
+    ("analyzed_fields", "af"),
+    ("sorted_numeric_dv_fields", "sndv"),
+    ("binary_dv_fields", "bdv"),
+    ("shape_fields", "shape"),
+)
+
+
+@dataclass(frozen=True)
+class BuildOptions:
+    """The index-time schema, declared once per index (the FieldInfos
+    analog, index/FieldInfos.java): every segment of a build, every added
+    segment and every upgrade rebuild uses the same value. Options are
+    normalised and validated here, in the calling process, before any Ray
+    task runs.
+
+    ``index_options``: "positions" (default, DOCS_AND_FREQS_AND_POSITIONS),
+    "freqs" (DOCS_AND_FREQS — smaller index, phrase queries raise) or
+    "offsets" (DOCS_AND_FREQS_AND_POSITIONS_AND_OFFSETS — per-occurrence
+    byte offsets for the postings-based highlighter;
+    index/IndexOptions.java:27-48 verbosity levels).
+
+    ``point2d_fields``: 2-D geo point fields (LatLonPoint.java analog)
+    resolved through search.spatial.POINT2D_DERIVERS; each writes a
+    Morton-sorted ``spatial.parquet`` sidecar with BKD-leaf-sized row
+    groups (search/spatial.py layout).
+
+    ``index_sort`` = (numeric_dv_field, "asc"|"desc"): permute the
+    segment's rows by the field BEFORE docid assignment
+    (IndexWriterConfig.setIndexSort + index/IndexSorter.java sort-at-flush)
+    — within the segment, docid order IS sort order, enabling the
+    early-terminating sorted collector (engine.search_sorted). Divergence
+    from the reference, documented: MERGES concatenate sorted runs instead
+    of re-sorting (Lucene renumbers docids at merge; ours are stable
+    engine output), so a merged segment carries multiple sorted_runs.
+
+    Schema-driven doc values (index/DocValuesType.java:23-51):
+    ``dv_fields`` — extra NUMERIC source columns (cast to int64, null→0)
+    stored beside the derived ``n_chars``, each also getting a 1-D points
+    view for range filters; ``sorted_dv_fields`` — SORTED (single-valued
+    keyword) source columns; ``sorted_set_dv_fields`` — SORTED_SET
+    multi-valued fields resolved through SORTED_SET_DERIVERS (or a
+    list<string> source column). SORTED(_SET) live in a doc-ordered
+    ``docvalues_sorted.parquet`` sidecar; per-segment term-sorted ordinals
+    are derived at read time (search/reader.py sorted_doc_values).
+
+    Keyword fields are not an option: they are config.KEYWORD_FIELDS."""
+
+    analyzer_name: str = "code"
+    index_options: str = "positions"
+    index_sort: tuple | None = None
+    point2d_fields: tuple = ()
+    term_vectors: bool = False
+    dv_fields: tuple = ()
+    sorted_dv_fields: tuple = ()
+    sorted_set_dv_fields: tuple = ()
+    payload_fn: str | None = None
+    range_fields: tuple = ()
+    analyzed_fields: tuple = ()
+    sorted_numeric_dv_fields: tuple = ()
+    binary_dv_fields: tuple = ()
+    shape_fields: tuple = ()
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.default == ():
+                v = tuple(map(str, getattr(self, f.name) or ()))
+                object.__setattr__(self, f.name, v)
+        object.__setattr__(self, "term_vectors", bool(self.term_vectors))
+        object.__setattr__(self, "payload_fn", self.payload_fn or None)
+        if self.index_sort is not None:
+            fld, direction = map(str, self.index_sort)
+            object.__setattr__(self, "index_sort", (fld, direction))
+            if fld not in ("n_chars", *self.dv_fields) or direction not in (
+                "asc", "desc"
+            ):
+                raise ValueError(f"unsupported index_sort: {self.index_sort}")
+        if self.index_options not in ("positions", "freqs", "offsets"):
+            raise ValueError(f"unsupported index_options: {self.index_options}")
+        if self.payload_fn not in (None, *PAYLOAD_DERIVERS):
+            raise ValueError(f"unknown payload_fn: {self.payload_fn!r}")
+        for f in self.analyzed_fields:
+            if ":" in f:
+                raise ValueError(
+                    f"analyzed field name may not contain ':': {f!r}"
+                )
+        analyzer = get_analyzer(self.analyzer_name)
+        if not getattr(analyzer, "supports_indexing", True):
+            raise ValueError(
+                f"analyzer {self.analyzer_name!r} is a query/analysis-surface "
+                "analyzer (no tokenize_flat; tokens may contain ':', which the "
+                "shared term dict reserves for keyword fields) — index with "
+                "'code' or 'english'"
+            )
+
+    @property
+    def variant(self) -> str:
+        """Part of every segment fingerprint, so a resume with different
+        options never reuses a stale segment ("" = the default build)."""
+        parts = [f"{self.analyzer_name}:{self.index_options}"]
+        for name, tag in _VARIANT_TAGS:
+            v = getattr(self, name)
+            if v is True:
+                parts.append(tag)
+            elif isinstance(v, str):
+                parts.append(f"{tag}={v}")
+            elif v:
+                # index_sort is a (field, direction) pair, not a field list
+                sep = ":" if name == "index_sort" else ","
+                parts.append(f"{tag}={sep.join(v)}")
+        return "" if parts == ["code:positions"] else ":".join(parts)
+
+    def to_entry(self) -> dict:
+        """The ``input["options"]`` record of a segment entry: lists for
+        field tuples, None when unset."""
+        out = {
+            "analyzer": self.analyzer_name,
+            "index_options": self.index_options,
+            "keyword_fields": list(KEYWORD_FIELDS),
+        }
+        for f in fields(self)[2:]:
+            v = getattr(self, f.name)
+            out[f.name] = (list(v) or None) if isinstance(v, tuple) else v
+        out["variant"] = self.variant
+        return out
+
+    @classmethod
+    def from_entry(cls, opts: dict | None) -> BuildOptions:
+        """Inverse of ``to_entry``; a legacy entry without options is the
+        default build."""
+        if not opts:
+            return cls()
+        return cls(
+            analyzer_name=opts.get("analyzer") or "code",
+            **{
+                f.name: opts[f.name]
+                for f in fields(cls)[1:]
+                if opts.get(f.name) is not None
+            },
+        )
+
+
 @dataclass
 class SegmentSpec:
     seg_idx: int
@@ -252,10 +405,7 @@ class SegmentSpec:
     rg_end: int    # last row group (exclusive)
     n_docs: int
     docid_base: int
-    # analyzer:index_options variant — part of the fingerprint so a resume
-    # with different options never reuses a stale segment ("" = the default
-    # code:positions build)
-    variant: str = ""
+    variant: str = ""  # BuildOptions.variant
 
     @property
     def fingerprint(self) -> str:
@@ -407,50 +557,11 @@ def build_term_vectors(
 
 
 def build_one_segment(
-    spec: SegmentSpec,
-    index_dir: str,
-    analyzer_name: str = "code",
-    index_options: str = "positions",
-    keyword_fields: tuple | None = None,
-    index_sort: tuple | None = None,
-    point2d_fields: tuple | None = None,
-    term_vectors: bool = False,
-    dv_fields: tuple | None = None,
-    sorted_dv_fields: tuple | None = None,
-    sorted_set_dv_fields: tuple | None = None,
-    payload_fn: str | None = None,
-    range_fields: tuple | None = None,
-    analyzed_fields: tuple | None = None,
-    sorted_numeric_dv_fields: tuple | None = None,
-    binary_dv_fields: tuple | None = None,
-    shape_fields: tuple | None = None,
+    spec: SegmentSpec, index_dir: str, options: BuildOptions = BuildOptions()
 ) -> SegmentEntry:
-    """Build one segment from its input row groups. Pure + idempotent
-    (writes only under its own segment dir; atomic entry.json last).
-
-    ``point2d_fields``: names of 2-D geo point fields (LatLonPoint.java
-    analog) resolved through search.spatial.POINT2D_DERIVERS; each writes
-    a Morton-sorted ``spatial.parquet`` sidecar with BKD-leaf-sized row
-    groups (search/spatial.py layout).
-
-    ``index_sort`` = (numeric_dv_field, "asc"|"desc"): permute the
-    segment's rows by the field BEFORE docid assignment
-    (IndexWriterConfig.setIndexSort + index/IndexSorter.java sort-at-flush)
-    — within the segment, docid order IS sort order, enabling the
-    early-terminating sorted collector (engine.search_sorted). Divergence
-    from the reference, documented: MERGES concatenate sorted runs instead
-    of re-sorting (Lucene renumbers docids at merge; ours are stable
-    engine output), so a merged segment carries multiple sorted_runs.
-
-    Schema-driven doc values (index/DocValuesType.java:23-51):
-    ``dv_fields`` — extra NUMERIC source columns (cast to int64, null→0)
-    stored beside the derived ``n_chars``, each also getting a 1-D points
-    view for range filters; ``sorted_dv_fields`` — SORTED (single-valued
-    keyword) source columns; ``sorted_set_dv_fields`` — SORTED_SET
-    multi-valued fields resolved through SORTED_SET_DERIVERS (or a
-    list<string> source column). SORTED(_SET) live in a doc-ordered
-    ``docvalues_sorted.parquet`` sidecar; per-segment term-sorted ordinals
-    are derived at read time (search/reader.py sorted_doc_values)."""
+    """Build one segment from its input row groups under ``options`` (see
+    BuildOptions for what each option writes). Pure + idempotent (writes
+    only under its own segment dir; atomic entry.json last)."""
     existing = read_entry(index_dir, spec.name)
     if existing is not None and existing.input.get("fingerprint") == spec.fingerprint:
         return existing
@@ -458,33 +569,26 @@ def build_one_segment(
     t0 = time.perf_counter()
     c0 = time.process_time()
     pf = pq.ParquetFile(spec.file)
-    dv_fields = tuple(dv_fields or ())
-    sorted_dv_fields = tuple(sorted_dv_fields or ())
-    sorted_set_dv_fields = tuple(sorted_set_dv_fields or ())
-    sorted_numeric_dv_fields = tuple(sorted_numeric_dv_fields or ())
-    binary_dv_fields = tuple(binary_dv_fields or ())
-    shape_fields = tuple(shape_fields or ())
     extra_cols = [
         f
-        for f in dv_fields + sorted_dv_fields
+        for f in options.dv_fields + options.sorted_dv_fields
         if f not in STORED_COLUMNS and f != "content"
         and f not in NUMERIC_DV_DERIVED
     ]
-    analyzed_fields = tuple(analyzed_fields or ())
     avail = set(pf.schema_arrow.names)
     extra_cols += [
-        f for f in sorted_set_dv_fields
+        f for f in options.sorted_set_dv_fields
         if f in avail and f not in STORED_COLUMNS and f not in extra_cols
     ]
     # user-supplied SORTED_NUMERIC / BINARY source columns must survive the
     # pruned read, else the deriver silently replaces them (ADVICE r4 —
     # empty per-doc lists are only representable via the verbatim path)
     extra_cols += [
-        f for f in sorted_numeric_dv_fields + binary_dv_fields
+        f for f in options.sorted_numeric_dv_fields + options.binary_dv_fields
         if f in avail and f not in STORED_COLUMNS and f not in extra_cols
     ]
     extra_cols += [
-        f for f in analyzed_fields
+        f for f in options.analyzed_fields
         if f not in ANALYZED_FIELD_DERIVERS
         and f not in STORED_COLUMNS and f != "content" and f not in extra_cols
     ]
@@ -514,13 +618,11 @@ def build_one_segment(
             table.column(fld).combine_chunks().cast(pa.int64()), 0
         )
 
-    numeric_dv_schema = ("n_chars",) + dv_fields
+    numeric_dv_schema = ("n_chars",) + options.dv_fields
 
     sorted_runs = None
-    if index_sort is not None:
-        fld, direction = index_sort
-        if fld not in numeric_dv_schema or direction not in ("asc", "desc"):
-            raise ValueError(f"unsupported index_sort: {index_sort}")
+    if options.index_sort is not None:
+        fld, direction = options.index_sort
         key = _numeric_dv(fld).to_numpy(zero_copy_only=False)
         if direction == "desc":
             key = -key
@@ -532,14 +634,8 @@ def build_one_segment(
 
     content = table.column("content").combine_chunks()
 
-    analyzer = get_analyzer(analyzer_name)
-    if not getattr(analyzer, "supports_indexing", True):
-        raise ValueError(
-            f"analyzer {analyzer_name!r} is a query/analysis-surface analyzer "
-            "(no tokenize_flat; tokens may contain ':', which the shared term "
-            "dict reserves for keyword fields) — index with 'code' or 'english'"
-        )
-    with_off = index_options == "offsets"
+    analyzer = get_analyzer(options.analyzer_name)
+    with_off = options.index_options == "offsets"
     tok_starts = tok_lens = None
     if with_off:
         row_idx, terms, positions, tok_starts, tok_lens = analyzer.tokenize_flat(
@@ -571,7 +667,7 @@ def build_one_segment(
     # keyword-term append below (StringFields carry no term vectors)
     tv_table = (
         build_term_vectors(row_idx, terms, positions, tok_starts, tok_lens)
-        if term_vectors
+        if options.term_vectors
         else None
     )
 
@@ -585,9 +681,7 @@ def build_one_segment(
     # skipped by CheckIndex/merge ttf sums).
     af_streams = []
     af_norm_cols: dict = {}
-    for fld in analyzed_fields:
-        if ":" in fld:
-            raise ValueError(f"analyzed field name may not contain ':': {fld!r}")
+    for fld in options.analyzed_fields:
         if fld in ANALYZED_FIELD_DERIVERS:
             af_streams.append(
                 (fld, row_idx, ANALYZED_FIELD_DERIVERS[fld](terms),
@@ -619,26 +713,20 @@ def build_one_segment(
         af_norm_cols[f"norm_{fld}"] = pa.array(int_to_byte4(af_len), type=pa.uint8())
         af_norm_cols[f"doc_len_{fld}"] = pa.array(af_len, type=pa.int64())
 
-    # keyword-field postings: one "<field>:<value>" token per doc per field,
-    # appended after the content stream. Prefixed terms never collide with
-    # analyzed tokens (':' is outside the token alphabet), so the per-term
-    # (doc, position) ordering invariant of build_segment_postings holds.
-    from lucene_ray.config import KEYWORD_FIELDS
-
-    import pyarrow.compute as pc
-
-    if keyword_fields is None:
-        keyword_fields = KEYWORD_FIELDS
     # per-occurrence payloads computed over the CONTENT stream before the
     # keyword append (StringFields carry payload 0, mirroring the offsets
     # zero-fill below)
     payloads = (
-        PAYLOAD_DERIVERS[payload_fn](terms, positions)
-        if payload_fn is not None
+        PAYLOAD_DERIVERS[options.payload_fn](terms, positions)
+        if options.payload_fn is not None
         else None
     )
+    # keyword-field postings: one "<field>:<value>" token per doc per field,
+    # appended after the content stream. Prefixed terms never collide with
+    # analyzed tokens (':' is outside the token alphabet), so the per-term
+    # (doc, position) ordering invariant of build_segment_postings holds.
     kw_row, kw_terms = [], []
-    for f in keyword_fields:
+    for f in KEYWORD_FIELDS:
         vals = (
             pc.fill_null(table.column(f).cast(pa.string()), "")
             .to_numpy(zero_copy_only=False)
@@ -651,18 +739,18 @@ def build_one_segment(
             [terms] + [pa.array(t, type=pa.string()) for t in kw_terms]
         )
         positions = np.concatenate(
-            [positions, np.zeros(n * len(keyword_fields), dtype=positions.dtype)]
+            [positions, np.zeros(n * len(KEYWORD_FIELDS), dtype=positions.dtype)]
         )
         if with_off:
             # StringFields carry no real offsets (document/StringField.java
             # has no OffsetAttribute): zero-filled entries keep the
             # occurrence streams aligned with positions
-            zeros = np.zeros(n * len(keyword_fields), dtype=tok_starts.dtype)
+            zeros = np.zeros(n * len(KEYWORD_FIELDS), dtype=tok_starts.dtype)
             tok_starts = np.concatenate([tok_starts, zeros])
             tok_lens = np.concatenate([tok_lens, zeros])
         if payloads is not None:
             payloads = np.concatenate(
-                [payloads, np.zeros(n * len(keyword_fields), dtype=np.uint32)]
+                [payloads, np.zeros(n * len(KEYWORD_FIELDS), dtype=np.uint32)]
             )
 
     for fld, a_row, a_terms, a_pos, a_st, a_ln in af_streams:
@@ -695,7 +783,7 @@ def build_one_segment(
 
     postings, stats = build_segment_postings(
         row_idx, terms, positions, n, norm_bytes,
-        with_positions=(index_options in ("positions", "offsets")),
+        with_positions=(options.index_options in ("positions", "offsets")),
         tok_starts=tok_starts, tok_lens=tok_lens, payloads=payloads,
     )
     # manifest sum_ttf stays content-only (it feeds avgdl in BM25 stats)
@@ -730,13 +818,13 @@ def build_one_segment(
     )
     # SORTED / SORTED_SET sidecar: doc-ordered values; parquet dictionary-
     # encodes the strings, the reader derives term-sorted ordinals
-    if sorted_dv_fields or sorted_set_dv_fields:
+    if options.sorted_dv_fields or options.sorted_set_dv_fields:
         sdv_cols: dict[str, pa.Array] = {}
-        for f in sorted_dv_fields:
+        for f in options.sorted_dv_fields:
             sdv_cols[f] = pc.fill_null(
                 table.column(f).combine_chunks().cast(pa.string()), ""
             )
-        for f in sorted_set_dv_fields:
+        for f in options.sorted_set_dv_fields:
             if f in table.schema.names:
                 col = table.column(f).combine_chunks()
             else:
@@ -746,9 +834,9 @@ def build_one_segment(
             pa.table(sdv_cols), os.path.join(d, "docvalues_sorted.parquet")
         )
     # SORTED_NUMERIC sidecar: doc-ordered list<int64>, values ASC per doc
-    if sorted_numeric_dv_fields:
+    if options.sorted_numeric_dv_fields:
         snd_cols: dict[str, pa.Array] = {}
-        for f in sorted_numeric_dv_fields:
+        for f in options.sorted_numeric_dv_fields:
             if f in table.schema.names:
                 col = table.column(f).combine_chunks().cast(pa.list_(pa.int64()))
             else:
@@ -761,12 +849,12 @@ def build_one_segment(
     # indexed-shape sidecar: one row per tessellated triangle
     # (document/LatLonShape.java + geo/Tessellator.java; see
     # search/spatial.py shape section). LOCAL docids, doc-major order.
-    if shape_fields:
+    if options.shape_fields:
         from lucene_ray.search.spatial import SHAPE_DERIVERS
 
         shape_parts = []
         gdoc = np.arange(n, dtype=np.int64) + spec.docid_base
-        for f in shape_fields:
+        for f in options.shape_fields:
             dd, axx, ayy, bxx, byy, cxx, cyy, fab, fbc, fca = (
                 SHAPE_DERIVERS[f](gdoc)
             )
@@ -795,9 +883,9 @@ def build_one_segment(
             pa.concat_tables(shape_parts), os.path.join(d, "shapes.parquet")
         )
     # BINARY sidecar: doc-ordered opaque bytes
-    if binary_dv_fields:
+    if options.binary_dv_fields:
         bdv_cols: dict[str, pa.Array] = {}
-        for f in binary_dv_fields:
+        for f in options.binary_dv_fields:
             if f in table.schema.names:
                 bdv_cols[f] = table.column(f).combine_chunks().cast(pa.binary())
             else:
@@ -819,7 +907,7 @@ def build_one_segment(
             )
         )
     pq.write_table(pa.concat_tables(pt_parts), os.path.join(d, "points.parquet"))
-    if point2d_fields:
+    if options.point2d_fields:
         from lucene_ray.search.spatial import (
             POINT2D_DERIVERS,
             SPATIAL_ROW_GROUP,
@@ -829,7 +917,7 @@ def build_one_segment(
         gdoc = spec.docid_base + np.arange(n, dtype=np.int64)
         local = np.arange(n, dtype=np.int64)
         sp_fields = {}
-        for f in point2d_fields:
+        for f in options.point2d_fields:
             lat, lon = POINT2D_DERIVERS[f](table, gdoc)
             sp_fields[f] = (lat, lon, local)
         pq.write_table(
@@ -837,13 +925,13 @@ def build_one_segment(
             os.path.join(d, "spatial.parquet"),
             row_group_size=SPATIAL_ROW_GROUP,
         )
-    if range_fields:
+    if options.range_fields:
         # LongRange sidecar (document/LongRange.java:48; BKD with 2 values
         # per dim becomes a (lo, hi) pair table sorted by (field, lo) —
         # relation filters are vectorized masks, searchsorted prunes on lo)
         gdoc = spec.docid_base + np.arange(n, dtype=np.int64)
         rg_parts = []
-        for f in range_fields:
+        for f in options.range_fields:
             lo, hi = RANGE_DERIVERS[f](table, gdoc)
             lo = np.asarray(lo, dtype=np.int64)
             hi = np.asarray(hi, dtype=np.int64)
@@ -888,38 +976,7 @@ def build_one_segment(
             "fingerprint": spec.fingerprint,
             # full build options, recorded so upgrade_index can rebuild
             # THIS variant (not a default-variant guess) — ADVICE r3
-            "options": {
-                "analyzer": analyzer_name,
-                "index_options": index_options,
-                "keyword_fields": list(keyword_fields) if keyword_fields else None,
-                "index_sort": list(index_sort) if index_sort else None,
-                "point2d_fields": list(point2d_fields) if point2d_fields else None,
-                "term_vectors": bool(term_vectors),
-                "dv_fields": list(dv_fields) if dv_fields else None,
-                "sorted_dv_fields": (
-                    list(sorted_dv_fields) if sorted_dv_fields else None
-                ),
-                "sorted_set_dv_fields": (
-                    list(sorted_set_dv_fields) if sorted_set_dv_fields else None
-                ),
-                "payload_fn": payload_fn,
-                "range_fields": list(range_fields) if range_fields else None,
-                "analyzed_fields": (
-                    list(analyzed_fields) if analyzed_fields else None
-                ),
-                "sorted_numeric_dv_fields": (
-                    list(sorted_numeric_dv_fields)
-                    if sorted_numeric_dv_fields
-                    else None
-                ),
-                "binary_dv_fields": (
-                    list(binary_dv_fields) if binary_dv_fields else None
-                ),
-                "shape_fields": (
-                    list(shape_fields) if shape_fields else None
-                ),
-                "variant": spec.variant,
-            },
+            "options": options.to_entry(),
         },
         metrics={
             "build_secs": round(secs, 4),
@@ -944,23 +1001,9 @@ def build_one_segment(
 def build_index(
     input_paths: list[str],
     index_dir: str,
-    analyzer_name: str = "code",
     target_docs: int = TARGET_DOCS_PER_SEGMENT,
     concurrency: int | None = None,
-    index_options: str = "positions",
-    keyword_fields: tuple | None = None,
-    index_sort: tuple | None = None,
-    point2d_fields: tuple | None = None,
-    term_vectors: bool = False,
-    dv_fields: tuple | None = None,
-    sorted_dv_fields: tuple | None = None,
-    sorted_set_dv_fields: tuple | None = None,
-    payload_fn: str | None = None,
-    range_fields: tuple | None = None,
-    analyzed_fields: tuple | None = None,
-    sorted_numeric_dv_fields: tuple | None = None,
-    binary_dv_fields: tuple | None = None,
-    shape_fields: tuple | None = None,
+    **options,
 ) -> Manifest:
     """Build (or resume) the whole index with Ray Data.
 
@@ -968,66 +1011,15 @@ def build_index(
     a stateless ``map_batches`` over it (tasks, not actors — tokenization is
     pure; SURVEY.md §7.2). Ray must already be initialised by the caller.
 
-    ``index_options``: "positions" (default, DOCS_AND_FREQS_AND_POSITIONS),
-    "freqs" (DOCS_AND_FREQS — smaller index, phrase queries raise) or
-    "offsets" (DOCS_AND_FREQS_AND_POSITIONS_AND_OFFSETS — per-occurrence
-    byte offsets for the postings-based highlighter;
-    index/IndexOptions.java:27-48 verbosity levels).
+    ``options`` are the BuildOptions fields (analyzer_name, index_options,
+    doc-value/point/shape/analyzed fields, ...); a build option is declared
+    once, as a BuildOptions field plus one variant tag, and validated
+    before any Ray task starts. An unknown keyword raises TypeError.
     """
-    if index_options not in ("positions", "freqs", "offsets"):
-        raise ValueError(f"unsupported index_options: {index_options}")
     import ray.data
 
-    variant = (
-        ""
-        if (analyzer_name, index_options) == ("code", "positions")
-        else f"{analyzer_name}:{index_options}"
-    )
-    if index_sort is not None:
-        index_sort = (str(index_sort[0]), str(index_sort[1]))
-        variant = f"{variant or 'code:positions'}:sort={index_sort[0]}:{index_sort[1]}"
-    if point2d_fields:
-        point2d_fields = tuple(str(f) for f in point2d_fields)
-        variant = f"{variant or 'code:positions'}:geo={','.join(point2d_fields)}"
-    if term_vectors:
-        variant = f"{variant or 'code:positions'}:tv"
-    if dv_fields:
-        dv_fields = tuple(str(f) for f in dv_fields)
-        variant = f"{variant or 'code:positions'}:dv={','.join(dv_fields)}"
-    if sorted_dv_fields:
-        sorted_dv_fields = tuple(str(f) for f in sorted_dv_fields)
-        variant = f"{variant or 'code:positions'}:sdv={','.join(sorted_dv_fields)}"
-    if sorted_set_dv_fields:
-        sorted_set_dv_fields = tuple(str(f) for f in sorted_set_dv_fields)
-        variant = (
-            f"{variant or 'code:positions'}:ssdv={','.join(sorted_set_dv_fields)}"
-        )
-    if payload_fn is not None:
-        if payload_fn not in PAYLOAD_DERIVERS:
-            raise ValueError(f"unknown payload_fn: {payload_fn!r}")
-        variant = f"{variant or 'code:positions'}:pay={payload_fn}"
-    if range_fields:
-        range_fields = tuple(str(f) for f in range_fields)
-        variant = f"{variant or 'code:positions'}:rng={','.join(range_fields)}"
-    if analyzed_fields:
-        analyzed_fields = tuple(str(f) for f in analyzed_fields)
-        for f in analyzed_fields:
-            if ":" in f:
-                raise ValueError(f"analyzed field name may not contain ':': {f!r}")
-        variant = f"{variant or 'code:positions'}:af={','.join(analyzed_fields)}"
-    if sorted_numeric_dv_fields:
-        sorted_numeric_dv_fields = tuple(str(f) for f in sorted_numeric_dv_fields)
-        variant = (
-            f"{variant or 'code:positions'}:sndv="
-            f"{','.join(sorted_numeric_dv_fields)}"
-        )
-    if binary_dv_fields:
-        binary_dv_fields = tuple(str(f) for f in binary_dv_fields)
-        variant = f"{variant or 'code:positions'}:bdv={','.join(binary_dv_fields)}"
-    if shape_fields:
-        shape_fields = tuple(str(f) for f in shape_fields)
-        variant = f"{variant or 'code:positions'}:shape={','.join(shape_fields)}"
-    specs = plan_segments(input_paths, target_docs, variant)
+    options = BuildOptions(**options)
+    specs = plan_segments(input_paths, target_docs, options.variant)
     todo = []
     done: list[SegmentEntry] = []
     for s in specs:
@@ -1052,14 +1044,7 @@ def build_index(
                     docid_base=int(batch["docid_base"][i]),
                     variant=str(batch["variant"][i]),
                 )
-                entry = build_one_segment(
-                    spec, index_dir, analyzer_name, index_options,
-                    keyword_fields, index_sort, point2d_fields,
-                    term_vectors, dv_fields, sorted_dv_fields,
-                    sorted_set_dv_fields, payload_fn, range_fields,
-                    analyzed_fields, sorted_numeric_dv_fields,
-                    binary_dv_fields, shape_fields,
-                )
+                entry = build_one_segment(spec, index_dir, options)
                 out.append(_json.dumps(entry.__dict__))
             return {"entry": np.array(out)}
 
@@ -1110,8 +1095,8 @@ def build_index(
     prev = read_manifest(index_dir)
     manifest = Manifest(
         generation=(prev.generation + 1 if prev else 1),
-        analyzer=analyzer_name,
-        index_sort=list(index_sort) if index_sort else None,
+        analyzer=options.analyzer_name,
+        index_sort=list(options.index_sort) if options.index_sort else None,
         doc_count=sum(e.doc_count for e in done),
         sum_ttf=sum(e.sum_ttf for e in done),
         segments=done,
@@ -1129,9 +1114,10 @@ def upgrade_index(index_dir: str) -> dict:
     verbatim — tombstones and updated doc values survive the upgrade.
 
     Variant fidelity: segments record their FULL build options in
-    entry.input["options"] (analyzer, index_options, keyword/geo fields,
-    index_sort, term_vectors, variant) and are rebuilt with exactly those
-    options — sidecars, offsets and sort permutations survive the upgrade.
+    entry.input["options"] (BuildOptions.to_entry — a build option is
+    declared once, as a BuildOptions field plus one variant tag) and are
+    rebuilt with exactly those options (BuildOptions.from_entry) —
+    sidecars, offsets and sort permutations survive the upgrade.
     Legacy entries without recorded options are rebuilt only when the
     default code:positions variant is provably what they hold; any
     non-default evidence (manifest.index_sort, non-code analyzer, a
@@ -1144,12 +1130,6 @@ def upgrade_index(index_dir: str) -> dict:
     import re as _re
     import shutil as _shutil
 
-    from lucene_ray.index.manifest import (
-        Manifest,
-        read_manifest,
-        write_manifest,
-    )
-
     manifest = read_manifest(index_dir)
     analyzer_name = manifest.analyzer or "code"
     upgraded, current, skipped = [], [], []
@@ -1161,8 +1141,7 @@ def upgrade_index(index_dir: str) -> dict:
         if "file" not in inp:
             skipped.append(e.name)  # merged segment: inputs are gone
             continue
-        opts = inp.get("options")
-        if opts is None:
+        if inp.get("options") is None:
             # legacy entry (pre-options format): rebuild ONLY when it is
             # provably a default code:positions build — its recorded
             # fingerprint must equal the empty-variant formula under SOME
@@ -1185,21 +1164,7 @@ def upgrade_index(index_dir: str) -> dict:
             ):
                 skipped.append(e.name)
                 continue
-            opts = {
-                "analyzer": "code",
-                "index_options": "positions",
-                "keyword_fields": None,
-                "index_sort": None,
-                "point2d_fields": None,
-                "term_vectors": False,
-                "dv_fields": None,
-                "sorted_dv_fields": None,
-                "sorted_set_dv_fields": None,
-                "payload_fn": None,
-                "range_fields": None,
-                "analyzed_fields": None,
-                "variant": "",
-            }
+        options = BuildOptions.from_entry(inp.get("options"))
         m = _re.match(r"seg_(\d+)_", e.name)
         seg_idx = int(m.group(1)) if m else i
         spec = SegmentSpec(
@@ -1209,40 +1174,12 @@ def upgrade_index(index_dir: str) -> dict:
             rg_end=int(inp["rg_end"]),
             n_docs=e.doc_count,
             docid_base=e.docid_base,
-            variant=str(opts.get("variant") or ""),
+            variant=options.variant,
         )
         if inp.get("fingerprint") == spec.fingerprint:
             current.append(e.name)
             continue
-        new_entry = build_one_segment(
-            spec,
-            index_dir,
-            opts.get("analyzer") or "code",
-            opts.get("index_options") or "positions",
-            tuple(opts["keyword_fields"]) if opts.get("keyword_fields") else None,
-            tuple(opts["index_sort"]) if opts.get("index_sort") else None,
-            tuple(opts["point2d_fields"]) if opts.get("point2d_fields") else None,
-            bool(opts.get("term_vectors")),
-            tuple(opts["dv_fields"]) if opts.get("dv_fields") else None,
-            tuple(opts["sorted_dv_fields"])
-            if opts.get("sorted_dv_fields")
-            else None,
-            tuple(opts["sorted_set_dv_fields"])
-            if opts.get("sorted_set_dv_fields")
-            else None,
-            opts.get("payload_fn") or None,
-            tuple(opts["range_fields"]) if opts.get("range_fields") else None,
-            tuple(opts["analyzed_fields"]) if opts.get("analyzed_fields") else None,
-            tuple(opts["sorted_numeric_dv_fields"])
-            if opts.get("sorted_numeric_dv_fields")
-            else None,
-            tuple(opts["binary_dv_fields"])
-            if opts.get("binary_dv_fields")
-            else None,
-            tuple(opts["shape_fields"])
-            if opts.get("shape_fields")
-            else None,
-        )
+        new_entry = build_one_segment(spec, index_dir, options)
         old_d = segment_dir(index_dir, e.name)
         new_d = segment_dir(index_dir, new_entry.name)
         # carry delete / DV generations verbatim (file contents are
@@ -1274,7 +1211,7 @@ def upgrade_index(index_dir: str) -> dict:
                 generation=manifest.generation + 1,
                 analyzer=manifest.analyzer,
                 index_sort=getattr(manifest, "index_sort", None),
-            user_data=getattr(manifest, "user_data", None),
+                user_data=getattr(manifest, "user_data", None),
                 doc_count=sum(s.doc_count for s in live),
                 sum_ttf=sum(s.sum_ttf for s in live),
                 segments=new_segments,

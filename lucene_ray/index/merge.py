@@ -800,7 +800,15 @@ def merge_segments(
         soft_del_gen=soft_del_gen,
         soft_del_count=soft_del_count,
         reclaimed=reclaimed,
-        input={"merged_from": [e.name for e in entries], "fingerprint": fp},
+        input={
+            "merged_from": [e.name for e in entries],
+            "fingerprint": fp,
+            # the inputs' build options, so later adds replay them
+            "options": next(
+                (e.input["options"] for e in entries if e.input.get("options")),
+                None,
+            ),
+        },
         metrics={
             "build_secs": round(secs, 4),
             "build_cpu_secs": round(time.process_time() - c0, 4),

@@ -30,6 +30,7 @@ import pyarrow.parquet as pq
 
 from lucene_ray.index.builder import (
     STORED_COLUMNS,
+    BuildOptions,
     SegmentSpec,
     build_one_segment,
 )
@@ -392,6 +393,19 @@ def _append_documents(
     for c in STORED_COLUMNS + ["content"]:
         if c not in table.column_names:
             raise ValueError(f"add_documents table missing column {c!r}")
+    # the index's build options, from the newest live entry that records
+    # them (merged entries carry their inputs'); legacy indexes recorded
+    # only the analyzer
+    recorded = next(
+        (e.input["options"] for e in reversed(manifest.live_segments)
+         if e.input.get("options")),
+        None,
+    )
+    options = (
+        BuildOptions.from_entry(recorded)
+        if recorded
+        else BuildOptions(analyzer_name=manifest.analyzer or "code")
+    )
     base = max(
         (e.docid_base + e.doc_count for e in manifest.segments), default=0
     )
@@ -406,8 +420,9 @@ def _append_documents(
         rg_end=pq.read_metadata(fname).num_row_groups,
         n_docs=table.num_rows,
         docid_base=base,
+        variant=options.variant,
     )
-    entry = build_one_segment(spec, index_dir, manifest.analyzer)
+    entry = build_one_segment(spec, index_dir, options)
     manifest.segments.append(entry)
     manifest.segments.sort(key=lambda e: e.docid_base)
     manifest.generation += 1

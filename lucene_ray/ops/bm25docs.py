@@ -28,6 +28,7 @@ import pyarrow as pa
 import ray.data
 
 from lucene_ray.analysis import CodeAnalyzer, tokenize_sql_expr
+from lucene_ray.index.corpus import documents_as_corpus, documents_as_corpus_dv
 from lucene_ray.search.similarity import BM25ExactSimilarity
 
 # (qid, query text) — mix of single terms, multi-term ORs, hot + rare-ish
@@ -122,7 +123,8 @@ def geo_nearest(sf_dir: str) -> pa.Table:
     identically."""
     from lucene_ray.search.spatial import nearest_topk
 
-    ix = _engine_index_geo(sf_dir)
+    # LatLonPoint 'loc' sidecar; the merge exercises the spatial fold
+    ix = _engine_index(sf_dir, point2d_fields=("loc",))
     out_q, out_r, out_d = [], [], []
     for qid, la, lo, k in GEO_NEAREST_QUERIES:
         hits = nearest_topk(ix, "loc", la, lo, k)
@@ -200,7 +202,7 @@ def geo3d_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery
 
-    ix = _engine_index_geo(sf_dir)
+    ix = _engine_index(sf_dir, point2d_fields=("loc",))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, q in _geo3d_queries():
@@ -242,7 +244,7 @@ def multilongfacet_engine(sf_dir: str, top_n: int = 10) -> pa.Table:
     )
     from lucene_ray.search.query import BooleanQuery, TermQuery
 
-    s = IndexSearcher(_dv2_engine_index(sf_dir))
+    s = IndexSearcher(_engine_index(sf_dir, **_DV2_INDEX))
     out = {"qid": [], "rank": [], "value": [], "n": []}
     for qid, term in ((0, "merge"), (1, "window")):
         rows = multi_long_value_facet_counts(
@@ -306,7 +308,7 @@ def ssdvsort_engine(sf_dir: str, k: int = 25) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher, search_sorted_set
     from lucene_ray.search.query import BooleanQuery, TermQuery
 
-    s = IndexSearcher(_dv_engine_index(sf_dir))
+    s = IndexSearcher(_engine_index(sf_dir, **_DV_INDEX))
     out_q, out_r, out_d = [], [], []
     for qid, term, sel, asc in SSDVSORT_QUERIES:
         docids, _keys = search_sorted_set(
@@ -350,25 +352,6 @@ WITH tok AS (
 """
 
 
-def _engine_index_fpoint(sf_dir: str) -> str:
-    """Documents index with the DoublePoint/FloatPoint demo fields
-    (dv_fields dscore/fscore — search/floatpoint.py sortable encodings)."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_fpoint_index_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index(
-        [corpus_path], ix, target_docs=8192, dv_fields=("dscore", "fscore")
-    )
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
-    return ix
-
-
 def _fpoint_queries():
     from lucene_ray.search import floatpoint as fp
 
@@ -402,7 +385,8 @@ def dblpoint_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery
 
-    ix = _engine_index_fpoint(sf_dir)
+    # DoublePoint/FloatPoint demo fields (search/floatpoint.py encodings)
+    ix = _engine_index(sf_dir, dv_fields=("dscore", "fscore"))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, q, _sql in _fpoint_queries():
@@ -448,19 +432,10 @@ def facetset_counts(sf_dir: str) -> pa.Table:
     two 2-dim sets per doc — (L%7, L%10) and (L%13, L%5) from the
     content length — so the oracle is exact integer arithmetic over
     n_chars."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
     from lucene_ray.search.facetset import matching_facet_sets_counts
     from lucene_ray.search.reader import IndexReader
 
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_facetset_index_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index([corpus_path], ix, target_docs=8192, binary_dv_fields=("fsets",))
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
+    ix = _engine_index(sf_dir, binary_dv_fields=("fsets",))
     rows, tot = matching_facet_sets_counts(
         IndexReader(ix), "fsets", _facetset_matchers()
     )
@@ -654,7 +629,7 @@ def distfeature_topk(sf_dir: str) -> pa.Table:
             q = LongDistanceFeatureQuery("n_chars", origin, pivot)
         else:
             _, qid, la, lo, pivot, k = spec
-            s = IndexSearcher(_engine_index_geo(sf_dir))
+            s = IndexSearcher(_engine_index(sf_dir, point2d_fields=("loc",)))
             q = GeoDistanceFeatureQuery("loc", la, lo, pivot)
         td = s.search(BooleanQuery(must=[q]), k)
         for r, doc in enumerate(td.docids.tolist()):
@@ -697,25 +672,6 @@ def distfeature_topk_sql() -> str:
             f"FROM documents ORDER BY rank LIMIT {k}"
         )
     return "\nUNION ALL\n".join(f"({p})" for p in parts)
-
-
-def _engine_index_bigpoint(sf_dir: str) -> str:
-    """Documents index with the synthetic 128-bit point limbs
-    (dv_fields ip_hi/ip_lo — search/bigpoint.py derivers) + a merge pass."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_bigpoint_index_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index(
-        [corpus_path], ix, target_docs=8192, dv_fields=("ip_hi", "ip_lo")
-    )
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
-    return ix
 
 
 def _bigpoint_queries():
@@ -761,7 +717,8 @@ def bigpoint_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery
 
-    ix = _engine_index_bigpoint(sf_dir)
+    # synthetic 128-bit point limbs (search/bigpoint.py derivers)
+    ix = _engine_index(sf_dir, dv_fields=("ip_hi", "ip_lo"))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, q, _sql in _bigpoint_queries():
@@ -1173,20 +1130,47 @@ SELECT qid, rank::INTEGER AS rank, doc_id FROM ranked WHERE rank < {BM25_K}
 
 # ------------------------------------------------------------- engine-backed
 
-def _engine_index(sf_dir: str) -> str:
-    """Build (or reuse) the real inverted index for the documents table."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
+def _engine_index(
+    sf_dir: str, *, merge: bool = True, corpus=documents_as_corpus, **options
+) -> str:
+    """Build (or reuse) the real inverted index over ``corpus(sf_dir)``
+    with BuildOptions ``options``, then merge it unless ``merge=False``.
+    One cache dir per (sf_dir, corpus, merge, options variant), so gates
+    asking for the same index share one build. Gates never write into it:
+    those that mutate an index work on a tempfile.mkdtemp copy."""
+    from lucene_ray.index.builder import BuildOptions, build_index
     from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
 
-    corpus_path = documents_as_corpus(sf_dir)
+    key = f"{sf_dir}|{corpus.__name__}|{merge}|{BuildOptions(**options).variant}"
     ix = os.path.join(
         "/tmp/lucene_ray_cache",
-        "docs_index_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
+        "docs_ix_" + hashlib.sha1(key.encode()).hexdigest()[:12],
     )
-    build_index([corpus_path], ix, target_docs=8192)
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
+    build_index([corpus(sf_dir)], ix, target_docs=8192, **options)
+    if merge:
+        maybe_merge(ix, TieredMergePolicy(), use_ray=False)
     return ix
+
+
+# schema-driven DV: src_id pass-through NUMERIC, lang/repo SORTED, derived
+# 'labels' SORTED_SET; merged, so the sidecar's doc-ordered concat runs
+_DV_INDEX = {
+    "corpus": documents_as_corpus_dv,
+    "dv_fields": ("src_id",),
+    "sorted_dv_fields": ("lang", "repo"),
+    "sorted_set_dv_fields": ("labels",),
+}
+# SORTED_NUMERIC sig_nums = sorted([len%7, len%10, len%13]) and BINARY
+# content_sha (raw sha256); merged, so the sidecar concat path runs
+_DV2_INDEX = {
+    "sorted_numeric_dv_fields": ("sig_nums",),
+    "binary_dv_fields": ("content_sha",),
+}
+# analyzed parallel fields: derived position-aligned "rev" (the
+# FieldMaskingSpanQuery setup) and source-column "repo" with its own norms
+# (the CombinedFieldQuery backing); one unmerged build serves the
+# multifield, fieldmask and combinedfield gates
+_AF_INDEX = {"merge": False, "analyzed_fields": ("rev", "repo")}
 
 
 def bm25_topk_engine(sf_dir: str) -> pa.Table:
@@ -1389,25 +1373,6 @@ WITH tok AS (
 """
 
 
-def _engine_index_geo(sf_dir: str) -> str:
-    """Build (or reuse) the documents index WITH the 2-D geo point field
-    (point2d_fields=("loc",) — LatLonPoint analog; search/spatial.py). A
-    separate cache dir so the default index stays sidecar-free; the merge
-    pass exercises the spatial fold."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_geo_index_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index([corpus_path], ix, target_docs=8192, point2d_fields=("loc",))
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
-    return ix
-
-
 SPATIAL_QUERIES: list[tuple] = [
     # ("box", qid, lat_lo, lat_hi, lon_lo, lon_hi, extra MUST term | None)
     # ("dist", qid, lat, lon, radius_m, extra MUST term | None)
@@ -1435,7 +1400,7 @@ def spatial_engine(sf_dir: str) -> pa.Table:
         TermQuery,
     )
 
-    ix = _engine_index_geo(sf_dir)
+    ix = _engine_index(sf_dir, point2d_fields=("loc",))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for spec in SPATIAL_QUERIES:
@@ -1530,7 +1495,7 @@ def polygon_engine(sf_dir: str) -> pa.Table:
         TermQuery,
     )
 
-    ix = _engine_index_geo(sf_dir)
+    ix = _engine_index(sf_dir, point2d_fields=("loc",))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, shell, holes, term in POLYGON_QUERIES:
@@ -1644,23 +1609,6 @@ WITH t AS (
 """
 
 
-def _engine_index_syn(sf_dir: str) -> str:
-    """Documents index under the SynonymAnalyzer (index-time add-mode
-    injection, analysis/analyzer.py SYNONYM_MAP)."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_syn_index_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index([corpus_path], ix, target_docs=8192, analyzer_name="synonym")
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
-    return ix
-
-
 def synonym_engine(sf_dir: str) -> pa.Table:
     """(qid, docid): queries against the synonym-injected index — a term
     query on a synonym matches docs containing only the original; a phrase
@@ -1669,7 +1617,8 @@ def synonym_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery, PhraseQuery, TermQuery
 
-    ix = _engine_index_syn(sf_dir)
+    # SynonymAnalyzer: index-time add-mode injection (SYNONYM_MAP)
+    ix = _engine_index(sf_dir, analyzer_name="synonym")
     s = IndexSearcher(ix)
     queries = [
         (0, BooleanQuery(must=[TermQuery("large")])),
@@ -1731,18 +1680,9 @@ def termvector_engine(sf_dir: str) -> pa.Table:
     column."""
     import pyarrow.compute as pc
 
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
     from lucene_ray.search.reader import IndexReader
 
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_tv_index_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index([corpus_path], ix, target_docs=8192, term_vectors=True)
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
+    ix = _engine_index(sf_dir, term_vectors=True)
     r = IndexReader(ix)
     tv = r.term_vectors(np.arange(0, r.doc_count, 37, dtype=np.int64))
     if tv.num_rows:
@@ -1824,18 +1764,10 @@ def folding_engine(sf_dir: str) -> pa.Table:
     from the accented corpus through FoldingAnalyzer (MappingCharFilter +
     ASCIIFoldingFilter 1:1 subset) — folding must recover exactly the
     unaccented token stream, including positions (phrase query)."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery, PhraseQuery, TermQuery
 
-    corpus_path = _accented_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_fold_index_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index([corpus_path], ix, target_docs=8192, analyzer_name="folding")
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
+    ix = _engine_index(sf_dir, corpus=_accented_corpus, analyzer_name="folding")
     s = IndexSearcher(ix)
     queries = [
         (0, BooleanQuery(must=[TermQuery("order")])),
@@ -2066,18 +1998,10 @@ def htmlstrip_engine(sf_dir: str) -> pa.Table:
     corpus through HTMLStripAnalyzer — tags/entities must vanish (the tag
     words 'html'/'body'/'br'/'nbsp' never match), and positions must
     survive stripping (phrase query across an injected <br/>&nbsp;)."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery, PhraseQuery, TermQuery
 
-    corpus_path = _htmlified_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_html_index_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index([corpus_path], ix, target_docs=8192, analyzer_name="html")
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
+    ix = _engine_index(sf_dir, corpus=_htmlified_corpus, analyzer_name="html")
     s = IndexSearcher(ix)
     queries = [
         (0, BooleanQuery(must=[TermQuery("merge")])),
@@ -2230,26 +2154,6 @@ WITH tok AS (
 """
 
 
-def _engine_index_sorted(sf_dir: str) -> str:
-    """Index of the documents table built with index_sort=(n_chars, desc)
-    (IndexWriterConfig.setIndexSort) — docids permuted to value order, so
-    gates recover doc_id through the stored path ('doc/<doc_id>')."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_index_sorted_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index(
-        [corpus_path], ix, target_docs=8192, index_sort=("n_chars", "desc")
-    )
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
-    return ix
-
-
 def indexsort_engine(sf_dir: str, k: int = 40) -> pa.Table:
     """(qid, rank, docid, n_chars): index-time sorting
     (index/IndexSorter.java) — qid 0 rides the early-terminating sorted
@@ -2260,7 +2164,8 @@ def indexsort_engine(sf_dir: str, k: int = 40) -> pa.Table:
     Float-free, SQL-checked exactly."""
     from lucene_ray.search.engine import IndexSearcher, fetch_stored, search_sorted
 
-    ix = _engine_index_sorted(sf_dir)
+    # docids in n_chars order: doc_id comes back via stored 'doc/<doc_id>'
+    ix = _engine_index(sf_dir, index_sort=("n_chars", "desc"))
     s = IndexSearcher(ix)
     out = {"qid": [], "rank": [], "docid": [], "n_chars": []}
     for qid, term, asc in ((0, "merge", False), (1, "window", True)):
@@ -2372,26 +2277,6 @@ SELECT 1 AS qid, rk AS docid FROM ranked
 """
 
 
-def _shape_engine_index(sf_dir: str) -> str:
-    """documents index with the tessellated-rect shape sidecar
-    (shape_fields=("rect",)), then merged so the shapes docid-rebase merge
-    path is on the gate path too."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_index_shape_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index(
-        [corpus_path], ix, target_docs=8192, shape_fields=("rect",)
-    )
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
-    return ix
-
-
 # .005-offset bounds: shape edges land on .25-multiples of the 1e-4 grid,
 # so no query boundary ever coincides with a shape edge (float-exact
 # membership on both sides)
@@ -2415,7 +2300,8 @@ def shape_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery, ShapeBoxQuery
 
-    ix = _shape_engine_index(sf_dir)
+    # tessellated-rect shapes; merged, so the docid-rebase merge path runs
+    ix = _engine_index(sf_dir, shape_fields=("rect",))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, rel, la, lb, oa, ob in SHAPE_QUERIES:
@@ -2497,7 +2383,7 @@ def shape_polygon_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery, ShapePolygonQuery
 
-    ix = _shape_engine_index(sf_dir)
+    ix = _engine_index(sf_dir, shape_fields=("rect",))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, rel, clat, clon, r in SHAPE_POLY_QUERIES:
@@ -2596,7 +2482,7 @@ def shape_line_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery, ShapeLineQuery
 
-    ix = _shape_engine_index(sf_dir)
+    ix = _engine_index(sf_dir, shape_fields=("rect",))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, rel, segs in SHAPE_LINE_QUERIES:
@@ -2663,7 +2549,7 @@ def shape_point_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery, ShapePointQuery
 
-    ix = _shape_engine_index(sf_dir)
+    ix = _engine_index(sf_dir, shape_fields=("rect",))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, rel, la, lo in SHAPE_POINT_QUERIES:
@@ -3088,21 +2974,6 @@ WITH tok AS (
 """
 
 
-def _gram3_engine_index(sf_dir: str) -> str:
-    """documents index under the fixed-3-gram analyzer (NGramTokenizer
-    shape: consecutive gram positions) — the NGramPhraseQuery target."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_index_g3_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index([corpus_path], ix, target_docs=8192, analyzer_name="gram3")
-    return ix
-
-
 def _grams3(word: str) -> tuple[str, ...]:
     return tuple(word[i : i + 3] for i in range(max(len(word) - 2, 1)))
 
@@ -3124,7 +2995,8 @@ def ngramphrase_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery, NGramPhraseQuery
 
-    ix = _gram3_engine_index(sf_dir)
+    # fixed 3-grams at consecutive positions: the NGramPhraseQuery target
+    ix = _engine_index(sf_dir, merge=False, analyzer_name="gram3")
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, word in NGRAMPHRASE_WORDS:
@@ -3258,31 +3130,6 @@ WITH t AS (
 """
 
 
-def _dv2_engine_index(sf_dir: str) -> str:
-    """documents index with the SORTED_NUMERIC ('sig_nums' =
-    sorted([len%7, len%10, len%13])) and BINARY ('content_sha' = raw
-    sha256 digest) doc-values sidecars, then merged — the sidecar merge
-    concat path is on the gate path too."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_index_dv2_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index(
-        [corpus_path],
-        ix,
-        target_docs=8192,
-        sorted_numeric_dv_fields=("sig_nums",),
-        binary_dv_fields=("content_sha",),
-    )
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
-    return ix
-
-
 SORTEDNUMERIC_RANGES = ((0, 0, 1), (1, 5, 6), (2, 9, 12))
 
 
@@ -3299,7 +3146,7 @@ def sortednumeric_engine(sf_dir: str, k: int = 20) -> pa.Table:
     )
     from lucene_ray.search.query import BooleanQuery, SortedNumericRangeQuery
 
-    ix = _dv2_engine_index(sf_dir)
+    ix = _engine_index(sf_dir, **_DV2_INDEX)
     s = IndexSearcher(ix)
     out_q, out_r, out_d = [], [], []
     for qid, lo, hi in SORTEDNUMERIC_RANGES:
@@ -3362,7 +3209,7 @@ def binarydv_engine(sf_dir: str) -> pa.Table:
     SQL-checked exactly (DuckDB sha256)."""
     from lucene_ray.search.engine import IndexSearcher, fetch_binary_doc_values
 
-    ix = _dv2_engine_index(sf_dir)
+    ix = _engine_index(sf_dir, **_DV2_INDEX)
     s = IndexSearcher(ix)
     out_q, out_d, out_h = [], [], []
     for qid, term in ((0, "merge"), (1, "window")):
@@ -3418,7 +3265,7 @@ def indexsortrange_engine(sf_dir: str) -> pa.Table:
         index_sorted_range,
     )
 
-    ix = _engine_index_sorted(sf_dir)
+    ix = _engine_index(sf_dir, index_sort=("n_chars", "desc"))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, lo, hi in INDEXSORTRANGE_QUERIES:
@@ -5639,29 +5486,6 @@ WITH t AS (
 """
 
 
-def _engine_index_af(sf_dir: str) -> str:
-    """Documents index with two analyzed parallel fields: the
-    position-aligned "rev" derived field (builder ANALYZED_FIELD_DERIVERS:
-    reversed token text at the content stream's exact positions — the
-    FieldMaskingSpanQuery.java:36 "parallel fields" setup,
-    ReverseStringFilter analog) and the "repo" SOURCE-column field
-    (independently tokenized TextField with its own per-field norms —
-    the CombinedFieldQuery/BM25F backing). One build serves the
-    multifield, fieldmask, and combinedfield gates."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_af_index_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index(
-        [corpus_path], ix, target_docs=8192, analyzed_fields=("rev", "repo")
-    )
-    return ix
-
-
 def _rev(t: str) -> str:
     return t[::-1]
 
@@ -5711,7 +5535,7 @@ def fieldmask_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery
 
-    ix = _engine_index_af(sf_dir)
+    ix = _engine_index(sf_dir, **_AF_INDEX)
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, q in _fieldmask_queries():
@@ -5784,7 +5608,7 @@ def multifield_engine(sf_dir: str) -> pa.Table:
     PerFieldAnalyzer-style multi-field search surface)."""
     from lucene_ray.search.engine import IndexSearcher
 
-    ix = _engine_index_af(sf_dir)
+    ix = _engine_index(sf_dir, **_AF_INDEX)
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, q in MULTIFIELD_QUERIES:
@@ -6059,7 +5883,7 @@ def combinedfield_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery, CombinedFieldQuery
 
-    ix = _engine_index_af(sf_dir)
+    ix = _engine_index(sf_dir, **_AF_INDEX)
     s = IndexSearcher(ix)
     fields = (("content", CFQ_W_CONTENT), ("repo", CFQ_W_REPO))
     out_q, out_d = [], []
@@ -7132,32 +6956,6 @@ WITH t AS (
 
 # --------------------------------------------------- schema-driven doc values
 
-def _dv_engine_index(sf_dir: str) -> str:
-    """documents index built with the schema-driven DV options: src_id
-    (pass-through NUMERIC from the source table), lang/repo as SORTED
-    keyword DV, and the derived 'labels' SORTED_SET field — then merged, so
-    the sidecar's merge path (doc-ordered concat) is on the gate path too."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus_dv
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-
-    corpus_path = documents_as_corpus_dv(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_index_dv_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index(
-        [corpus_path],
-        ix,
-        target_docs=8192,
-        dv_fields=("src_id",),
-        sorted_dv_fields=("lang", "repo"),
-        sorted_set_dv_fields=("labels",),
-    )
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
-    return ix
-
-
 # global-ordinal joins over the SORTED lang/repo DV (JoinUtil.java:456,500)
 GLOBALORD_QUERIES = (
     # (qid, from_term, field, score_mode)
@@ -7176,7 +6974,7 @@ def globalordjoin_engine(sf_dir: str) -> pa.Table:
     support. Float-free, SQL-checked exactly."""
     from lucene_ray.search.engine import IndexSearcher, join_query_global_ordinal
 
-    ix = _dv_engine_index(sf_dir)
+    ix = _engine_index(sf_dir, **_DV_INDEX)
     s = IndexSearcher(ix)
     out = {"qid": [], "rank": [], "docid": [], "n": []}
     for qid, term, field, mode in GLOBALORD_QUERIES:
@@ -7240,7 +7038,7 @@ def dvsort_engine(sf_dir: str, k: int = 20) -> pa.Table:
     stored-column reads."""
     from lucene_ray.search.engine import IndexSearcher, search_sorted
 
-    ix = _dv_engine_index(sf_dir)
+    ix = _engine_index(sf_dir, **_DV_INDEX)
     s = IndexSearcher(ix)
     out_q, out_r, out_d = [], [], []
     for qid, term, fld, asc in DVSORT_QUERIES:
@@ -7304,7 +7102,7 @@ def dvfacet_engine(sf_dir: str) -> pa.Table:
         sorted_set_facet_counts,
     )
 
-    ix = _dv_engine_index(sf_dir)
+    ix = _engine_index(sf_dir, **_DV_INDEX)
     s = IndexSearcher(ix)
     out_q, out_v, out_c = [], [], []
     for qid, q, field, kind in DVFACET_QUERIES:
@@ -7369,7 +7167,7 @@ def dvrange_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery, PointRangeQuery, TermQuery
 
-    ix = _dv_engine_index(sf_dir)
+    ix = _engine_index(sf_dir, **_DV_INDEX)
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, lo, hi, term in DVRANGE_QUERIES:
@@ -7432,7 +7230,7 @@ def dvstats_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.dvstats import numeric_dv_stats, sorted_dv_stats
     from lucene_ray.search.engine import IndexSearcher
 
-    ix = _dv_engine_index(sf_dir)
+    ix = _engine_index(sf_dir, **_DV_INDEX)
     s = IndexSearcher(ix)
     rows = []
     for qid, term in DVSTATS_QUERIES:
@@ -7513,7 +7311,7 @@ def diversified_engine(
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.grouping import diversified_topk
 
-    ix = _dv_engine_index(sf_dir)
+    ix = _engine_index(sf_dir, **_DV_INDEX)
     s = IndexSearcher(ix)
     out = {"qid": [], "rank": [], "docid": [], "key": []}
     for qid, term in DIVERSIFIED_QUERIES:
@@ -7580,7 +7378,7 @@ def dvquery_engine(sf_dir: str) -> pa.Table:
         TermQuery,
     )
 
-    ix = _dv_engine_index(sf_dir)
+    ix = _engine_index(sf_dir, **_DV_INDEX)
     s = IndexSearcher(ix)
     iodv = IndexOrDocValuesQuery(
         PointRangeQuery("src_id", 100, 300), PointRangeQuery("src_id", 100, 300)
@@ -7660,7 +7458,7 @@ def covering_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery, CoveringQuery, TermQuery
 
-    ix = _dv_engine_index(sf_dir)
+    ix = _engine_index(sf_dir, **_DV_INDEX)
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, terms, src in COVERING_QUERIES:
@@ -7710,24 +7508,6 @@ PAYLOAD_QUERIES = (
 )
 
 
-def _engine_index_pay(sf_dir: str) -> str:
-    """documents index built with per-occurrence payloads
-    (payload_fn='term_length' — the analyzed-term character length, the
-    SQL-derivable PayloadAttribute)."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_index_pay_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index([corpus_path], ix, target_docs=8192, payload_fn="term_length")
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
-    return ix
-
-
 def payload_engine(sf_dir: str) -> pa.Table:
     """(qid, docid, score): PayloadScoreQuery through the real index — the
     per-occurrence payload stream (postings .pay lane) aggregated per doc
@@ -7737,7 +7517,8 @@ def payload_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher, payload_score_search
     from lucene_ray.search.query import PayloadScoreQuery
 
-    ix = _engine_index_pay(sf_dir)
+    # payload = analyzed-term length (SQL-derivable PayloadAttribute)
+    ix = _engine_index(sf_dir, payload_fn="term_length")
     s = IndexSearcher(ix)
     out_q, out_d, out_s = [], [], []
     for qid, terms, fn in PAYLOAD_QUERIES:
@@ -8141,21 +7922,6 @@ RANGEFIELD_QUERIES = (
 )
 
 
-def _engine_index_range(sf_dir: str) -> str:
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_index_rng_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index([corpus_path], ix, target_docs=8192, range_fields=("span",))
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
-    return ix
-
-
 BBOX_QUERIES: list[tuple] = [
     # (qid, min_lat, min_lon, max_lat, max_lon, relation) — bounds on the
     # 1e-4-degree grid (the fixed-point contract). qid 2's query box sits
@@ -8170,24 +7936,6 @@ BBOX_QUERIES: list[tuple] = [
 ]
 
 
-def _engine_index_bbox(sf_dir: str) -> str:
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_index_bbox_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index(
-        [corpus_path], ix, target_docs=8192,
-        range_fields=("bbox_lat", "bbox_lon"),
-    )
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
-    return ix
-
-
 def bboxfield_engine(sf_dir: str) -> pa.Table:
     """(qid, docid): LatLonBoundingBox 2-D box range field
     (sandbox/document/LatLonBoundingBox.java newIntersects/Within/
@@ -8198,7 +7946,7 @@ def bboxfield_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery, LatLonBoundingBoxQuery
 
-    ix = _engine_index_bbox(sf_dir)
+    ix = _engine_index(sf_dir, range_fields=("bbox_lat", "bbox_lon"))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, la0, lo0, la1, lo1, rel in BBOX_QUERIES:
@@ -8281,7 +8029,7 @@ def rangefield_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery, RangeFieldQuery
 
-    ix = _engine_index_range(sf_dir)
+    ix = _engine_index(sf_dir, range_fields=("span",))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, lo, hi, rel in RANGEFIELD_QUERIES:
@@ -8715,23 +8463,6 @@ WITH tok AS (
 # sandbox/document completion (round 5): HalfFloatPoint field,
 # FloatPointNearestNeighbor, DoublePointMultiRangeBuilder.
 
-def _engine_index_hf(sf_dir: str) -> str:
-    """Documents index with the HalfFloatPoint demo field (hfscore =
-    sortable short of fp16(n_chars - 300) — search/floatpoint.py)."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_hf_index_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index([corpus_path], ix, target_docs=8192, dv_fields=("hfscore",))
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
-    return ix
-
-
 def _hfpoint_queries():
     from lucene_ray.search import floatpoint as fp
 
@@ -8758,7 +8489,8 @@ def hfpoint_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery
 
-    ix = _engine_index_hf(sf_dir)
+    # HalfFloatPoint demo field (hfscore = fp16(n_chars - 300), sortable)
+    ix = _engine_index(sf_dir, dv_fields=("hfscore",))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, q, _sql in _hfpoint_queries():
@@ -8794,7 +8526,7 @@ def fpnearest_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.floatpoint import point_nearest
 
-    ix = _engine_index_fpoint(sf_dir)
+    ix = _engine_index(sf_dir, dv_fields=("dscore", "fscore"))
     s = IndexSearcher(ix)
     out = {"qid": [], "rank": [], "docid": []}
     for qid, (origin, k) in enumerate(FPNEAREST_ORIGINS):
@@ -8852,7 +8584,7 @@ def fpmultirange_engine(sf_dir: str) -> pa.Table:
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery
 
-    ix = _engine_index_fpoint(sf_dir)
+    ix = _engine_index(sf_dir, dv_fields=("dscore", "fscore"))
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, q, _sql in _fpmultirange_queries():
@@ -9356,19 +9088,10 @@ def doc2vec_engine(sf_dir: str) -> pa.Table:
     vectors (classification/utils/DocToDoubleVectorUtils.java) for the
     seed docs, read through the term-vectors sidecar. freq is the double
     the reference emits; the oracle recounts tokens."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
     from lucene_ray.search.classification import doc_to_sparse_vector
     from lucene_ray.search.reader import IndexReader
 
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_tv_index_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index([corpus_path], ix, target_docs=8192, term_vectors=True)
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
+    ix = _engine_index(sf_dir, term_vectors=True)
     rd = IndexReader(ix)
     out_d, out_t, out_f = [], [], []
     for docid in DOC2VEC_SEEDS:
@@ -10177,24 +9900,6 @@ WITH tok AS (
 """
 
 
-def _engine_index_paypos(sf_dir: str) -> str:
-    """documents index with POSITION payloads (payload_fn='pos_mod16' —
-    per-occurrence pos %% 16, so SpanPayloadCheckQuery's accept/reject
-    varies across a term's occurrences)."""
-    from lucene_ray.index.builder import build_index
-    from lucene_ray.index.corpus import documents_as_corpus
-    from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-
-    corpus_path = documents_as_corpus(sf_dir)
-    ix = os.path.join(
-        "/tmp/lucene_ray_cache",
-        "docs_paypos_" + hashlib.sha1(sf_dir.encode()).hexdigest()[:12],
-    )
-    build_index([corpus_path], ix, target_docs=8192, payload_fn="pos_mod16")
-    maybe_merge(ix, TieredMergePolicy(), use_ray=False)
-    return ix
-
-
 SPANPAYLOAD_QUERIES = [
     # (qid, terms, expected payloads) — payload = pos % 16
     (0, ("merge",), (3,)),
@@ -10212,7 +9917,8 @@ def spanpayload_engine(sf_dir: str) -> pa.Table:
     Integer payloads, SQL-checked exactly."""
     from lucene_ray.search.engine import IndexSearcher, span_payload_check
 
-    ix = _engine_index_paypos(sf_dir)
+    # payload = pos % 16: varies across a term's occurrences
+    ix = _engine_index(sf_dir, payload_fn="pos_mod16")
     s = IndexSearcher(ix)
     out_q, out_d = [], []
     for qid, terms, pays in SPANPAYLOAD_QUERIES:

@@ -86,16 +86,31 @@ class Percolator:
     def __init__(self, queries: dict[int, str], analyzer=None):
         from lucene_ray.analysis import get_analyzer
 
-        self.analyzer = analyzer or get_analyzer("code")
-        self.queries: dict[int, BooleanQuery] = {
-            qid: parse_query(q, self.analyzer) for qid, q in queries.items()
-        }
+        analyzer = analyzer or get_analyzer("code")
+        self._register(
+            {qid: parse_query(q, analyzer) for qid, q in queries.items()},
+            analyzer,
+        )
+
+    @classmethod
+    def from_parsed(
+        cls, queries: dict[int, BooleanQuery], analyzer
+    ) -> Percolator:
+        """A percolator over already-parsed queries (DecomposingPercolator
+        registers its decomposed parts this way)."""
+        perc = cls.__new__(cls)
+        perc._register(queries, analyzer)
+        return perc
+
+    def _register(self, queries: dict[int, BooleanQuery], analyzer) -> None:
+        self.analyzer = analyzer
+        self.queries = queries
         # TermFilteredPresearcher.java:62 — anchor terms per query: a doc
         # batch containing NONE of them cannot match, so the query is
         # skipped outright. Required clauses anchor on any one term; a
         # pure disjunction anchors on all its terms.
         self.anchors: dict[int, set] = {}
-        for qid, bq in self.queries.items():
+        for qid, bq in queries.items():
             terms: set = set()
             for q in bq.must or bq.should:
                 if isinstance(q, TermQuery):
@@ -265,18 +280,7 @@ class DecomposingPercolator:
                 self.parts[key] = _as_bq(part)
                 self.parents[key] = (qid, i)
                 key += 1
-        self._perc = Percolator.__new__(Percolator)
-        self._perc.analyzer = self.analyzer
-        self._perc.queries = self.parts
-        self._perc.anchors = {}
-        for k, bq in self.parts.items():
-            terms: set = set()
-            for s in bq.must or bq.should:
-                if isinstance(s, TermQuery):
-                    terms.add(s.term)
-                elif isinstance(s, PhraseQuery):
-                    terms.update(s.terms)
-            self._perc.anchors[k] = terms
+        self._perc = Percolator.from_parsed(self.parts, self.analyzer)
 
     def match_batch(self, batch: pa.Table) -> pa.Table:
         """(doc_id, query_id, part) — one row per matching decomposed

@@ -250,6 +250,15 @@ def blended_infix_lookup(
     return out[:k]
 
 
+def _prefix_successor(prefix: str) -> str | None:
+    """The least string above every string that starts with ``prefix`` —
+    its last codepoint below U+10FFFF incremented — or None when no bound
+    exists. A fixed sentinel character (e.g. U+FFFF) would cut off
+    completions continuing with a supplementary-plane codepoint."""
+    p = prefix.rstrip(chr(0x10FFFF))
+    return p[:-1] + chr(ord(p[-1]) + 1) if p else None
+
+
 class FSTCompletionLookup:
     """suggest/fst/FSTCompletionLookup.java + FSTCompletion.java: weights
     are DISCRETIZED into ``buckets`` classes — inputs sorted by (weight
@@ -300,7 +309,8 @@ class FSTCompletionLookup:
         import bisect
 
         lo = bisect.bisect_left(self._keys, prefix)
-        hi = bisect.bisect_left(self._keys, prefix + "￿")
+        succ = _prefix_successor(prefix)
+        hi = len(self._keys) if succ is None else bisect.bisect_left(self._keys, succ)
         cand = self._keys[lo:hi]
         exact = prefix if (self.exact_match_first and prefix in self._bucket) else None
 

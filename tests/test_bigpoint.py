@@ -71,9 +71,9 @@ def test_synth_matches_sql(tmp_path):
 
 @pytest.fixture(scope="module")
 def bigpoint_index(ray_session):
-    from lucene_ray.ops.bm25docs import _engine_index_bigpoint
+    from lucene_ray.ops.bm25docs import _engine_index
 
-    return _engine_index_bigpoint(SF)
+    return _engine_index(SF, dv_fields=("ip_hi", "ip_lo"))
 
 
 def _truth():

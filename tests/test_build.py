@@ -218,3 +218,102 @@ def test_plan_segments_byte_bound(tmp_path):
     # one oversized row group still gets its own spec (acc == 0 override)
     specs1 = plan_segments([f], target_docs=1_000_000, target_bytes=1)
     assert len(specs1) == 8 and all(s.n_docs == 8 for s in specs1)
+
+
+# (build options, variant, fingerprint of a fixed spec) for every option
+# combination the gates and tests build with (url_email is rejected, see
+# test_urlemail), plus the default and one build that sets every option.
+# Segment names embed the fingerprint, so a change here orphans every
+# cached index and every resumable build.
+VARIANT_PINS = [
+    ({}, "", "19ab49a684de"),
+    ({"analyzer_name": "english"}, "english:positions", "381bde09affb"),
+    ({"analyzer_name": "folding"}, "folding:positions", "07a7448c2b01"),
+    ({"analyzer_name": "german_light"}, "german_light:positions", "0843df535b9a"),
+    ({"analyzer_name": "gram3"}, "gram3:positions", "fadf49e4b629"),
+    ({"analyzer_name": "html"}, "html:positions", "6114ab36ac31"),
+    ({"analyzer_name": "phonetic_dmetaphone"}, "phonetic_dmetaphone:positions",
+     "b797d69f2584"),
+    ({"analyzer_name": "phonetic_soundex"}, "phonetic_soundex:positions",
+     "4351930f79e3"),
+    ({"analyzer_name": "synonym"}, "synonym:positions", "a18c706bb52b"),
+    ({"analyzer_name": "unicode"}, "unicode:positions", "71fa0ecde0fc"),
+    ({"analyzer_name": "ngram", "term_vectors": True}, "ngram:positions:tv",
+     "ee1f89186c51"),
+    ({"index_options": "freqs"}, "code:freqs", "80e46a011a6a"),
+    ({"index_options": "offsets"}, "code:offsets", "95c85b31fd36"),
+    ({"index_options": "offsets", "term_vectors": True}, "code:offsets:tv",
+     "a83922925c52"),
+    ({"term_vectors": True}, "code:positions:tv", "f985121a624c"),
+    ({"index_sort": ("n_chars", "desc")}, "code:positions:sort=n_chars:desc",
+     "8f42fb49fe3a"),
+    ({"dv_fields": ("prio",), "index_sort": ("prio", "asc")},
+     "code:positions:sort=prio:asc:dv=prio", "82b28a28848f"),
+    ({"point2d_fields": ("loc",)}, "code:positions:geo=loc", "114ba4cea816"),
+    ({"dv_fields": ("dscore", "fscore")}, "code:positions:dv=dscore,fscore",
+     "ec2b2aeb2c23"),
+    ({"dv_fields": ("dscore",)}, "code:positions:dv=dscore", "e844f0753797"),
+    ({"dv_fields": ("hfscore",)}, "code:positions:dv=hfscore", "1c11cd0128c6"),
+    ({"dv_fields": ("ip_hi", "ip_lo")}, "code:positions:dv=ip_hi,ip_lo",
+     "e35f5440046f"),
+    ({"dv_fields": ("prio",), "sorted_dv_fields": ("lang",),
+      "sorted_set_dv_fields": ("labels",)},
+     "code:positions:dv=prio:sdv=lang:ssdv=labels", "0f2b7c76e9d8"),
+    ({"dv_fields": ("src_id",), "sorted_dv_fields": ("lang", "repo"),
+      "sorted_set_dv_fields": ("labels",)},
+     "code:positions:dv=src_id:sdv=lang,repo:ssdv=labels", "31deaeb0982c"),
+    ({"payload_fn": "term_length"}, "code:positions:pay=term_length",
+     "d18472abba47"),
+    ({"payload_fn": "pos_mod16"}, "code:positions:pay=pos_mod16",
+     "135ebc289f98"),
+    ({"range_fields": ("span",)}, "code:positions:rng=span", "298a6e9ebac0"),
+    ({"range_fields": ("bbox_lat", "bbox_lon")},
+     "code:positions:rng=bbox_lat,bbox_lon", "2b615507523e"),
+    ({"analyzed_fields": ("path",)}, "code:positions:af=path", "87fd0a5e9fea"),
+    ({"analyzed_fields": ("rev", "path")}, "code:positions:af=rev,path",
+     "033425e23337"),
+    ({"analyzed_fields": ("rev", "repo")}, "code:positions:af=rev,repo",
+     "5afacb5fd596"),
+    ({"sorted_numeric_dv_fields": ("sig_nums",)}, "code:positions:sndv=sig_nums",
+     "6f210f226314"),
+    ({"binary_dv_fields": ("fsets",)}, "code:positions:bdv=fsets",
+     "c48b3c25bf18"),
+    ({"sorted_numeric_dv_fields": ("sig_nums",),
+      "binary_dv_fields": ("content_sha",)},
+     "code:positions:sndv=sig_nums:bdv=content_sha", "8e899eb8d6fc"),
+    ({"shape_fields": ("rect",)}, "code:positions:shape=rect", "ede5a502d1ca"),
+    # every option at once, as lists: pins the tag order and normalisation
+    ({"analyzer_name": "english", "index_options": "offsets",
+      "index_sort": ["n_chars", "asc"], "point2d_fields": ["loc"],
+      "term_vectors": True, "dv_fields": ["prio"],
+      "sorted_dv_fields": ["lang"], "sorted_set_dv_fields": ["labels"],
+      "payload_fn": "term_length", "range_fields": ["span"],
+      "analyzed_fields": ["rev"], "sorted_numeric_dv_fields": ["sig_nums"],
+      "binary_dv_fields": ["content_sha"], "shape_fields": ["rect"]},
+     "english:offsets:sort=n_chars:asc:geo=loc:tv:dv=prio:sdv=lang"
+     ":ssdv=labels:pay=term_length:rng=span:af=rev:sndv=sig_nums"
+     ":bdv=content_sha:shape=rect", "cc94e2935375"),
+]
+
+
+@pytest.mark.parametrize("opts,variant,fingerprint", VARIANT_PINS)
+def test_variant_and_fingerprint_pins(opts, variant, fingerprint, monkeypatch):
+    """build_index hands plan_segments the variant its options spell; the
+    variant string and the fingerprint it yields never drift."""
+    from lucene_ray.index import builder
+
+    class _Planned(Exception):
+        pass
+
+    seen = []
+
+    def capture(paths, target_docs, v, *a, **k):
+        seen.append(v)
+        raise _Planned
+
+    monkeypatch.setattr(builder, "plan_segments", capture)
+    with pytest.raises(_Planned):
+        builder.build_index(["/data/part-00000.parquet"], "/data/ix", **opts)
+    assert seen == [variant]
+    spec = builder.SegmentSpec(0, "/data/part-00000.parquet", 0, 2, 100, 0, variant)
+    assert spec.fingerprint == fingerprint

@@ -799,3 +799,42 @@ class TestSnapshotsAndPurge:
         rollback(ix, g0)
         after = IndexReader(ix).live_doc_count
         assert after == before + 3  # the three tombstones are undone
+
+
+@pytest.mark.parametrize("merged", [False, True])
+def test_added_segments_use_index_build_options(tmp_path, ray_session, merged):
+    """add_documents builds the new segment with the index's recorded build
+    options (analyzed fields, term vectors, ...), not just its analyzer —
+    also after a force_merge, whose entry carries its inputs' options."""
+    import os
+
+    from lucene_ray.index.manifest import read_manifest, segment_dir
+
+    src = str(tmp_path / "corpus.parquet")
+    _keyed_corpus(src, n=60)
+    d = str(tmp_path / "ix_opts")
+    build_index([src], d, target_docs=30, analyzed_fields=("rev",),
+                term_vectors=True)
+    if merged:
+        force_merge(d, use_ray=False)
+    before = {e.name for e in read_manifest(d).live_segments}
+    add_documents(
+        d,
+        pa.table({
+            "repo": ["r"] * 5, "path": [f"add/{i}" for i in range(5)],
+            "commit": ["c1"] * 5, "lang": ["py"] * 5,
+            "content": ["merge flush"] * 5,
+        }),
+    )
+    m = read_manifest(d)
+    (added,) = [e for e in m.live_segments if e.name not in before]
+    assert added.input["options"]["analyzed_fields"] == ["rev"]
+    assert added.input["options"]["variant"] == "code:positions:tv:af=rev"
+    assert os.path.exists(
+        os.path.join(segment_dir(d, added.name), "termvectors.parquet")
+    )
+    # the reversed parallel field covers the added docs too
+    merge_docs = doc_set(IndexSearcher(d), "merge")
+    assert doc_set(IndexSearcher(d), "rev:egrem") == merge_docs
+    assert set(range(60, 65)) <= merge_docs
+    assert check_index(d)["ok"]

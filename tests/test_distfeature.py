@@ -18,9 +18,9 @@ def ix(ray_session):
 
 @pytest.fixture(scope="module")
 def geo_ix(ray_session):
-    from lucene_ray.ops.bm25docs import _engine_index_geo
+    from lucene_ray.ops.bm25docs import _engine_index
 
-    return _engine_index_geo(SF)
+    return _engine_index(SF, point2d_fields=("loc",))
 
 
 def _truth_nchars():

@@ -177,11 +177,7 @@ def test_round5_query_families_distributed_identity():
     """The round-5 query families (shape polygon/line/point, PointInSet)
     produce identical doc SETS through the sharded actor searcher — the
     multi-node contract for the new constant-score clause types."""
-    from lucene_ray.ops.bm25docs import (
-        _diamond,
-        _engine_index,
-        _shape_engine_index,
-    )
+    from lucene_ray.ops.bm25docs import _diamond, _engine_index
     from lucene_ray.search.query import (
         BooleanQuery,
         PointInSetQuery,
@@ -191,7 +187,7 @@ def test_round5_query_families_distributed_identity():
     )
 
     SF = "/root/testdata/sf0.001"
-    shape_ix = _shape_engine_index(SF)
+    shape_ix = _engine_index(SF, shape_fields=("rect",))
     local = IndexSearcher(shape_ix)
     dist = DistributedSearcher(shape_ix, n_shards=3, pruned=False)
     shape_queries = [

@@ -441,14 +441,14 @@ class TestSortedNumericAndBinaryDV:
     def test_values_ascending_per_doc_and_selectors(self):
         import numpy as np
 
-        from lucene_ray.ops.bm25docs import _dv2_engine_index
+        from lucene_ray.ops.bm25docs import _DV2_INDEX, _engine_index
         from lucene_ray.search.engine import (
             IndexSearcher,
             fetch_sorted_numeric_selected,
         )
         from tests.test_ops import SF
 
-        s = IndexSearcher(_dv2_engine_index(SF))
+        s = IndexSearcher(_engine_index(SF, **_DV2_INDEX))
         for e in s.reader.segments:
             offsets, flat = s.reader.segment_reader(e.name).sorted_numeric_doc_values(
                 "sig_nums"
@@ -466,7 +466,7 @@ class TestSortedNumericAndBinaryDV:
     def test_binary_dv_matches_stored_sha(self):
         import numpy as np
 
-        from lucene_ray.ops.bm25docs import _dv2_engine_index
+        from lucene_ray.ops.bm25docs import _DV2_INDEX, _engine_index
         from lucene_ray.search.engine import (
             IndexSearcher,
             fetch_binary_doc_values,
@@ -474,7 +474,7 @@ class TestSortedNumericAndBinaryDV:
         )
         from tests.test_ops import SF
 
-        s = IndexSearcher(_dv2_engine_index(SF))
+        s = IndexSearcher(_engine_index(SF, **_DV2_INDEX))
         docids = np.arange(20, dtype=np.int64)
         blobs = fetch_binary_doc_values(s.reader, docids, "content_sha")
         stored = fetch_stored(s.reader, docids)
@@ -494,15 +494,18 @@ def test_checkindex_validates_new_sidecars(tmp_path):
     import pyarrow.parquet as pq
 
     from lucene_ray.index.checkindex import check_index
-    from lucene_ray.ops.bm25docs import _dv2_engine_index, _shape_engine_index
+    from lucene_ray.ops.bm25docs import _DV2_INDEX, _engine_index
     from tests.test_ops import SF
 
-    for ix in (_dv2_engine_index(SF), _shape_engine_index(SF)):
+    for ix in (
+        _engine_index(SF, **_DV2_INDEX),
+        _engine_index(SF, shape_fields=("rect",)),
+    ):
         assert check_index(ix, verify_content=False)["problems"] == []
     # corrupt a copy: descending values within one doc must be flagged
     import shutil
 
-    src = _dv2_engine_index(SF)
+    src = _engine_index(SF, **_DV2_INDEX)
     ix2 = str(tmp_path / "corrupt")
     shutil.copytree(src, ix2)
     segs = [d for d in os.listdir(os.path.join(ix2, "segments"))]

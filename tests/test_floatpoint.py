@@ -71,7 +71,7 @@ def test_next_up_down():
 
 
 def test_engine_ranges_match_bruteforce(ray_session):
-    from lucene_ray.ops.bm25docs import _engine_index_fpoint
+    from lucene_ray.ops.bm25docs import _engine_index
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery
 
@@ -80,7 +80,7 @@ def test_engine_ranges_match_bruteforce(ray_session):
     t = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "n_chars"])
     ids = t.column("doc_id").to_numpy().astype(np.int64)
     raw = (t.column("n_chars").to_numpy().astype(np.float64) - 500.0) * 0.1
-    s = IndexSearcher(_engine_index_fpoint(SF))
+    s = IndexSearcher(_engine_index(SF, dv_fields=("dscore", "fscore")))
     rng = np.random.default_rng(52)
     for _ in range(20):
         lo, hi = np.sort(rng.uniform(-60, 60, 2))

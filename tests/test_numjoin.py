@@ -109,10 +109,10 @@ def test_numjoin_gate_parity():
 class TestGlobalOrdinalJoin:
     @pytest.fixture(scope="class")
     def dv_searcher(self, ray_session):
-        from lucene_ray.ops.bm25docs import _dv_engine_index
+        from lucene_ray.ops.bm25docs import _DV_INDEX, _engine_index
         from lucene_ray.search.engine import IndexSearcher
 
-        return IndexSearcher(_dv_engine_index(SF))
+        return IndexSearcher(_engine_index(SF, **_DV_INDEX))
 
     def test_matches_value_join(self, dv_searcher):
         """The ordinal path is an execution strategy: doc sets equal the

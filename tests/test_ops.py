@@ -1312,11 +1312,11 @@ class TestDocValuesStatsGate:
             assert t["tmin"][i] <= t["tmax"][i]
 
     def test_zero_match_returns_none(self):
-        from lucene_ray.ops.bm25docs import _dv_engine_index
+        from lucene_ray.ops.bm25docs import _DV_INDEX, _engine_index
         from lucene_ray.search.dvstats import numeric_dv_stats, sorted_dv_stats
         from lucene_ray.search.engine import IndexSearcher
 
-        s = IndexSearcher(_dv_engine_index(SF))
+        s = IndexSearcher(_engine_index(SF, **_DV_INDEX))
         assert numeric_dv_stats(s, "zzzmissing", "src_id") is None
         assert sorted_dv_stats(s, "zzzmissing", "lang") is None
 
@@ -1337,11 +1337,11 @@ class TestDiversifiedGate:
     def test_per_key_cap(self):
         from collections import Counter
 
-        from lucene_ray.ops.bm25docs import _dv_engine_index
+        from lucene_ray.ops.bm25docs import _DV_INDEX, _engine_index
         from lucene_ray.search.engine import IndexSearcher
         from lucene_ray.search.grouping import diversified_topk
 
-        s = IndexSearcher(_dv_engine_index(SF))
+        s = IndexSearcher(_engine_index(SF, **_DV_INDEX))
         docs, vals, keys = diversified_topk(
             s, "merge", "src_id", "lang", k=50, max_hits_per_key=1
         )
@@ -1354,11 +1354,11 @@ class TestDiversifiedGate:
             )
 
     def test_empty_query(self):
-        from lucene_ray.ops.bm25docs import _dv_engine_index
+        from lucene_ray.ops.bm25docs import _DV_INDEX, _engine_index
         from lucene_ray.search.engine import IndexSearcher
         from lucene_ray.search.grouping import diversified_topk
 
-        s = IndexSearcher(_dv_engine_index(SF))
+        s = IndexSearcher(_engine_index(SF, **_DV_INDEX))
         docs, vals, keys = diversified_topk(
             s, "zzzmissing", "src_id", "lang", k=5
         )
@@ -1686,11 +1686,11 @@ class TestIndexSortRangeGate:
     def test_sorted_path_taken_and_equals_fallback(self, monkeypatch):
         import numpy as np
 
-        from lucene_ray.ops.bm25docs import _engine_index_sorted
+        from lucene_ray.ops.bm25docs import _engine_index
         from lucene_ray.search.engine import IndexSearcher, index_sorted_range
         from lucene_ray.search.reader import SegmentReader
 
-        s = IndexSearcher(_engine_index_sorted(SF))
+        s = IndexSearcher(_engine_index(SF, index_sort=("n_chars", "desc")))
         assert all(
             getattr(e, "sorted_runs", None) for e in s.reader.segments
         ), "sorted index must record runs"
@@ -1754,13 +1754,13 @@ class TestNGramPhraseGate:
         assert len(q4.kept()) == 3
 
     def test_optimized_equals_full_phrase(self):
-        from lucene_ray.ops.bm25docs import _gram3_engine_index, _grams3
+        from lucene_ray.ops.bm25docs import _engine_index, _grams3
         from lucene_ray.search.engine import IndexSearcher
         from lucene_ray.search.query import (
             BooleanQuery, NGramPhraseQuery, PhraseQuery,
         )
 
-        s = IndexSearcher(_gram3_engine_index(SF))
+        s = IndexSearcher(_engine_index(SF, merge=False, analyzer_name="gram3"))
         for word in ("merge", "window", "stream", "batches"):
             grams = _grams3(word)
             opt = s.search(
@@ -2183,7 +2183,7 @@ class TestSandboxDocumentCompletion:
         )
 
     def test_point_nearest_matches_brute_force(self):
-        from lucene_ray.ops.bm25docs import _engine_index_fpoint
+        from lucene_ray.ops.bm25docs import _engine_index
         from lucene_ray.search.engine import IndexSearcher
         from lucene_ray.search.floatpoint import (
             point_nearest,
@@ -2191,7 +2191,7 @@ class TestSandboxDocumentCompletion:
         )
         from lucene_ray.search.reader import IndexReader
 
-        rd = IndexReader(_engine_index_fpoint(SF))
+        rd = IndexReader(_engine_index(SF, dv_fields=("dscore", "fscore")))
         # brute force: gather every (decoded value, global docid)
         vals, docs = [], []
         for e in rd.segments:
@@ -2237,12 +2237,12 @@ class TestSandboxDocumentCompletion:
         assert len(after) == 3
 
     def test_half_set_and_multirange_do_not_duplicate(self):
-        from lucene_ray.ops.bm25docs import _engine_index_fpoint
+        from lucene_ray.ops.bm25docs import _engine_index
         from lucene_ray.search import floatpoint as fp
         from lucene_ray.search.engine import IndexSearcher
         from lucene_ray.search.query import BooleanQuery
 
-        s = IndexSearcher(_engine_index_fpoint(SF))
+        s = IndexSearcher(_engine_index(SF, dv_fields=("dscore", "fscore")))
         # overlapping ranges must yield each doc once
         q = fp.double_multi_range_query(
             "dscore", [(-50.0, 5.0), (0.0, 50.0)]
@@ -2496,24 +2496,14 @@ class TestMiscCoreSurfaces:
         )
 
     def test_dense_vector_scatters_sparse(self):
-        import hashlib
-        import os
-
-        from lucene_ray.index.builder import build_index
-        from lucene_ray.index.corpus import documents_as_corpus
+        from lucene_ray.ops.bm25docs import _engine_index
         from lucene_ray.search.classification import (
             doc_to_dense_vector,
             doc_to_sparse_vector,
         )
         from lucene_ray.search.reader import IndexReader
 
-        ix = os.path.join(
-            "/tmp/lucene_ray_cache",
-            "docs_tv_index_"
-            + hashlib.sha1(SF.encode()).hexdigest()[:12],
-        )
-        build_index([documents_as_corpus(SF)], ix, term_vectors=True)
-        rd = IndexReader(ix)
+        rd = IndexReader(_engine_index(SF, term_vectors=True))
         sparse = doc_to_sparse_vector(rd, 3)
         vocab = sorted({t for t, _ in sparse} | {"zzz_absent_term"})
         dense = doc_to_dense_vector(rd, 3, vocab)
@@ -3144,6 +3134,20 @@ class TestFSTCompletion:
         with pytest.raises(ValueError):
             FSTCompletionLookup(buckets=0)
 
+    def test_completion_above_bmp(self):
+        """A completion continuing with a codepoint above U+FFFF is inside
+        the prefix window (the SQL oracle's LIKE 'p%' includes it)."""
+        from lucene_ray.search.suggest import FSTCompletionLookup
+
+        clef = "ab\U0001D11E"  # U+1D11E MUSICAL SYMBOL G CLEF
+        lk = FSTCompletionLookup(buckets=4).build(
+            ["ab", clef, "abz", "ac"], [1, 9, 3, 4]
+        )
+        assert [s for s, _b in lk.lookup("ab")] == ["ab", clef, "abz"]
+        top = "a\U0010FFFF"  # the prefix's last codepoint has no successor
+        lk = FSTCompletionLookup(buckets=2).build([top, top + "x", "b"], [1, 2, 3])
+        assert [s for s, _b in lk.lookup(top)] == [top, top + "x"]
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestParallelReader:
@@ -3305,13 +3309,10 @@ class TestExprSortAndSpanPayload:
         )
 
     def test_spanpayload_rejects_and_requires_payloads(self):
-        from lucene_ray.ops.bm25docs import (
-            _engine_index,
-            _engine_index_paypos,
-        )
+        from lucene_ray.ops.bm25docs import _engine_index
         from lucene_ray.search.engine import IndexSearcher, span_payload_check
 
-        s = IndexSearcher(_engine_index_paypos(SF))
+        s = IndexSearcher(_engine_index(SF, payload_fn="pos_mod16"))
         # the union over all 16 residues == plain term doc set
         import numpy as np
 

@@ -9,12 +9,12 @@ SF = "/root/testdata/sf0.001"
 
 
 def test_bigpoint_empty_set_matches_nothing(ray_session):
-    from lucene_ray.ops.bm25docs import _engine_index_bigpoint
+    from lucene_ray.ops.bm25docs import _engine_index
     from lucene_ray.search import bigpoint as bp
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery
 
-    s = IndexSearcher(_engine_index_bigpoint(SF))
+    s = IndexSearcher(_engine_index(SF, dv_fields=("ip_hi", "ip_lo")))
     td = s.search(BooleanQuery(must=[bp.set_query_128("ip", [])]), 10)
     assert len(td.docids) == 0
 
@@ -34,12 +34,12 @@ def test_fuzzylikethis_zero_budget(ray_session):
 
 
 def test_geo3d_zero_radius_and_empty_field(ray_session):
-    from lucene_ray.ops.bm25docs import _engine_index_geo
+    from lucene_ray.ops.bm25docs import _engine_index
     from lucene_ray.search import spatial3d as s3
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery
 
-    s = IndexSearcher(_engine_index_geo(SF))
+    s = IndexSearcher(_engine_index(SF, point2d_fields=("loc",)))
     q = s3.new_distance_query("loc", s3.WGS84, 10.0, 10.0, 0.0)
     assert len(s.search(BooleanQuery(must=[q]), 10).docids) == 0
     # unknown spatial field: empty, not an error (sidecar miss contract)
@@ -57,11 +57,11 @@ def test_distfeature_zero_pivot_rejected():
 
 
 def test_ssdvsort_k_zero(ray_session):
-    from lucene_ray.ops.bm25docs import _dv_engine_index
+    from lucene_ray.ops.bm25docs import _DV_INDEX, _engine_index
     from lucene_ray.search.engine import IndexSearcher, search_sorted_set
     from lucene_ray.search.query import BooleanQuery, MatchAllDocsQuery
 
-    s = IndexSearcher(_dv_engine_index(SF))
+    s = IndexSearcher(_engine_index(SF, **_DV_INDEX))
     docids, keys = search_sorted_set(
         s, BooleanQuery(must=[MatchAllDocsQuery()]), "labels", k=0
     )

@@ -288,11 +288,11 @@ class TestIndexedShapes:
         assert_same(bm25docs.shape_engine(self.SF), con, bm25docs.shape_engine_sql())
 
     def test_relation_algebra(self):
-        from lucene_ray.ops.bm25docs import _shape_engine_index
+        from lucene_ray.ops.bm25docs import _engine_index
         from lucene_ray.search.engine import IndexSearcher
         from lucene_ray.search.query import BooleanQuery, ShapeBoxQuery
 
-        s = IndexSearcher(_shape_engine_index(self.SF))
+        s = IndexSearcher(_engine_index(self.SF, shape_fields=("rect",)))
         n = s.reader.manifest.doc_count
         box = dict(min_lat=10.005, max_lat=40.005, min_lon=-60.005, max_lon=0.005)
         inter = set(s.search(BooleanQuery(should=[
@@ -313,11 +313,11 @@ class TestIndexedShapes:
         """Box CONTAINS (new in v9): a box inside doc 5's rect matches it;
         a box straddling the rect boundary does not; an unknown relation
         still raises."""
-        from lucene_ray.ops.bm25docs import _shape_engine_index
+        from lucene_ray.ops.bm25docs import _engine_index
         from lucene_ray.search.engine import IndexSearcher
         from lucene_ray.search.query import BooleanQuery, ShapeBoxQuery
 
-        s = IndexSearcher(_shape_engine_index(self.SF))
+        s = IndexSearcher(_engine_index(self.SF, shape_fields=("rect",)))
         inside = s.search(BooleanQuery(should=[ShapeBoxQuery(
             "rect", -12.005, -11.705, 31.505, 32.005,
             relation="contains")]), 1 << 20).docids.tolist()
@@ -356,14 +356,14 @@ class TestShapePolygon:
 
     def test_contains_matches_planted_doc(self):
         from lucene_ray.ops.bm25docs import (
-            SHAPE_POLY_QUERIES,
             _diamond,
-            _shape_engine_index,
+            _engine_index,
+            SHAPE_POLY_QUERIES,
         )
         from lucene_ray.search.engine import IndexSearcher
         from lucene_ray.search.query import BooleanQuery, ShapePolygonQuery
 
-        s = IndexSearcher(_shape_engine_index(self.SF))
+        s = IndexSearcher(_engine_index(self.SF, shape_fields=("rect",)))
         # queries 3 and 4 were seated inside doc 5's / doc 11's rects
         for qid, want_doc in ((3, 5), (4, 11)):
             _, rel, clat, clon, r = SHAPE_POLY_QUERIES[qid]
@@ -376,11 +376,11 @@ class TestShapePolygon:
             assert want_doc in got
 
     def test_polygon_relation_algebra(self):
-        from lucene_ray.ops.bm25docs import _diamond, _shape_engine_index
+        from lucene_ray.ops.bm25docs import _diamond, _engine_index
         from lucene_ray.search.engine import IndexSearcher
         from lucene_ray.search.query import BooleanQuery, ShapePolygonQuery
 
-        s = IndexSearcher(_shape_engine_index(self.SF))
+        s = IndexSearcher(_engine_index(self.SF, shape_fields=("rect",)))
         n = s.reader.manifest.doc_count
         sh = _diamond(20.000025, -30.000025, 25.000037)
 
@@ -402,10 +402,11 @@ class TestShapePolygon:
         """The v9 fab/fbc/fca columns rebase through merge with their rows:
         exactly one internal-diagonal edge per triangle, rect layout."""
         import numpy as np
-        from lucene_ray.ops.bm25docs import _shape_engine_index
+        from lucene_ray.ops.bm25docs import _engine_index
         from lucene_ray.search.engine import IndexSearcher
 
-        s = IndexSearcher(_shape_engine_index(self.SF))  # built + merged
+        # built + merged
+        s = IndexSearcher(_engine_index(self.SF, shape_fields=("rect",)))
         for reader in s.reader.all_readers():
             dd = reader.shape_triangles("rect")[0]
             fab, fbc, fca = reader.shape_edge_flags("rect")
@@ -419,12 +420,12 @@ class TestShapePolygon:
         """A diamond straddling a rect boundary must NOT match (the
         boundary-flag crossing fires NOTWITHIN) even though it intersects."""
         import numpy as np
-        from lucene_ray.ops.bm25docs import _diamond, _shape_engine_index
+        from lucene_ray.ops.bm25docs import _diamond, _engine_index
         from lucene_ray.search.engine import IndexSearcher
         from lucene_ray.search.query import BooleanQuery, ShapePolygonQuery
         from lucene_ray.search.spatial import synth_rect
 
-        s = IndexSearcher(_shape_engine_index(self.SF))
+        s = IndexSearcher(_engine_index(self.SF, shape_fields=("rect",)))
         lat0, lat1, lon0, lon1 = (v[0] for v in synth_rect(np.array([5])))
         # centered on doc 5's LEFT edge: half in, half out
         sh = _diamond((lat0 + lat1) / 2 + 0.000025, lon0 + 0.000025, 0.125037)
@@ -459,11 +460,11 @@ class TestShapeLine:
         )
 
     def test_line_relation_algebra(self):
-        from lucene_ray.ops.bm25docs import _shape_engine_index
+        from lucene_ray.ops.bm25docs import _engine_index
         from lucene_ray.search.engine import IndexSearcher
         from lucene_ray.search.query import BooleanQuery, ShapeLineQuery
 
-        s = IndexSearcher(_shape_engine_index(self.SF))
+        s = IndexSearcher(_engine_index(self.SF, shape_fields=("rect",)))
         n = s.reader.manifest.doc_count
         lats, lons = (20.000025, 20.000025), (-60.000025, 0.000025)
 
@@ -481,12 +482,12 @@ class TestShapeLine:
 
     def test_contains_matches_planted_doc(self):
         import numpy as np
-        from lucene_ray.ops.bm25docs import _shape_engine_index
+        from lucene_ray.ops.bm25docs import _engine_index
         from lucene_ray.search.engine import IndexSearcher
         from lucene_ray.search.query import BooleanQuery, ShapeLineQuery
         from lucene_ray.search.spatial import synth_rect
 
-        s = IndexSearcher(_shape_engine_index(self.SF))
+        s = IndexSearcher(_engine_index(self.SF, shape_fields=("rect",)))
         # segment inside doc 5's rect matches; one poking past the right
         # edge does not (the boundary-flag crossing fires)
         inside = s.search(BooleanQuery(should=[ShapeLineQuery(
@@ -516,7 +517,7 @@ def test_shape_point_gate_and_checkindex():
     )
     # the shape index (with v9 flags) passes CheckIndex incl. the
     # edge-flag invariants
-    report = check_index(bm25docs._shape_engine_index(SF))
+    report = check_index(bm25docs._engine_index(SF, shape_fields=("rect",)))
     assert not report["problems"], report["problems"]
 
 

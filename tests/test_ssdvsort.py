@@ -10,16 +10,16 @@ SF = "/root/testdata/sf0.001"
 
 @pytest.fixture(scope="module")
 def dv_ix(ray_session):
-    from lucene_ray.ops.bm25docs import _dv_engine_index
+    from lucene_ray.ops.bm25docs import _DV_INDEX, _engine_index
 
-    return _dv_engine_index(SF)
+    return _engine_index(SF, **_DV_INDEX)
 
 
 @pytest.fixture(scope="module")
 def dv2_ix(ray_session):
-    from lucene_ray.ops.bm25docs import _dv2_engine_index
+    from lucene_ray.ops.bm25docs import _DV2_INDEX, _engine_index
 
-    return _dv2_engine_index(SF)
+    return _engine_index(SF, **_DV2_INDEX)
 
 
 def _truth():

@@ -159,7 +159,7 @@ def test_fuzzylikethis_element():
 @pytest.mark.usefixtures("ray_session")
 def test_boosting_term_element():
     """BoostingTermBuilder: PayloadScoreQuery(avg) over the payload index."""
-    from lucene_ray.ops.bm25docs import _engine_index_pay
+    from lucene_ray.ops.bm25docs import _engine_index
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import PayloadScoreQuery
 
@@ -167,7 +167,7 @@ def test_boosting_term_element():
     inner = q.should[0]
     assert isinstance(inner, PayloadScoreQuery)
     assert inner.function == "avg" and inner.terms == ("merge",)
-    s = IndexSearcher(_engine_index_pay(SF))
+    s = IndexSearcher(_engine_index(SF, payload_fn="term_length"))
     td = s.search(q, 10)
     assert len(td.docids) > 0
     # payload avg for 'merge' occurrences = len('merge') = 5 everywhere

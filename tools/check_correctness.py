@@ -2,6 +2,8 @@
 queries() and oracle_sql() side-by-side over an sf dir, sort columns by name
 and rows by all columns, then compare row count, schema (dtype-sensitive —
 this is what catches DuckDB HUGEINT vs engine int64) and a value hash.
+Each record also carries the engine side's own value hash
+(``engine_hash``), so two runs can be diffed gate by gate.
 
 Usage: python tools/check_correctness.py [sf_dir] [query ...]
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 
 import duckdb
@@ -70,7 +73,7 @@ def main() -> None:
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  ignore_reinit_error=True)
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
@@ -89,6 +92,9 @@ def main() -> None:
         try:
             mine = canon(to_pandas(fn(sf_dir)))
             rec["spark_rows"] = len(mine)
+            # engine-side hash: diff two runs' output to show a refactor
+            # left every gate's result unchanged
+            rec["engine_hash"] = value_hash(mine)
             sql = oracles.get(name)
             if sql is None:
                 rec["err"] = "no_oracle"
