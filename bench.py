@@ -6,6 +6,8 @@ the training-data ops over $GRAFT_SF_DIR tables.
 Prints ONE JSON line:
   {"metric": ..., "value": <headline secs>, "unit": "sec",
    "queries": {...per-phase/per-op secs...}, "sf": ..., "num_cpus": N,
+   "host_cpus", "cpus_exceed_host", "ray"/"pyarrow"/"numpy" versions,
+   "git_sha" (or "source_sha256" without a .git),
    "build": {docs, docs_per_sec, postings, postings_per_sec, bytes,
              postings_bytes_per_posting}, "query": {p50_ms, p99_ms}}
 
@@ -37,6 +39,45 @@ SF = float(os.path.basename(SF_DIR.rstrip("/")).replace("sf", "") or 0.1)
 
 # corpus sizing: ~200K docs at sf0.1 (FIXTURES.md 'bench' scale)
 N_DOCS = max(2000, int(2_000_000 * SF))
+
+
+def provenance(num_cpus: int) -> dict:
+    """Where a result came from, recorded next to ``num_cpus``: the host's
+    real core count (and whether ``num_cpus`` exceeds it — RAY_GRAFT_CPUS
+    defaults to 32 even on a 1-core host), the Ray/pyarrow/numpy versions,
+    and the git sha, or a sha256 of the sources when there is no .git."""
+    import hashlib
+
+    import numpy
+    import pyarrow
+    import ray
+
+    root = os.path.dirname(os.path.abspath(__file__))
+    sha = source = None
+    if os.path.exists(os.path.join(root, ".git")):
+        out = subprocess.run(
+            ["git", "-C", root, "rev-parse", "HEAD"], capture_output=True, text=True
+        )
+        sha = out.stdout.strip() or None
+    if sha is None:
+        digest = hashlib.sha256()
+        pkg = os.path.join(root, "lucene_ray")
+        files = [os.path.join(d, f) for d, _, fs in os.walk(pkg) for f in fs]
+        for path in sorted(f for f in files if f.endswith(".py")) + [__file__]:
+            digest.update(os.path.relpath(path, root).encode())
+            with open(path, "rb") as f:
+                digest.update(f.read())
+        source = digest.hexdigest()
+    host = os.cpu_count()
+    return {
+        "host_cpus": host,
+        "cpus_exceed_host": host is not None and num_cpus > host,
+        "ray": ray.__version__,
+        "pyarrow": pyarrow.__version__,
+        "numpy": numpy.__version__,
+        "git_sha": sha,
+        "source_sha256": source,
+    }
 
 
 def vm_state_control() -> float:
@@ -410,6 +451,7 @@ def run_bench() -> dict:
         "queries": timings,
         "sf": SF,
         "num_cpus": NUM_CPUS,
+        **provenance(NUM_CPUS),
         "n_docs": N_DOCS,
         "build": build_stats,
         "query": query_stats,
@@ -474,6 +516,7 @@ def run_build_bench(trials: int = 2) -> dict:
     )
     out = {
         "num_cpus": NUM_CPUS,
+        **provenance(NUM_CPUS),
         "n_docs": N_DOCS,
         "sf": SF,
         "build": {
@@ -534,6 +577,7 @@ def run_scaling(trials: int = 2) -> dict:
         "unit": "efficiency",
         "pairs": {"1->4": eff(1, 4), "4->16": eff(4, 16)},
         "cpus": levels,
+        **provenance(max(levels)),
         "docs_per_sec": [best[c] for c in levels],
         "docs_per_sec_all_trials": {
             str(c): [r["build"]["docs_per_sec"] for r in runs[c]] for c in levels

@@ -16,7 +16,8 @@ uses the repo's stable 64-bit term hash split into a double-hashing pair
 with K probes over a power-of-two bitset sized for ~1% false positives —
 same contract (no false NEGATIVES ever, bounded false positives), same
 read protocol. Saturated filters are skipped at build like the
-reference's DEFAULT_MAX_SATURATION downgrade."""
+reference's DEFAULT_MAX_SATURATION downgrade; an empty sidecar records the
+skip so the next maintenance pass does not re-read the segment."""
 
 from __future__ import annotations
 
@@ -85,7 +86,8 @@ def build_bloom_filters(index_dir: str) -> int:
     """Idempotently write the bloom sidecar for every live segment
     missing one (the BloomFilteringPostingsFormat wrap step as a
     post-commit maintenance pass). Returns #filters written; saturated
-    filters are skipped (reference saturation downgrade)."""
+    filters are skipped (reference saturation downgrade) and leave an
+    empty sidecar behind as their persisted skip marker."""
     import pyarrow.parquet as pq
 
     from lucene_ray.index.manifest import read_manifest, segment_dir
@@ -106,17 +108,24 @@ def build_bloom_filters(index_dir: str) -> int:
         packed = build_filter(terms)
         ones = int(np.unpackbits(packed).sum())
         if ones > MAX_SATURATION * len(packed) * 8:
-            continue  # saturated: a filter this full filters nothing
+            # saturated: a filter this full filters nothing. An EMPTY
+            # sidecar is the persisted skip marker (load_filter -> None),
+            # so later calls never re-read this segment's term column
+            packed = packed[:0]
+        else:
+            wrote += 1
         tmp = out + ".tmp"
         with open(tmp, "wb") as f:
             np.save(f, packed, allow_pickle=False)
         os.replace(tmp, out)
-        wrote += 1
     return wrote
 
 
 def load_filter(seg_dir: str) -> "np.ndarray | None":
+    """The segment's filter bits, or None for "no filter" (no sidecar, or
+    the empty skip marker of a saturated segment)."""
     p = sidecar_path(seg_dir)
     if not os.path.exists(p):
         return None
-    return np.load(p, allow_pickle=False)
+    bits = np.load(p, allow_pickle=False)
+    return bits if len(bits) else None

@@ -29,6 +29,8 @@ All columns are plain Arrow types so the table round-trips Parquet untouched.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 import pyarrow as pa
 
@@ -505,22 +507,120 @@ def postings_table_from_pairs(
     return table
 
 
-def _binary_col(col) -> tuple[np.ndarray, np.ndarray]:
-    """(data uint8, per-row offsets int64) of a large_binary column —
-    zero-copy views over the Arrow buffers."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+def _binary_col(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(data uint8, per-row offsets) of one binary/string array (a single
+    column chunk) — zero-copy, read-only views over its Arrow buffers; row
+    j is data[offsets[j]:offsets[j + 1]]."""
     bufs = arr.buffers()
-    offs = np.frombuffer(bufs[1], dtype=np.int64, count=len(arr) + 1, offset=arr.offset * 8)
+    large = pa.types.is_large_binary(arr.type) or pa.types.is_large_string(arr.type)
+    width = 8 if large else 4
+    offs = np.frombuffer(
+        bufs[1], dtype=np.int64 if large else np.int32, count=len(arr) + 1,
+        offset=arr.offset * width,
+    )
     data = np.frombuffer(bufs[2], dtype=np.uint8, count=int(offs[-1])) if bufs[2] else np.array([], dtype=np.uint8)
+    offs.flags.writeable = data.flags.writeable = False  # views of the table
     return data, offs
 
 
-def _list_col(col) -> tuple[np.ndarray, np.ndarray]:
-    """(flattened int64 values, per-row offsets) of a list<int64> column."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    offs = arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    vals = arr.values.to_numpy(zero_copy_only=False).astype(np.int64)
+def _list_col(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(flat values, per-row offsets) of one list array (a single column
+    chunk) — zero-copy, read-only views; row j is
+    values[offsets[j]:offsets[j + 1]].
+    For list<list<int64>> the values are the inner list array."""
+    offs = np.frombuffer(
+        arr.buffers()[1], dtype=np.int32, count=len(arr) + 1, offset=arr.offset * 4
+    )
+    offs.flags.writeable = False  # a view of the table
+    vals = arr.values
+    if not pa.types.is_list(vals.type):
+        vals = vals.to_numpy(zero_copy_only=False)
     return vals, offs
+
+
+class BlockLists:
+    """One term row's per-block lists (the ``impacts`` column) as views
+    over the batch's flat values: block b is
+    ``values[offsets[b]:offsets[b + 1]]``, the row's flat slice is
+    ``values[offsets[0]:offsets[-1]]``. Indexes, iterates and sizes like
+    the nested Python list."""
+
+    __slots__ = ("values", "offsets")
+
+    def __init__(self, values: np.ndarray, offsets: np.ndarray):
+        self.values = values
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, b: int) -> np.ndarray:
+        if not 0 <= b < len(self.offsets) - 1:
+            raise IndexError(b)
+        return self.values[self.offsets[b] : self.offsets[b + 1]]
+
+
+def column_reader(arr: pa.Array):
+    """Reader of row j of one postings column chunk, zero-copy: counts are
+    ints read from a numpy view, blobs are memoryview slices of the data
+    buffer, list<int64> values are numpy slices and ``impacts`` rows are
+    BlockLists. Building it is O(1); the views are read-only."""
+    t = arr.type
+    if pa.types.is_string(t) or pa.types.is_large_string(t):
+        data, offs = _binary_col(arr)
+        data = memoryview(data)
+        return lambda j: bytes(data[offs[j] : offs[j + 1]]).decode()
+    if pa.types.is_binary(t) or pa.types.is_large_binary(t):
+        data, offs = _binary_col(arr)
+        data = memoryview(data)
+        return lambda j: data[offs[j] : offs[j + 1]]
+    if pa.types.is_list(t) and pa.types.is_list(t.value_type):
+        inner, outer = _list_col(arr)
+        vals, inner_offs = _list_col(inner)
+        return lambda j: BlockLists(vals, inner_offs[outer[j] : outer[j + 1] + 1])
+    if pa.types.is_list(t):
+        vals, offs = _list_col(arr)
+        return lambda j: vals[offs[j] : offs[j + 1]]
+    vals = arr.to_numpy(zero_copy_only=False)
+    return lambda j: int(vals[j])
+
+
+class BatchReaders(dict):
+    """Column name -> ``column_reader`` of one postings record batch, each
+    built on first use (KeyError for a column the batch lacks)."""
+
+    def __init__(self, batch: pa.RecordBatch):
+        super().__init__()
+        self.batch = batch
+
+    def __missing__(self, name: str):
+        i = self.batch.schema.get_field_index(name)
+        if i < 0:
+            raise KeyError(name)
+        read = self[name] = column_reader(self.batch.column(i))
+        return read
+
+
+class TermRow(Mapping):
+    """Row j of a postings record batch as a read-only mapping: each value
+    is read from the batch's buffers on access (see ``column_reader``), so
+    a caller pays only for the columns it reads. Equal, field by field, to
+    the table's ``to_pylist()`` row; never mutate the values."""
+
+    __slots__ = ("_readers", "_j")
+
+    def __init__(self, readers: BatchReaders, j: int):
+        self._readers = readers
+        self._j = j
+
+    def __getitem__(self, name: str):
+        return self._readers[name](self._j)
+
+    def __iter__(self):
+        return iter(self._readers.batch.schema.names)
+
+    def __len__(self) -> int:
+        return self._readers.batch.num_columns
 
 
 def decode_segment_pairs(
@@ -551,8 +651,8 @@ def decode_segment_pairs(
     multi = df > 1
     if multi.any():
         def stream_blocks(blob_col: str, off_col: str, counts: np.ndarray):
-            data, boffs = _binary_col(table.column(blob_col))
-            rel, roffs = _list_col(table.column(off_col))
+            data, boffs = _binary_col(table.column(blob_col).combine_chunks())
+            rel, roffs = _list_col(table.column(off_col).combine_chunks())
             nb = (counts + BLOCK_SIZE - 1) // BLOCK_SIZE
             nb = np.where(multi_mask_for(counts), nb, 0)
             # per-term slices of the rel-offset lists (list lengths can
@@ -613,8 +713,8 @@ def decode_segment_pairs(
     ) if n_terms else np.array([], dtype=np.int64)
 
     def occ_decode(blob_col: str, off_col: str) -> np.ndarray:
-        data, boffs = _binary_col(table.column(blob_col))
-        rel, roffs = _list_col(table.column(off_col))
+        data, boffs = _binary_col(table.column(blob_col).combine_chunks())
+        rel, roffs = _list_col(table.column(off_col).combine_chunks())
         abs_off = rel + np.repeat(boffs[:-1], np.diff(roffs))
         return decode_blocks_batched(data, abs_off, lens)
 

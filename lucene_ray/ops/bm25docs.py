@@ -7646,13 +7646,15 @@ def _suggest_entries(
     reference's resident FST)."""
     import pyarrow.parquet as _pq
 
+    from lucene_ray.search.suggest import _prefix_successor
+
     d = _suggest_model_dir(sf_dir)
     filters = None
-    if key_prefix is not None and key_prefix:
-        filters = [
-            ("akey", ">=", key_prefix),
-            ("akey", "<", key_prefix + "￿"),
-        ]
+    if key_prefix:
+        filters = [("akey", ">=", key_prefix)]
+        succ = _prefix_successor(key_prefix)
+        if succ is not None:
+            filters.append(("akey", "<", succ))
     cols = ["surface", "weight"] + (["akey"] if with_keys else [])
     t = _pq.read_table(
         d, columns=cols, filters=filters, ignore_prefixes=["_", "."],

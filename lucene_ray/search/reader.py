@@ -2,9 +2,13 @@
 
 Analog of DirectoryReader/SegmentReader (index/DirectoryReader.java:59,
 index/SegmentReader.java): a SegmentReader memory-maps its postings Parquet
-once, keeps the sorted term column as the term dictionary (binary search —
-the FST prefix index is replaced by Parquet row-group stats + an in-memory
-sorted array, SURVEY.md §1.4), and caches norms as numpy arrays.
+once and reads it in place, like Lucene90BlockTreeTermsReader over its
+mmapped terms file. The sorted term column is the term dictionary: a term
+lookup binary-searches the column's UTF-8 bytes (the FST prefix index is
+replaced by the sorted column, batch by batch — SURVEY.md §1.4), and the
+term's row is a set of zero-copy views (ints, memoryview blob slices,
+numpy list slices) over the same buffers — nothing is boxed per column or
+copied per row. Norms are cached as numpy arrays.
 
 Scale note: readers live inside scorer-pool actors (`__init__` loads,
 `__call__` scores batches of queries — SURVEY.md §2.3 searcher-state row).
@@ -14,13 +18,20 @@ allows zero-copy) and are only decoded per query term, block-selectively.
 
 from __future__ import annotations
 
+import bisect
 import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from lucene_ray.codec.postings_codec import TermPostings, decode_term_postings
+from lucene_ray.codec.postings_codec import (
+    BatchReaders,
+    TermPostings,
+    TermRow,
+    _binary_col,
+    decode_term_postings,
+)
 from lucene_ray.index.manifest import Manifest, read_manifest, segment_dir
 
 _MISSING = object()  # field_norms cache sentinel (None is a valid entry)
@@ -114,20 +125,35 @@ class SegmentReader:
         self._postings = pq.read_table(
             os.path.join(seg_dir, "postings.parquet"), memory_map=True
         )
-        # sorted term dictionary kept as the Arrow column (zero-copy from
-        # the mmap) — binary search walks it with O(log n) as_py calls; the
-        # python-object vocabulary array is built lazily only when a
-        # multi-term rewrite needs vectorized scans (IndexReader.vocabulary)
-        self._terms_arr = self._postings.column("term").combine_chunks()
-        self._terms_np: np.ndarray | None = None
+        # term dictionary + term rows: zero-copy views over the table's
+        # record batches (one per row group), in O(batches) — per batch its
+        # first global row, its last term's UTF-8 bytes (batch choice), its
+        # term column's offsets/data and its lazily-built column readers
+        self._terms_arr = self._postings.column("term")
+        self._batch_starts: list[int] = []
+        self._batch_last: list[bytes] = []
+        self._batch_terms: list[tuple[memoryview, memoryview]] = []
+        self._batch_rows: list[BatchReaders] = []
+        start = 0
+        for batch in self._postings.to_batches():
+            n = batch.num_rows
+            if not n:
+                continue
+            data, offs = _binary_col(batch.column("term"))
+            offs, data = memoryview(offs), memoryview(data)
+            self._batch_starts.append(start)
+            self._batch_last.append(bytes(data[offs[n - 1] : offs[n]]))
+            self._batch_terms.append((offs, data))
+            self._batch_rows.append(BatchReaders(batch))
+            start += n
         norms = pq.read_table(os.path.join(seg_dir, "norms.parquet"), memory_map=True)
         self.norm_bytes = norms.column("norm").to_numpy(zero_copy_only=False)
         self.doc_len = norms.column("doc_len").to_numpy(zero_copy_only=False)
         self._norms_table = norms  # per-analyzed-field norm_<f>/doc_len_<f>
         self._field_norms: dict[str, tuple | None] = {}
-        # term-row cache: repeated query terms skip the Arrow->python
-        # extraction of blobs/meta (the LRUQueryCache analog, per-actor)
-        self._row_cache: dict[str, dict | None] = {}
+        # term-row cache: term_stats, term_cursor and postings share one
+        # dictionary lookup per term (absent terms cache None)
+        self._row_cache: dict[str, TermRow | None] = {}
         self._row_cache_cap = 4096
         # decoded-cursor cache: hot query terms keep their decoded postings
         # (docids/tfs arrays) resident across queries — the page-cache/
@@ -180,12 +206,6 @@ class SegmentReader:
             self._has_offsets = cached
         return cached
 
-    @property
-    def _terms(self) -> np.ndarray:
-        if self._terms_np is None:
-            self._terms_np = np.asarray(self._terms_arr.to_pylist(), dtype=object)
-        return self._terms_np
-
     def _terms_split(self, fields: bool) -> np.ndarray:
         """Content-side or field-side ('f:v') slice of the term dict as a
         python-object array. Cached separately: content vocab is tiny and
@@ -206,32 +226,33 @@ class SegmentReader:
         return cached
 
     def term_index(self, term: str) -> int:
-        """Binary search the sorted term dictionary (Arrow column, no
-        python materialization); -1 if absent. When the segment carries a
-        bloom sidecar (codec/bloom.py, the BloomFilteringPostingsFormat
-        analog built by build_bloom_filters), a definite miss returns -1
-        without touching the dictionary."""
+        """Row of ``term`` in the sorted term dictionary, -1 if absent: a
+        bisect over the batches' last terms, then a binary search of one
+        batch's term column comparing UTF-8 bytes (byte order == str
+        codepoint order) — O(log n) small byte slices, no Arrow scalars.
+        When the segment carries a bloom sidecar (codec/bloom.py, the
+        BloomFilteringPostingsFormat analog built by build_bloom_filters),
+        a definite miss returns -1 without touching the dictionary."""
         bloom = self._bloom_filter()
         if bloom is not None:
             from lucene_ray.codec.bloom import may_contain
 
             if not may_contain(bloom, term):
                 return -1
-        if self._terms_np is not None:  # vocabulary already materialized
-            i = int(np.searchsorted(self._terms_np, term))
-            if i < len(self._terms_np) and self._terms_np[i] == term:
-                return i
+        key = term.encode("utf-8", "surrogatepass")
+        b = bisect.bisect_left(self._batch_last, key)
+        if b == len(self._batch_last):
             return -1
-        arr = self._terms_arr
-        lo, hi = 0, len(arr)
+        offs, data = self._batch_terms[b]
+        lo, hi = 0, len(offs) - 1
         while lo < hi:
-            mid = (lo + hi) // 2
-            if arr[mid].as_py() < term:
+            mid = (lo + hi) >> 1
+            if bytes(data[offs[mid] : offs[mid + 1]]) < key:
                 lo = mid + 1
             else:
                 hi = mid
-        if lo < len(arr) and arr[lo].as_py() == term:
-            return lo
+        if bytes(data[offs[lo] : offs[lo + 1]]) == key:
+            return self._batch_starts[b] + lo
         return -1
 
     def _bloom_filter(self):
@@ -243,18 +264,19 @@ class SegmentReader:
             self._bloom_bits = load_filter(self.seg_dir)
         return self._bloom_bits
 
-    def term_row(self, term: str) -> dict | None:
+    def term_row(self, term: str) -> TermRow | None:
+        """The postings row of ``term`` (None if absent), one dictionary
+        lookup per term while the row cache holds it. The row reads its
+        values in place from the mmapped table: ints for counts, memoryview
+        blobs, read-only numpy slices for list<int64> columns and a
+        BlockLists for ``impacts`` — never mutate them."""
         if term in self._row_cache:
             return self._row_cache[term]
         i = self.term_index(term)
-        row = (
-            None
-            if i < 0
-            else {
-                name: self._postings.column(name)[i].as_py()
-                for name in self._postings.column_names
-            }
-        )
+        row = None
+        if i >= 0:
+            b = bisect.bisect_right(self._batch_starts, i) - 1
+            row = TermRow(self._batch_rows[b], i - self._batch_starts[b])
         if len(self._row_cache) >= self._row_cache_cap:
             self._row_cache.clear()
         self._row_cache[term] = row
@@ -262,14 +284,11 @@ class SegmentReader:
 
     def term_stats(self, term: str) -> tuple[int, int]:
         """(df, ttf) in this segment — the per-leaf TermStatistics
-        (search/TermStatistics.java)."""
-        i = self.term_index(term)
-        if i < 0:
+        (search/TermStatistics.java); shares term_row's lookup."""
+        row = self.term_row(term)
+        if row is None:
             return 0, 0
-        return (
-            self._postings.column("df")[i].as_py(),
-            self._postings.column("ttf")[i].as_py(),
-        )
+        return row["df"], row["ttf"]
 
     def term_cursor(self, term: str):
         """Cached SegmentTermCursor (decode state persists across queries)."""
@@ -1022,7 +1041,7 @@ class ParallelSegmentReader:
         if ":" not in term:
             return self.primary
         for s in self.subs:
-            if s.term_index(term) >= 0:
+            if s.term_row(term) is not None:
                 return s
         return self.primary
 

@@ -35,6 +35,7 @@ from lucene_ray.search.query import (
     TermRangeQuery,
     WildcardQuery,
 )
+from lucene_ray.search.suggest import _prefix_successor
 
 MAX_EXPANSIONS = 1024
 
@@ -158,7 +159,8 @@ def rewrite_span(q, vocab):
 
 def expand_prefix(vocab: np.ndarray, q: PrefixQuery) -> list[str]:
     lo = np.searchsorted(vocab, q.prefix, side="left")
-    hi = np.searchsorted(vocab, q.prefix + "￿", side="right")
+    succ = _prefix_successor(q.prefix)
+    hi = len(vocab) if succ is None else np.searchsorted(vocab, succ, side="left")
     return vocab[lo:hi].tolist()
 
 

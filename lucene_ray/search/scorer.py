@@ -110,7 +110,7 @@ class SegmentTermCursor:
 
     __slots__ = ("row", "df", "_full", "_block_last", "_impacts_flat", "_tfs")
 
-    def __init__(self, row: dict):
+    def __init__(self, row):
         self.row = row
         self.df = int(row["df"])
         self._full = None
@@ -124,19 +124,13 @@ class SegmentTermCursor:
         return self._tfs
 
     def _impacts(self):
-        """Flattened impact pairs (tfs, norms, per-block reduceat offsets)."""
+        """Flattened impact pairs (tfs, norms, per-block reduceat offsets),
+        from the row's flat impacts slice and its block offsets."""
         if self._impacts_flat is None:
-            packed_lists = self.row["impacts"]
-            counts = np.array([len(p) for p in packed_lists], dtype=np.int64)
-            flat = np.concatenate(
-                [np.asarray(p, dtype=np.int64) for p in packed_lists]
-            ) if len(packed_lists) else np.array([], dtype=np.int64)
-            offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            self._impacts_flat = (
-                (flat >> 8).astype(np.int64),
-                (flat & 0xFF).astype(np.int64),
-                offsets,
-            )
+            imp = self.row["impacts"]
+            offs = imp.offsets
+            flat = imp.values[offs[0] : offs[-1]]
+            self._impacts_flat = (flat >> 8, flat & 0xFF, offs[:-1] - offs[0])
         return self._impacts_flat
 
     def decode_all(self) -> tuple[np.ndarray, np.ndarray]:

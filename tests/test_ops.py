@@ -3070,6 +3070,43 @@ class TestBloomAndSearcherManager:
         sr = bloomed.reader.segment_reader(bloomed.reader.segments[0].name)
         assert sr.term_row("qqqqneverthere") is None
 
+    def test_bloom_saturated_segment_skip_marker(self, tmp_path, monkeypatch):
+        """A saturated segment's skip is persisted: the next pass opens no
+        postings.parquet, and lookups fall through to the term dictionary."""
+        import os
+        import shutil
+
+        import pyarrow.parquet as pq
+
+        from lucene_ray.codec import bloom
+        from lucene_ray.index.manifest import read_manifest, segment_dir
+        from lucene_ray.ops.bm25docs import _engine_index
+        from lucene_ray.search.reader import SegmentReader
+
+        ix = str(tmp_path / "ix")
+        shutil.copytree(_engine_index(SF), ix)
+        monkeypatch.setattr(bloom, "MAX_SATURATION", 0.0)  # all saturated
+        assert bloom.build_bloom_filters(ix) == 0
+        read_table, opened = pq.read_table, []
+
+        def spy(source, *args, **kwargs):
+            opened.append(str(source))
+            return read_table(source, *args, **kwargs)
+
+        monkeypatch.setattr(pq, "read_table", spy)
+        assert bloom.build_bloom_filters(ix) == 0
+        assert not [p for p in opened if p.endswith("postings.parquet")]
+        monkeypatch.undo()
+        for e in read_manifest(ix).live_segments:
+            d = segment_dir(ix, e.name)
+            assert os.path.exists(bloom.sidecar_path(d))
+            assert bloom.load_filter(d) is None
+            sr = SegmentReader(d, e.docid_base, e.doc_count)
+            terms = pq.read_table(
+                os.path.join(d, "postings.parquet"), columns=["term"]
+            ).column("term").to_pylist()
+            assert [sr.term_index(t) for t in terms] == list(range(len(terms)))
+
     def test_searcher_manager(self, tmp_path):
         import pyarrow as pa
         import pyarrow.parquet as pq
@@ -3147,6 +3184,45 @@ class TestFSTCompletion:
         top = "a\U0010FFFF"  # the prefix's last codepoint has no successor
         lk = FSTCompletionLookup(buckets=2).build([top, top + "x", "b"], [1, 2, 3])
         assert [s for s, _b in lk.lookup(top)] == [top, top + "x"]
+
+
+class TestPrefixBoundsAboveBmp:
+    """Prefix windows end at the prefix's successor, not at a U+FFFF
+    sentinel: terms continuing with a codepoint above U+FFFF are inside."""
+
+    def test_expand_prefix_above_bmp(self):
+        from lucene_ray.search.query import PrefixQuery
+        from lucene_ray.search.rewrite import expand_prefix
+
+        clef = "ab\U0001D11E"  # U+1D11E MUSICAL SYMBOL G CLEF
+        top = "a\U0010FFFF"
+        vocab = np.array(
+            sorted(["ab", clef, "abz", "ac", top, top + "x", "b"]), dtype=object
+        )
+        assert expand_prefix(vocab, PrefixQuery("ab")) == ["ab", "abz", clef]
+        assert expand_prefix(vocab, PrefixQuery(top)) == [top, top + "x"]
+
+    def test_suggest_akey_range_above_bmp(self, tmp_path, monkeypatch):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from lucene_ray.ops import bm25docs
+
+        clef = "ab\U0001D11E"
+        akeys = sorted(["ab", "ab x", clef, "abz", "ac", "b"])
+        pq.write_table(
+            pa.table({
+                "surface": [k.upper() for k in akeys],
+                "weight": list(range(len(akeys))),
+                "akey": akeys,
+            }),
+            str(tmp_path / "part-0.parquet"),
+        )
+        monkeypatch.setattr(bm25docs, "_suggest_model_dir", lambda _sf: str(tmp_path))
+        _s, _w, keys = bm25docs._suggest_entries(
+            "unused", key_prefix="ab", with_keys=True
+        )
+        assert sorted(keys) == ["ab", "ab x", "abz", clef]
 
 
 @pytest.mark.usefixtures("ray_session")
