@@ -307,6 +307,15 @@ def tokenize_sql_expr(col: str) -> str:
     return expr
 
 
+def tok_cte(toks: str | None = None) -> str:
+    """The ``WITH tok AS (...)`` opening of an oracle query: one
+    (doc_id, term) row per token of the SQL list expression ``toks`` over
+    ``documents`` (default: CodeAnalyzer's tokens of ``text``)."""
+    if toks is None:
+        toks = tokenize_sql_expr("text")
+    return f"WITH tok AS (\n  SELECT doc_id, unnest({toks}) AS term FROM documents\n)"
+
+
 # UAX#29-lite token pattern: ALPHANUM runs with medial apostrophe between
 # letters and medial [.,] between digits (StandardTokenizerImpl.jflex:23-92
 # ALPHANUM/NUM rules, ASCII subset).

@@ -27,7 +27,7 @@ import pyarrow as pa
 
 import ray.data
 
-from lucene_ray.analysis import CodeAnalyzer, tokenize_sql_expr
+from lucene_ray.analysis import CodeAnalyzer, tok_cte, tokenize_sql_expr
 from lucene_ray.index.corpus import documents_as_corpus, documents_as_corpus_dv
 from lucene_ray.search.similarity import BM25ExactSimilarity
 
@@ -70,6 +70,53 @@ PHRASE_QUERIES: list[tuple[int, tuple[str, ...], int]] = [
 def _query_terms() -> list[tuple[int, list[str]]]:
     an = CodeAnalyzer()
     return [(qid, an.tokenize_text(q)) for qid, q in BM25_QUERIES]
+
+
+def _flatten_hits(hits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 (qids, positions, docids) of (qid, docids) pairs, in order:
+    positions count 0.. within each pair's doc list."""
+    qs, ps, ds = [], [], []
+    for qid, docids in hits:
+        d = np.asarray(docids, dtype=np.int64)
+        qs.append(np.full(len(d), qid, dtype=np.int64))
+        ps.append(np.arange(len(d), dtype=np.int64))
+        ds.append(d)
+    empty = np.empty(0, dtype=np.int64)
+    return (
+        np.concatenate([empty, *qs]),
+        np.concatenate([empty, *ps]),
+        np.concatenate([empty, *ds]),
+    )
+
+
+def _docset_table(docsets) -> pa.Table:
+    """The int64 (qid, docid) gate table of (qid, docids) pairs, in order."""
+    q, _pos, d = _flatten_hits(docsets)
+    return pa.table({"qid": q, "docid": d})
+
+
+def _docsets(s, queries) -> pa.Table:
+    """(qid, docid) doc-set gate table: every hit of s.search(q) for each
+    (qid, q) of ``queries``, in order."""
+    return _docset_table(
+        (qid, s.search(q, 1_000_000).docids) for qid, q in queries
+    )
+
+
+def _ranked_table(ranked, rank_type=pa.int32()) -> pa.Table:
+    """(qid, rank, docid) gate table of (qid, docids) pairs whose doc
+    lists are in rank order: rank is each doc's 0-based position."""
+    q, r, d = _flatten_hits(ranked)
+    return pa.table(
+        {"qid": q, "rank": pa.array(r, type=rank_type), "docid": d}
+    )
+
+
+def _and_term(clause, term: str | None):
+    """BooleanQuery requiring ``clause``, and TermQuery(term) when set."""
+    from lucene_ray.search.query import BooleanQuery, TermQuery
+
+    return BooleanQuery(must=[clause, TermQuery(term)] if term else [clause])
 
 
 def bm25_topk(sf_dir: str) -> pa.Table:
@@ -125,19 +172,9 @@ def geo_nearest(sf_dir: str) -> pa.Table:
 
     # LatLonPoint 'loc' sidecar; the merge exercises the spatial fold
     ix = _engine_index(sf_dir, point2d_fields=("loc",))
-    out_q, out_r, out_d = [], [], []
-    for qid, la, lo, k in GEO_NEAREST_QUERIES:
-        hits = nearest_topk(ix, "loc", la, lo, k)
-        for r, (doc, _dist) in enumerate(hits):
-            out_q.append(qid)
-            out_r.append(r)
-            out_d.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "rank": pa.array(out_r, type=pa.int32()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+    return _ranked_table(
+        (qid, [doc for doc, _dist in nearest_topk(ix, "loc", la, lo, k)])
+        for qid, la, lo, k in GEO_NEAREST_QUERIES
     )
 
 
@@ -204,17 +241,7 @@ def geo3d_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir, point2d_fields=("loc",))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q in _geo3d_queries():
-        td = s.search(BooleanQuery(must=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, ((qid, BooleanQuery(must=[q])) for qid, q in _geo3d_queries()))
 
 
 def geo3d_engine_sql() -> str:
@@ -266,7 +293,6 @@ def multilongfacet_engine(sf_dir: str, top_n: int = 10) -> pa.Table:
 
 
 def multilongfacet_engine_sql(top_n: int = 10) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term in ((0, "merge"), (1, "window")):
         parts.append(f"""
@@ -284,9 +310,7 @@ FROM (
 ORDER BY rank LIMIT {top_n})""")
     body = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {body}
 """
 
@@ -309,27 +333,16 @@ def ssdvsort_engine(sf_dir: str, k: int = 25) -> pa.Table:
     from lucene_ray.search.query import BooleanQuery, TermQuery
 
     s = IndexSearcher(_engine_index(sf_dir, **_DV_INDEX))
-    out_q, out_r, out_d = [], [], []
-    for qid, term, sel, asc in SSDVSORT_QUERIES:
-        docids, _keys = search_sorted_set(
+    return _ranked_table(
+        (qid, search_sorted_set(
             s, BooleanQuery(must=[TermQuery(term)]), "labels",
             k=k, ascending=asc, selector=sel,
-        )
-        for r, doc in enumerate(docids.tolist()):
-            out_q.append(qid)
-            out_r.append(r)
-            out_d.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "rank": pa.array(out_r, type=pa.int32()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+        )[0])
+        for qid, term, sel, asc in SSDVSORT_QUERIES
     )
 
 
 def ssdvsort_engine_sql(k: int = 25) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term, sel, asc in SSDVSORT_QUERIES:
         key = (
@@ -345,9 +358,7 @@ def ssdvsort_engine_sql(k: int = 25) -> str:
         )
     body = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {body}
 """
 
@@ -388,17 +399,10 @@ def dblpoint_engine(sf_dir: str) -> pa.Table:
     # DoublePoint/FloatPoint demo fields (search/floatpoint.py encodings)
     ix = _engine_index(sf_dir, dv_fields=("dscore", "fscore"))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q, _sql in _fpoint_queries():
-        td = s.search(BooleanQuery(must=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(must=[q]))
+        for qid, q, _sql in _fpoint_queries()
+    ))
 
 
 def dblpoint_engine_sql() -> str:
@@ -527,7 +531,6 @@ def fuzzylikethis_terms_sql() -> str:
     from lucene_ray.search.fuzzylikethis import MAX_VARIANTS_PER_TERM
 
     an = get_analyzer("code")
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, max_terms, adds in FUZZYLIKETHIS_QUERIES:
         branches = []
@@ -583,9 +586,7 @@ def fuzzylikethis_terms_sql() -> str:
         )
     body = "\nUNION ALL\n".join(f"({p})" for p in parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-),
+{tok_cte()},
 vocab AS (
   SELECT term, count(DISTINCT doc_id)::BIGINT AS df FROM tok GROUP BY term
 ),
@@ -621,8 +622,7 @@ def distfeature_topk(sf_dir: str) -> pa.Table:
         LongDistanceFeatureQuery,
     )
 
-    out_q, out_r, out_d = [], [], []
-    for spec in DISTFEATURE_QUERIES:
+    def ranked(spec):
         if spec[0] == "long":
             _, qid, origin, pivot, k = spec
             s = IndexSearcher(_engine_index(sf_dir))
@@ -631,18 +631,9 @@ def distfeature_topk(sf_dir: str) -> pa.Table:
             _, qid, la, lo, pivot, k = spec
             s = IndexSearcher(_engine_index(sf_dir, point2d_fields=("loc",)))
             q = GeoDistanceFeatureQuery("loc", la, lo, pivot)
-        td = s.search(BooleanQuery(must=[q]), k)
-        for r, doc in enumerate(td.docids.tolist()):
-            out_q.append(qid)
-            out_r.append(r)
-            out_d.append(doc)
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "rank": pa.array(out_r, type=pa.int32()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+        return qid, s.search(BooleanQuery(must=[q]), k).docids
+
+    return _ranked_table(map(ranked, DISTFEATURE_QUERIES))
 
 
 def distfeature_topk_sql() -> str:
@@ -720,17 +711,10 @@ def bigpoint_engine(sf_dir: str) -> pa.Table:
     # synthetic 128-bit point limbs (search/bigpoint.py derivers)
     ix = _engine_index(sf_dir, dv_fields=("ip_hi", "ip_lo"))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q, _sql in _bigpoint_queries():
-        td = s.search(BooleanQuery(must=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(must=[q]))
+        for qid, q, _sql in _bigpoint_queries()
+    ))
 
 
 def bigpoint_engine_sql() -> str:
@@ -809,18 +793,8 @@ def splitter_engine(sf_dir: str) -> pa.Table:
         td = s.search(BooleanQuery(should=[MatchAllDocsQuery()]), 10_000_000)
         return sorted(td.docids.tolist())
 
-    out_q, out_d = [], []
     parts = seq + rr + [pk1, pk2, two, rearr]
-    for qid, ix in enumerate(parts):
-        ds = docset(ix)
-        out_q.extend([qid] * len(ds))
-        out_d.extend(ds)
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docset_table((qid, docset(ix)) for qid, ix in enumerate(parts))
 
 
 def splitter_engine_sql() -> str:
@@ -944,90 +918,70 @@ def ib_topk_sql() -> str:
     return _exact_topk_sql(IBExactSimilarity().sql)
 
 
-def _batch_term_tfs(batch: pa.Table, all_terms, term_index):
-    """(doc_ids, doc_len, {tf_i}) for one batch — the shared tokenize + tf
-    kernel of both _exact_topk passes."""
+def _term_tf_kernel(batch: pa.Table, all_terms, term_index):
+    """Two-pass kernel of the text top-k twins: tokenize one batch, count
+    each term. Returns the batch's stats row (n_docs, sum_len, df_i,
+    ttf_i) and its features (doc_len, {i: tf_i})."""
     an = CodeAnalyzer()
     row_idx, terms, _ = an.tokenize_flat(batch.column("text").combine_chunks())
-    doc_ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
     n = batch.num_rows
     doc_len = np.bincount(row_idx, minlength=n).astype(np.int64)
     import pyarrow.compute as pc
 
+    row = {"n_docs": n, "sum_len": int(doc_len.sum())}
     tf_cols = {}
     for t in all_terms:
         mask = pc.equal(terms, t).to_numpy(zero_copy_only=False)
-        tf_cols[term_index[t]] = (
+        i = term_index[t]
+        tf_cols[i] = (
             np.bincount(row_idx[mask], minlength=n).astype(np.int64)
             if len(row_idx)
             else np.zeros(n, dtype=np.int64)
         )
-    return doc_ids, doc_len, tf_cols
+        row[f"df_{i}"] = int((tf_cols[i] > 0).sum())
+        row[f"ttf_{i}"] = int(tf_cols[i].sum())
+    return row, (doc_len, tf_cols)
 
 
-def _exact_topk(sf_dir: str, sim) -> pa.Table:
-    """Float64 exact dataflow twin of the index-backed top-k, BOUNDED at
+def _two_pass_topk(
+    sf_dir: str, columns, kernel, score_rule, qids, k: int
+) -> pa.Table:
+    """(qid, rank, doc_id) of a float64 exact dataflow twin, BOUNDED at
     every scale (VERDICT r4 #7): pass 1 streams ONE stats row per batch
-    (N, sum_len, per-term df/ttf — O(batches) on the driver); pass 2
-    re-streams the corpus, scores in-batch with the GLOBAL stats, and
-    emits only each batch's per-query top-K candidates, so the driver
-    merge holds O(batches * Q * K) rows — never the matched set, never
-    the corpus. Scores are elementwise float64 with global stats, so the
-    two-pass result is bit-identical to a single-pass scoring; the final
-    merge re-sorts the candidate union by the same (score desc, docid
-    asc) key, which equals the global top-k because any global winner is
-    its own batch's winner."""
-    qts = _query_terms()
-    all_terms = sorted({t for _, ts in qts for t in ts})
-    term_index = {t: i for i, t in enumerate(all_terms)}
+    and the driver sums each column into the global stats g
+    (O(batches) rows); pass 2 re-streams the corpus, scores in-batch with
+    g, and emits only each batch's per-query top-k candidates, so the
+    driver merge holds O(batches * Q * k) rows — never the matched set,
+    never the corpus. Scores are elementwise float64 with global stats,
+    so the two-pass result is bit-identical to a single-pass scoring; the
+    final merge re-sorts the candidate union by the same (score desc,
+    doc_id asc) key, which equals the global top-k because any global
+    winner is its own batch's winner.
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ``kernel(batch) -> (row, feats)`` is the per-batch work of both
+    passes: ``row`` is the batch's {column: int} stats row, ``feats``
+    whatever the score rule reads. ``score_rule(g, feats, n)`` yields
+    (qid, scores, matched) for each query to rank in an n-row batch; only
+    matched rows are candidates. The result lists ``qids`` in order."""
+    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
 
     def stats(batch: pa.Table) -> pa.Table:
-        _ids, doc_len, tf_cols = _batch_term_tfs(batch, all_terms, term_index)
-        cols = {
-            "n_docs": pa.array([batch.num_rows], type=pa.int64()),
-            "sum_len": pa.array([int(doc_len.sum())], type=pa.int64()),
-        }
-        for i, tf in tf_cols.items():
-            cols[f"df_{i}"] = pa.array([int((tf > 0).sum())], type=pa.int64())
-            cols[f"ttf_{i}"] = pa.array([int(tf.sum())], type=pa.int64())
-        return pa.table(cols)
+        row, _feats = kernel(batch)
+        return pa.table({c: pa.array([v], type=pa.int64()) for c, v in row.items()})
 
     st = (
         ds.map_batches(stats, batch_format="pyarrow", batch_size=4096)
         .to_pandas()  # O(batches) rows, a few ints each
     )
-    N = int(st.n_docs.sum())
-    sum_len = int(st.sum_len.sum())
-    avgdl = sum_len / N
-    df_g = {i: int(st[f"df_{i}"].sum()) for i in term_index.values()}
-    ttf_g = {i: int(st[f"ttf_{i}"].sum()) for i in term_index.values()}
+    g = {c: int(st[c].sum()) for c in st.columns}
 
     def topk_candidates(batch: pa.Table) -> pa.Table:
-        doc_ids, doc_len, tf_cols = _batch_term_tfs(batch, all_terms, term_index)
-        n = batch.num_rows
+        _row, feats = kernel(batch)
+        doc_ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         out_q, out_d, out_s = [], [], []
-        for qid, terms in qts:
-            scores = np.zeros(n, dtype=np.float64)
-            matched = np.zeros(n, dtype=bool)
-            for t in terms:
-                if t not in term_index:
-                    continue
-                i = term_index[t]
-                if df_g[i] == 0:
-                    continue
-                tf = tf_cols[i]
-                m = tf > 0
-                matched |= m
-                s = sim.score(
-                    tf[m], doc_len[m], df_g[i], N, avgdl,
-                    ttf=ttf_g[i], sum_len=sum_len,
-                )
-                scores[m] += s
+        for qid, scores, matched in score_rule(g, feats, batch.num_rows):
             cand = np.nonzero(matched)[0]
-            order = np.lexsort((doc_ids[cand], -scores[cand]))[:BM25_K]
-            sel = cand[order]
+            sel = cand[np.lexsort((doc_ids[cand], -scores[cand]))[:k]]
             out_q.extend([qid] * len(sel))
             out_d.extend(doc_ids[sel].tolist())
             out_s.extend(scores[sel].tolist())
@@ -1043,21 +997,50 @@ def _exact_topk(sf_dir: str, sim) -> pa.Table:
         ds.map_batches(topk_candidates, batch_format="pyarrow", batch_size=4096)
         .to_pandas()  # O(batches * Q * K) candidate rows
     )
-    out = {"qid": [], "rank": [], "doc_id": []}
-    for qid, _terms in qts:
+    ranked = []
+    for qid in qids:
         sub = cand[cand.qid == qid]
         d = sub.doc_id.to_numpy()
         s = sub.score.to_numpy()
-        order = np.lexsort((d, -s))[:BM25_K]
-        out["qid"].extend([qid] * len(order))
-        out["rank"].extend(range(len(order)))
-        out["doc_id"].extend(d[order].tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out["qid"], type=pa.int64()),
-            "rank": pa.array(out["rank"], type=pa.int32()),
-            "doc_id": pa.array(out["doc_id"], type=pa.int64()),
-        }
+        ranked.append((qid, d[np.lexsort((d, -s))[:k]]))
+    return _ranked_table(ranked).rename_columns(["qid", "rank", "doc_id"])
+
+
+def _exact_topk(sf_dir: str, sim) -> pa.Table:
+    """Float64 exact dataflow twin of the index-backed top-k: the
+    bounded two-pass shape of _two_pass_topk, each query's score the
+    left-to-right sum of its terms' ``sim`` scores."""
+    qts = _query_terms()
+    all_terms = sorted({t for _, ts in qts for t in ts})
+    term_index = {t: i for i, t in enumerate(all_terms)}
+
+    def score_rule(g, feats, n):
+        doc_len, tf_cols = feats
+        N, sum_len = g["n_docs"], g["sum_len"]
+        avgdl = sum_len / N
+        for qid, terms in qts:
+            scores = np.zeros(n, dtype=np.float64)
+            matched = np.zeros(n, dtype=bool)
+            for t in terms:
+                if t not in term_index:
+                    continue
+                i = term_index[t]
+                if g[f"df_{i}"] == 0:
+                    continue
+                tf = tf_cols[i]
+                m = tf > 0
+                matched |= m
+                s = sim.score(
+                    tf[m], doc_len[m], g[f"df_{i}"], N, avgdl,
+                    ttf=g[f"ttf_{i}"], sum_len=sum_len,
+                )
+                scores[m] += s
+            yield qid, scores, matched
+
+    return _two_pass_topk(
+        sf_dir, ["doc_id", "text"],
+        lambda batch: _term_tf_kernel(batch, all_terms, term_index),
+        score_rule, [qid for qid, _ in qts], BM25_K,
     )
 
 
@@ -1075,7 +1058,6 @@ def tfidf_topk_sql() -> str:
 
 
 def _exact_topk_sql(sim_sql) -> str:
-    toks = tokenize_sql_expr("text")
     per_query_selects = []
     for qid, terms in _query_terms():
         joins, contribs, matched = [], [], []
@@ -1101,9 +1083,7 @@ def _exact_topk_sql(sim_sql) -> str:
         )
     union = "\nUNION ALL\n".join(per_query_selects)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), doc_lens AS (
+{tok_cte()}, doc_lens AS (
   SELECT d.doc_id, coalesce(cnt.c, 0) AS doc_len
   FROM documents d LEFT JOIN (
     SELECT doc_id, count(*) AS c FROM tok GROUP BY doc_id
@@ -1193,21 +1173,10 @@ def boolean_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q in BOOLEAN_QUERIES:
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, BOOLEAN_QUERIES)
 
 
 def boolean_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     # mirror each query's semantics as set algebra over the token CTE;
     # docid == doc_id because documents_as_corpus preserves row order and
     # docids are assigned 0..n-1 in row order (builder.plan_segments)
@@ -1234,9 +1203,7 @@ def boolean_engine_sql() -> str:
     )
     parts = "\nUNION ALL\n".join(sets[q] for q in sorted(sets))
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-),
+{tok_cte()},
 {ctes}
 SELECT qid, doc_id AS docid FROM ({parts})
 """
@@ -1249,19 +1216,10 @@ def phrase_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, terms, slop in PHRASE_QUERIES:
-        td = s.search(
-            BooleanQuery(should=[PhraseQuery(terms, slop=slop)]), 1_000_000
-        )
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(should=[PhraseQuery(terms, slop=slop)]))
+        for qid, terms, slop in PHRASE_QUERIES
+    ))
 
 
 FIELD_QUERIES: list[tuple[int, str]] = [
@@ -1280,25 +1238,12 @@ def field_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q in FIELD_QUERIES:
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, FIELD_QUERIES)
 
 
 def field_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 SELECT DISTINCT 0 AS qid, t.doc_id AS docid
 FROM tok t JOIN documents d USING (doc_id)
 WHERE t.term = 'merge' AND d.lang = 'es'
@@ -1327,28 +1272,17 @@ def points_engine(sf_dir: str) -> pa.Table:
     n_chars is derived at build as utf8_length(content) == documents.text
     length, so DuckDB length(text) is the exact oracle."""
     from lucene_ray.search.engine import IndexSearcher
-    from lucene_ray.search.query import BooleanQuery, PointRangeQuery, TermQuery
+    from lucene_ray.search.query import PointRangeQuery
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, lo, hi, term in POINT_QUERIES:
-        must = [PointRangeQuery("n_chars", lo, hi)]
-        if term:
-            must.append(TermQuery(term))
-        td = s.search(BooleanQuery(must=must), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, _and_term(PointRangeQuery("n_chars", lo, hi), term))
+        for qid, lo, hi, term in POINT_QUERIES
+    ))
 
 
 def points_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, lo, hi, term in POINT_QUERIES:
         conds = []
@@ -1366,9 +1300,7 @@ def points_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -1393,34 +1325,19 @@ def spatial_engine(sf_dir: str) -> pa.Table:
     integer-exact arithmetic (search/spatial.py synth_lat/lon), so the
     DuckDB oracle reproduces it from doc_id."""
     from lucene_ray.search.engine import IndexSearcher
-    from lucene_ray.search.query import (
-        BooleanQuery,
-        LatLonBoxQuery,
-        LatLonDistanceQuery,
-        TermQuery,
-    )
+    from lucene_ray.search.query import LatLonBoxQuery, LatLonDistanceQuery
 
     ix = _engine_index(sf_dir, point2d_fields=("loc",))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for spec in SPATIAL_QUERIES:
+
+    def query(spec):
         if spec[0] == "box":
             _, qid, la, lb, oa, ob, term = spec
-            must = [LatLonBoxQuery("loc", la, lb, oa, ob)]
-        else:
-            _, qid, la, lo, r, term = spec
-            must = [LatLonDistanceQuery("loc", la, lo, r)]
-        if term:
-            must.append(TermQuery(term))
-        td = s.search(BooleanQuery(must=must), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+            return qid, _and_term(LatLonBoxQuery("loc", la, lb, oa, ob), term)
+        _, qid, la, lo, r, term = spec
+        return qid, _and_term(LatLonDistanceQuery("loc", la, lo, r), term)
+
+    return _docsets(s, map(query, SPATIAL_QUERIES))
 
 
 def spatial_engine_sql() -> str:
@@ -1430,7 +1347,6 @@ def spatial_engine_sql() -> str:
         synth_lon_sql,
     )
 
-    toks = tokenize_sql_expr("text")
     lat_e, lon_e = synth_lat_sql("doc_id"), synth_lon_sql("doc_id")
     parts = []
     for spec in SPATIAL_QUERIES:
@@ -1455,9 +1371,7 @@ def spatial_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -1489,28 +1403,14 @@ def polygon_engine(sf_dir: str) -> pa.Table:
     doubles, shell minus holes, optional content-term composition. The
     oracle unrolls the same per-edge float64 crossing arithmetic."""
     from lucene_ray.search.engine import IndexSearcher
-    from lucene_ray.search.query import (
-        BooleanQuery,
-        LatLonPolygonQuery,
-        TermQuery,
-    )
+    from lucene_ray.search.query import LatLonPolygonQuery
 
     ix = _engine_index(sf_dir, point2d_fields=("loc",))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, shell, holes, term in POLYGON_QUERIES:
-        must = [LatLonPolygonQuery("loc", shell, holes)]
-        if term:
-            must.append(TermQuery(term))
-        td = s.search(BooleanQuery(must=must), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, _and_term(LatLonPolygonQuery("loc", shell, holes), term))
+        for qid, shell, holes, term in POLYGON_QUERIES
+    ))
 
 
 def polygon_engine_sql() -> str:
@@ -1520,7 +1420,6 @@ def polygon_engine_sql() -> str:
         synth_lon_sql,
     )
 
-    toks = tokenize_sql_expr("text")
     lat_e, lon_e = synth_lat_sql("doc_id"), synth_lon_sql("doc_id")
     parts = []
     for qid, shell, holes, term in POLYGON_QUERIES:
@@ -1535,9 +1434,7 @@ def polygon_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -1561,19 +1458,10 @@ def phrasewildcard_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, slots in PHRASEWILDCARD_QUERIES:
-        td = s.search(
-            BooleanQuery(must=[PhraseWildcardQuery(slots)]), 1_000_000
-        )
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(must=[PhraseWildcardQuery(slots)]))
+        for qid, slots in PHRASEWILDCARD_QUERIES
+    ))
 
 
 def phrasewildcard_engine_sql() -> str:
@@ -1626,17 +1514,7 @@ def synonym_engine(sf_dir: str) -> pa.Table:
         (2, BooleanQuery(must=[PhraseQuery(("large", "table"))])),
         (3, BooleanQuery(must=[TermQuery("quick")], must_not=[TermQuery("slow")])),
     ]
-    out_q, out_d = [], []
-    for qid, q in queries:
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, queries)
 
 
 def synonym_engine_sql() -> str:
@@ -1774,17 +1652,7 @@ def folding_engine(sf_dir: str) -> pa.Table:
         (1, BooleanQuery(must=[TermQuery("scan")], must_not=[TermQuery("hash")])),
         (2, BooleanQuery(must=[PhraseQuery(("batch", "stream"))])),
     ]
-    out_q, out_d = [], []
-    for qid, q in queries:
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, queries)
 
 
 def folding_engine_sql() -> str:
@@ -1829,18 +1697,10 @@ def commonterms_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, terms in COMMONTERMS_QUERIES:
-        q = CommonTermsQuery(terms, max_term_frequency=COMMONTERMS_CUTOFF)
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, CommonTermsQuery(terms, max_term_frequency=COMMONTERMS_CUTOFF))
+        for qid, terms in COMMONTERMS_QUERIES
+    ))
 
 
 def commonterms_engine_sql() -> str:
@@ -1929,17 +1789,7 @@ def addindexes_engine(sf_dir: str) -> pa.Table:
         (1, BooleanQuery(must=[TermQuery("window")], must_not=[TermQuery("hash")])),
         (2, BooleanQuery(must=[PhraseQuery(("batch", "stream"))])),
     ]
-    out_q, out_d = [], []
-    for qid, q in queries:
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, queries)
 
 
 def addindexes_engine_sql() -> str:
@@ -2009,17 +1859,7 @@ def htmlstrip_engine(sf_dir: str) -> pa.Table:
         (2, BooleanQuery(must=[PhraseQuery(("batch", "stream"))])),
         (3, BooleanQuery(must=[TermQuery("scan")], must_not=[TermQuery("nbsp")])),
     ]
-    out_q, out_d = [], []
-    for qid, q in queries:
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, queries)
 
 
 def htmlstrip_engine_sql() -> str:
@@ -2060,30 +1900,20 @@ def sort_engine(sf_dir: str, k: int = 20) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_r, out_d = [], [], []
     # qids 0-1: numeric doc values; 2-3: SortField.Type.STRING over stored
     # keyword columns (ordinal comparator)
-    for qid, term, fld, asc in (
-        (0, "merge", "n_chars", False),
-        (1, "window", "n_chars", True),
-        (2, "merge", "lang", True),
-        (3, "window", "repo", False),
-    ):
-        td = search_sorted(s, term, fld, k=k, ascending=asc)
-        out_q.extend([qid] * len(td.docids))
-        out_r.extend(range(len(td.docids)))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "rank": pa.array(out_r, type=pa.int32()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+    return _ranked_table(
+        (qid, search_sorted(s, term, fld, k=k, ascending=asc).docids)
+        for qid, term, fld, asc in (
+            (0, "merge", "n_chars", False),
+            (1, "window", "n_chars", True),
+            (2, "merge", "lang", True),
+            (3, "window", "repo", False),
+        )
     )
 
 
 def sort_engine_sql(k: int = 20) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     # sort keys mirror documents_as_corpus: n_chars->length(text),
     # lang->lang, repo->source
@@ -2103,9 +1933,7 @@ QUALIFY rank < {k}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -2118,23 +1946,13 @@ def distsort_engine(sf_dir: str, k: int = 20) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     dist = DistributedSearcher(ix, n_shards=3)
-    out_q, out_r, out_d = [], [], []
-    for qid, term, asc in ((0, "merge", False), (1, "window", True)):
-        d, _v, _n = dist.search_sorted(term, "n_chars", k=k, ascending=asc)
-        out_q.extend([qid] * len(d))
-        out_r.extend(range(len(d)))
-        out_d.extend(int(x) for x in d)
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "rank": pa.array(out_r, type=pa.int32()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+    return _ranked_table(
+        (qid, dist.search_sorted(term, "n_chars", k=k, ascending=asc)[0])
+        for qid, term, asc in ((0, "merge", False), (1, "window", True))
     )
 
 
 def distsort_engine_sql(k: int = 20) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term, direction in ((0, "merge", "DESC"), (1, "window", "ASC")):
         parts.append(f"""
@@ -2147,9 +1965,7 @@ QUALIFY rank < {k}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -2187,7 +2003,6 @@ def indexsort_engine(sf_dir: str, k: int = 40) -> pa.Table:
 
 
 def indexsort_engine_sql(k: int = 40) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term, direction in ((0, "merge", "DESC"), (1, "window", "ASC")):
         parts.append(f"""
@@ -2200,9 +2015,7 @@ QUALIFY rank < {k}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -2244,17 +2057,7 @@ def fieldexists_engine(sf_dir: str) -> pa.Table:
             (1, FieldExistsQuery("n_chars")),
             (2, FieldExistsQuery("no_such_field")),
         ]
-        out_q, out_d = [], []
-        for qid, q in qs:
-            td = s.search(BooleanQuery(should=[q]), 1_000_000)
-            out_q.extend([qid] * len(td.docids))
-            out_d.extend(td.docids.tolist())
-        return pa.table(
-            {
-                "qid": pa.array(out_q, type=pa.int64()),
-                "docid": pa.array(out_d, type=pa.int64()),
-            }
-        )
+        return _docsets(s, ((qid, BooleanQuery(should=[q])) for qid, q in qs))
     finally:
         shutil.rmtree(ix, ignore_errors=True)
         if os.path.exists(src):
@@ -2303,18 +2106,12 @@ def shape_engine(sf_dir: str) -> pa.Table:
     # tessellated-rect shapes; merged, so the docid-rebase merge path runs
     ix = _engine_index(sf_dir, shape_fields=("rect",))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, rel, la, lb, oa, ob in SHAPE_QUERIES:
-        q = ShapeBoxQuery("rect", la, lb, oa, ob, relation=rel)
-        td = s.search(BooleanQuery(should=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(should=[
+            ShapeBoxQuery("rect", la, lb, oa, ob, relation=rel)
+        ]))
+        for qid, rel, la, lb, oa, ob in SHAPE_QUERIES
+    ))
 
 
 def shape_engine_sql() -> str:
@@ -2385,18 +2182,12 @@ def shape_polygon_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir, shape_fields=("rect",))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, rel, clat, clon, r in SHAPE_POLY_QUERIES:
-        q = ShapePolygonQuery("rect", _diamond(clat, clon, r), relation=rel)
-        td = s.search(BooleanQuery(should=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(should=[
+            ShapePolygonQuery("rect", _diamond(clat, clon, r), relation=rel)
+        ]))
+        for qid, rel, clat, clon, r in SHAPE_POLY_QUERIES
+    ))
 
 
 def shape_polygon_engine_sql() -> str:
@@ -2484,19 +2275,12 @@ def shape_line_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir, shape_fields=("rect",))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, rel, segs in SHAPE_LINE_QUERIES:
-        lats, lons = _polyline(segs)
-        q = ShapeLineQuery("rect", lats, lons, relation=rel)
-        td = s.search(BooleanQuery(should=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(should=[
+            ShapeLineQuery("rect", *_polyline(segs), relation=rel)
+        ]))
+        for qid, rel, segs in SHAPE_LINE_QUERIES
+    ))
 
 
 def shape_line_engine_sql() -> str:
@@ -2551,18 +2335,10 @@ def shape_point_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir, shape_fields=("rect",))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, rel, la, lo in SHAPE_POINT_QUERIES:
-        q = ShapePointQuery("rect", la, lo, relation=rel)
-        td = s.search(BooleanQuery(should=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(should=[ShapePointQuery("rect", la, lo, relation=rel)]))
+        for qid, rel, la, lo in SHAPE_POINT_QUERIES
+    ))
 
 
 def shape_point_engine_sql() -> str:
@@ -2691,7 +2467,6 @@ def doublerange_engine(sf_dir: str) -> pa.Table:
 
 
 def doublerange_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term in ((0, "merge"), (1, "window")):
         for ridx, (lo, hi) in enumerate(DOUBLE_RANGES):
@@ -2706,9 +2481,7 @@ WHERE doc_id IN (SELECT DISTINCT doc_id FROM tok WHERE term = '{term}')
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -2744,7 +2517,6 @@ def scoredjoin_engine(sf_dir: str, k: int = 40) -> pa.Table:
 
 
 def scoredjoin_engine_sql(k: int = 40) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term in SCOREDJOIN_QUERIES:
         parts.append(f"""
@@ -2760,9 +2532,7 @@ QUALIFY rank < {k}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -2790,24 +2560,15 @@ def numjoin_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, term, cap, to_term in NUMJOIN_QUERIES:
-        q = join_query_numeric(
+    return _docsets(s, (
+        (qid, join_query_numeric(
             s, term, "n_chars", max_terms=cap, to_query=to_term
-        )
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+        ))
+        for qid, term, cap, to_term in NUMJOIN_QUERIES
+    ))
 
 
 def numjoin_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term, cap, to_term in NUMJOIN_QUERIES:
         vals = (
@@ -2827,9 +2588,7 @@ def numjoin_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT DISTINCT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -2863,7 +2622,6 @@ def numjoin_scored_engine(sf_dir: str, k: int = 40) -> pa.Table:
 
 
 def numjoin_scored_engine_sql(k: int = 40) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term, mode in NUMJOIN_SCORED_QUERIES:
         n_expr = "s.n" if mode == "total" else "1::BIGINT"
@@ -2880,9 +2638,7 @@ QUALIFY rank < {k}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -2909,7 +2665,6 @@ def allgroups_engine(sf_dir: str) -> pa.Table:
 
 
 def allgroups_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term in ((0, "merge"), (1, "stream"), (2, "zzzmissing")):
         parts.append(
@@ -2918,9 +2673,7 @@ def allgroups_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -2955,7 +2708,6 @@ def sampledfacet_engine(sf_dir: str) -> pa.Table:
 def sampledfacet_engine_sql() -> str:
     from lucene_ray.ops.text import SAMPLE_DEN, SAMPLE_NUM, hash_prefix_sql_expr
 
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term in ((0, "merge"), (1, "window")):
         parts.append(f"""
@@ -2967,9 +2719,7 @@ GROUP BY lang
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -2998,18 +2748,10 @@ def ngramphrase_engine(sf_dir: str) -> pa.Table:
     # fixed 3-grams at consecutive positions: the NGramPhraseQuery target
     ix = _engine_index(sf_dir, merge=False, analyzer_name="gram3")
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, word in NGRAMPHRASE_WORDS:
-        q = BooleanQuery(should=[NGramPhraseQuery(3, _grams3(word))])
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(should=[NGramPhraseQuery(3, _grams3(word))]))
+        for qid, word in NGRAMPHRASE_WORDS
+    ))
 
 
 def ngramphrase_engine_sql() -> str:
@@ -3093,17 +2835,7 @@ def surround_engine(sf_dir: str) -> pa.Table:
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
     parser = SurroundQueryParser(s.analyzer)
-    out_q, out_d = [], []
-    for qid, q, _sql in SURROUND_QUERIES:
-        td = s.search(parser.parse(q), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, ((qid, parser.parse(q)) for qid, q, _sql in SURROUND_QUERIES))
 
 
 def surround_engine_sql() -> str:
@@ -3148,34 +2880,28 @@ def sortednumeric_engine(sf_dir: str, k: int = 20) -> pa.Table:
 
     ix = _engine_index(sf_dir, **_DV2_INDEX)
     s = IndexSearcher(ix)
-    out_q, out_r, out_d = [], [], []
-    for qid, lo, hi in SORTEDNUMERIC_RANGES:
-        td = s.search(
-            BooleanQuery(should=[SortedNumericRangeQuery("sig_nums", lo, hi)]),
-            1_000_000,
-        )
-        out_q.extend([qid] * len(td.docids))
-        out_r.extend([-1] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    for qid, selector, asc in ((3, "min", True), (4, "max", False)):
+    ranges = _docsets(s, (
+        (qid, BooleanQuery(should=[SortedNumericRangeQuery("sig_nums", lo, hi)]))
+        for qid, lo, hi in SORTEDNUMERIC_RANGES
+    ))
+
+    def sorted_top(selector: str, asc: bool):
         td = s.search("merge", 1_000_000)
         vals = fetch_sorted_numeric_selected(s.reader, td.docids, "sig_nums", selector)
         key = vals if asc else -vals
-        order = np.lexsort((td.docids, key))[:k]
-        out_q.extend([qid] * len(order))
-        out_r.extend(range(len(order)))
-        out_d.extend(td.docids[order].tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "rank": pa.array(out_r, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+        return td.docids[np.lexsort((td.docids, key))[:k]]
+
+    sorts = _ranked_table(
+        ((qid, sorted_top(selector, asc))
+         for qid, selector, asc in ((3, "min", True), (4, "max", False))),
+        pa.int64(),
     )
+    # range-query hits are unranked: rank -1
+    unranked = pa.array(np.full(ranges.num_rows, -1, dtype=np.int64))
+    return pa.concat_tables([ranges.add_column(1, "rank", unranked), sorts])
 
 
 def sortednumeric_engine_sql(k: int = 20) -> str:
-    toks = tokenize_sql_expr("text")
     res = "(length(text) % 7)", "(length(text) % 10)", "(length(text) % 13)"
     parts = []
     for qid, lo, hi in SORTEDNUMERIC_RANGES:
@@ -3196,9 +2922,7 @@ QUALIFY rank < {k}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -3228,7 +2952,6 @@ def binarydv_engine(sf_dir: str) -> pa.Table:
 
 
 def binarydv_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term in ((0, "merge"), (1, "window")):
         parts.append(
@@ -3238,9 +2961,7 @@ def binarydv_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -3267,20 +2988,16 @@ def indexsortrange_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir, index_sort=("n_chars", "desc"))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, lo, hi in INDEXSORTRANGE_QUERIES:
+
+    def doc_ids(lo: int, hi: int) -> list[int]:
         docids = index_sorted_range(s, "n_chars", lo, hi)
         if len(docids) == 0:
-            continue
+            return []
         stored = fetch_stored(s.reader, docids)
-        doc_ids = [int(p.split("/")[1]) for p in stored.column("path").to_pylist()]
-        out_q.extend([qid] * len(doc_ids))
-        out_d.extend(doc_ids)
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+        return [int(p.split("/")[1]) for p in stored.column("path").to_pylist()]
+
+    return _docset_table(
+        (qid, doc_ids(lo, hi)) for qid, lo, hi in INDEXSORTRANGE_QUERIES
     )
 
 
@@ -3333,7 +3050,6 @@ def suggest_engine(sf_dir: str, k: int = 3) -> pa.Table:
 
 
 def suggest_engine_sql(k: int = 3) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, inp in SUGGEST_INPUTS:
         parts.append(f"""
@@ -3344,9 +3060,7 @@ QUALIFY row_number() OVER (ORDER BY levenshtein(term, '{inp}'), df DESC, term) <
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), dfs AS (
+{tok_cte()}, dfs AS (
   SELECT term, count(DISTINCT doc_id) AS df FROM tok GROUP BY term
 )
 {union}
@@ -3385,7 +3099,6 @@ def complete_engine(sf_dir: str, k: int = 5) -> pa.Table:
 
 
 def complete_engine_sql(k: int = 5) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, prefix in COMPLETE_INPUTS:
         parts.append(f"""
@@ -3396,9 +3109,7 @@ QUALIFY row_number() OVER (ORDER BY df DESC, term) <= {k}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), dfs AS (
+{tok_cte()}, dfs AS (
   SELECT term, count(DISTINCT doc_id) AS df FROM tok GROUP BY term
 )
 {union}
@@ -3429,7 +3140,6 @@ def assocfacet_engine(sf_dir: str) -> pa.Table:
 
 
 def assocfacet_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     col = {"lang": "lang", "repo": "source"}
     parts = []
     for qid, q, field in FACET_QUERIES:
@@ -3445,9 +3155,7 @@ def assocfacet_engine_sql() -> str:
         )
     union_all = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union_all}
 """
 
@@ -3542,7 +3250,6 @@ def wordbreak_engine(sf_dir: str, k: int = 5) -> pa.Table:
 
 
 def wordbreak_engine_sql(k: int = 5) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, w in WORDBREAK_INPUTS:
         parts.append(f"""
@@ -3554,9 +3261,7 @@ QUALIFY row_number() OVER (
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), dfs AS (
+{tok_cte()}, dfs AS (
   SELECT term, count(DISTINCT doc_id) AS df FROM tok GROUP BY term
 )
 {union}
@@ -3584,18 +3289,11 @@ def multisyn_engine(sf_dir: str) -> pa.Table:
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
     an = get_analyzer("code")
-    out_q, out_d = [], []
-    for qid, q in MULTISYN_QUERIES:
-        bq = apply_multi_synonyms(parse_query(q, an), MULTISYN_RULES)
-        td = s.search(bq, 1 << 62)
-        for d in sorted(int(x) for x in td.docids):
-            out_q.append(qid)
-            out_d.append(d)
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+    return _docset_table(
+        (qid, np.sort(s.search(
+            apply_multi_synonyms(parse_query(q, an), MULTISYN_RULES), 1 << 62
+        ).docids))
+        for qid, q in MULTISYN_QUERIES
     )
 
 
@@ -3708,7 +3406,6 @@ def infix_engine(sf_dir: str, k: int = 5) -> pa.Table:
 
 
 def infix_engine_sql(k: int = 5) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, frag in INFIX_INPUTS:
         parts.append(f"""
@@ -3719,9 +3416,7 @@ QUALIFY row_number() OVER (ORDER BY df DESC, term) <= {k}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), dfs AS (
+{tok_cte()}, dfs AS (
   SELECT term, count(DISTINCT doc_id) AS df FROM tok GROUP BY term
 )
 {union}
@@ -3757,7 +3452,6 @@ def facet_engine(sf_dir: str) -> pa.Table:
 
 
 def facet_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     col = {"lang": "lang", "repo": "source"}
     for qid, q, field in FACET_QUERIES:
@@ -3772,9 +3466,7 @@ def facet_engine_sql() -> str:
         )
     union_all = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union_all}
 """
 
@@ -3811,7 +3503,6 @@ def taxfacet_engine(sf_dir: str) -> pa.Table:
 
 
 def taxfacet_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, q in TAXFACET_QUERIES:
         terms = CodeAnalyzer().tokenize_text(q)
@@ -3830,9 +3521,7 @@ def taxfacet_engine_sql() -> str:
         )
     union_all = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union_all}
 """
 
@@ -3888,7 +3577,6 @@ def drillsideways_engine(sf_dir: str) -> pa.Table:
 
 
 def drillsideways_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     col = {"lang": "lang", "repo": "source"}
     parts = []
     for qid, q, downs in DRILLSIDEWAYS_CASES:
@@ -3916,9 +3604,7 @@ def drillsideways_engine_sql() -> str:
             )
     union_all = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union_all}
 """
 
@@ -3989,27 +3675,14 @@ def update_engine(sf_dir: str) -> pa.Table:
             ),
         )
         s = IndexSearcher(ix)
-        out_q, out_d = [], []
-        for qid, term in ((0, "zzupdated"), (1, "merge")):
-            td = s.search(term, 1_000_000)
-            out_q.extend([qid] * len(td.docids))
-            out_d.extend(td.docids.tolist())
-        return pa.table(
-            {
-                "qid": pa.array(out_q, type=pa.int64()),
-                "docid": pa.array(out_d, type=pa.int64()),
-            }
-        )
+        return _docsets(s, ((0, "zzupdated"), (1, "merge")))
     finally:
         shutil.rmtree(ix, ignore_errors=True)
 
 
 def update_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), n AS (
+{tok_cte()}, n AS (
   SELECT count(*) AS c FROM documents
 ), upd AS (
   SELECT doc_id, row_number() OVER (ORDER BY doc_id) - 1 AS rn
@@ -4049,30 +3722,20 @@ def multiterm_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, qf, _sql in MULTITERM_QUERIES:
-        td = s.search(BooleanQuery(should=[qf()]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(should=[qf()]))
+        for qid, qf, _sql in MULTITERM_QUERIES
+    ))
 
 
 def multiterm_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = [
         f"SELECT DISTINCT {qid} AS qid, doc_id AS docid FROM tok WHERE {pred}"
         for qid, _qf, pred in MULTITERM_QUERIES
     ]
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -4156,17 +3819,10 @@ def simpleparser_engine(sf_dir: str) -> pa.Table:
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
     parser = SimpleQueryParser(s.analyzer)
-    out_q, out_d = [], []
-    for qid, q, _sql in SIMPLEPARSER_QUERIES:
-        td = s.search(parser.parse(q), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, parser.parse(q))
+        for qid, q, _sql in SIMPLEPARSER_QUERIES
+    ))
 
 
 def simpleparser_engine_sql() -> str:
@@ -4223,17 +3879,10 @@ def parser_escape_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q in PARSER_ESCAPE_QUERIES:
-        td = s.search(parse_query(q, s.analyzer), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, parse_query(q, s.analyzer))
+        for qid, q in PARSER_ESCAPE_QUERIES
+    ))
 
 
 def parser_escape_engine_sql() -> str:
@@ -4314,17 +3963,7 @@ def xmlparser_engine(sf_dir: str) -> pa.Table:
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
     parser = CoreParser(s.analyzer)
-    out_q, out_d = [], []
-    for qid, xml in XMLPARSER_QUERIES:
-        td = s.search(parser.parse(xml), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, ((qid, parser.parse(xml)) for qid, xml in XMLPARSER_QUERIES))
 
 
 def xmlparser_engine_sql() -> str:
@@ -4407,17 +4046,10 @@ def flexparser_engine(sf_dir: str) -> pa.Table:
         "mf": StandardQueryParser(s.analyzer, fields=("content", "repo")),
         "pc": StandardQueryParser(s.analyzer, points_config={"n_chars": int}),
     }
-    out_q, out_d = [], []
-    for qid, key, q in FLEXPARSER_QUERIES:
-        td = s.search(parsers[key].parse(q), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, parsers[key].parse(q))
+        for qid, key, q in FLEXPARSER_QUERIES
+    ))
 
 
 def flexparser_engine_sql() -> str:
@@ -4538,17 +4170,7 @@ def extparser_engine(sf_dir: str) -> pa.Table:
         (3, p_under, "repo_kw:src3 OR merge"),
         (4, p_under, 'content_up:"merge sort"'),
     )
-    out_q, out_d = [], []
-    for qid, parser, q in cases:
-        td = s.search(parser.parse(q), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, ((qid, parser.parse(q)) for qid, parser, q in cases))
 
 
 def extparser_engine_sql() -> str:
@@ -4602,21 +4224,13 @@ def parser_regexp_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q in PARSER_REGEXP_QUERIES:
-        td = s.search(parse_query(q, s.analyzer), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, parse_query(q, s.analyzer))
+        for qid, q in PARSER_REGEXP_QUERIES
+    ))
 
 
 def parser_regexp_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = [
         "SELECT DISTINCT 0 AS qid, doc_id AS docid FROM tok "
         "WHERE regexp_full_match(term, 'mer.e')",
@@ -4632,9 +4246,7 @@ def parser_regexp_engine_sql() -> str:
     ]
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -4663,31 +4275,12 @@ def blended_topk(sf_dir: str) -> pa.Table:
     all_terms = sorted({t for _q, pair, _r, _tb in BLENDED_QUERIES for t in pair})
     term_index = {t: i for i, t in enumerate(all_terms)}
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-
-    def stats(batch: pa.Table) -> pa.Table:
-        _ids, doc_len, tf_cols = _batch_term_tfs(batch, all_terms, term_index)
-        cols = {
-            "n_docs": pa.array([batch.num_rows], type=pa.int64()),
-            "sum_len": pa.array([int(doc_len.sum())], type=pa.int64()),
-        }
-        for i, tf in tf_cols.items():
-            cols[f"df_{i}"] = pa.array([int((tf > 0).sum())], type=pa.int64())
-        return pa.table(cols)
-
-    st = ds.map_batches(stats, batch_format="pyarrow", batch_size=4096).to_pandas()
-    N = int(st.n_docs.sum())
-    avgdl = int(st.sum_len.sum()) / N
-    df_g = {i: int(st[f"df_{i}"].sum()) for i in term_index.values()}
-
-    def topk_candidates(batch: pa.Table) -> pa.Table:
-        doc_ids, doc_len, tf_cols = _batch_term_tfs(batch, all_terms, term_index)
-        n = batch.num_rows
-        out_q, out_d, out_s = [], [], []
+    def score_rule(g, feats, n):
+        doc_len, tf_cols = feats
+        N = g["n_docs"]
+        avgdl = g["sum_len"] / N
         for qid, pair, rewrite, tie in BLENDED_QUERIES:
-            df_blend = max(df_g[term_index[t]] for t in pair)
+            df_blend = max(g[f"df_{term_index[t]}"] for t in pair)
             if df_blend == 0:
                 continue
             contribs = []
@@ -4706,46 +4299,18 @@ def blended_topk(sf_dir: str) -> pa.Table:
             else:
                 smax = np.maximum(c0, c1)
                 score = smax + tie * ((c0 + c1) - smax)
-            cand = np.nonzero(matched)[0]
-            order = np.lexsort((doc_ids[cand], -score[cand]))[:BLENDED_K]
-            sel = cand[order]
-            out_q.extend([qid] * len(sel))
-            out_d.extend(doc_ids[sel].tolist())
-            out_s.extend(score[sel].tolist())
-        return pa.table(
-            {
-                "qid": pa.array(out_q, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
-            }
-        )
+            yield qid, score, matched
 
-    cand = (
-        ds.map_batches(topk_candidates, batch_format="pyarrow", batch_size=4096)
-        .to_pandas()  # O(batches * Q * K)
-    )
-    out = {"qid": [], "rank": [], "doc_id": []}
-    for qid, _pair, _r, _t in BLENDED_QUERIES:
-        sub = cand[cand.qid == qid]
-        d = sub.doc_id.to_numpy()
-        s = sub.score.to_numpy()
-        order = np.lexsort((d, -s))[:BLENDED_K]
-        out["qid"].extend([qid] * len(order))
-        out["rank"].extend(range(len(order)))
-        out["doc_id"].extend(d[order].tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out["qid"], type=pa.int64()),
-            "rank": pa.array(out["rank"], type=pa.int32()),
-            "doc_id": pa.array(out["doc_id"], type=pa.int64()),
-        }
+    return _two_pass_topk(
+        sf_dir, ["doc_id", "text"],
+        lambda batch: _term_tf_kernel(batch, all_terms, term_index),
+        score_rule, [q[0] for q in BLENDED_QUERIES], BLENDED_K,
     )
 
 
 def blended_topk_sql() -> str:
     from lucene_ray.search.similarity import BM25ExactSimilarity
 
-    toks = tokenize_sql_expr("text")
     per_query = []
     for qid, pair, rewrite, tie in BLENDED_QUERIES:
         df_blend = (
@@ -4778,9 +4343,7 @@ def blended_topk_sql() -> str:
         )
     union = "\nUNION ALL\n".join(per_query)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), doc_lens AS (
+{tok_cte()}, doc_lens AS (
   SELECT d.doc_id, coalesce(cnt.c, 0) AS doc_len
   FROM documents d LEFT JOIN (
     SELECT doc_id, count(*) AS c FROM tok GROUP BY doc_id
@@ -4814,24 +4377,15 @@ def blended_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, pair, rewrite, tie in BLENDED_QUERIES:
-        q = BooleanQuery(
+    return _docsets(s, (
+        (qid, BooleanQuery(
             should=[BlendedTermQuery(pair, rewrite=rewrite, tie_breaker=tie)]
-        )
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+        ))
+        for qid, pair, rewrite, tie in BLENDED_QUERIES
+    ))
 
 
 def blended_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, pair, _r, _tb in BLENDED_QUERIES:
         parts.append(
@@ -4840,9 +4394,7 @@ def blended_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -4877,7 +4429,6 @@ def highfreq_terms(sf_dir: str, n: int = 30) -> pa.Table:
 
 
 def highfreq_terms_sql(n: int = 30) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for kind, key in ((0, "df"), (1, "ttf")):
         parts.append(f"""
@@ -4889,9 +4440,7 @@ QUALIFY rank < {n}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), stats AS (
+{tok_cte()}, stats AS (
   SELECT term,
          count(DISTINCT doc_id)::BIGINT AS df,
          count(*)::BIGINT AS ttf
@@ -4914,28 +4463,17 @@ def multirange_engine(sf_dir: str) -> pa.Table:
     — a disjunction of numeric ranges over the n_chars point field in one
     clause; qid 2 conjoins a term. Float-free, SQL-checked exactly."""
     from lucene_ray.search.engine import IndexSearcher
-    from lucene_ray.search.query import BooleanQuery, MultiRangeQuery, TermQuery
+    from lucene_ray.search.query import MultiRangeQuery
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, ranges, term in MULTIRANGE_QUERIES:
-        clauses = [MultiRangeQuery("n_chars", tuple(ranges))]
-        if term:
-            clauses.append(TermQuery(term))
-        td = s.search(BooleanQuery(must=clauses), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, _and_term(MultiRangeQuery("n_chars", tuple(ranges)), term))
+        for qid, ranges, term in MULTIRANGE_QUERIES
+    ))
 
 
 def multirange_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, ranges, term in MULTIRANGE_QUERIES:
         ors = []
@@ -4957,9 +4495,7 @@ def multirange_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -4979,32 +4515,17 @@ def funcrange_engine(sf_dir: str) -> pa.Table:
     bounds; qid 2 conjoins a term. Integer arithmetic in float64 is exact
     both sides — SQL-checked exactly."""
     from lucene_ray.search.engine import IndexSearcher
-    from lucene_ray.search.query import (
-        BooleanQuery,
-        FunctionRangeQuery,
-        TermQuery,
-    )
+    from lucene_ray.search.query import FunctionRangeQuery
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, expr, lo, hi, ilo, ihi, term in FUNCRANGE_QUERIES:
-        clauses = [FunctionRangeQuery(expr, lo, hi, ilo, ihi)]
-        if term:
-            clauses.append(TermQuery(term))
-        td = s.search(BooleanQuery(must=clauses), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, _and_term(FunctionRangeQuery(expr, lo, hi, ilo, ihi), term))
+        for qid, expr, lo, hi, ilo, ihi, term in FUNCRANGE_QUERIES
+    ))
 
 
 def funcrange_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, expr, lo, hi, ilo, ihi, term in FUNCRANGE_QUERIES:
         sql_expr = expr.replace("n_chars", "length(text)")
@@ -5023,9 +4544,7 @@ def funcrange_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -5048,17 +4567,7 @@ def complexphrase_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q, _slots in COMPLEXPHRASE_QUERIES:
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, ((qid, q) for qid, q, _slots in COMPLEXPHRASE_QUERIES))
 
 
 def complexphrase_engine_sql() -> str:
@@ -5128,21 +4637,19 @@ def memoryindex_engine(sf_dir: str) -> pa.Table:
     ids = docs.column("doc_id").to_pylist()
     texts = docs.column("text").to_pylist()
     langs = docs.column("lang").to_pylist()
-    out_q, out_d = [], []
-    for did, text, lang in zip(ids, texts, langs):
+
+    def hits(did: int, text: str, lang: str):
         mi = MemoryIndex()
         mi.add_field("content", text)
         mi.add_field("lang", lang, keyword=True)
-        for qid, q, _sql in MEMORYINDEX_QUERIES:
-            if mi.search(q) > 0.0:
-                out_q.append(qid)
-                out_d.append(did)
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "doc_id": pa.array(out_d, type=pa.int64()),
-        }
-    )
+        return (
+            (qid, [did]) for qid, q, _sql in MEMORYINDEX_QUERIES
+            if mi.search(q) > 0.0
+        )
+
+    return _docset_table(
+        hit for row in zip(ids, texts, langs) for hit in hits(*row)
+    ).rename_columns(["qid", "doc_id"])
 
 
 def memoryindex_engine_sql() -> str:
@@ -5223,17 +4730,7 @@ def termautomaton_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q in _automatons():
-        td = s.search(BooleanQuery(should=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, ((qid, BooleanQuery(should=[q])) for qid, q in _automatons()))
 
 
 def termautomaton_engine_sql() -> str:
@@ -5275,21 +4772,10 @@ def parser_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q, _sql in PARSER_QUERIES:
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, ((qid, q) for qid, q, _sql in PARSER_QUERIES))
 
 
 def parser_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     terms = ["merge", "window", "batch", "sort"]
     ctes = ",\n".join(
         f"has_{t} AS (SELECT DISTINCT doc_id FROM tok WHERE term = '{t}')"
@@ -5300,9 +4786,7 @@ def parser_engine_sql() -> str:
         for qid, _q, sql in PARSER_QUERIES
     )
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-),
+{tok_cte()},
 {ctes}
 {parts}
 """
@@ -5326,20 +4810,10 @@ def span_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, terms, slop, ordered in SPAN_QUERIES:
-        td = s.search(
-            BooleanQuery(should=[SpanNearQuery(terms, slop=slop, ordered=ordered)]),
-            1_000_000,
-        )
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(should=[SpanNearQuery(terms, slop=slop, ordered=ordered)]))
+        for qid, terms, slop, ordered in SPAN_QUERIES
+    ))
 
 
 def span_engine_sql() -> str:
@@ -5431,17 +4905,10 @@ def spanops_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q in _spanops_queries():
-        td = s.search(BooleanQuery(should=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(should=[q]))
+        for qid, q in _spanops_queries()
+    ))
 
 
 def spanops_engine_sql() -> str:
@@ -5537,17 +5004,10 @@ def fieldmask_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir, **_AF_INDEX)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q in _fieldmask_queries():
-        td = s.search(BooleanQuery(should=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(should=[q]))
+        for qid, q in _fieldmask_queries()
+    ))
 
 
 def fieldmask_engine_sql() -> str:
@@ -5610,17 +5070,7 @@ def multifield_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir, **_AF_INDEX)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q in MULTIFIELD_QUERIES:
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, MULTIFIELD_QUERIES)
 
 
 def multifield_engine_sql() -> str:
@@ -5684,18 +5134,13 @@ def combinedfield_topk(sf_dir: str) -> pa.Table:
     all_terms = sorted({t for _, ts in qs for t in ts})
     tix = {t: i for i, t in enumerate(all_terms)}
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"]
-    )
-
-    def cf_batch(batch: pa.Table):
-        """Shared kernel of both passes: per-row (doc_ids, len_c, len_s,
-        {('c'|'s', term_idx): tf})."""
+    def kernel(batch: pa.Table):
+        """Stats row (n_docs, sum_c, sum_s, df{c,s}_i) and features
+        (len_c, len_s, {('c'|'s', term_idx): tf}) of one batch."""
         import pyarrow.compute as pc
 
         an = CodeAnalyzer()
         n = batch.num_rows
-        doc_ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         streams = {}
         for key, col in (("c", "text"), ("s", "source")):
             arr = pc.fill_null(
@@ -5705,50 +5150,27 @@ def combinedfield_topk(sf_dir: str) -> pa.Table:
             streams[key] = (row_idx, terms)
         len_c = np.bincount(streams["c"][0], minlength=n).astype(np.int64)
         len_s = np.bincount(streams["s"][0], minlength=n).astype(np.int64)
+        row = {"n_docs": n, "sum_c": int(len_c.sum()), "sum_s": int(len_s.sum())}
         tf_cols = {}
         for t in all_terms:
             for key in ("c", "s"):
                 row_idx, terms = streams[key]
                 mask = pc.equal(terms, t).to_numpy(zero_copy_only=False)
-                tf_cols[(key, tix[t])] = (
+                tf = (
                     np.bincount(row_idx[mask], minlength=n).astype(np.int64)
                     if len(row_idx)
                     else np.zeros(n, dtype=np.int64)
                 )
-        return doc_ids, len_c, len_s, tf_cols
+                tf_cols[(key, tix[t])] = tf
+                row[f"df{key}_{tix[t]}"] = int((tf > 0).sum())
+        return row, (len_c, len_s, tf_cols)
 
-    # pass 1: one stats row per batch (VERDICT r4 #7 bounded-twin shape)
-    def stats(batch: pa.Table) -> pa.Table:
-        _ids, len_c, len_s, tf_cols = cf_batch(batch)
-        cols = {
-            "n_docs": pa.array([batch.num_rows], type=pa.int64()),
-            "sum_c": pa.array([int(len_c.sum())], type=pa.int64()),
-            "sum_s": pa.array([int(len_s.sum())], type=pa.int64()),
-        }
-        for (key, i), tf in tf_cols.items():
-            cols[f"df{key}_{i}"] = pa.array(
-                [int((tf > 0).sum())], type=pa.int64()
-            )
-        return pa.table(cols)
-
-    st = ds.map_batches(stats, batch_format="pyarrow", batch_size=4096).to_pandas()
-    N = int(st.n_docs.sum())
-    sum_c = int(st.sum_c.sum())
-    sum_s = int(st.sum_s.sum())
-    # weighted-sum collection stats, same float64 expression tree as the SQL
-    avgdl = (CFQ_W_CONTENT * sum_c + CFQ_W_REPO * sum_s) / N
-    df_g = {
-        (key, i): int(st[f"df{key}_{i}"].sum())
-        for key in ("c", "s")
-        for i in tix.values()
-    }
-
-    # pass 2: per-batch top-K candidates only
-    def topk_candidates(batch: pa.Table) -> pa.Table:
-        doc_ids, len_c, len_s, tf_cols = cf_batch(batch)
-        n = batch.num_rows
+    def score_rule(g, feats, n):
+        len_c, len_s, tf_cols = feats
+        N = g["n_docs"]
+        # weighted-sum collection stats, same float64 expression tree as the SQL
+        avgdl = (CFQ_W_CONTENT * g["sum_c"] + CFQ_W_REPO * g["sum_s"]) / N
         dl = CFQ_W_CONTENT * len_c + CFQ_W_REPO * len_s
-        out_q, out_d, out_s = [], [], []
         for qid, terms in qs:
             freq = np.zeros(n, dtype=np.float64)
             df = 0
@@ -5758,44 +5180,15 @@ def combinedfield_topk(sf_dir: str) -> pa.Table:
                 # pair order (term, content), (term, source) — left-assoc
                 freq = freq + CFQ_W_CONTENT * tfc
                 freq = freq + CFQ_W_REPO * tfh
-                df = max(df, df_g[("c", tix[t])], df_g[("s", tix[t])])
+                df = max(df, g[f"dfc_{tix[t]}"], g[f"dfs_{tix[t]}"])
             m = freq > 0
             if df == 0 or not m.any():
                 continue
-            scores = np.where(m, sim.score(freq, dl, df, N, avgdl), 0.0)
-            cand = np.nonzero(m)[0]
-            order = np.lexsort((doc_ids[cand], -scores[cand]))[:BM25_K]
-            sel = cand[order]
-            out_q.extend([qid] * len(sel))
-            out_d.extend(doc_ids[sel].tolist())
-            out_s.extend(scores[sel].tolist())
-        return pa.table(
-            {
-                "qid": pa.array(out_q, type=pa.int64()),
-                "doc_id": pa.array(out_d, type=pa.int64()),
-                "score": pa.array(out_s, type=pa.float64()),
-            }
-        )
+            yield qid, np.where(m, sim.score(freq, dl, df, N, avgdl), 0.0), m
 
-    cand = (
-        ds.map_batches(topk_candidates, batch_format="pyarrow", batch_size=4096)
-        .to_pandas()  # O(batches * Q * K)
-    )
-    out = {"qid": [], "rank": [], "doc_id": []}
-    for qid, _terms in qs:
-        sub = cand[cand.qid == qid]
-        d = sub.doc_id.to_numpy()
-        s = sub.score.to_numpy()
-        order = np.lexsort((d, -s))[:BM25_K]
-        out["qid"].extend([qid] * len(order))
-        out["rank"].extend(range(len(order)))
-        out["doc_id"].extend(d[order].tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out["qid"], type=pa.int64()),
-            "rank": pa.array(out["rank"], type=pa.int32()),
-            "doc_id": pa.array(out["doc_id"], type=pa.int64()),
-        }
+    return _two_pass_topk(
+        sf_dir, ["doc_id", "text", "source"], kernel, score_rule,
+        [qid for qid, _ in qs], BM25_K,
     )
 
 
@@ -5886,17 +5279,11 @@ def combinedfield_engine(sf_dir: str) -> pa.Table:
     ix = _engine_index(sf_dir, **_AF_INDEX)
     s = IndexSearcher(ix)
     fields = (("content", CFQ_W_CONTENT), ("repo", CFQ_W_REPO))
-    out_q, out_d = [], []
-    for qid, terms in COMBINEDFIELD_QUERIES:
-        q = CombinedFieldQuery(terms=tuple(terms), fields=fields)
-        td = s.search(BooleanQuery(should=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(sorted(td.docids.tolist()))
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+    return _docset_table(
+        (qid, np.sort(s.search(BooleanQuery(should=[
+            CombinedFieldQuery(terms=tuple(terms), fields=fields)
+        ]), 1_000_000).docids))
+        for qid, terms in COMBINEDFIELD_QUERIES
     )
 
 
@@ -5957,17 +5344,10 @@ def intervals_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, src in _interval_queries():
-        td = s.search(BooleanQuery(should=[IntervalQuery(src)]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(should=[IntervalQuery(src)]))
+        for qid, src in _interval_queries()
+    ))
 
 
 def intervals_engine_sql() -> str:
@@ -6076,7 +5456,6 @@ def group_engine(sf_dir: str) -> pa.Table:
 
 
 def group_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     col = {"lang": "lang", "repo": "source"}
     ctes, selects = [], []
     for qid, q, fld in GROUP_QUERIES:
@@ -6101,9 +5480,7 @@ def group_engine_sql() -> str:
     cte_block = ",\n".join(ctes)
     union = "\nUNION ALL\n".join(selects)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-),
+{tok_cte()},
 {cte_block}
 {union}
 """
@@ -6138,20 +5515,9 @@ def mlt_engine(sf_dir: str) -> pa.Table:
             docs.column("doc_id").to_pylist(), docs.column("text").to_pylist()
         )
     }
-    out_q, out_d = [], []
-    for seed in MLT_SEEDS:
-        bq = more_like_this(s.reader, texts[seed], s.analyzer)
-        if not bq.should:
-            continue
-        td = s.search(bq, 1_000_000)
-        out_q.extend([seed] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    seeds = ((seed, more_like_this(s.reader, texts[seed], s.analyzer))
+             for seed in MLT_SEEDS)
+    return _docsets(s, ((seed, bq) for seed, bq in seeds if bq.should))
 
 
 def mlt_engine_sql() -> str:
@@ -6161,12 +5527,9 @@ def mlt_engine_sql() -> str:
         MLT_MIN_TERM_FREQ,
     )
 
-    toks = tokenize_sql_expr("text")
     seeds = ", ".join(f"({s})" for s in MLT_SEEDS)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), n AS (
+{tok_cte()}, n AS (
   SELECT count(*)::DOUBLE AS n FROM documents
 ), tf AS (
   SELECT doc_id, term, count(*)::BIGINT AS tf FROM tok GROUP BY doc_id, term
@@ -6204,30 +5567,19 @@ def feature_engine(sf_dir: str, k: int = 20) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_r, out_d = [], [], []
     cases = [
         (0, "merge", FeatureQuery("n_chars", weight=1.0, function="log")),
         (1, "window", FeatureQuery("n_chars", weight=2.0, function="saturation", pivot=100.0)),
     ]
-    for qid, term, fq in cases:
-        q = BooleanQuery(
+    return _ranked_table(
+        (qid, s.search(BooleanQuery(
             must=[ConstantScoreQuery(TermQuery(term), boost=0.0)], should=[fq]
-        )
-        td = s.search(q, k)
-        out_q.extend([qid] * len(td.docids))
-        out_r.extend(range(len(td.docids)))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "rank": pa.array(out_r, type=pa.int32()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+        ), k).docids)
+        for qid, term, fq in cases
     )
 
 
 def feature_engine_sql(k: int = 20) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term in ((0, "merge"), (1, "window")):
         parts.append(f"""
@@ -6241,9 +5593,7 @@ QUALIFY rank < {k}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -6267,22 +5617,12 @@ def exprscore_engine(sf_dir: str, k: int = 20) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_r, out_d = [], [], []
-    for qid, term, expr, _sql in EXPRSCORE_CASES:
-        q = BooleanQuery(
+    return _ranked_table(
+        (qid, s.search(BooleanQuery(
             must=[ConstantScoreQuery(TermQuery(term), boost=0.0)],
             should=[FunctionScoreQuery(MatchAllDocsQuery(boost=0.0), expr)],
-        )
-        td = s.search(q, k)
-        out_q.extend([qid] * len(td.docids))
-        out_r.extend(range(len(td.docids)))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "rank": pa.array(out_r, type=pa.int32()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+        ), k).docids)
+        for qid, term, expr, _sql in EXPRSCORE_CASES
     )
 
 
@@ -6306,7 +5646,6 @@ EXPRSCORE_CASES = [
 
 
 def exprscore_engine_sql(k: int = 20) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term, _expr, sql_expr in EXPRSCORE_CASES:
         parts.append(f"""
@@ -6319,9 +5658,7 @@ QUALIFY rank < {k}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), tc AS (
+{tok_cte()}, tc AS (
   SELECT doc_id, count(*)::BIGINT AS n_tok FROM tok GROUP BY doc_id
 )
 {union}
@@ -6374,25 +5711,12 @@ def blockjoin_engine(sf_dir: str) -> pa.Table:
     try:
         build_index([src], ix, target_docs=512)
         s = IndexSearcher(ix)
-        out_q, out_d = [], []
-        for qid, term in enumerate(BLOCKJOIN_TERMS):
-            q = BooleanQuery(
-                should=[
-                    ToParentBlockJoinQuery(
-                        TermQuery(term), TermQuery("repo:parent"),
-                        score_mode="none",
-                    )
-                ]
-            )
-            td = s.search(q, 1_000_000)
-            out_q.extend([qid] * len(td.docids))
-            out_d.extend(td.docids.tolist())
-        return pa.table(
-            {
-                "qid": pa.array(out_q, type=pa.int64()),
-                "docid": pa.array(out_d, type=pa.int64()),
-            }
-        )
+        return _docsets(s, (
+            (qid, BooleanQuery(should=[ToParentBlockJoinQuery(
+                TermQuery(term), TermQuery("repo:parent"), score_mode="none",
+            )]))
+            for qid, term in enumerate(BLOCKJOIN_TERMS)
+        ))
     finally:
         shutil.rmtree(ix, ignore_errors=True)
         if os.path.exists(src):
@@ -6400,7 +5724,6 @@ def blockjoin_engine(sf_dir: str) -> pa.Table:
 
 
 def blockjoin_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term in enumerate(BLOCKJOIN_TERMS):
         parts.append(f"""
@@ -6411,9 +5734,7 @@ WHERE doc_id IN (SELECT DISTINCT doc_id FROM tok WHERE term = '{term}')
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), ranked AS (
+{tok_cte()}, ranked AS (
   SELECT doc_id, (row_number() OVER (ORDER BY doc_id) - 1) AS rk
   FROM documents
 )
@@ -6473,17 +5794,7 @@ def childjoin_engine(sf_dir: str) -> pa.Table:
             (1, ToChildBlockJoinQuery(TermQuery("repo:parent"), pfilter)),
             (2, ParentChildrenBlockJoinQuery(pfilter, TermQuery("merge"), 7)),
         ]
-        out_q, out_d = [], []
-        for qid, q in qs:
-            td = s.search(BooleanQuery(should=[q]), 1_000_000)
-            out_q.extend([qid] * len(td.docids))
-            out_d.extend(td.docids.tolist())
-        return pa.table(
-            {
-                "qid": pa.array(out_q, type=pa.int64()),
-                "docid": pa.array(out_d, type=pa.int64()),
-            }
-        )
+        return _docsets(s, ((qid, BooleanQuery(should=[q])) for qid, q in qs))
     finally:
         shutil.rmtree(ix, ignore_errors=True)
         if os.path.exists(src):
@@ -6491,13 +5802,10 @@ def childjoin_engine(sf_dir: str) -> pa.Table:
 
 
 def childjoin_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     # child (block i, slot j) carries the rk = 3i+j-th document (doc_id
     # order) and sits at engine docid 4i+j; parent docid = 4i+3
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), ranked AS (
+{tok_cte()}, ranked AS (
   SELECT doc_id, (row_number() OVER (ORDER BY doc_id) - 1) AS rk
   FROM documents
 ), nb AS (
@@ -6551,12 +5859,10 @@ def dvupdate_engine(sf_dir: str, k: int = 25) -> pa.Table:
         build_index([split_corpus], ix, target_docs=120)
         update_numeric_docvalues(ix, "window", "n_chars", DV_UPDATE_VALUE)
         s = IndexSearcher(ix)
-        out_q, out_r, out_d = [], [], []
-        for qid, term, asc in ((0, "window", True), (1, "merge", False)):
-            td = search_sorted(s, term, "n_chars", k=k, ascending=asc)
-            out_q.extend([qid] * len(td.docids))
-            out_r.extend(range(len(td.docids)))
-            out_d.extend(td.docids.tolist())
+        ranked = [
+            (qid, search_sorted(s, term, "n_chars", k=k, ascending=asc).docids)
+            for qid, term, asc in ((0, "window", True), (1, "merge", False))
+        ]
         force_merge(ix)
         s2 = IndexSearcher(ix)
         td = s2.search(
@@ -6565,17 +5871,8 @@ def dvupdate_engine(sf_dir: str, k: int = 25) -> pa.Table:
             ),
             1_000_000,
         )
-        d_sorted = np.sort(td.docids)[:k]
-        out_q.extend([2] * len(d_sorted))
-        out_r.extend(range(len(d_sorted)))
-        out_d.extend(d_sorted.tolist())
-        return pa.table(
-            {
-                "qid": pa.array(out_q, type=pa.int64()),
-                "rank": pa.array(out_r, type=pa.int32()),
-                "docid": pa.array(out_d, type=pa.int64()),
-            }
-        )
+        ranked.append((2, np.sort(td.docids)[:k]))
+        return _ranked_table(ranked)
     finally:
         shutil.rmtree(ix, ignore_errors=True)
         if os.path.exists(split_corpus):
@@ -6583,7 +5880,6 @@ def dvupdate_engine(sf_dir: str, k: int = 25) -> pa.Table:
 
 
 def dvupdate_engine_sql(k: int = 25) -> str:
-    toks = tokenize_sql_expr("text")
     v = DV_UPDATE_VALUE
     parts = []
     for qid, term, direction in ((0, "window", "ASC"), (1, "merge", "DESC")):
@@ -6607,9 +5903,7 @@ QUALIFY rank < {k}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), has_window AS (
+{tok_cte()}, has_window AS (
   SELECT DISTINCT doc_id FROM tok WHERE term = 'window'
 )
 {union}
@@ -6632,26 +5926,14 @@ def join_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
     # documents_as_corpus maps source->repo; engine field names differ
     fld_map = {"lang": "lang", "source": "repo"}
-    for qid, fq, fld, tq in JOIN_QUERIES:
-        joined = join_query(s, fq, fld_map[fld], to_query=tq)
-        if not (joined.must or joined.should):
-            continue
-        td = s.search(joined, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    joins = ((qid, join_query(s, fq, fld_map[fld], to_query=tq))
+             for qid, fq, fld, tq in JOIN_QUERIES)
+    return _docsets(s, ((qid, q) for qid, q in joins if q.must or q.should))
 
 
 def join_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, fq, fld, tq in JOIN_QUERIES:
         parts.append(f"""
@@ -6665,9 +5947,7 @@ AND d.doc_id IN (SELECT doc_id FROM tok WHERE term = '{tq}')
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT DISTINCT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -6724,7 +6004,6 @@ def distrange_engine(sf_dir: str) -> pa.Table:
 
 
 def rangefacet_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term in ((0, "merge"), (1, "window")):
         for ridx, (lo, hi) in enumerate(RANGE_FACETS):
@@ -6736,9 +6015,7 @@ WHERE doc_id IN (SELECT DISTINCT doc_id FROM tok WHERE term = '{term}')
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -6773,7 +6050,6 @@ def longvaluefacet_engine(sf_dir: str, top_n: int = 10) -> pa.Table:
 
 
 def longvaluefacet_engine_sql(top_n: int = 10) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term in ((0, "merge"), (1, "window")):
         parts.append(f"""
@@ -6790,9 +6066,7 @@ QUALIFY rank < {top_n}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -6813,19 +6087,10 @@ def multiphrase_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, slots in MULTIPHRASE_QUERIES:
-        td = s.search(
-            BooleanQuery(should=[MultiPhraseQuery(slots)]), 1_000_000
-        )
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(should=[MultiPhraseQuery(slots)]))
+        for qid, slots in MULTIPHRASE_QUERIES
+    ))
 
 
 def multiphrase_engine_sql() -> str:
@@ -6880,7 +6145,6 @@ def count_engine(sf_dir: str) -> pa.Table:
 
 
 def count_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     sets = {
         0: "SELECT doc_id FROM has_merge INTERSECT SELECT doc_id FROM has_window",
         1: "SELECT doc_id FROM has_batch EXCEPT SELECT doc_id FROM has_stream",
@@ -6907,9 +6171,7 @@ def count_engine_sql() -> str:
         for q in sorted(sets)
     )
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-),
+{tok_cte()},
 {ctes}
 SELECT qid, n FROM ({counts}) ORDER BY qid
 """
@@ -6996,7 +6258,6 @@ def globalordjoin_engine(sf_dir: str) -> pa.Table:
 
 
 def globalordjoin_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term, field, mode in GLOBALORD_QUERIES:
         col = "lang" if field == "lang" else "source"
@@ -7014,9 +6275,7 @@ QUALIFY rank < {GLOBALORD_K}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -7040,23 +6299,13 @@ def dvsort_engine(sf_dir: str, k: int = 20) -> pa.Table:
 
     ix = _engine_index(sf_dir, **_DV_INDEX)
     s = IndexSearcher(ix)
-    out_q, out_r, out_d = [], [], []
-    for qid, term, fld, asc in DVSORT_QUERIES:
-        td = search_sorted(s, term, fld, k=k, ascending=asc)
-        out_q.extend([qid] * len(td.docids))
-        out_r.extend(range(len(td.docids)))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "rank": pa.array(out_r, type=pa.int32()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+    return _ranked_table(
+        (qid, search_sorted(s, term, fld, k=k, ascending=asc).docids)
+        for qid, term, fld, asc in DVSORT_QUERIES
     )
 
 
 def dvsort_engine_sql(k: int = 20) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     # src_id == doc_id; lang -> lang, repo -> source (documents_as_corpus_dv)
     for qid, term, key, direction in (
@@ -7075,9 +6324,7 @@ QUALIFY rank < {k}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -7125,7 +6372,6 @@ def dvfacet_engine(sf_dir: str) -> pa.Table:
 
 
 def dvfacet_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, q, field, kind in DVFACET_QUERIES:
         match = (
@@ -7145,9 +6391,7 @@ SELECT {qid} AS qid, {col} AS value, count(*)::BIGINT AS count
 FROM documents WHERE {match} GROUP BY {col}""")
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -7165,28 +6409,17 @@ def dvrange_engine(sf_dir: str) -> pa.Table:
     doc value — proves schema-driven fields get the 1-D points view (range
     filter path), not just the doc-ordered column."""
     from lucene_ray.search.engine import IndexSearcher
-    from lucene_ray.search.query import BooleanQuery, PointRangeQuery, TermQuery
+    from lucene_ray.search.query import PointRangeQuery
 
     ix = _engine_index(sf_dir, **_DV_INDEX)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, lo, hi, term in DVRANGE_QUERIES:
-        must = [PointRangeQuery("src_id", lo, hi)]
-        if term:
-            must.append(TermQuery(term))
-        td = s.search(BooleanQuery(must=must), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, _and_term(PointRangeQuery("src_id", lo, hi), term))
+        for qid, lo, hi, term in DVRANGE_QUERIES
+    ))
 
 
 def dvrange_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, lo, hi, term in DVRANGE_QUERIES:
         conds = []
@@ -7204,9 +6437,7 @@ def dvrange_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -7270,7 +6501,6 @@ def dvstats_engine(sf_dir: str) -> pa.Table:
 
 
 def dvstats_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     # src_id == doc_id and lang -> lang under documents_as_corpus_dv; the
     # GROUP BY makes a zero-match term yield no row (engine skips it too)
     parts = []
@@ -7291,9 +6521,7 @@ GROUP BY 1
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -7333,7 +6561,6 @@ def diversified_engine(
 
 
 def diversified_engine_sql(k: int = 15, max_per_key: int = 2) -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term in DIVERSIFIED_QUERIES:
         parts.append(f"""
@@ -7352,9 +6579,7 @@ QUALIFY rank < {k}
 """)
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -7397,21 +6622,10 @@ def dvquery_engine(sf_dir: str) -> pa.Table:
         (4, BooleanQuery(must=[TermQuery("merge"), iodv])),
         (5, BooleanQuery(must=[iodv])),
     ]
-    out_q, out_d = [], []
-    for qid, bq in cases:
-        td = s.search(bq, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, cases)
 
 
 def dvquery_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     # labels = {lang, source} (SORTED_SET deriver); src_id = doc_id
     parts = [
         "SELECT 0 AS qid, doc_id AS docid FROM documents WHERE lang IN ('en','fr')",
@@ -7429,9 +6643,7 @@ def dvquery_engine_sql() -> str:
     ]
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -7460,22 +6672,15 @@ def covering_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir, **_DV_INDEX)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, terms, src in COVERING_QUERIES:
-        q = CoveringQuery(tuple(TermQuery(t) for t in terms), src)
-        td = s.search(BooleanQuery(should=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(should=[
+            CoveringQuery(tuple(TermQuery(t) for t in terms), src)
+        ]))
+        for qid, terms, src in COVERING_QUERIES
+    ))
 
 
 def covering_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, terms, src in COVERING_QUERIES:
         inlist = ", ".join(f"'{t}'" for t in terms)
@@ -7489,9 +6694,7 @@ def covering_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -7536,7 +6739,6 @@ def payload_engine(sf_dir: str) -> pa.Table:
 
 
 def payload_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     agg = {
         "sum": "sum(length(term))::DOUBLE",
         "min": "min(length(term))::DOUBLE",
@@ -7552,9 +6754,7 @@ def payload_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -7860,37 +7060,26 @@ def softdelete_engine(sf_dir: str) -> pa.Table:
         build_index([corpus_path], ix, target_docs=8192)
         n = IndexSearcher(ix).reader.doc_count
         ids = np.arange(n, dtype=np.int64)
-        out_q, out_d = [], []
 
-        def collect(qid: int):
-            td = IndexSearcher(ix).search("merge", 1_000_000)
-            out_q.extend([qid] * len(td.docids))
-            out_d.extend(td.docids.tolist())
+        def collect():
+            return IndexSearcher(ix).search("merge", 1_000_000).docids
 
         soft_delete_docs(ix, ids[ids % 7 == 0])
-        collect(0)
+        hits = [collect()]
         soft_undelete_docs(ix, ids[ids % 14 == 0])
-        collect(1)
+        hits.append(collect())
         prune_soft_deletes(ix, retain_term="window")
         force_merge(ix, use_ray=False)
         soft_undelete_docs(ix, ids)
-        collect(2)
-        return pa.table(
-            {
-                "qid": pa.array(out_q, type=pa.int64()),
-                "docid": pa.array(out_d, type=pa.int64()),
-            }
-        )
+        hits.append(collect())
+        return _docset_table(enumerate(hits))
     finally:
         shutil.rmtree(ix, ignore_errors=True)
 
 
 def softdelete_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), m AS (
+{tok_cte()}, m AS (
   SELECT DISTINCT doc_id FROM tok WHERE term = 'merge'
 ), w AS (
   SELECT DISTINCT doc_id FROM tok WHERE term = 'window'
@@ -7950,20 +7139,12 @@ def bboxfield_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir, range_fields=("bbox_lat", "bbox_lon"))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, la0, lo0, la1, lo1, rel in BBOX_QUERIES:
-        q = BooleanQuery(
+    return _docsets(s, (
+        (qid, BooleanQuery(
             must=[LatLonBoundingBoxQuery("bbox", la0, lo0, la1, lo1, rel)]
-        )
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+        ))
+        for qid, la0, lo0, la1, lo1, rel in BBOX_QUERIES
+    ))
 
 
 def bboxfield_engine_sql() -> str:
@@ -8033,18 +7214,10 @@ def rangefield_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir, range_fields=("span",))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, lo, hi, rel in RANGEFIELD_QUERIES:
-        q = BooleanQuery(must=[RangeFieldQuery("span", lo, hi, rel)])
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(must=[RangeFieldQuery("span", lo, hi, rel)]))
+        for qid, lo, hi, rel in RANGEFIELD_QUERIES
+    ))
 
 
 def rangefield_engine_sql() -> str:
@@ -8100,37 +7273,26 @@ def replica_engine(sf_dir: str) -> pa.Table:
     dst = tempfile.mkdtemp(prefix="docs_repl_dst_", dir="/tmp/lucene_ray_cache")
     try:
         build_index([corpus_path], src, target_docs=8192)
-        out_q, out_d = [], []
 
-        def collect(qid: int):
-            td = IndexSearcher(dst).search("merge", 1_000_000)
-            out_q.extend([qid] * len(td.docids))
-            out_d.extend(td.docids.tolist())
+        def collect():
+            return IndexSearcher(dst).search("merge", 1_000_000).docids
 
         replicate(src, dst)
-        collect(0)
+        hits = [collect()]
         n = IndexSearcher(src).reader.doc_count
         ids = np.arange(n, dtype=np.int64)
         delete_docs(src, ids[ids % 11 == 0])
         replicate(src, dst)
-        collect(1)
-        return pa.table(
-            {
-                "qid": pa.array(out_q, type=pa.int64()),
-                "docid": pa.array(out_d, type=pa.int64()),
-            }
-        )
+        hits.append(collect())
+        return _docset_table(enumerate(hits))
     finally:
         shutil.rmtree(src, ignore_errors=True)
         shutil.rmtree(dst, ignore_errors=True)
 
 
 def replica_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), m AS (
+{tok_cte()}, m AS (
   SELECT DISTINCT doc_id FROM tok WHERE term = 'merge'
 )
 SELECT 0 AS qid, doc_id AS docid FROM m
@@ -8162,21 +7324,13 @@ def groupheads_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, term, fld in GROUPHEADS_QUERIES:
-        heads = all_group_heads(s, term, fld, "n_chars")
-        out_q.extend([qid] * len(heads))
-        out_d.extend(heads.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+    return _docset_table(
+        (qid, all_group_heads(s, term, fld, "n_chars"))
+        for qid, term, fld in GROUPHEADS_QUERIES
     )
 
 
 def groupheads_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     col = {"lang": "lang", "repo": "source"}
     parts = []
     for qid, term, fld in GROUPHEADS_QUERIES:
@@ -8191,9 +7345,7 @@ SELECT {qid} AS qid, doc_id AS docid FROM (
 ) WHERE rn = 1""")
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -8224,7 +7376,6 @@ def distinctvalues_engine(sf_dir: str) -> pa.Table:
 
 
 def distinctvalues_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     ctes, selects = [], []
     for qid, term in ((0, "merge"), (1, "window")):
         ctes.append(
@@ -8242,9 +7393,7 @@ def distinctvalues_engine_sql() -> str:
     cte_block = ",\n".join(ctes)
     union = "\nUNION ALL\n".join(selects)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-),
+{tok_cte()},
 {cte_block}
 {union}
 """
@@ -8276,7 +7425,6 @@ def groupfacet_engine(sf_dir: str) -> pa.Table:
 
 
 def groupfacet_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, term in ((0, "merge"), (1, "stream")):
         parts.append(
@@ -8287,9 +7435,7 @@ def groupfacet_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -8325,7 +7471,6 @@ def rangegroup_engine(sf_dir: str) -> pa.Table:
 
 
 def rangegroup_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     r_min, width, r_max = RANGEGROUP_BOUNDS
     long_min = -(1 << 63)
     bucket = (
@@ -8353,9 +7498,7 @@ def rangegroup_engine_sql() -> str:
     cte_block = ",\n".join(ctes)
     union = "\nUNION ALL\n".join(selects)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-),
+{tok_cte()},
 {cte_block}
 {union}
 """
@@ -8427,7 +7570,6 @@ def blockgroup_engine(sf_dir: str) -> pa.Table:
 
 
 def blockgroup_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     ctes, selects = [], []
     for qid, term in ((0, "merge"), (1, "window")):
         ctes.append(
@@ -8448,9 +7590,7 @@ def blockgroup_engine_sql() -> str:
     cte_block = ",\n".join(ctes)
     union = "\nUNION ALL\n".join(selects)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), ranked AS (
+{tok_cte()}, ranked AS (
   SELECT doc_id, (row_number() OVER (ORDER BY doc_id) - 1) AS rk
   FROM documents
 ), nb AS (
@@ -8494,17 +7634,10 @@ def hfpoint_engine(sf_dir: str) -> pa.Table:
     # HalfFloatPoint demo field (hfscore = fp16(n_chars - 300), sortable)
     ix = _engine_index(sf_dir, dv_fields=("hfscore",))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q, _sql in _hfpoint_queries():
-        td = s.search(BooleanQuery(must=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(must=[q]))
+        for qid, q, _sql in _hfpoint_queries()
+    ))
 
 
 def hfpoint_engine_sql() -> str:
@@ -8588,17 +7721,10 @@ def fpmultirange_engine(sf_dir: str) -> pa.Table:
 
     ix = _engine_index(sf_dir, dv_fields=("dscore", "fscore"))
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, q, _sql in _fpmultirange_queries():
-        td = s.search(BooleanQuery(must=[q]), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, BooleanQuery(must=[q]))
+        for qid, q, _sql in _fpmultirange_queries()
+    ))
 
 
 def fpmultirange_engine_sql() -> str:
@@ -9031,6 +8157,8 @@ def searchquality_engine(sf_dir: str) -> pa.Table:
 
 def searchquality_engine_sql() -> str:
     toks = tokenize_sql_expr("text")
+    # coalesce: a query ranking fewer than n docs (or none) scores 0.0 at
+    # p@n, and an empty ranking 0.0 recall, as QualityStats' initial values
     ctes, selects = [], []
     for qid, term, judge_term, k in QUALITY_QUERIES:
         ctes.append(f"""r{qid} AS (
@@ -9048,11 +8176,11 @@ def searchquality_engine_sql() -> str:
   FROM r{qid} r
 ), m{qid} AS (
   SELECT (SELECT count(*) FROM j{qid})::DOUBLE AS maxgood,
-         (SELECT good::DOUBLE / rk FROM s{qid} WHERE rk = 1) AS p1,
-         (SELECT good::DOUBLE / rk FROM s{qid} WHERE rk = 5) AS p5,
-         (SELECT good::DOUBLE / rk FROM s{qid} WHERE rk = 10) AS p10,
-         (SELECT good::DOUBLE / rk FROM s{qid} WHERE rk = (SELECT max(rk) FROM s{qid})) AS plast,
-         (SELECT max(good) FROM s{qid})::DOUBLE AS goodtotal,
+         coalesce((SELECT good::DOUBLE / rk FROM s{qid} WHERE rk = 1), 0.0) AS p1,
+         coalesce((SELECT good::DOUBLE / rk FROM s{qid} WHERE rk = 5), 0.0) AS p5,
+         coalesce((SELECT good::DOUBLE / rk FROM s{qid} WHERE rk = 10), 0.0) AS p10,
+         coalesce((SELECT good::DOUBLE / rk FROM s{qid} WHERE rk = (SELECT max(rk) FROM s{qid})), 0.0) AS plast,
+         coalesce((SELECT max(good) FROM s{qid})::DOUBLE, 0.0) AS goodtotal,
          (SELECT coalesce(list_reduce(list(good::DOUBLE / rk ORDER BY rk), (a, b) -> a + b), 0.0)
           FROM s{qid} WHERE rel) AS prelsum,
          (SELECT min(rk) FROM s{qid} WHERE rel) AS firstrel
@@ -9523,19 +8651,9 @@ def multireader_engine(sf_dir: str) -> pa.Table:
 
     ix_a, ix_b = _engine_index_halves(sf_dir)
     s = IndexSearcher(MultiReader([ix_a, ix_b]))
-    out_q, out_d = [], []
-    for qid, q in enumerate(
+    return _docsets(s, enumerate(
         ("merge", "window table", "+stream -slow", '"hash scan"')
-    ):
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    ))
 
 
 def multireader_engine_sql() -> str:
@@ -9658,7 +8776,6 @@ def fstcompletion_suggest(sf_dir: str) -> pa.Table:
 
 
 def fstcompletion_suggest_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, p in FSTCOMPLETION_PREFIXES:
         parts.append(f"""
@@ -9671,9 +8788,7 @@ SELECT {qid} AS qid, rank, term, bucket FROM (
 ) WHERE rank < {FSTCOMPLETION_N}""")
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), vocab AS (
+{tok_cte()}, vocab AS (
   SELECT term, count(DISTINCT doc_id)::BIGINT AS df FROM tok GROUP BY term
 ), lines AS (
   SELECT term, df,
@@ -9744,25 +8859,12 @@ def parallel_engine(sf_dir: str) -> pa.Table:
             must=[TermQuery("window"), TermQuery("lang:en")]
         )),
     ]
-    out_q, out_d = [], []
-    for qid, q in qs:
-        td = s.search(q, 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, qs)
 
 
 def parallel_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 SELECT DISTINCT 0 AS qid, doc_id AS docid FROM tok
 WHERE term = 'merge' AND doc_id % 2 = 0
 UNION ALL
@@ -9792,32 +8894,17 @@ def funcmatch_engine(sf_dir: str) -> pa.Table:
     n_chars EXACTLY 200 match (200/100 == 2.0); 250/100 = 2.5 does not —
     both sides agree because the division is IEEE.)"""
     from lucene_ray.search.engine import IndexSearcher
-    from lucene_ray.search.query import (
-        BooleanQuery,
-        FunctionMatchQuery,
-        TermQuery,
-    )
+    from lucene_ray.search.query import FunctionMatchQuery
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, expr, _sql, term in FUNCMATCH_QUERIES:
-        clauses = [FunctionMatchQuery(expr)]
-        if term:
-            clauses.append(TermQuery(term))
-        td = s.search(BooleanQuery(must=clauses), 1_000_000)
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
-    )
+    return _docsets(s, (
+        (qid, _and_term(FunctionMatchQuery(expr), term))
+        for qid, expr, _sql, term in FUNCMATCH_QUERIES
+    ))
 
 
 def funcmatch_engine_sql() -> str:
-    toks = tokenize_sql_expr("text")
     parts = []
     for qid, _expr, sql, term in FUNCMATCH_QUERIES:
         cond = f"({sql})"
@@ -9831,9 +8918,7 @@ def funcmatch_engine_sql() -> str:
         )
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -9860,23 +8945,13 @@ def exprsort_engine(sf_dir: str, k: int = 15) -> pa.Table:
 
     ix = _engine_index(sf_dir)
     s = IndexSearcher(ix)
-    out_q, out_r, out_d = [], [], []
-    for qid, term, expr, asc in EXPRSORT_QUERIES:
-        td = search_sorted_expression(s, term, expr, k=k, ascending=asc)
-        out_q.extend([qid] * len(td.docids))
-        out_r.extend(range(len(td.docids)))
-        out_d.extend(td.docids.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "rank": pa.array(out_r, type=pa.int32()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+    return _ranked_table(
+        (qid, search_sorted_expression(s, term, expr, k=k, ascending=asc).docids)
+        for qid, term, expr, asc in EXPRSORT_QUERIES
     )
 
 
 def exprsort_engine_sql(k: int = 15) -> str:
-    toks = tokenize_sql_expr("text")
     sql_expr = {
         0: "abs(length(d.text) - 300)",
         1: "(length(d.text) % 50) * 1000 + length(d.text)",
@@ -9895,9 +8970,7 @@ WHERE d.doc_id IN (SELECT DISTINCT doc_id FROM tok WHERE term = '{term}')
 QUALIFY rank < {k}""")
     union = "\nUNION ALL\n".join(parts)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-)
+{tok_cte()}
 {union}
 """
 
@@ -9922,16 +8995,9 @@ def spanpayload_engine(sf_dir: str) -> pa.Table:
     # payload = pos % 16: varies across a term's occurrences
     ix = _engine_index(sf_dir, payload_fn="pos_mod16")
     s = IndexSearcher(ix)
-    out_q, out_d = [], []
-    for qid, terms, pays in SPANPAYLOAD_QUERIES:
-        docs = span_payload_check(s, terms, pays)
-        out_q.extend([qid] * len(docs))
-        out_d.extend(docs.tolist())
-    return pa.table(
-        {
-            "qid": pa.array(out_q, type=pa.int64()),
-            "docid": pa.array(out_d, type=pa.int64()),
-        }
+    return _docset_table(
+        (qid, span_payload_check(s, terms, pays))
+        for qid, terms, pays in SPANPAYLOAD_QUERIES
     )
 
 

@@ -808,13 +808,10 @@ def knn_filtered(sf_dir: str, k: int = TOP_K, term: str = KNN_FILTER_TERM) -> "r
 
 
 def knn_filtered_sql(k: int = TOP_K, term: str = KNN_FILTER_TERM) -> str:
-    from lucene_ray.analysis.analyzer import tokenize_sql_expr
+    from lucene_ray.analysis.analyzer import tok_cte
 
-    toks = tokenize_sql_expr("text")
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), allowed AS (
+{tok_cte()}, allowed AS (
   SELECT DISTINCT doc_id FROM tok WHERE term = '{term}'
 ), q AS (
   SELECT vec_id AS query_id, embedding FROM embeddings WHERE vec_id < {N_QUERIES}

@@ -1,9 +1,11 @@
 """Multimodal column plumbing: opaque binary payloads + typed metadata
 through actor-pool decode/feature stages.
 
-The container has no image/audio codecs, so the DECODE KERNEL IS STUBBED
-(deterministic byte-level features; the real-codec branch raises
-NotImplementedError) — but the Ray-side plumbing is real and tested:
+Two decode paths share the same Ray-side plumbing. FeatureExtractor,
+FrameSampler and Resizer treat payloads as raw bytes (byte histograms,
+fixed-size chunks, a row-major uint8 matrix): no image/audio/video library
+is a dependency. MediaDecoder (below) decodes real PNG and WAV containers
+with the pure-Python codecs in ops/media_codec.py. The plumbing:
   - binary column + metadata schema (media_id, media_type, payload, n_bytes)
   - actor-pool stage (callable class: "codec" loaded once per actor in
     __init__, batches in __call__) with small batch_size because payload
@@ -40,16 +42,9 @@ def media_table(sf_dir: str) -> "ray.data.Dataset":
 
 class FeatureExtractor:
     """Actor-pool stage: byte-histogram 'features' from binary payloads.
+    A real image/audio decoder would load once per actor in __init__."""
 
-    ``real_codec=True`` is the branch where an actual image/audio decoder
-    would load in __init__ — unavailable in this environment, so it raises
-    NotImplementedError by contract (clearly-marked stub)."""
-
-    def __init__(self, n_bins: int = 16, real_codec: bool = False):
-        if real_codec:
-            raise NotImplementedError(
-                "no media codecs in this environment; byte-histogram stub only"
-            )
+    def __init__(self, n_bins: int = 16):
         self.n_bins = n_bins
         # "model load" happens once per actor: precompute the bin lookup
         self.bin_of_byte = (np.arange(256) * n_bins // 256).astype(np.int64)
@@ -166,14 +161,9 @@ class FrameSampler:
     a binary payload — the video frame-sampling plumbing (rows EXPAND:
     one media row -> several frame rows, so output batches are wider than
     input; batch_size stays small). A real implementation replaces the
-    chunk split with a container demuxer loaded once in __init__
-    (real_codec branch raises by contract)."""
+    chunk split with a container demuxer loaded once in __init__."""
 
-    def __init__(self, frame_bytes: int = 4096, stride: int = 4, real_codec: bool = False):
-        if real_codec:
-            raise NotImplementedError(
-                "no video demuxer in this environment; fixed-chunk frames only"
-            )
+    def __init__(self, frame_bytes: int = 4096, stride: int = 4):
         self.frame_bytes = frame_bytes
         self.stride = stride
 
@@ -200,14 +190,10 @@ class Resizer:
     """Actor-pool stage: area-average 'image' downsampling. The payload is
     interpreted as a row-major uint8 matrix (h inferred from n_bytes and a
     declared width); output is a fixed (out_h x out_w) byte matrix. The
-    RESIZE KERNEL is real vectorized numpy — only the image DECODE is the
-    stub (real_codec raises; a real deployment decodes in __init__)."""
+    RESIZE KERNEL is real vectorized numpy — only the image DECODE is a
+    stand-in (a real deployment loads its decoder in __init__)."""
 
-    def __init__(self, width: int = 64, out_h: int = 8, out_w: int = 8, real_codec: bool = False):
-        if real_codec:
-            raise NotImplementedError(
-                "no image codecs in this environment; raw-matrix resize only"
-            )
+    def __init__(self, width: int = 64, out_h: int = 8, out_w: int = 8):
         self.width = width
         self.out_h = out_h
         self.out_w = out_w

@@ -17,7 +17,7 @@ import pyarrow.parquet as pq
 import ray.data
 from ray.data.aggregate import Sum
 
-from lucene_ray.analysis import CodeAnalyzer, tokenize_sql_expr
+from lucene_ray.analysis import CodeAnalyzer, tok_cte, tokenize_sql_expr
 
 # shared language stopword sets (python and SQL literals generated from the
 # SAME constants — keep them tiny, ASCII, lowercase)
@@ -119,9 +119,7 @@ def whitespace_stats_sql() -> str:
 
     toks = WhitespaceAnalyzer.sql_expr("text")
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), per_doc AS (
+{tok_cte(toks)}, per_doc AS (
   SELECT doc_id, term, count(*) AS tf FROM tok GROUP BY doc_id, term
 )
 SELECT term, count(*)::BIGINT AS df, sum(tf)::BIGINT AS ttf
@@ -130,11 +128,8 @@ FROM per_doc GROUP BY term
 
 
 def term_stats_sql() -> str:
-    toks = tokenize_sql_expr("text")
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), per_doc AS (
+{tok_cte()}, per_doc AS (
   SELECT doc_id, term, count(*) AS tf FROM tok GROUP BY doc_id, term
 )
 SELECT term, count(*)::BIGINT AS df, sum(tf)::BIGINT AS ttf
@@ -172,11 +167,8 @@ def doc_token_stats(sf_dir: str) -> "ray.data.Dataset":
 
 
 def doc_token_stats_sql() -> str:
-    toks = tokenize_sql_expr("text")
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), agg AS (
+{tok_cte()}, agg AS (
   SELECT doc_id, count(*)::BIGINT AS n_tokens,
          count(DISTINCT term)::BIGINT AS n_unique
   FROM tok GROUP BY doc_id
@@ -249,12 +241,9 @@ def gopher_quality(sf_dir: str) -> "ray.data.Dataset":
 
 
 def gopher_quality_sql() -> str:
-    toks = tokenize_sql_expr("text")
     stops = ", ".join(f"'{w}'" for w in GOPHER_STOPS)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), agg AS (
+{tok_cte()}, agg AS (
   SELECT doc_id, count(*)::BIGINT AS n_words,
          sum(length(term))::BIGINT AS sum_word_len,
          count(DISTINCT CASE WHEN term IN ({stops}) THEN term END)::BIGINT
@@ -318,7 +307,6 @@ def snowball_doclen(sf_dir: str) -> "ray.data.Dataset":
 def snowball_doclen_sql() -> str:
     from lucene_ray.analysis.stoplists import ENGLISH_SNOWBALL_STOP
 
-    toks = tokenize_sql_expr("text")
     # snowball entries like don't need SQL-quote doubling (the tokenizer
     # never EMITS apostrophes, so these IN-list rows are inert but must
     # still parse)
@@ -326,9 +314,7 @@ def snowball_doclen_sql() -> str:
         "'" + w.replace("'", "''") + "'" for w in sorted(ENGLISH_SNOWBALL_STOP)
     )
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), agg AS (
+{tok_cte()}, agg AS (
   SELECT doc_id, count(*)::BIGINT AS n_tokens
   FROM tok WHERE term NOT IN ({stop}) GROUP BY doc_id
 )
@@ -387,9 +373,7 @@ def lightstem_doclen_sql() -> str:
         "'" + w.replace("'", "''") + "'" for w in sorted(SWEDISH_SNOWBALL_STOP)
     )
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), elided AS (
+{tok_cte(toks)}, elided AS (
   SELECT doc_id,
          regexp_replace(term, '^(?:{arts})[''’]', '') AS t_it,
          term AS t_sv
@@ -1235,7 +1219,6 @@ def ngram_stats(sf_dir: str) -> "ray.data.Dataset":
 
 
 def ngram_stats_sql() -> str:
-    toks = tokenize_sql_expr("text")
     levels = []
     for g in (1, 2):
         levels.append(
@@ -1246,9 +1229,7 @@ def ngram_stats_sql() -> str:
         )
     grams = "\nUNION ALL\n".join(levels)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), grams AS (
+{tok_cte()}, grams AS (
 {grams}
 )
 SELECT g AS term, count(DISTINCT doc_id)::BIGINT AS df,
@@ -1263,7 +1244,6 @@ def edgengram_stats(sf_dir: str) -> "ray.data.Dataset":
 
 
 def edgengram_stats_sql() -> str:
-    toks = tokenize_sql_expr("text")
     levels = [
         f"SELECT doc_id, substr(term, 1, {g}) AS g FROM tok"
         f" WHERE length(term) >= {g}"
@@ -1271,9 +1251,7 @@ def edgengram_stats_sql() -> str:
     ]
     grams = "\nUNION ALL\n".join(levels)
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), grams AS (
+{tok_cte()}, grams AS (
 {grams}
 )
 SELECT g AS term, count(DISTINCT doc_id)::BIGINT AS df,
@@ -2093,9 +2071,7 @@ def unicode_stats_sql() -> str:
 
     toks = UnicodeAnalyzer.sql_expr("text")
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), per_doc AS (
+{tok_cte(toks)}, per_doc AS (
   SELECT doc_id, term, count(*) AS tf FROM tok GROUP BY doc_id, term
 )
 SELECT term, count(*)::BIGINT AS df, sum(tf)::BIGINT AS ttf
@@ -2144,11 +2120,8 @@ def phonetic_doclen(sf_dir: str) -> "ray.data.Dataset":
 
 
 def phonetic_doclen_sql() -> str:
-    toks = tokenize_sql_expr("text")
     return f"""
-WITH tok AS (
-  SELECT doc_id, unnest({toks}) AS term FROM documents
-), agg AS (
+{tok_cte()}, agg AS (
   SELECT doc_id, count(*)::BIGINT AS n FROM tok GROUP BY doc_id
 )
 SELECT d.doc_id, coalesce(a.n, 0) AS n_dm, coalesce(a.n, 0) AS n_dms

@@ -34,6 +34,19 @@ def test_oracle_keys_subset_of_queries(mod):
     assert o <= q, o - q
 
 
+def test_driver_window_order(mod):
+    """The driver records only the first 50 queries() entries: every one
+    of them must be oracle-checked, and the rows-only gates sit last."""
+    names = list(mod.queries())
+    oracles = mod.oracle_sql()
+    assert [n for n in names[:50] if n not in oracles] == []
+    rows_only = [n for n in names if n not in oracles]
+    assert set(rows_only) == {
+        "perceptron_classify", "bp_reorder", "bm25_topk_engine",
+    }
+    assert names[-len(rows_only):] == rows_only
+
+
 def test_entry_smoke(mod):
     df = mod.entry()
     assert len(df) > 0

@@ -952,12 +952,6 @@ class TestMultimodal:
         sums = np.array([np.sum(f) for f in out.features])
         np.testing.assert_allclose(sums[out.n_bytes > 0], 1.0, rtol=1e-5)
 
-    def test_real_codec_stub(self):
-        from lucene_ray.ops.multimodal import FeatureExtractor
-
-        with pytest.raises(NotImplementedError):
-            FeatureExtractor(real_codec=True)
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestEmbeddingLsh:
@@ -1078,14 +1072,6 @@ class TestMultimodalStages:
         df2 = to_pdf(multimodal.resize_thumbs(SF))
         assert (df.sort_values("media_id").thumb.values
                 == df2.sort_values("media_id").thumb.values).all()
-
-    def test_real_codec_branch_raises(self):
-        from lucene_ray.ops import multimodal
-
-        with pytest.raises(NotImplementedError):
-            multimodal.FrameSampler(real_codec=True)
-        with pytest.raises(NotImplementedError):
-            multimodal.Resizer(real_codec=True)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -2449,6 +2435,27 @@ class TestSearchQuality:
     def test_searchquality_engine(self, con):
         from lucene_ray.ops import bm25docs
 
+        assert_same(
+            bm25docs.searchquality_engine(SF), con,
+            bm25docs.searchquality_engine_sql(),
+        )
+
+    def test_searchquality_short_rankings(self, con, monkeypatch):
+        """A query ranking fewer than 1, 5 or 10 docs: the engine's
+        precision@n is 0.0 past the ranked list (QualityStats.p_at starts
+        at 0.0), and so is the oracle's, not NULL. An absent term ranks
+        nothing; K=3 ranks 3 docs."""
+        from lucene_ray.ops import bm25docs
+
+        monkeypatch.setattr(bm25docs, "QUALITY_QUERIES", [
+            (0, "zzzabsent", "merge", 12),
+            (1, "dup", "sort", 3),
+            (2, "merge", "sort", 12),
+        ])
+        got = bm25docs.searchquality_engine(SF).to_pandas()
+        p = got[got.metric.str.startswith("p_at_")]
+        assert (p[p.qid == 0].value == 0.0).all()
+        assert (p[(p.qid == 1) & (p.metric == "p_at_10")].value == 0.0).all()
         assert_same(
             bm25docs.searchquality_engine(SF), con,
             bm25docs.searchquality_engine_sql(),

@@ -3,7 +3,9 @@ queries() and oracle_sql() side-by-side over an sf dir, sort columns by name
 and rows by all columns, then compare row count, schema (dtype-sensitive —
 this is what catches DuckDB HUGEINT vs engine int64) and a value hash.
 Each record also carries the engine side's own value hash
-(``engine_hash``), so two runs can be diffed gate by gate.
+(``engine_hash``) and its column dtypes as returned, before ``canon()``
+widens integers (``engine_schema``), so two runs can be diffed gate by
+gate.
 
 Usage: python tools/check_correctness.py [sf_dir] [query ...]
 """
@@ -90,7 +92,13 @@ def main() -> None:
             continue
         rec: dict = {}
         try:
-            mine = canon(to_pandas(fn(sf_dir)))
+            raw = to_pandas(fn(sf_dir))
+            # dtypes as returned: canon() widens every int to int64, so an
+            # int32 -> int64 change would not show in engine_hash
+            rec["engine_schema"] = ",".join(
+                f"{c}:{raw[c].dtype}" for c in raw.columns
+            )
+            mine = canon(raw)
             rec["spark_rows"] = len(mine)
             # engine-side hash: diff two runs' output to show a refactor
             # left every gate's result unchanged
@@ -113,7 +121,9 @@ def main() -> None:
             rec["err"] = f"{type(e).__name__}: {e}"
         out[name] = rec
         flag = "OK " if rec.get("hash_match") else ("--- " if rec.get("err") == "no_oracle" else "FAIL")
-        print(flag, name, json.dumps(rec, default=str)[:240], flush=True)
+        shown = {k: v for k, v in rec.items() if k != "engine_schema"}
+        print(flag, name, f"engine_schema={rec.get('engine_schema')}",
+              json.dumps(shown, default=str)[:240], flush=True)
 
     bad = [k for k, v in out.items() if v.get("hash_match") is False or
            (v.get("err") and v["err"] != "no_oracle")]
