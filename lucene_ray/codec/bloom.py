@@ -25,6 +25,8 @@ import os
 
 import numpy as np
 
+from lucene_ray.index import segfiles
+
 K_PROBES = 4
 BITS_PER_TERM = 10  # ~1% fp at 4 probes
 MAX_SATURATION = 0.5  # skip writing filters more than half full
@@ -79,7 +81,7 @@ def may_contain(packed: np.ndarray, term: str) -> bool:
 
 
 def sidecar_path(seg_dir: str) -> str:
-    return os.path.join(seg_dir, "bloom_terms.npy")
+    return segfiles.BLOOM.path(seg_dir)
 
 
 def build_bloom_filters(index_dir: str) -> int:
@@ -102,8 +104,7 @@ def build_bloom_filters(index_dir: str) -> int:
         if os.path.exists(out):
             continue
         terms = pq.read_table(
-            os.path.join(d, "postings.parquet"), columns=["term"],
-            memory_map=True,
+            segfiles.POSTINGS.path(d), columns=["term"], memory_map=True,
         ).column("term").combine_chunks()
         packed = build_filter(terms)
         ones = int(np.unpackbits(packed).sum())

@@ -34,7 +34,7 @@ from collections.abc import Mapping
 import numpy as np
 import pyarrow as pa
 
-from lucene_ray.codec.forutil import decode_stream, encode_stream
+from lucene_ray.codec.forutil import decode_stream
 from lucene_ray.config import BLOCK_SIZE
 
 #: bumped when the on-disk layout changes (invalidates segment fingerprints)
@@ -102,76 +102,6 @@ def pareto_impacts(tfs: np.ndarray, norms: np.ndarray) -> list[int]:
     return out
 
 
-def encode_term_postings(
-    docids: np.ndarray,
-    tfs: np.ndarray,
-    positions: np.ndarray | None,
-    norm_bytes: np.ndarray,
-) -> dict:
-    """Encode one term's postings (docids strictly increasing, segment-local).
-
-    ``positions`` is the concatenated per-doc position list (length == sum(tfs)),
-    already delta-encoded per doc by the caller.
-    """
-    df = len(docids)
-    ttf = int(tfs.sum())
-    blocks_last = docids[np.minimum(
-        np.arange(BLOCK_SIZE - 1, df + BLOCK_SIZE - 1, BLOCK_SIZE), df - 1
-    )]
-    impacts = []
-    for b in range(0, df, BLOCK_SIZE):
-        sl = slice(b, min(b + BLOCK_SIZE, df))
-        impacts.append(pareto_impacts(tfs[sl], norm_bytes[docids[sl]]))
-
-    if positions is None:
-        pos_blob, pos_offsets = b"", np.array([], dtype=np.int64)
-    else:
-        pos_blob, pos_offsets = encode_stream(positions)
-    if df == 1:
-        return {
-            "df": 1,
-            "ttf": ttf,
-            "singleton_docid": int(docids[0]),
-            "singleton_tf": int(tfs[0]),
-            "doc_blob": b"",
-            "tf_blob": b"",
-            "pos_blob": pos_blob,
-            "off_blob": b"",
-            "offlen_blob": b"",
-            "block_last_docid": [int(docids[0])],
-            "doc_block_offsets": [0],
-            "tf_block_offsets": [0],
-            "pos_block_offsets": pos_offsets.astype(np.int64).tolist(),
-            "off_block_offsets": [],
-            "offlen_block_offsets": [],
-            "impacts": impacts,
-        }
-
-    deltas = np.empty(df, dtype=np.uint32)
-    deltas[0] = docids[0]
-    np.subtract(docids[1:], docids[:-1], out=deltas[1:], casting="unsafe")
-    doc_blob, doc_offsets = encode_stream(deltas)
-    tf_blob, tf_offsets = encode_stream(tfs.astype(np.uint32))
-    return {
-        "df": df,
-        "ttf": ttf,
-        "singleton_docid": -1,
-        "singleton_tf": -1,
-        "doc_blob": doc_blob,
-        "tf_blob": tf_blob,
-        "pos_blob": pos_blob,
-        "off_blob": b"",
-        "offlen_blob": b"",
-        "block_last_docid": blocks_last.astype(np.int64).tolist(),
-        "doc_block_offsets": doc_offsets.astype(np.int64).tolist(),
-        "tf_block_offsets": tf_offsets.astype(np.int64).tolist(),
-        "pos_block_offsets": pos_offsets.astype(np.int64).tolist(),
-        "off_block_offsets": [],
-        "offlen_block_offsets": [],
-        "impacts": impacts,
-    }
-
-
 def _pareto_impacts_batched(
     blk_of_pair: np.ndarray, tfs: np.ndarray, norms: np.ndarray, n_blocks: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -232,8 +162,6 @@ def build_segment_postings(
         table = POSTINGS_SCHEMA.empty_table()
         return table, {"doc_count": doc_count, "sum_ttf": 0, "unique_terms": 0}
 
-    from lucene_ray.codec.forutil import encode_blocks_batched
-
     dict_arr = terms.dictionary_encode() if not isinstance(terms, pa.DictionaryArray) else terms
     term_ids = dict_arr.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     vocab_np = dict_arr.dictionary.to_numpy(zero_copy_only=False)
@@ -266,7 +194,6 @@ def build_segment_postings(
     tfs = np.diff(np.append(pair_starts, len(t_sorted))).astype(np.int64)
     pair_term = t_sorted[pair_starts]
     pair_doc = d_sorted[pair_starts]
-    n_pairs = len(pair_starts)
 
     # per-doc position deltas (first position absolute, then gaps), as in
     # FreqProxTermsWriterPerField.java:84-108 (prox stream delta coding)
@@ -365,8 +292,6 @@ def postings_table_from_pairs(
     tf_buf, tf_offsets = encode_blocks_batched(tfs.astype(np.uint32), blk_len)
 
     # per-term byte ranges in the stream buffers
-    blk_sizes_doc = np.diff(np.append(doc_offsets, len(doc_buf)))
-    blk_sizes_tf = np.diff(np.append(tf_offsets, len(tf_buf)))
     term_blk_offsets = np.concatenate(([0], np.cumsum(n_blocks_per_term)))
     doc_term_bounds = doc_offsets[term_blk_offsets[:-1]]
     doc_term_bounds = np.append(doc_term_bounds, len(doc_buf))
@@ -503,7 +428,6 @@ def postings_table_from_pairs(
         },
         schema=POSTINGS_SCHEMA,
     )
-    _ = blk_sizes_doc, blk_sizes_tf
     return table
 
 

@@ -43,6 +43,7 @@ import pyarrow.parquet as pq
 from lucene_ray.analysis import get_analyzer
 from lucene_ray.codec.postings_codec import build_segment_postings
 from lucene_ray.config import KEYWORD_FIELDS, TARGET_DOCS_PER_SEGMENT
+from lucene_ray.index import segfiles
 from lucene_ray.index.manifest import (
     Manifest,
     SegmentEntry,
@@ -484,12 +485,6 @@ def _sha256_column(texts: pa.Array) -> pa.Array:
     )
 
 
-# row-group size for the term-vectors sidecar: (doc, term) pair rows,
-# doc-major sorted, so parquet doc min/max stats give O(1) row-group
-# pruning for a single-doc fetch
-TV_ROW_GROUP = 65536
-
-
 def build_term_vectors(
     row_idx: np.ndarray,
     terms: pa.Array,
@@ -793,13 +788,9 @@ def build_one_segment(
 
     d = segment_dir(index_dir, spec.name)
     os.makedirs(d, exist_ok=True)
-    pq.write_table(postings, os.path.join(d, "postings.parquet"))
+    segfiles.POSTINGS.write(d, postings)
     if tv_table is not None:
-        pq.write_table(
-            tv_table,
-            os.path.join(d, "termvectors.parquet"),
-            row_group_size=TV_ROW_GROUP,
-        )
+        segfiles.TERMVECTORS.write(d, tv_table)
     norms_table = pa.table(
         {
             "norm": pa.array(norm_bytes, type=pa.uint8()),
@@ -807,15 +798,12 @@ def build_one_segment(
             **af_norm_cols,
         }
     )
-    pq.write_table(norms_table, os.path.join(d, "norms.parquet"))
+    segfiles.NORMS.write(d, norms_table)
 
     # numeric doc values + 1-D points (value-sorted view for range filters);
     # null content counts as 0 chars (missing-value doc-values convention)
     dv_cols = {f: _numeric_dv(f) for f in numeric_dv_schema}
-    pq.write_table(
-        pa.table({f: dv_cols[f] for f in numeric_dv_schema}),
-        os.path.join(d, "docvalues.parquet"),
-    )
+    segfiles.DOCVALUES.write(d, pa.table({f: dv_cols[f] for f in numeric_dv_schema}))
     # SORTED / SORTED_SET sidecar: doc-ordered values; parquet dictionary-
     # encodes the strings, the reader derives term-sorted ordinals
     if options.sorted_dv_fields or options.sorted_set_dv_fields:
@@ -830,9 +818,7 @@ def build_one_segment(
             else:
                 col = SORTED_SET_DERIVERS[f](table)
             sdv_cols[f] = col.cast(pa.list_(pa.string()))
-        pq.write_table(
-            pa.table(sdv_cols), os.path.join(d, "docvalues_sorted.parquet")
-        )
+        segfiles.DOCVALUES_SORTED.write(d, pa.table(sdv_cols))
     # SORTED_NUMERIC sidecar: doc-ordered list<int64>, values ASC per doc
     if options.sorted_numeric_dv_fields:
         snd_cols: dict[str, pa.Array] = {}
@@ -842,10 +828,7 @@ def build_one_segment(
             else:
                 col = SORTED_NUMERIC_DERIVERS[f](table)
             snd_cols[f] = col
-        pq.write_table(
-            pa.table(snd_cols),
-            os.path.join(d, "docvalues_sortednumeric.parquet"),
-        )
+        segfiles.DOCVALUES_SORTEDNUMERIC.write(d, pa.table(snd_cols))
     # indexed-shape sidecar: one row per tessellated triangle
     # (document/LatLonShape.java + geo/Tessellator.java; see
     # search/spatial.py shape section). LOCAL docids, doc-major order.
@@ -879,9 +862,7 @@ def build_one_segment(
                     }
                 )
             )
-        pq.write_table(
-            pa.concat_tables(shape_parts), os.path.join(d, "shapes.parquet")
-        )
+        segfiles.SHAPES.write(d, pa.concat_tables(shape_parts))
     # BINARY sidecar: doc-ordered opaque bytes
     if options.binary_dv_fields:
         bdv_cols: dict[str, pa.Array] = {}
@@ -890,9 +871,7 @@ def build_one_segment(
                 bdv_cols[f] = table.column(f).combine_chunks().cast(pa.binary())
             else:
                 bdv_cols[f] = BINARY_DV_DERIVERS[f](table)
-        pq.write_table(
-            pa.table(bdv_cols), os.path.join(d, "docvalues_binary.parquet")
-        )
+        segfiles.DOCVALUES_BINARY.write(d, pa.table(bdv_cols))
     pt_parts = []
     for f in numeric_dv_schema:
         v = dv_cols[f].to_numpy(zero_copy_only=False)
@@ -906,13 +885,9 @@ def build_one_segment(
                 }
             )
         )
-    pq.write_table(pa.concat_tables(pt_parts), os.path.join(d, "points.parquet"))
+    segfiles.POINTS.write(d, pa.concat_tables(pt_parts))
     if options.point2d_fields:
-        from lucene_ray.search.spatial import (
-            POINT2D_DERIVERS,
-            SPATIAL_ROW_GROUP,
-            build_spatial_table,
-        )
+        from lucene_ray.search.spatial import POINT2D_DERIVERS, build_spatial_table
 
         gdoc = spec.docid_base + np.arange(n, dtype=np.int64)
         local = np.arange(n, dtype=np.int64)
@@ -920,11 +895,7 @@ def build_one_segment(
         for f in options.point2d_fields:
             lat, lon = POINT2D_DERIVERS[f](table, gdoc)
             sp_fields[f] = (lat, lon, local)
-        pq.write_table(
-            build_spatial_table(sp_fields),
-            os.path.join(d, "spatial.parquet"),
-            row_group_size=SPATIAL_ROW_GROUP,
-        )
+        segfiles.SPATIAL.write(d, build_spatial_table(sp_fields))
     if options.range_fields:
         # LongRange sidecar (document/LongRange.java:48; BKD with 2 values
         # per dim becomes a (lo, hi) pair table sorted by (field, lo) —
@@ -948,27 +919,21 @@ def build_one_segment(
                     }
                 )
             )
-        pq.write_table(
-            pa.concat_tables(rg_parts), os.path.join(d, "ranges.parquet")
-        )
+        segfiles.RANGES.write(d, pa.concat_tables(rg_parts))
     stored = table.select(STORED_COLUMNS).append_column(
         "content_sha256", _sha256_column(content)
     )
-    pq.write_table(stored, os.path.join(d, "stored.parquet"))
+    segfiles.STORED.write(d, stored)
 
     secs = time.perf_counter() - t0
     postings_pairs = int(pa.compute.sum(postings.column("df")).as_py() or 0)
-    seg_bytes = sum(
-        os.path.getsize(os.path.join(d, f))
-        for f in ("postings.parquet", "norms.parquet", "stored.parquet")
-    )
     entry = SegmentEntry(
         name=spec.name,
         docid_base=spec.docid_base,
         doc_count=n,
         sum_ttf=stats["sum_ttf"],
         unique_terms=stats["unique_terms"],
-        bytes=seg_bytes,
+        bytes=segfiles.segment_bytes(d),
         input={
             "file": spec.file,
             "rg_start": spec.rg_start,
@@ -1110,8 +1075,10 @@ def upgrade_index(index_dir: str) -> dict:
     segment whose fingerprint does not match the CURRENT format version,
     by re-running its recorded build spec (entry.input keeps the source
     file + row-group range; docid_base is preserved, so global ids never
-    change). Delete/DV generation files carry over to the rebuilt segment
-    verbatim — tombstones and updated doc values survive the upgrade.
+    change). Every generation file of the segment-file table (hard and
+    soft delete masks, DV updates) carries over to the rebuilt segment
+    verbatim — tombstones, soft deletes and updated doc values survive
+    the upgrade.
 
     Variant fidelity: segments record their FULL build options in
     entry.input["options"] (BuildOptions.to_entry — a build option is
@@ -1182,24 +1149,19 @@ def upgrade_index(index_dir: str) -> dict:
         new_entry = build_one_segment(spec, index_dir, options)
         old_d = segment_dir(index_dir, e.name)
         new_d = segment_dir(index_dir, new_entry.name)
-        # carry delete / DV generations verbatim (file contents are
-        # docid-addressed, and docids did not change). When only the
-        # RECORDED fingerprint was stale (same inputs, same format) the
-        # rebuilt name collides with the old one and the files are already
-        # in place.
-        for gen_attr, pattern in (
-            ("del_gen", "livedocs_g{g}.parquet"),
-            ("dv_gen", "docvalues_g{g}.parquet"),
-        ):
-            g = getattr(e, gen_attr, 0)
+        # carry every generation file (hard/soft delete masks, DV updates)
+        # verbatim: file contents are docid-addressed, and docids did not
+        # change. When only the RECORDED fingerprint was stale (same inputs,
+        # same format) the rebuilt name collides with the old one and the
+        # files are already in place.
+        for f in segfiles.GEN_FILES:
+            g = f.gen(e)
             if g:
                 if old_d != new_d:
-                    _shutil.copy2(
-                        os.path.join(old_d, pattern.format(g=g)),
-                        os.path.join(new_d, pattern.format(g=g)),
-                    )
-                setattr(new_entry, gen_attr, g)
-        new_entry.del_count = getattr(e, "del_count", 0)
+                    _shutil.copy2(f.path(old_d, g), f.path(new_d, g))
+                setattr(new_entry, f.gen_attr, g)
+                if f.count_attr:
+                    setattr(new_entry, f.count_attr, getattr(e, f.count_attr))
         write_entry(index_dir, new_entry)
         new_segments[i] = new_entry
         upgraded.append((e.name, new_entry.name))

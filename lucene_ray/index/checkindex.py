@@ -6,7 +6,12 @@ Checks per segment:
   - docids strictly increasing within each posting list; df == len(postings)
   - ttf == sum(tf); segment sum_ttf == manifest entry
   - every per-block pareto impact is a true (tf, norm) upper-bound set
-  - norms table length == doc_count; norm == intToByte4(doc_len)
+  - norm == intToByte4(doc_len)
+  - from the segment-file table (index/segfiles.py): every doc-ordered file
+    has doc_count rows, every local docid column lies in [0, doc_count),
+    every generation the entry names exists; delete-mask counts match
+  - file-specific invariants: points == doc values, term-vector freq ==
+    len(positions), sorted-numeric values ascending, shape edge flags
   - stored-fields sha256 matches the source Parquet rows (content invariant)
 Index-level:
   - docid_base prefix-sum consistency, doc_count totals
@@ -22,6 +27,7 @@ import pyarrow.parquet as pq
 
 from lucene_ray.codec.postings_codec import decode_term_postings
 from lucene_ray.config import BLOCK_SIZE
+from lucene_ray.index import segfiles
 from lucene_ray.index.manifest import segment_dir
 from lucene_ray.search.reader import IndexReader
 from lucene_ray.util.smallfloat import int_to_byte4
@@ -42,7 +48,7 @@ def check_index(index_dir: str, verify_content: bool = True) -> dict:
 
         sr = reader.segment_reader(entry.name)
         d = segment_dir(index_dir, entry.name)
-        postings = pq.read_table(os.path.join(d, "postings.parquet"))
+        postings = pq.read_table(segfiles.POSTINGS.path(d))
         terms = postings.column("term").to_pylist()
         if terms != sorted(terms):
             problems.append(f"{entry.name}: terms not sorted")
@@ -108,97 +114,96 @@ def check_index(index_dir: str, verify_content: bool = True) -> dict:
         if reclaimed > getattr(entry, "del_count", 0):
             problems.append(f"{entry.name}: reclaimed > del_count")
 
-        if len(sr.norm_bytes) != entry.doc_count:
-            problems.append(f"{entry.name}: norms length mismatch")
         if not np.array_equal(int_to_byte4(sr.doc_len), sr.norm_bytes):
             problems.append(f"{entry.name}: norm != intToByte4(doc_len)")
 
-        # live-docs invariants (Lucene90LiveDocsFormat checks)
-        if getattr(entry, "del_gen", 0) > 0:
-            if sr.live_mask is None or len(sr.live_mask) != entry.doc_count:
-                problems.append(f"{entry.name}: livedocs length mismatch")
-            else:
-                ndel = int((~sr.live_mask).sum())
-                if ndel != getattr(entry, "del_count", 0):
-                    problems.append(
-                        f"{entry.name}: del_count {entry.del_count} != bitmap {ndel}"
-                    )
-        elif getattr(entry, "del_count", 0):
-            problems.append(f"{entry.name}: del_count without del_gen")
+        # table-wide addressing checks (segfiles rows): every doc-ordered
+        # file has one row per doc, every local docid column is in range;
+        # a generation the entry names must exist
+        n_docs = entry.doc_count
+        for f in segfiles.TABLE:
+            if not (f.doc_ordered or f.docid):
+                continue
+            gen = f.gen(entry)
+            if gen > 0 and not os.path.exists(f.path(d, gen)):
+                problems.append(f"{entry.name}: {f.gen_attr} {gen} file missing")
+            for p in {f.path(d, g) for g in {0, gen} if g or f.name}:
+                if not os.path.exists(p):
+                    continue
+                where = f"{entry.name}: {os.path.basename(p)}"
+                if f.doc_ordered:
+                    rows = pq.ParquetFile(p).metadata.num_rows
+                    if rows != n_docs:
+                        problems.append(f"{where} rows {rows} != doc_count {n_docs}")
+                else:
+                    docs = pq.read_table(p, columns=[f.docid]).column(f.docid)
+                    docs = docs.to_numpy(zero_copy_only=False)
+                    if len(docs) and (docs.min() < 0 or docs.max() >= n_docs):
+                        problems.append(f"{where} docid out of range")
+
+        # delete-mask counts (Lucene90LiveDocsFormat checks)
+        for f in (segfiles.LIVEDOCS, segfiles.SOFTDELETES):
+            gen, count = f.gen(entry), getattr(entry, f.count_attr)
+            if gen <= 0 and count:
+                problems.append(f"{entry.name}: {f.count_attr} without {f.gen_attr}")
+            elif gen > 0 and os.path.exists(f.path(d, gen)):
+                mask = segfiles.read_mask(f, d, gen, n_docs)
+                n = int((~mask).sum() if f is segfiles.LIVEDOCS else mask.sum())
+                if n != count:
+                    problems.append(f"{entry.name}: {f.count_attr} {count} != mask {n}")
 
         # doc-values / points cross-checks (Lucene90DocValuesFormat /
-        # points checkIntegrity role): dv is doc-ordered and full-length;
-        # the value-sorted points table is a permutation of the dv pairs
-        dv_path = os.path.join(d, "docvalues.parquet")
-        pt_path = os.path.join(d, "points.parquet")
-        # DV update generations: the latest gen file must exist with full
-        # doc-ordered length and the base schema (points stay index-time —
-        # their consistency check below runs against the BASE generation)
-        dv_gen = getattr(entry, "dv_gen", 0)
-        if dv_gen > 0:
-            gpath = os.path.join(d, f"docvalues_g{dv_gen}.parquet")
-            if not os.path.exists(gpath):
-                problems.append(f"{entry.name}: dv_gen {dv_gen} file missing")
-            else:
-                gdv = pq.read_table(gpath)
-                base_names = (
-                    pq.read_schema(dv_path).names if os.path.exists(dv_path) else []
-                )
-                if sorted(gdv.schema.names) != sorted(base_names):
-                    problems.append(f"{entry.name}: dv gen schema != base schema")
-                for col in gdv.schema.names:
-                    if len(gdv.column(col)) != entry.doc_count:
-                        problems.append(
-                            f"{entry.name}: dv gen [{col}] length mismatch"
-                        )
-        if os.path.exists(dv_path):
+        # points checkIntegrity role): the value-sorted points table is a
+        # permutation of the dv pairs. DV update generations keep the base
+        # schema (points stay index-time — their consistency check runs
+        # against the BASE generation)
+        dv_path = segfiles.DOCVALUES.path(d)
+        g_path = segfiles.DOCVALUES.path(d, entry.dv_gen)
+        if entry.dv_gen > 0 and os.path.exists(g_path):
+            base = pq.read_schema(dv_path).names if os.path.exists(dv_path) else []
+            if sorted(pq.read_schema(g_path).names) != sorted(base):
+                problems.append(f"{entry.name}: dv gen schema != base schema")
+        pt_path = segfiles.POINTS.path(d)
+        if os.path.exists(dv_path) and os.path.exists(pt_path):
             dv = pq.read_table(dv_path)
-            for col in dv.schema.names:
-                if len(dv.column(col)) != entry.doc_count:
-                    problems.append(f"{entry.name}: docvalues[{col}] length mismatch")
-            if os.path.exists(pt_path):
-                pt = pq.read_table(pt_path)
-                fields = np.asarray(pt.column("field").to_pylist(), dtype=object)
-                pvals = pt.column("value").to_numpy(zero_copy_only=False)
-                pdocs = pt.column("docid").to_numpy(zero_copy_only=False)
-                for f in np.unique(fields):
-                    m = fields == f
-                    if np.any(np.diff(pvals[m]) < 0):
-                        problems.append(f"{entry.name}: points[{f}] not value-sorted")
-                    if np.any((pdocs[m] < 0) | (pdocs[m] >= entry.doc_count)):
-                        problems.append(f"{entry.name}: points[{f}] docid out of range")
-                    if str(f) in dv.schema.names:
-                        # every point agrees with the doc-ordered dv value;
-                        # merges reclaim deleted docs' points (like postings),
-                        # so full-permutation equality holds only delete-free
-                        dvv = dv.column(str(f)).to_numpy(zero_copy_only=False)
-                        if np.any(dvv[pdocs[m]] != pvals[m]):
-                            problems.append(
-                                f"{entry.name}: points[{f}] value != docvalues"
-                            )
-                        n_missing = entry.doc_count - int(m.sum())
-                        n_gone = getattr(entry, "del_count", 0)
-                        if n_missing > n_gone:
-                            problems.append(
-                                f"{entry.name}: points[{f}] missing {n_missing} "
-                                f"docs with only {n_gone} deleted"
-                            )
+            pt = pq.read_table(pt_path)
+            fields = np.asarray(pt.column("field").to_pylist(), dtype=object)
+            pvals = pt.column("value").to_numpy(zero_copy_only=False)
+            pdocs = pt.column("docid").to_numpy(zero_copy_only=False)
+            for f in np.unique(fields):
+                m = fields == f
+                if np.any(np.diff(pvals[m]) < 0):
+                    problems.append(f"{entry.name}: points[{f}] not value-sorted")
+                if str(f) in dv.schema.names:
+                    # every point agrees with the doc-ordered dv value;
+                    # merges reclaim deleted docs' points (like postings),
+                    # so full-permutation equality holds only delete-free
+                    dvv = dv.column(str(f)).to_numpy(zero_copy_only=False)
+                    if np.any(dvv[pdocs[m]] != pvals[m]):
+                        problems.append(
+                            f"{entry.name}: points[{f}] value != docvalues"
+                        )
+                    n_missing = entry.doc_count - int(m.sum())
+                    n_gone = entry.del_count
+                    if n_missing > n_gone:
+                        problems.append(
+                            f"{entry.name}: points[{f}] missing {n_missing} "
+                            f"docs with only {n_gone} deleted"
+                        )
 
         # term-vectors sidecar (TermVectorsReader checkIntegrity role):
-        # doc-major sorted, docids in range, freq == len(positions) with
+        # doc-major sorted, freq == len(positions) with
         # strictly-increasing positions, and per-doc freq sums equal the
         # CONTENT doc_len (TV is content-only, like norms) — tombstoned
         # docs' rows are reclaimed at merge, so the equality is asserted
         # for live docs and bounded for the rest
-        tv_path = os.path.join(d, "termvectors.parquet")
+        tv_path = segfiles.TERMVECTORS.path(d)
         if os.path.exists(tv_path):
             tv = pq.read_table(tv_path)
             tdocs = tv.column("doc").to_numpy(zero_copy_only=False)
             tfreq = tv.column("freq").to_numpy(zero_copy_only=False).astype(np.int64)
             if np.any(np.diff(tdocs) < 0):
                 problems.append(f"{entry.name}: termvectors not doc-sorted")
-            if len(tdocs) and (tdocs[0] < 0 or tdocs[-1] >= entry.doc_count):
-                problems.append(f"{entry.name}: termvectors docid out of range")
             plens = tv.column("positions").combine_chunks()
             import pyarrow.compute as pc
 
@@ -237,17 +242,11 @@ def check_index(index_dir: str, verify_content: bool = True) -> dict:
                     f"{int(mismatch.sum())} docs"
                 )
 
-        # SORTED_NUMERIC sidecar: one row per doc, values ASC per doc
+        # SORTED_NUMERIC sidecar: values ASC per doc
         # (SortedNumericDocValuesField write contract)
-        snd_path = os.path.join(d, "docvalues_sortednumeric.parquet")
+        snd_path = segfiles.DOCVALUES_SORTEDNUMERIC.path(d)
         if os.path.exists(snd_path):
             snd = pq.read_table(snd_path)
-            if snd.num_rows != entry.doc_count:
-                problems.append(
-                    f"{entry.name}: sortednumeric sidecar rows != doc_count"
-                )
-            import pyarrow.compute as pc
-
             for col in snd.schema.names:
                 c = snd.column(col).combine_chunks()
                 flat = c.values.to_numpy(zero_copy_only=False)
@@ -267,47 +266,31 @@ def check_index(index_dir: str, verify_content: bool = True) -> dict:
                             "ascending within a doc"
                         )
 
-        # shapes sidecar: doc-major local docids in range; v9 edge-origin
-        # flags, when present, must be complete (all three bool columns,
-        # no nulls) and every triangle must keep >= 1 boundary edge (a
-        # tessellation component with all-internal edges is impossible)
-        sh_path = os.path.join(d, "shapes.parquet")
+        # shapes sidecar: v9 edge-origin flags, when present, must be
+        # complete (all three bool columns, no nulls) and every triangle
+        # must keep >= 1 boundary edge (a tessellation component with
+        # all-internal edges is impossible)
+        sh_path = segfiles.SHAPES.path(d)
         if os.path.exists(sh_path):
             sh_schema = pq.read_schema(sh_path)
             flag_cols = [c for c in ("fab", "fbc", "fca") if c in sh_schema.names]
-            sh = pq.read_table(sh_path, columns=["docid"] + flag_cols)
-            sdocs = sh.column("docid").to_numpy(zero_copy_only=False)
-            if len(sdocs) and (sdocs.min() < 0 or sdocs.max() >= entry.doc_count):
-                problems.append(f"{entry.name}: shapes docid out of range")
-            if flag_cols:
-                if len(flag_cols) != 3:
-                    problems.append(
-                        f"{entry.name}: shapes edge flags incomplete "
-                        f"({flag_cols})"
-                    )
-                elif len(sdocs):
-                    fl = [
-                        sh.column(c).to_numpy(zero_copy_only=False)
-                        for c in ("fab", "fbc", "fca")
-                    ]
-                    if not bool((fl[0] | fl[1] | fl[2]).all()):
-                        problems.append(
-                            f"{entry.name}: shapes triangle with no "
-                            "boundary-flagged edge"
-                        )
-
-        # binary DV sidecar: one row per doc
-        bdv_path = os.path.join(d, "docvalues_binary.parquet")
-        if os.path.exists(bdv_path):
-            if pq.ParquetFile(bdv_path).metadata.num_rows != entry.doc_count:
+            if flag_cols and len(flag_cols) != 3:
                 problems.append(
-                    f"{entry.name}: binary DV sidecar rows != doc_count"
+                    f"{entry.name}: shapes edge flags incomplete ({flag_cols})"
                 )
+            elif flag_cols:
+                sh = pq.read_table(sh_path, columns=flag_cols)
+                fl = [sh.column(c).to_numpy(zero_copy_only=False) for c in flag_cols]
+                if not bool((fl[0] | fl[1] | fl[2]).all()):
+                    problems.append(
+                        f"{entry.name}: shapes triangle with no "
+                        "boundary-flagged edge"
+                    )
 
         if verify_content and "file" in entry.input:
             # merged segments carry "merged_from" lineage instead; their
             # stored sha256 column was concatenated from verified inputs
-            stored = pq.read_table(os.path.join(d, "stored.parquet"))
+            stored = pq.read_table(segfiles.STORED.path(d))
             src = pq.ParquetFile(entry.input["file"]).read_row_groups(
                 list(range(entry.input["rg_start"], entry.input["rg_end"])),
                 columns=["content"],
@@ -354,19 +337,13 @@ def exorcise_index(index_dir: str) -> dict:
     for e in manifest.live_segments:
         d = segment_dir(index_dir, e.name)
         try:
-            post_pf = pq.ParquetFile(os.path.join(d, "postings.parquet"))
+            post_pf = pq.ParquetFile(segfiles.POSTINGS.path(d))
             post_pf.read_row_group(0) if post_pf.metadata.num_row_groups else None
-            norms = pq.read_table(os.path.join(d, "norms.parquet"))
-            if len(norms) != e.doc_count:
-                raise ValueError(
-                    f"norms rows {len(norms)} != doc_count {e.doc_count}"
-                )
-            stored = pq.ParquetFile(os.path.join(d, "stored.parquet"))
-            if stored.metadata.num_rows != e.doc_count:
-                raise ValueError(
-                    f"stored rows {stored.metadata.num_rows} != doc_count"
-                    f" {e.doc_count}"
-                )
+            pq.read_table(segfiles.NORMS.path(d))
+            for f in (segfiles.NORMS, segfiles.STORED):
+                rows = pq.ParquetFile(f.path(d)).metadata.num_rows
+                if rows != e.doc_count:
+                    raise ValueError(f"{f.name} rows {rows} != doc_count {e.doc_count}")
         except Exception as ex:  # any unreadable/corrupt file condemns it
             removed.append((e.name, repr(ex)))
     if removed:

@@ -6,13 +6,14 @@ codec reads and attributes bytes per field/format; here every component
 IS its own Parquet sidecar, so attribution is exact by construction —
 one os.stat per file, no decode.
 
-Components mirror the reference's categories: postings (terms dict +
-docs/freqs/positions/payload lanes in one table), norms, stored fields,
-points, doc values (base + update generations + sorted/sortednumeric/
-binary sidecars), term vectors, spatial/shapes (the KNN-adjacent
-sidecars), live docs + soft deletes (the deletes overhead), and metadata
-(entry.json). Manifest + retained commit history are reported once under
-segment='<index>'.
+Components mirror the reference's categories and come from the
+segment-file table (index/segfiles.py, one component per file row):
+postings (terms dict + docs/freqs/positions/payload lanes in one table,
+plus the bloom sidecar), norms, stored fields, points (+ ranges), doc
+values (base + update generations + sorted/sortednumeric/binary
+sidecars), term vectors, spatial/shapes, live docs + soft deletes (the
+deletes overhead), and metadata (the segment entry). Manifest + retained
+commit history are reported once under segment='<index>'.
 """
 
 from __future__ import annotations
@@ -21,30 +22,7 @@ import os
 
 import pyarrow as pa
 
-_COMPONENT_PREFIXES = (
-    ("postings.parquet", "postings"),
-    ("norms.parquet", "norms"),
-    ("stored.parquet", "stored_fields"),
-    ("points.parquet", "points"),
-    ("docvalues_sortednumeric", "doc_values"),
-    ("docvalues_sorted", "doc_values"),
-    ("docvalues_binary", "doc_values"),
-    ("docvalues", "doc_values"),
-    ("termvectors.parquet", "term_vectors"),
-    ("spatial.parquet", "spatial"),
-    ("shapes.parquet", "spatial"),
-    ("ranges.parquet", "points"),
-    ("livedocs", "live_docs"),
-    ("softdeletes", "live_docs"),
-    ("entry.json", "metadata"),
-)
-
-
-def _component_of(fname: str) -> str:
-    for prefix, comp in _COMPONENT_PREFIXES:
-        if fname.startswith(prefix):
-            return comp
-    return "other"
+from lucene_ray.index import segfiles
 
 
 def analyze_index_disk_usage(index_dir: str) -> pa.Table:
@@ -60,9 +38,9 @@ def analyze_index_disk_usage(index_dir: str) -> pa.Table:
             if not os.path.isdir(d):
                 continue
             for f in sorted(os.listdir(d)):
-                rows.append(
-                    (seg, _component_of(f), os.path.getsize(os.path.join(d, f)))
-                )
+                row = segfiles.file_row(f)
+                comp = row.component if row is not None else "other"
+                rows.append((seg, comp, os.path.getsize(os.path.join(d, f))))
     for f in sorted(os.listdir(index_dir)):
         p = os.path.join(index_dir, f)
         if os.path.isfile(p):

@@ -20,6 +20,8 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 
+from lucene_ray.index.segfiles import ENTRY
+
 
 @dataclass
 class SegmentEntry:
@@ -98,14 +100,14 @@ def segment_dir(index_dir: str, name: str) -> str:
 def write_entry(index_dir: str, entry: SegmentEntry) -> None:
     d = segment_dir(index_dir, entry.name)
     os.makedirs(d, exist_ok=True)
-    tmp = os.path.join(d, "entry.json.tmp")
-    with open(tmp, "w") as f:
+    path = ENTRY.path(d)
+    with open(path + ".tmp", "w") as f:
         json.dump(asdict(entry), f)
-    os.replace(tmp, os.path.join(d, "entry.json"))
+    os.replace(path + ".tmp", path)
 
 
 def read_entry(index_dir: str, name: str) -> SegmentEntry | None:
-    p = os.path.join(segment_dir(index_dir, name), "entry.json")
+    p = ENTRY.path(segment_dir(index_dir, name))
     if not os.path.exists(p):
         return None
     with open(p) as f:

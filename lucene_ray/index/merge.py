@@ -46,6 +46,7 @@ from lucene_ray.config import (
     MERGE_MAX_MERGED_SEGMENT_BYTES,
     MERGE_SEGS_PER_TIER,
 )
+from lucene_ray.index import segfiles
 from lucene_ray.index.manifest import (
     Manifest,
     SegmentEntry,
@@ -382,6 +383,85 @@ def _merge_chunk(
     return table, len(pair_rank_s), content_ttf
 
 
+def _rebase(t: pa.Table, col: str, offset: int) -> tuple[pa.Table, np.ndarray]:
+    """Shift a LOCAL docid column by the input's offset in the merged
+    segment; returns (table, rebased docids)."""
+    docs = t.column(col).to_numpy(zero_copy_only=False) + offset
+    i = t.schema.get_field_index(col)
+    return t.set_column(i, col, pa.array(docs, type=pa.int64())), docs
+
+
+def _fold_doc_values(pts: pa.Table, dv: pa.Table) -> pa.Table:
+    """Points take their values from the merged doc values (the latest DV
+    generation), like postings reclaim: range queries see DV updates from
+    the merge on."""
+    f_dict = pts.column("field").combine_chunks().dictionary_encode()
+    f_codes = f_dict.indices.to_numpy(zero_copy_only=False)
+    d_np = pts.column("docid").to_numpy(zero_copy_only=False)
+    v_np = pts.column("value").to_numpy(zero_copy_only=False).copy()
+    for code, fname in enumerate(f_dict.dictionary.to_pylist()):
+        if fname in dv.schema.names:
+            fm = f_codes == code
+            v_np[fm] = dv.column(fname).to_numpy(zero_copy_only=False)[d_np[fm]]
+    i = pts.schema.get_field_index("value")
+    return pts.set_column(i, "value", pa.array(v_np, type=pa.int64()))
+
+
+def _merge_file(
+    f: segfiles.SegFile,
+    paths: list[str],
+    out_dir: str,
+    offsets: list[int],
+    live: np.ndarray | None,
+    dv: pa.Table | None = None,
+) -> pa.Table | None:
+    """Merge one table row's input files into ``out_dir`` by the row's rule
+    (segfiles module docstring); returns the merged table (None when
+    streamed). Inputs are docid-adjacent, so concatenation keeps doc order
+    and the row-group pruning granularity."""
+    if f.merge == segfiles.STREAM:
+        # batch by batch: stored/term-vector rows are wide, never
+        # materialize every input at once
+        writer = None
+        try:
+            batch = f.row_group or 16384
+            for off, p in zip(offsets, paths):
+                for b in pq.ParquetFile(p).iter_batches(batch_size=batch):
+                    t = pa.Table.from_batches([b])
+                    if f.docid:
+                        t, docs = _rebase(t, f.docid, off)
+                        if f.reclaim and live is not None:
+                            t = t.filter(pa.array(live[docs]))
+                    if writer is None:
+                        writer = pq.ParquetWriter(f.path(out_dir), t.schema)
+                    writer.write_table(t, row_group_size=f.row_group)
+        finally:
+            if writer is not None:
+                writer.close()
+        return None
+    parts = [pq.read_table(p) for p in paths]
+    if f.docid:
+        parts = [_rebase(t, f.docid, off)[0] for t, off in zip(parts, offsets)]
+    t = pa.concat_tables(parts, promote_options="default")
+    if f is segfiles.POINTS and dv is not None:
+        t = _fold_doc_values(t, dv)
+    if f.sort_key:
+        # sort on integer dictionary codes, not object strings (lexsort over
+        # an object column falls back to python comparisons). Code order is
+        # arbitrary — readers mask per field and only need the within-field
+        # (key, docid) order, which the lexsort guarantees.
+        f_dict = t.column("field").combine_chunks().dictionary_encode()
+        f_codes = f_dict.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        d_np = t.column(f.docid).to_numpy(zero_copy_only=False)
+        k_np = t.column(f.sort_key).to_numpy(zero_copy_only=False)
+        o = np.lexsort((d_np, k_np, f_codes))
+        if f.reclaim and live is not None:
+            o = o[live[d_np][o]]  # tombstoned docs' rows go with their postings
+        t = t.take(pa.array(o))
+    f.write(out_dir, t)
+    return t
+
+
 def merge_segments(
     index_dir: str,
     names: list[str],
@@ -390,7 +470,9 @@ def merge_segments(
 ) -> SegmentEntry:
     """Execute one merge: streaming k-way term merge with docid rebase;
     idempotent. Peak memory is O(max_chunk_pairs) decoded postings plus the
-    doc-scale norms/livedocs arrays — never whole-segment decoded state."""
+    doc-scale norms/livedocs arrays — never whole-segment decoded state.
+    Every other file merges by its segfiles row; a sidecar is carried only
+    when every input has it."""
     from lucene_ray.index.manifest import read_entry
 
     t0 = time.perf_counter()
@@ -404,16 +486,14 @@ def merge_segments(
     for a, b in zip(entries, entries[1:]):
         assert b.docid_base == a.docid_base + a.doc_count, "non-adjacent merge"
     new_base = entries[0].docid_base
-    # del_gen, dv_gen AND soft_del_gen are part of the identity: the same
-    # inputs re-merged after new deletes / DV updates / soft-delete flips
-    # must produce a NEW segment, not hit the idempotency cache
+    # every generation (del_gen, dv_gen, soft_del_gen) is part of the
+    # identity: the same inputs re-merged after new deletes / DV updates /
+    # soft-delete flips must produce a NEW segment, not hit the idempotency
+    # cache
     fp = hashlib.sha1(
-        (
-            "+".join(
-                f"{e.name}:{getattr(e, 'del_gen', 0)}:{getattr(e, 'dv_gen', 0)}"
-                f":{getattr(e, 'soft_del_gen', 0)}"
-                for e in entries
-            )
+        "+".join(
+            e.name + "".join(f":{f.gen(e)}" for f in segfiles.GEN_FILES)
+            for e in entries
         ).encode()
     ).hexdigest()[:12]
     name = f"seg_{entries[0].name.split('_')[1]}m_{fp}"
@@ -429,9 +509,7 @@ def merge_segments(
     # pairs (format v8, MultiNormsLeafSimScorer backing) concat in the same
     # doc order as the content norm — build options are index-wide, so
     # every segment of one index carries the identical norms schema.
-    norm_tbls = [
-        pq.read_table(os.path.join(sd, "norms.parquet")) for sd in seg_dirs
-    ]
+    norm_tbls = [pq.read_table(segfiles.NORMS.path(sd)) for sd in seg_dirs]
     norm_cols = {
         name: np.concatenate(
             [t.column(name).to_numpy(zero_copy_only=False) for t in norm_tbls]
@@ -441,22 +519,27 @@ def merge_segments(
     norms = norm_cols["norm"].astype(np.uint8)
     doc_lens = norm_cols["doc_len"]
 
-    # live-docs bitmap (doc-scale); docid SPACE is preserved (stable global
-    # ids) — the bitmap is carried forward so MatchAllDocs / norms stay
-    # consistent; only tombstoned docs' postings are reclaimed.
-    any_deletes = any(getattr(e, "del_gen", 0) > 0 for e in entries)
-    live_merged = None
-    if any_deletes:
-        from lucene_ray.index.writer import _load_livedocs
-
-        live_merged = np.concatenate(
-            [_load_livedocs(sd, e) for sd, e in zip(seg_dirs, entries)]
+    # delete masks (doc-scale), concatenated in doc order. The docid SPACE
+    # is preserved (stable global ids): the live bitmap is carried forward
+    # so MatchAllDocs / norms stay consistent, and only tombstoned docs'
+    # postings are reclaimed. Soft deletes follow the RETENTION contract
+    # (SoftDeletesRetentionMergePolicy): their postings are kept and the
+    # mask carries over, so soft_undelete keeps working on the merged
+    # segment.
+    masks = {
+        f: np.concatenate(
+            [segfiles.read_mask(f, sd, f.gen(e), e.doc_count)
+             for sd, e in zip(seg_dirs, entries)]
         )
+        for f in (segfiles.LIVEDOCS, segfiles.SOFTDELETES)
+        if any(f.gen(e) > 0 for e in entries)
+    }
+    live_merged = masks.get(segfiles.LIVEDOCS)
 
     # positions on/off is uniform across a segment: probe the footer-level
     # schema stats cheaply by decoding nothing — any non-empty pos_blob in
     # the first buffered batch means the index carries positions
-    post_paths = [os.path.join(sd, "postings.parquet") for sd in seg_dirs]
+    post_paths = [segfiles.POSTINGS.path(sd) for sd in seg_dirs]
     with_positions = with_offsets = with_payloads = False
     for p in post_paths:
         pf = pq.ParquetFile(p)
@@ -485,7 +568,7 @@ def merge_segments(
     sum_ttf = 0
     unique_terms = 0
     kept_postings = 0
-    writer = pq.ParquetWriter(os.path.join(d, "postings.parquet"), POSTINGS_SCHEMA)
+    writer = pq.ParquetWriter(segfiles.POSTINGS.path(d), POSTINGS_SCHEMA)
     try:
         for parts in _iter_term_chunks(post_paths, batch_rows, max_chunk_pairs):
             out = _merge_chunk(
@@ -502,7 +585,8 @@ def merge_segments(
     finally:
         writer.close()
 
-    pq.write_table(
+    segfiles.NORMS.write(
+        d,
         pa.table(
             {
                 "norm": pa.array(norms, type=pa.uint8()),
@@ -517,263 +601,32 @@ def merge_segments(
                 },
             }
         ),
-        os.path.join(d, "norms.parquet"),
     )
-    # stored fields stream batch-by-batch (content rows are wide; never
-    # materialize all inputs at once)
-    stored_writer = None
-    try:
-        for sd in seg_dirs:
-            spf = pq.ParquetFile(os.path.join(sd, "stored.parquet"))
-            for b in spf.iter_batches(batch_size=16384):
-                t = pa.Table.from_batches([b])
-                if stored_writer is None:
-                    stored_writer = pq.ParquetWriter(
-                        os.path.join(d, "stored.parquet"), t.schema
-                    )
-                stored_writer.write_table(t)
-    finally:
-        if stored_writer is not None:
-            stored_writer.close()
+    # every other file by its table row (doc values before points: the
+    # points re-sort folds the merged doc values in)
+    dv = None
+    for f in segfiles.TABLE:
+        if not f.merge:
+            continue
+        paths = [f.latest(sd, e) for sd, e in zip(seg_dirs, entries)]
+        if all(os.path.exists(p) for p in paths):
+            merged = _merge_file(f, paths, d, offsets, live_merged, dv)
+            if f is segfiles.DOCVALUES:
+                dv = merged
 
-    # doc values concat in doc order; points re-sorted with docid offsets
-    # (deleted docs' point rows are dropped like their postings)
-    dv_paths = [
-        os.path.join(
-            segment_dir(index_dir, e.name),
-            f"docvalues_g{e.dv_gen}.parquet"
-            if getattr(e, "dv_gen", 0) > 0
-            else "docvalues.parquet",
-        )
-        for e in entries
-    ]
-    if all(os.path.exists(p) for p in dv_paths):
-        dv = pa.concat_tables([pq.read_table(p) for p in dv_paths])
-        pq.write_table(dv, os.path.join(d, "docvalues.parquet"))
-        # SORTED / SORTED_SET sidecar: doc-ordered like the numeric DV, so a
-        # plain concat preserves docid addressing (tombstoned docs keep
-        # their rows; per-segment ordinals are reader-derived, never stored)
-        sdv_paths = [
-            os.path.join(segment_dir(index_dir, e.name), "docvalues_sorted.parquet")
-            for e in entries
-        ]
-        if all(os.path.exists(p) for p in sdv_paths):
-            sdv = pa.concat_tables(
-                [pq.read_table(p) for p in sdv_paths], promote_options="default"
-            )
-            pq.write_table(sdv, os.path.join(d, "docvalues_sorted.parquet"))
-        # shapes sidecar: triangle rows are LOCAL-docid addressed — rebase
-        # like points (tombstoned docs keep their rows; live filtering
-        # happens at query time, consistent with the points path)
-        shape_paths = [
-            os.path.join(segment_dir(index_dir, e.name), "shapes.parquet")
-            for e in entries
-        ]
-        if all(os.path.exists(p) for p in shape_paths):
-            sh_parts = []
-            for i, p in enumerate(shape_paths):
-                t = pq.read_table(p)
-                docs = t.column("docid").to_numpy(zero_copy_only=False) + offsets[i]
-                sh_parts.append(
-                    t.set_column(
-                        t.schema.get_field_index("docid"),
-                        "docid",
-                        pa.array(docs, type=pa.int64()),
-                    )
-                )
-            pq.write_table(
-                pa.concat_tables(sh_parts), os.path.join(d, "shapes.parquet")
-            )
-        # SORTED_NUMERIC / BINARY sidecars: doc-ordered too — plain concat
-        for side in ("docvalues_sortednumeric.parquet", "docvalues_binary.parquet"):
-            side_paths = [
-                os.path.join(segment_dir(index_dir, e.name), side)
-                for e in entries
-            ]
-            if all(os.path.exists(p) for p in side_paths):
-                t = pa.concat_tables(
-                    [pq.read_table(p) for p in side_paths],
-                    promote_options="default",
-                )
-                pq.write_table(t, os.path.join(d, side))
-        pt_parts = []
-        for i, e in enumerate(entries):
-            pt = pq.read_table(
-                os.path.join(segment_dir(index_dir, e.name), "points.parquet")
-            )
-            docs = pt.column("docid").to_numpy(zero_copy_only=False) + offsets[i]
-            pt_parts.append(
-                pa.table(
-                    {
-                        "field": pt.column("field"),
-                        "value": pt.column("value"),
-                        "docid": pa.array(docs, type=pa.int64()),
-                    }
-                )
-            )
-        pts = pa.concat_tables(pt_parts)
-        # sort on integer dictionary codes, not object strings (lexsort over
-        # an object column falls back to python comparisons). Code order is
-        # arbitrary — the reader masks per field and only needs the
-        # within-field (value, docid) order, which the lexsort guarantees.
-        f_dict = pts.column("field").combine_chunks().dictionary_encode()
-        f_codes = f_dict.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        f_np = np.asarray(f_dict.dictionary.to_pylist(), dtype=object)[f_codes]
-        v_np = pts.column("value").to_numpy(zero_copy_only=False)
-        d_np = pts.column("docid").to_numpy(zero_copy_only=False)
-        # fold DV update generations into the rebuilt points (like postings
-        # reclaim): the merged segment's points agree with its merged doc
-        # values, so range queries see the updates from the merge on
-        v_np = v_np.copy()
-        for fname in dv.schema.names:
-            fm = f_np == fname
-            if fm.any():
-                dv_col = dv.column(fname).to_numpy(zero_copy_only=False)
-                v_np[fm] = dv_col[d_np[fm]]
-        if live_merged is not None:
-            m = live_merged[d_np]
-            f_np, v_np, d_np, f_codes = f_np[m], v_np[m], d_np[m], f_codes[m]
-        o = np.lexsort((d_np, v_np, f_codes))
-        pq.write_table(
-            pa.table(
-                {
-                    "field": pa.array(f_np[o], type=pa.string()),
-                    "value": pa.array(v_np[o], type=pa.int64()),
-                    "docid": pa.array(d_np[o], type=pa.int64()),
-                }
-            ),
-            os.path.join(d, "points.parquet"),
-        )
-    # 2-D geo sidecar (search/spatial.py): concat with docid rebase, drop
-    # tombstones, re-sort by (field, morton, docid), rewrite with BKD-leaf
-    # row groups so pruning granularity survives the merge
-    sp_paths = [
-        os.path.join(segment_dir(index_dir, e.name), "spatial.parquet")
-        for e in entries
-    ]
-    if all(os.path.exists(p) for p in sp_paths):
-        from lucene_ray.search.spatial import SPATIAL_ROW_GROUP
-
-        sp_parts = []
-        for i, p in enumerate(sp_paths):
-            t = pq.read_table(p)
-            docs = t.column("docid").to_numpy(zero_copy_only=False) + offsets[i]
-            sp_parts.append(t.set_column(
-                t.schema.get_field_index("docid"),
-                "docid",
-                pa.array(docs, type=pa.int64()),
-            ))
-        sp = pa.concat_tables(sp_parts)
-        f_dict = sp.column("field").combine_chunks().dictionary_encode()
-        f_codes = f_dict.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        m_np = sp.column("morton").to_numpy(zero_copy_only=False)
-        d_np = sp.column("docid").to_numpy(zero_copy_only=False)
-        keep = np.ones(len(d_np), dtype=bool)
-        if live_merged is not None:
-            keep = live_merged[d_np]
-        o = np.lexsort((d_np, m_np, f_codes))
-        o = o[keep[o]]
-        pq.write_table(
-            sp.take(pa.array(o)),
-            os.path.join(d, "spatial.parquet"),
-            row_group_size=SPATIAL_ROW_GROUP,
-        )
-    # LongRange sidecar: concat with docid rebase, drop tombstones, re-sort
-    # by (field, lo, docid) so the reader's searchsorted prune survives
-    rg_paths = [
-        os.path.join(segment_dir(index_dir, e.name), "ranges.parquet")
-        for e in entries
-    ]
-    if all(os.path.exists(p) for p in rg_paths):
-        rg_parts = []
-        for i, p in enumerate(rg_paths):
-            t = pq.read_table(p)
-            docs = t.column("docid").to_numpy(zero_copy_only=False) + offsets[i]
-            rg_parts.append(
-                t.set_column(
-                    t.schema.get_field_index("docid"),
-                    "docid",
-                    pa.array(docs, type=pa.int64()),
-                )
-            )
-        rg = pa.concat_tables(rg_parts)
-        f_dict = rg.column("field").combine_chunks().dictionary_encode()
-        f_codes = f_dict.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        lo_np = rg.column("lo").to_numpy(zero_copy_only=False)
-        d_np = rg.column("docid").to_numpy(zero_copy_only=False)
-        keep = np.ones(len(d_np), dtype=bool)
-        if live_merged is not None:
-            keep = live_merged[d_np]
-        o = np.lexsort((d_np, lo_np, f_codes))
-        o = o[keep[o]]
-        pq.write_table(rg.take(pa.array(o)), os.path.join(d, "ranges.parquet"))
-    # term-vectors sidecar: stream batch-by-batch with docid rebase, drop
-    # tombstoned docs (their TV rows reclaim with their postings); inputs
-    # are docid-adjacent and doc-major sorted, so appending keeps the
-    # doc-major order and row-group pruning granularity
-    tv_paths = [
-        os.path.join(segment_dir(index_dir, e.name), "termvectors.parquet")
-        for e in entries
-    ]
-    if all(os.path.exists(p) for p in tv_paths):
-        from lucene_ray.index.builder import TV_ROW_GROUP
-
-        tv_writer = None
-        try:
-            for i, p in enumerate(tv_paths):
-                tpf = pq.ParquetFile(p)
-                for b in tpf.iter_batches(batch_size=TV_ROW_GROUP):
-                    t = pa.Table.from_batches([b])
-                    docs = (
-                        t.column("doc").to_numpy(zero_copy_only=False)
-                        + offsets[i]
-                    )
-                    t = t.set_column(
-                        t.schema.get_field_index("doc"),
-                        "doc",
-                        pa.array(docs, type=pa.int64()),
-                    )
-                    if live_merged is not None:
-                        t = t.filter(pa.array(live_merged[docs]))
-                    if tv_writer is None:
-                        tv_writer = pq.ParquetWriter(
-                            os.path.join(d, "termvectors.parquet"), t.schema
-                        )
-                    tv_writer.write_table(t, row_group_size=TV_ROW_GROUP)
-        finally:
-            if tv_writer is not None:
-                tv_writer.close()
     del_gen, del_count, reclaimed = 0, 0, 0
-    if any_deletes:
+    if live_merged is not None:
         del_count = int((~live_merged).sum())
         del_gen, reclaimed = 1, del_count  # every tombstone's postings dropped
-        pq.write_table(
-            pa.table({"live": pa.array(live_merged, type=pa.bool_())}),
-            os.path.join(d, "livedocs_g1.parquet"),
-        )
-    # soft deletes: the RETENTION contract (SoftDeletesRetentionMergePolicy)
-    # — soft-deleted docs' postings were NOT reclaimed above (live_merged is
-    # hard tombstones only); the mask concatenates in doc order so
-    # soft_undelete keeps working on the merged segment
     soft_del_gen, soft_del_count = 0, 0
-    if any(getattr(e, "soft_del_gen", 0) > 0 for e in entries):
-        from lucene_ray.index.writer import _load_softdeletes
-
-        soft_merged = np.concatenate(
-            [_load_softdeletes(sd, e) for sd, e in zip(seg_dirs, entries)]
-        )
-        soft_del_gen, soft_del_count = 1, int(soft_merged.sum())
-        pq.write_table(
-            pa.table({"deleted": pa.array(soft_merged, type=pa.bool_())}),
-            os.path.join(d, "softdeletes_g1.parquet"),
-        )
+    if segfiles.SOFTDELETES in masks:
+        soft_del_gen = 1
+        soft_del_count = int(masks[segfiles.SOFTDELETES].sum())
+    for f, mask in masks.items():
+        segfiles.write_mask(f, d, 1, mask)
 
     secs = time.perf_counter() - t0
     doc_count = sum(e.doc_count for e in entries)
-    seg_bytes = sum(
-        os.path.getsize(os.path.join(d, f))
-        for f in ("postings.parquet", "norms.parquet", "stored.parquet")
-    )
     # index sorting: adjacent merges CONCATENATE the inputs' sorted runs
     # (stable docids forbid the reference's merge-time re-sort,
     # index/IndexSorter.java — builder.py documents the divergence). A DV
@@ -794,7 +647,7 @@ def merge_segments(
         sorted_runs=sorted_runs,
         sum_ttf=sum_ttf,
         unique_terms=unique_terms,
-        bytes=seg_bytes,
+        bytes=segfiles.segment_bytes(d),
         del_gen=del_gen,
         del_count=del_count,
         soft_del_gen=soft_del_gen,
@@ -842,21 +695,7 @@ def maybe_merge(
         specs = policy.find_merges(manifest.live_segments)
         if not specs:
             return manifest
-        new_entries = _execute_merges(index_dir, specs, use_ray)
-        merged_away = {n for spec in specs for n in spec}
-        keep = [e for e in manifest.segments if e.name not in merged_away]
-        keep.extend(new_entries)
-        keep.sort(key=lambda e: e.docid_base)
-        manifest = Manifest(
-            generation=manifest.generation + 1,
-            analyzer=manifest.analyzer,
-            index_sort=getattr(manifest, "index_sort", None),
-            user_data=getattr(manifest, "user_data", None),
-            doc_count=sum(e.doc_count for e in keep),
-            sum_ttf=sum(e.sum_ttf for e in keep),
-            segments=keep,
-        )
-        write_manifest(index_dir, manifest)
+        manifest = _apply_merges(index_dir, manifest, manifest.segments, specs, use_ray)
     return manifest
 
 
@@ -909,22 +748,7 @@ def merge_on_commit(
     specs = policy.find_full_flush_merges(manifest.live_segments)
     if not specs:
         return manifest
-    new_entries = _execute_merges(index_dir, specs, use_ray)
-    merged_away = {n for spec in specs for n in spec}
-    keep = [e for e in manifest.segments if e.name not in merged_away]
-    keep.extend(new_entries)
-    keep.sort(key=lambda e: e.docid_base)
-    manifest = Manifest(
-        generation=manifest.generation + 1,
-        analyzer=manifest.analyzer,
-        index_sort=getattr(manifest, "index_sort", None),
-            user_data=getattr(manifest, "user_data", None),
-        doc_count=sum(e.doc_count for e in keep),
-        sum_ttf=sum(e.sum_ttf for e in keep),
-        segments=keep,
-    )
-    write_manifest(index_dir, manifest)
-    return manifest
+    return _apply_merges(index_dir, manifest, manifest.segments, specs, use_ray)
 
 
 def force_merge(index_dir: str, use_ray: bool = False) -> Manifest:
@@ -941,20 +765,35 @@ def force_merge(index_dir: str, use_ray: bool = False) -> Manifest:
         specs = [s for s in specs if len(s) > 1]
         if not specs:
             break
-        new_entries = _execute_merges(index_dir, specs, use_ray)
-        merged_away = {n for spec in specs for n in spec}
-        live = [e for e in live if e.name not in merged_away] + new_entries
-        live.sort(key=lambda e: e.docid_base)
-        manifest = Manifest(
-            generation=manifest.generation + 1,
-            analyzer=manifest.analyzer,
-            index_sort=getattr(manifest, "index_sort", None),
-            user_data=getattr(manifest, "user_data", None),
-            doc_count=sum(e.doc_count for e in live),
-            sum_ttf=sum(e.sum_ttf for e in live),
-            segments=live,
-        )
-        write_manifest(index_dir, manifest)
+        manifest = _apply_merges(index_dir, manifest, live, specs, use_ray)
+        live = manifest.segments
+    return manifest
+
+
+def _apply_merges(
+    index_dir: str,
+    manifest: Manifest,
+    segments: list[SegmentEntry],
+    specs: list[list[str]],
+    use_ray: bool,
+) -> Manifest:
+    """Run one round of merges and publish ``segments`` with each spec's
+    inputs replaced by its merged segment as the next manifest generation
+    (one atomic write per round)."""
+    new_entries = _execute_merges(index_dir, specs, use_ray)
+    merged_away = {n for spec in specs for n in spec}
+    keep = [e for e in segments if e.name not in merged_away] + new_entries
+    keep.sort(key=lambda e: e.docid_base)
+    manifest = Manifest(
+        generation=manifest.generation + 1,
+        analyzer=manifest.analyzer,
+        index_sort=getattr(manifest, "index_sort", None),
+        user_data=getattr(manifest, "user_data", None),
+        doc_count=sum(e.doc_count for e in keep),
+        sum_ttf=sum(e.sum_ttf for e in keep),
+        segments=keep,
+    )
+    write_manifest(index_dir, manifest)
     return manifest
 
 
@@ -1023,18 +862,4 @@ def force_merge_deletes(
         specs.append(run)
     if not specs:
         return manifest
-    new_entries = _execute_merges(index_dir, specs, use_ray)
-    merged_away = {n for spec in specs for n in spec}
-    live = [e for e in live if e.name not in merged_away] + new_entries
-    live.sort(key=lambda e: e.docid_base)
-    manifest = Manifest(
-        generation=manifest.generation + 1,
-        analyzer=manifest.analyzer,
-        index_sort=getattr(manifest, "index_sort", None),
-            user_data=getattr(manifest, "user_data", None),
-        doc_count=sum(e.doc_count for e in live),
-        sum_ttf=sum(e.sum_ttf for e in live),
-        segments=live,
-    )
-    write_manifest(index_dir, manifest)
-    return manifest
+    return _apply_merges(index_dir, manifest, live, specs, use_ray)

@@ -23,6 +23,7 @@ import os
 import shutil
 
 from lucene_ray.index.manifest import read_manifest, segment_dir
+from lucene_ray.index.segfiles import ENTRY
 
 
 def _sync_file(src: str, dst: str, force: bool = False) -> int:
@@ -52,7 +53,7 @@ def _sync_segment(src_seg: str, dst_seg: str) -> tuple[int, int]:
         b = _sync_file(
             os.path.join(src_seg, f),
             os.path.join(dst_seg, f),
-            force=(f == "entry.json"),
+            force=(f == ENTRY.name),
         )
         files += 1
         copied += b

@@ -23,14 +23,13 @@ is segment-local). These pipelines produce the INDEX-WIDE artifacts:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 
 import ray.data
 from ray.data.aggregate import Sum
 
+from lucene_ray.index import segfiles
 from lucene_ray.search.reader import IndexReader
 
 
@@ -38,10 +37,7 @@ def _postings_paths(index_dir: str) -> list[str]:
     r = IndexReader(index_dir)
     from lucene_ray.index.manifest import segment_dir
 
-    return [
-        os.path.join(segment_dir(index_dir, e.name), "postings.parquet")
-        for e in r.segments
-    ]
+    return [segfiles.POSTINGS.path(segment_dir(index_dir, e.name)) for e in r.segments]
 
 
 def global_term_stats(index_dir: str) -> "ray.data.Dataset":
@@ -69,7 +65,7 @@ def build_global_postings(
 
     items = [
         {
-            "path": os.path.join(segment_dir(index_dir, name), "postings.parquet"),
+            "path": segfiles.POSTINGS.path(segment_dir(index_dir, name)),
             "docid_base": base,
         }
         for name, base in seg_meta

@@ -28,6 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from lucene_ray.index import segfiles
 from lucene_ray.index.builder import (
     STORED_COLUMNS,
     BuildOptions,
@@ -44,19 +45,9 @@ from lucene_ray.index.manifest import (
 )
 
 
-def _write_livedocs(seg_d: str, gen: int, live: np.ndarray) -> None:
-    pq.write_table(
-        pa.table({"live": pa.array(live, type=pa.bool_())}),
-        os.path.join(seg_d, f"livedocs_g{gen}.parquet"),
-    )
-
-
-def _load_livedocs(seg_d: str, entry: SegmentEntry) -> np.ndarray:
-    gen = getattr(entry, "del_gen", 0)
-    if gen <= 0:
-        return np.ones(entry.doc_count, dtype=bool)
-    t = pq.read_table(os.path.join(seg_d, f"livedocs_g{gen}.parquet"))
-    return t.column("live").to_numpy(zero_copy_only=False).astype(bool)
+def _load_mask(f: segfiles.SegFile, seg_d: str, entry: SegmentEntry) -> np.ndarray:
+    """The entry's current hard (LIVEDOCS) or soft (SOFTDELETES) mask."""
+    return segfiles.read_mask(f, seg_d, f.gen(entry), entry.doc_count)
 
 
 def _apply_segment_deletes(
@@ -65,7 +56,7 @@ def _apply_segment_deletes(
     """Clear bits for ``local_docids`` in one segment; returns the updated
     entry (unchanged object if nothing newly deleted)."""
     seg_d = segment_dir(index_dir, entry.name)
-    live = _load_livedocs(seg_d, entry)
+    live = _load_mask(segfiles.LIVEDOCS, seg_d, entry)
     hit = local_docids[(local_docids >= 0) & (local_docids < entry.doc_count)]
     newly = live[hit].sum()
     if newly == 0:
@@ -73,7 +64,7 @@ def _apply_segment_deletes(
     live[hit] = False
     entry.del_gen = getattr(entry, "del_gen", 0) + 1
     entry.del_count = int((~live).sum())
-    _write_livedocs(seg_d, entry.del_gen, live)
+    segfiles.write_mask(segfiles.LIVEDOCS, seg_d, entry.del_gen, live)
     write_entry(index_dir, entry)
     return entry
 
@@ -101,21 +92,6 @@ def delete_docs(index_dir: str, global_docids) -> int:
     return int(after - before)
 
 
-def _write_softdeletes(seg_d: str, gen: int, soft: np.ndarray) -> None:
-    pq.write_table(
-        pa.table({"deleted": pa.array(soft, type=pa.bool_())}),
-        os.path.join(seg_d, f"softdeletes_g{gen}.parquet"),
-    )
-
-
-def _load_softdeletes(seg_d: str, entry: SegmentEntry) -> np.ndarray:
-    gen = getattr(entry, "soft_del_gen", 0)
-    if gen <= 0:
-        return np.zeros(entry.doc_count, dtype=bool)
-    t = pq.read_table(os.path.join(seg_d, f"softdeletes_g{gen}.parquet"))
-    return t.column("deleted").to_numpy(zero_copy_only=False).astype(bool)
-
-
 def _apply_soft(index_dir: str, global_docids, value: bool) -> int:
     """Set/clear soft-delete bits for global docids; returns changed count.
     Mirrors delete_docs' flow but writes the soft sidecar (the
@@ -136,16 +112,16 @@ def _apply_soft(index_dir: str, global_docids, value: bool) -> int:
         if value and getattr(e, "del_gen", 0) > 0:
             # never soft-mark a hard tombstone (keeps del_count +
             # soft_del_count disjoint for live_doc_count)
-            live = _load_livedocs(seg_d, e)
+            live = _load_mask(segfiles.LIVEDOCS, seg_d, e)
             local = local[live[local]]
-        soft = _load_softdeletes(seg_d, e)
+        soft = _load_mask(segfiles.SOFTDELETES, seg_d, e)
         newly = int((soft[local] != value).sum())
         if newly == 0:
             continue
         soft[local] = value
         e.soft_del_gen = getattr(e, "soft_del_gen", 0) + 1
         e.soft_del_count = int(soft.sum())
-        _write_softdeletes(seg_d, e.soft_del_gen, soft)
+        segfiles.write_mask(segfiles.SOFTDELETES, seg_d, e.soft_del_gen, soft)
         write_entry(index_dir, e)
         changed += newly
     if changed:
@@ -183,7 +159,7 @@ def prune_soft_deletes(index_dir: str, retain_term: str | None = None) -> int:
         if getattr(e, "soft_del_gen", 0) <= 0:
             continue
         seg_d = segment_dir(index_dir, e.name)
-        soft = _load_softdeletes(seg_d, e)
+        soft = _load_mask(segfiles.SOFTDELETES, seg_d, e)
         cand = np.nonzero(soft)[0]
         if len(cand) == 0:
             continue
@@ -196,7 +172,7 @@ def prune_soft_deletes(index_dir: str, retain_term: str | None = None) -> int:
         soft[cand] = False
         e.soft_del_gen = getattr(e, "soft_del_gen", 0) + 1
         e.soft_del_count = int(soft.sum())
-        _write_softdeletes(seg_d, e.soft_del_gen, soft)
+        segfiles.write_mask(segfiles.SOFTDELETES, seg_d, e.soft_del_gen, soft)
         write_entry(index_dir, e)  # _apply_segment_deletes rewrites it too
         _apply_segment_deletes(index_dir, e, cand)
         pruned += len(cand)
@@ -299,18 +275,19 @@ def add_indexes(dest_dir: str, src_dirs: list[str]) -> Manifest:
     no-merge copy variant): import every LIVE segment of each source index
     into ``dest`` by verbatim file copy + docid rebase.
 
-    Segment files address docs by SEGMENT-LOCAL ids (postings, norms,
-    points, spatial, term vectors, doc values, live docs), so the copy is
-    byte-identical — only the manifest entry's name and docid_base change.
-    Source tombstones (del_gen) and DV update generations travel with the
-    copied files. Sources must share the dest's analyzer: the shared term
-    dict is analyzer-defined here (the reference leaves codec/analyzer
-    agreement to the caller). Imported segments keep their sorted_runs
+    Segment files address docs by SEGMENT-LOCAL ids (index/segfiles.py), so
+    the copy is byte-identical — only the manifest entry's name and
+    docid_base change. Every generation (tombstones, soft deletes, DV
+    updates) and the recorded build options travel with the copied files.
+    Sources must share the dest's analyzer: the shared term dict is
+    analyzer-defined here (the reference leaves codec/analyzer agreement
+    to the caller). Imported segments keep their sorted_runs
     only when the source's index_sort equals the dest's.
 
     Published atomically in ONE write_manifest: a crash mid-copy leaves
     only unreferenced segment dirs, which readers ignore and whose names
     are never reused (_next_seg_idx scans the directory)."""
+    import dataclasses
     import hashlib
     import shutil
 
@@ -333,34 +310,29 @@ def add_indexes(dest_dir: str, src_dirs: list[str]) -> Manifest:
         for e in sorted(sm.live_segments, key=lambda x: x.docid_base):
             idx = _next_seg_idx(manifest, dest_dir)
             fp = hashlib.sha1(
-                f"{src}:{e.name}:{getattr(e, 'del_gen', 0)}:"
-                f"{getattr(e, 'dv_gen', 0)}".encode()
+                f"{src}:{e.name}:{e.del_gen}:{e.dv_gen}:{e.soft_del_gen}".encode()
             ).hexdigest()[:12]
             new_name = f"seg_{idx:06d}_{fp}"
             sd_dst = segment_dir(dest_dir, new_name)
             if os.path.exists(sd_dst):
                 shutil.rmtree(sd_dst)
             shutil.copytree(segment_dir(src, e.name), sd_dst)
-            ne = SegmentEntry(
+            # every other field (generations, counts, reclaimed, metrics)
+            # carries over as-is: the copied files are the same files
+            ne = dataclasses.replace(
+                e,
                 name=new_name,
                 docid_base=base,
-                doc_count=e.doc_count,
-                sum_ttf=e.sum_ttf,
-                unique_terms=e.unique_terms,
-                bytes=e.bytes,
                 input={
                     "imported_from": src,
                     "src_name": e.name,
                     "fingerprint": fp,
+                    "options": e.input.get("options"),
                 },
                 metrics=dict(e.metrics),
-                del_gen=getattr(e, "del_gen", 0),
-                del_count=getattr(e, "del_count", 0),
-                dv_gen=getattr(e, "dv_gen", 0),
-                reclaimed=getattr(e, "reclaimed", 0),
                 sorted_runs=(
                     [list(r) for r in e.sorted_runs]
-                    if (same_sort and getattr(e, "sorted_runs", None))
+                    if (same_sort and e.sorted_runs)
                     else None
                 ),
             )
@@ -464,9 +436,7 @@ def update_numeric_docvalues(
     live_entries = sorted(manifest.live_segments, key=lambda e: e.docid_base)
     # validate the field up front so a no-match term still errors loudly
     for entry in live_entries[:1]:
-        schema_path = os.path.join(
-            segment_dir(index_dir, entry.name), "docvalues.parquet"
-        )
+        schema_path = segfiles.DOCVALUES.path(segment_dir(index_dir, entry.name))
         if not os.path.exists(schema_path) or field not in pq.read_schema(
             schema_path
         ).names:
@@ -483,11 +453,11 @@ def update_numeric_docvalues(
         if tp is None:
             continue
         docs = tp.docids
-        live = _load_livedocs(seg_d, entry)
+        live = _load_mask(segfiles.LIVEDOCS, seg_d, entry)
         docs = docs[live[docs]]
         if len(docs) == 0:
             continue
-        dv = pq.read_table(sr._dv_path())
+        dv = pq.read_table(segfiles.DOCVALUES.latest(seg_d, entry))
         cols = {}
         for name in dv.schema.names:
             arr = dv.column(name).to_numpy(zero_copy_only=False).copy()
@@ -495,9 +465,7 @@ def update_numeric_docvalues(
                 arr[docs] = value
             cols[name] = arr
         gen = getattr(entry, "dv_gen", 0) + 1
-        pq.write_table(
-            pa.table(cols), os.path.join(seg_d, f"docvalues_g{gen}.parquet")
-        )
+        segfiles.DOCVALUES.write(seg_d, pa.table(cols), gen)
         entry.dv_gen = gen
         write_entry(index_dir, entry)
         total += int(len(docs))
@@ -514,7 +482,8 @@ def rollback(index_dir: str, generation: int) -> "Manifest":
     (IndexWriter.rollback / restoring from an IndexCommit,
     index/IndexWriter.java:236). The restored state is republished as a
     NEW generation (monotonic — retained history is append-only), with the
-    old commit's segment set, livedocs generations and DV generations.
+    old commit's segment set and its livedocs, soft-delete and DV
+    generations.
     Segment files are never deleted, so any listed commit is restorable.
 
     Docid-space note: global docids are PER-COMMIT coordinates. After a
@@ -535,34 +504,24 @@ def rollback(index_dir: str, generation: int) -> "Manifest":
     cur = read_manifest(index_dir)
     old.generation = max(cur.generation, max(list_commits(index_dir))) + 1
     # Per-segment generation counters must stay monotonic across timelines:
-    # if the restored livedocs/DV generation differs from the segment's
-    # LATEST on-disk generation, re-publish the restored state under a
-    # FRESH generation number (copy the file) — otherwise a later delete
-    # would regenerate an already-used livedocs_g<N>.parquet and silently
-    # corrupt retained commits (and collide with the merge identity hash).
+    # if a restored generation (hard/soft deletes, DV) differs from the
+    # segment's LATEST on-disk one, re-publish the restored state under a
+    # FRESH generation number — otherwise a later delete would regenerate
+    # an already-used livedocs_g<N>.parquet and silently corrupt retained
+    # commits (and collide with the merge identity hash).
     for e in old.segments:
         disk = read_entry(index_dir, e.name)
         seg_d = segment_dir(index_dir, e.name)
-        if disk is not None:
-            d_del = getattr(disk, "del_gen", 0)
-            if getattr(e, "del_gen", 0) != d_del:
-                new_gen = max(d_del, getattr(e, "del_gen", 0)) + 1
-                live = _load_livedocs(seg_d, e)  # the RESTORED bitmap
-                _write_livedocs(seg_d, new_gen, live)
-                e.del_gen = new_gen
-            d_dv = getattr(disk, "dv_gen", 0)
-            if getattr(e, "dv_gen", 0) != d_dv:
-                new_gen = max(d_dv, getattr(e, "dv_gen", 0)) + 1
-                src = (
-                    os.path.join(seg_d, f"docvalues_g{e.dv_gen}.parquet")
-                    if getattr(e, "dv_gen", 0) > 0
-                    else os.path.join(seg_d, "docvalues.parquet")
-                )
-                pq.write_table(
-                    pq.read_table(src),
-                    os.path.join(seg_d, f"docvalues_g{new_gen}.parquet"),
-                )
-                e.dv_gen = new_gen
+        for f in segfiles.GEN_FILES if disk is not None else ():
+            g, disk_g = f.gen(e), f.gen(disk)
+            if g == disk_g:
+                continue
+            new_gen = max(g, disk_g) + 1
+            if f.name:
+                f.write(seg_d, pq.read_table(f.latest(seg_d, e)), new_gen)
+            else:  # a delete mask (generation 0 has no file)
+                segfiles.write_mask(f, seg_d, new_gen, _load_mask(f, seg_d, e))
+            setattr(e, f.gen_attr, new_gen)
         write_entry(index_dir, e)
     write_manifest(index_dir, old)
     return old

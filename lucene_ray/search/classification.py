@@ -29,15 +29,15 @@ class SimpleNaiveBayesClassifier:
         self.class_field = class_field
         reader = searcher.reader
         # content collection stats, column-pruned (term, df) reads
-        import os
-
         import pyarrow.parquet as pq
+
+        from lucene_ray.index import segfiles
 
         sum_doc_freq = 0
         for entry in reader.segments:
             sr = reader.segment_reader(entry.name)
             t = pq.read_table(
-                os.path.join(sr.seg_dir, "postings.parquet"),
+                segfiles.POSTINGS.path(sr.seg_dir),
                 columns=["term", "df"],
                 memory_map=True,
             )

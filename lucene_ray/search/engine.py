@@ -24,13 +24,12 @@ embarrassingly parallel across queries either way.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 
 from lucene_ray.analysis import get_analyzer
 from lucene_ray.config import DEFAULT_TOP_K
+from lucene_ray.index import segfiles
 from lucene_ray.search.query import (
     BooleanQuery,
     BlendedTermQuery,
@@ -1357,7 +1356,7 @@ def high_freq_terms(
     for entry in reader.segments:
         sr = reader.segment_reader(entry.name)
         t = pq.read_table(
-            os.path.join(sr.seg_dir, "postings.parquet"),
+            segfiles.POSTINGS.path(sr.seg_dir),
             columns=["term", "df", "ttf"],
             memory_map=True,
         )

@@ -32,6 +32,7 @@ from lucene_ray.codec.postings_codec import (
     _binary_col,
     decode_term_postings,
 )
+from lucene_ray.index import segfiles
 from lucene_ray.index.manifest import Manifest, read_manifest, segment_dir
 
 _MISSING = object()  # field_norms cache sentinel (None is a valid entry)
@@ -112,19 +113,15 @@ class SegmentReader:
         # differently (postings retained).
         self.live_mask: np.ndarray | None = None
         if del_gen > 0:
-            lt = pq.read_table(os.path.join(seg_dir, f"livedocs_g{del_gen}.parquet"))
-            self.live_mask = lt.column("live").to_numpy(zero_copy_only=False).astype(bool)
+            self.live_mask = segfiles.read_mask(
+                segfiles.LIVEDOCS, seg_dir, del_gen, doc_count
+            )
         if soft_del_gen > 0:
-            st = pq.read_table(
-                os.path.join(seg_dir, f"softdeletes_g{soft_del_gen}.parquet")
+            soft = segfiles.read_mask(
+                segfiles.SOFTDELETES, seg_dir, soft_del_gen, doc_count
             )
-            soft = st.column("deleted").to_numpy(zero_copy_only=False).astype(bool)
-            self.live_mask = (
-                ~soft if self.live_mask is None else (self.live_mask & ~soft)
-            )
-        self._postings = pq.read_table(
-            os.path.join(seg_dir, "postings.parquet"), memory_map=True
-        )
+            self.live_mask = ~soft if self.live_mask is None else self.live_mask & ~soft
+        self._postings = pq.read_table(segfiles.POSTINGS.path(seg_dir), memory_map=True)
         # term dictionary + term rows: zero-copy views over the table's
         # record batches (one per row group), in O(batches) — per batch its
         # first global row, its last term's UTF-8 bytes (batch choice), its
@@ -146,7 +143,7 @@ class SegmentReader:
             self._batch_terms.append((offs, data))
             self._batch_rows.append(BatchReaders(batch))
             start += n
-        norms = pq.read_table(os.path.join(seg_dir, "norms.parquet"), memory_map=True)
+        norms = pq.read_table(segfiles.NORMS.path(seg_dir), memory_map=True)
         self.norm_bytes = norms.column("norm").to_numpy(zero_copy_only=False)
         self.doc_len = norms.column("doc_len").to_numpy(zero_copy_only=False)
         self._norms_table = norms  # per-analyzed-field norm_<f>/doc_len_<f>
@@ -324,30 +321,30 @@ class SegmentReader:
             self._cursor_cache_postings += len(tp.docids)
         return tp
 
-    def _dv_path(self) -> str:
-        """Latest doc-values generation file (dvd/dvm generation analog)."""
-        if self.dv_gen > 0:
-            return os.path.join(self.seg_dir, f"docvalues_g{self.dv_gen}.parquet")
-        return os.path.join(self.seg_dir, "docvalues.parquet")
-
-    def doc_values(self, field: str) -> np.ndarray:
-        """Doc-ordered numeric doc values (index/DocValues.java NUMERIC),
-        from the latest update generation."""
-        if not hasattr(self, "_dv"):
-            self._dv = pq.read_table(self._dv_path(), memory_map=True)
-        return self._dv.column(field).to_numpy(zero_copy_only=False)
-
-    def doc_values_schema(self) -> list[str]:
-        """Field names with NUMERIC doc values in this segment (footer-only
-        read — never materializes the table)."""
-        path = self._dv_path()
+    def _field_names(self, f: segfiles.SegFile, gen: int = 0) -> list[str]:
+        """Column names of a sidecar, [] when the segment has none
+        (footer-only read — never materializes the table)."""
+        path = f.path(self.seg_dir, gen)
         if not os.path.exists(path):
             return []
         return [n for n in pq.read_schema(path).names if n != "docid"]
 
+    def doc_values(self, field: str) -> np.ndarray:
+        """Doc-ordered numeric doc values (index/DocValues.java NUMERIC),
+        from the latest update generation (dvd/dvm generation analog)."""
+        if not hasattr(self, "_dv"):
+            self._dv = pq.read_table(
+                segfiles.DOCVALUES.path(self.seg_dir, self.dv_gen), memory_map=True
+            )
+        return self._dv.column(field).to_numpy(zero_copy_only=False)
+
+    def doc_values_schema(self) -> list[str]:
+        """Field names with NUMERIC doc values in this segment."""
+        return self._field_names(segfiles.DOCVALUES, self.dv_gen)
+
     def _sdv_table(self) -> pa.Table | None:
         if not hasattr(self, "_sdv"):
-            path = os.path.join(self.seg_dir, "docvalues_sorted.parquet")
+            path = segfiles.DOCVALUES_SORTED.path(self.seg_dir)
             self._sdv = (
                 pq.read_table(path, memory_map=True)
                 if os.path.exists(path)
@@ -356,31 +353,22 @@ class SegmentReader:
         return self._sdv
 
     def sorted_dv_schema(self) -> list[str]:
-        """Field names with SORTED / SORTED_SET doc values (footer-only)."""
-        path = os.path.join(self.seg_dir, "docvalues_sorted.parquet")
-        if not os.path.exists(path):
-            return []
-        return list(pq.read_schema(path).names)
+        """Field names with SORTED / SORTED_SET doc values."""
+        return self._field_names(segfiles.DOCVALUES_SORTED)
 
     def sorted_numeric_dv_schema(self) -> list[str]:
-        """Field names with SORTED_NUMERIC doc values (footer-only)."""
-        path = os.path.join(self.seg_dir, "docvalues_sortednumeric.parquet")
-        if not os.path.exists(path):
-            return []
-        return list(pq.read_schema(path).names)
+        """Field names with SORTED_NUMERIC doc values."""
+        return self._field_names(segfiles.DOCVALUES_SORTEDNUMERIC)
 
     def binary_dv_schema(self) -> list[str]:
-        """Field names with BINARY doc values (footer-only)."""
-        path = os.path.join(self.seg_dir, "docvalues_binary.parquet")
-        if not os.path.exists(path):
-            return []
-        return list(pq.read_schema(path).names)
+        """Field names with BINARY doc values."""
+        return self._field_names(segfiles.DOCVALUES_BINARY)
 
     def shape_fields(self) -> list[str]:
         """Field names with indexed shapes in this segment. Reads only the
         dictionary-encodable ``field`` column of the sidecar, cached."""
         if not hasattr(self, "_shape_fields"):
-            path = os.path.join(self.seg_dir, "shapes.parquet")
+            path = segfiles.SHAPES.path(self.seg_dir)
             if not os.path.exists(path):
                 self._shape_fields = []
             else:
@@ -394,12 +382,9 @@ class SegmentReader:
         """True when ``field`` carries SORTED_SET (multi-valued, list
         column) doc values, False for single-valued SORTED — footer-only
         type probe (DocValuesType discrimination for the DV query family)."""
-        path = os.path.join(self.seg_dir, "docvalues_sorted.parquet")
-        if not os.path.exists(path):
+        if field not in self.sorted_dv_schema():
             raise KeyError(f"no SORTED(_SET) doc values for field {field!r}")
-        schema = pq.read_schema(path)
-        if field not in schema.names:
-            raise KeyError(f"no SORTED(_SET) doc values for field {field!r}")
+        schema = pq.read_schema(segfiles.DOCVALUES_SORTED.path(self.seg_dir))
         return pa.types.is_list(schema.field(field).type)
 
     def sorted_doc_values(self, field: str) -> tuple[np.ndarray, np.ndarray]:
@@ -466,7 +451,7 @@ class SegmentReader:
         if cache is None:
             cache = self._sndv_cache = {}
         if field not in cache:
-            path = os.path.join(self.seg_dir, "docvalues_sortednumeric.parquet")
+            path = segfiles.DOCVALUES_SORTEDNUMERIC.path(self.seg_dir)
             if not os.path.exists(path):
                 raise KeyError(f"no SORTED_NUMERIC doc values for field {field!r}")
             tbl = pq.read_table(path, columns=[field], memory_map=True)
@@ -483,7 +468,7 @@ class SegmentReader:
         if cache is None:
             cache = self._bdv_cache = {}
         if field not in cache:
-            path = os.path.join(self.seg_dir, "docvalues_binary.parquet")
+            path = segfiles.DOCVALUES_BINARY.path(self.seg_dir)
             if not os.path.exists(path):
                 raise KeyError(f"no BINARY doc values for field {field!r}")
             tbl = pq.read_table(path, columns=[field], memory_map=True)
@@ -498,7 +483,7 @@ class SegmentReader:
         if cache is None:
             cache = self._shape_cache = {}
         if field not in cache:
-            path = os.path.join(self.seg_dir, "shapes.parquet")
+            path = segfiles.SHAPES.path(self.seg_dir)
             if not os.path.exists(path):
                 raise KeyError(f"no indexed shapes for field {field!r}")
             t = pq.read_table(path, memory_map=True)
@@ -535,7 +520,7 @@ class SegmentReader:
 
     @property
     def has_term_vectors(self) -> bool:
-        return os.path.exists(os.path.join(self.seg_dir, "termvectors.parquet"))
+        return os.path.exists(segfiles.TERMVECTORS.path(self.seg_dir))
 
     def term_vectors_local(self, docids: np.ndarray) -> pa.Table:
         """(doc, term, freq, positions[, starts, lens]) rows for the given
@@ -543,7 +528,7 @@ class SegmentReader:
         is doc-major sorted with small row groups, so the fetch prunes to
         the row groups whose doc min/max stats intersect the request
         (footer-only planning; never scans the whole sidecar)."""
-        path = os.path.join(self.seg_dir, "termvectors.parquet")
+        path = segfiles.TERMVECTORS.path(self.seg_dir)
         if not os.path.exists(path):
             raise FileNotFoundError(
                 "index was built without term_vectors=True: " + path
@@ -572,9 +557,7 @@ class SegmentReader:
 
     def _points_table(self) -> dict:
         if not hasattr(self, "_points"):
-            t = pq.read_table(
-                os.path.join(self.seg_dir, "points.parquet"), memory_map=True
-            )
+            t = pq.read_table(segfiles.POINTS.path(self.seg_dir), memory_map=True)
             self._points = {}
             fields = np.asarray(t.column("field").to_pylist(), dtype=object)
             vals = t.column("value").to_numpy(zero_copy_only=False)
@@ -617,7 +600,7 @@ class SegmentReader:
         (morton min/max, field min/max) statistics are the BKD inner-node
         bounds the box/distance walks prune with."""
         if not hasattr(self, "_spatial_pf"):
-            path = os.path.join(self.seg_dir, "spatial.parquet")
+            path = segfiles.SPATIAL.path(self.seg_dir)
             if not os.path.exists(path):
                 self._spatial_pf, self._spatial_rg = None, []
             else:
@@ -668,7 +651,7 @@ class SegmentReader:
         if cache is None:
             cache = self._range_cache = {}
         if field not in cache:
-            path = os.path.join(self.seg_dir, "ranges.parquet")
+            path = segfiles.RANGES.path(self.seg_dir)
             if not os.path.exists(path):
                 raise FileNotFoundError(
                     "index was built without range_fields: " + path
@@ -780,7 +763,7 @@ class SegmentReader:
         ).astype(np.int64)
 
     def stored_fields(self) -> "pq.Table":
-        return pq.read_table(os.path.join(self.seg_dir, "stored.parquet"))
+        return pq.read_table(segfiles.STORED.path(self.seg_dir))
 
     def stored_rows(self, local_docids: np.ndarray) -> "pq.Table":
         """Stored fields for specific local docids (display-time fetch,

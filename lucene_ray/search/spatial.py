@@ -31,6 +31,8 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from lucene_ray.index.segfiles import SPATIAL_ROW_GROUP  # noqa: F401  (re-export)
+
 QUANT = 10_000            # 1e-4 degree grid: qlat/qlon < 2^22
 LAT_SPAN = 180 * QUANT    # 1_800_000
 LON_SPAN = 360 * QUANT    # 3_600_000
@@ -335,8 +337,6 @@ def polygon_sql(
     return "(" + " AND ".join(parts) + ")"
 
 
-SPATIAL_ROW_GROUP = 512  # BKD leaf analog: the pruning granularity
-
 
 def prune_row_groups(
     rg_stats: list[tuple], field: str, ranges: list[tuple[int, int]]
@@ -357,9 +357,9 @@ def build_spatial_table(
     fields: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> pa.Table:
     """(field, morton, lat, lon, docid) sorted by (field, morton, docid) —
-    the shared writer used by segment build and merge. Write with
-    row_group_size=SPATIAL_ROW_GROUP so the BKD-leaf pruning granularity
-    is uniform. ``fields``: name -> (lat, lon, local_docid) arrays."""
+    the segment build's writer. Write it through ``segfiles.SPATIAL`` (row
+    groups of SPATIAL_ROW_GROUP) so the BKD-leaf pruning granularity is
+    uniform. ``fields``: name -> (lat, lon, local_docid) arrays."""
     parts = []
     for fname in sorted(fields):
         lat, lon, docid = fields[fname]

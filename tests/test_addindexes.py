@@ -3,16 +3,30 @@ byte-identical with rebased docids; results equal a single combined index;
 tombstones, doc values, and term vectors travel; analyzer mismatch rejected."""
 
 import glob
+import os
 import shutil
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from lucene_ray.index.builder import build_index
 from lucene_ray.index.checkindex import check_index
 from lucene_ray.index.corpus import write_corpus
-from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
-from lucene_ray.index.writer import add_indexes, delete_docs
+from lucene_ray.index.manifest import (
+    Manifest,
+    read_manifest,
+    segment_dir,
+    write_manifest,
+)
+from lucene_ray.index.merge import TieredMergePolicy, force_merge, maybe_merge
+from lucene_ray.index.segfiles import TERMVECTORS
+from lucene_ray.index.writer import (
+    add_documents,
+    add_indexes,
+    delete_docs,
+    soft_delete_docs,
+)
 from lucene_ray.search.engine import IndexSearcher
 from lucene_ray.search.query import BooleanQuery, TermQuery
 from lucene_ray.search.reader import IndexReader
@@ -92,3 +106,41 @@ def test_addindexes_analyzer_mismatch(tmp_path):
     build_index(paths, b, target_docs=30, analyzer_name="english")
     with pytest.raises(ValueError, match="analyzer mismatch"):
         add_indexes(a, [b])
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_addindexes_keeps_soft_deletes_and_build_options(tmp_path):
+    """The imported entry is the source entry with a new name and base:
+    soft-deleted docs stay hidden, and the recorded build options travel,
+    so later adds build with them and a merge keeps their sidecars."""
+    corpus = str(tmp_path / "corpus")
+    write_corpus(corpus, n_docs=10, n_shards=1, seed=5, row_group_size=10)
+    src = str(tmp_path / "src")
+    build_index(sorted(glob.glob(corpus + "/*.parquet")), src, term_vectors=True)
+    soft_delete_docs(src, [1, 4, 7])
+    assert IndexReader(src).live_doc_count == 7
+    dest = str(tmp_path / "dest")
+    write_manifest(dest, Manifest(generation=0, analyzer="code", doc_count=0,
+                                  sum_ttf=0, segments=[]))
+    add_indexes(dest, [src])
+    assert IndexReader(dest).live_doc_count == 7
+    (src_e,) = read_manifest(src).live_segments
+    (e,) = read_manifest(dest).live_segments
+    assert (e.soft_del_gen, e.soft_del_count) == (src_e.soft_del_gen, 3)
+    assert e.input["options"] == src_e.input["options"]
+    assert check_index(dest, verify_content=False)["ok"]
+    # the soft-delete generation is part of the import identity
+    soft_delete_docs(src, [2])
+    add_indexes(dest, [src])
+    fps = [x.input["fingerprint"] for x in read_manifest(dest).live_segments]
+    assert len(set(fps)) == 2
+    # an added segment replays the imported options: the merge keeps the
+    # term-vector sidecar every input now carries
+    add_documents(dest, pa.table({
+        "repo": ["r"], "path": ["p.py"], "commit": ["c"], "lang": ["py"],
+        "content": ["def merged_later(): return 1"],
+    }))
+    (m,) = force_merge(dest).live_segments
+    assert os.path.exists(TERMVECTORS.path(segment_dir(dest, m.name)))
+    assert IndexReader(dest).live_doc_count == 7 + 6 + 1
+    assert check_index(dest, verify_content=False)["ok"]

@@ -40,6 +40,7 @@ def _analyzes_to(rel, var="analyzer"):
     return out
 
 
+@pytest.mark.requires_reference(_TEST_BASE)
 def test_cjk_analyzer_reference_vectors():
     vectors = _analyzes_to("TestCJKAnalyzer.java")
     # drop vectors from tests that shadow `analyzer` with a local one
@@ -56,6 +57,7 @@ def test_cjk_analyzer_reference_vectors():
         assert got == want, (inp, want, got)
 
 
+@pytest.mark.requires_reference(_TEST_BASE)
 def test_cjk_width_reference_vectors():
     # TestCJKWidthFilter's analyzer = tokenizer + width filter only, so
     # fold_text on the single-token inputs is the comparable surface

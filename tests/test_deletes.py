@@ -532,6 +532,38 @@ class TestUpgrade:
         assert res2["upgraded"] == []
         assert len(res2["current"]) == len(m1.live_segments)
 
+    def test_upgrade_keeps_soft_deletes(self, ix):
+        """Soft deletes are a generation like tombstones and DV updates:
+        the rebuilt segment carries the softdeletes file and its counts, so
+        soft-deleted docs stay hidden (and restorable) after the upgrade."""
+        import json
+        import os
+
+        from lucene_ray.index.builder import upgrade_index
+        from lucene_ray.index.manifest import read_manifest, segment_dir, write_manifest
+        from lucene_ray.index.writer import soft_delete_docs, soft_undelete_docs
+
+        assert soft_delete_docs(ix, [0, 1, 2]) == 3
+        assert IndexReader(ix).live_doc_count == 117
+        m0 = read_manifest(ix)
+        stale = sorted(m0.live_segments, key=lambda e: e.docid_base)[0]
+        stale.input["fingerprint"] = "deadbeef0000"
+        epath = os.path.join(segment_dir(ix, stale.name), "entry.json")
+        ent = json.load(open(epath))
+        ent["input"]["fingerprint"] = "deadbeef0000"
+        json.dump(ent, open(epath, "w"))
+        write_manifest(ix, m0)
+
+        res = upgrade_index(ix)
+        assert [old for old, _new in res["upgraded"]] == [stale.name]
+        new0 = sorted(read_manifest(ix).live_segments, key=lambda e: e.docid_base)[0]
+        assert new0.soft_del_gen == stale.soft_del_gen
+        assert new0.soft_del_count == 3
+        assert IndexReader(ix).live_doc_count == 117
+        assert check_index(ix, verify_content=False)["ok"]
+        assert soft_undelete_docs(ix, [0, 1, 2]) == 3
+        assert IndexReader(ix).live_doc_count == 120
+
     def test_upgrade_preserves_nondefault_variant(self, tmp_path, ray_session):
         """ADVICE r3 (high): a non-default build (term_vectors sidecar)
         must be rebuilt with its RECORDED options — the sidecar survives

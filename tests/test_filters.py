@@ -10,6 +10,7 @@ import re
 import duckdb
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from lucene_ray.analysis import get_analyzer
 from lucene_ray.analysis import filters
@@ -54,6 +55,7 @@ def _se_vector():
     return frozenset(words), inp.lower(), expected
 
 
+@pytest.mark.requires_reference(_TEST_BASE)
 def test_compound_reference_vector_se():
     words, inp, expected = _se_vector()
     assert len(expected) >= 40

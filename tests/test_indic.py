@@ -40,6 +40,7 @@ def _check_pairs(rel):
     return pairs
 
 
+@pytest.mark.requires_reference(_TEST_BASE)
 @pytest.mark.parametrize(
     "rel,fn",
     [
@@ -56,6 +57,7 @@ def test_reference_vectors(rel, fn):
         assert fn(inp) == want, (rel, inp, want, fn(inp))
 
 
+@pytest.mark.requires_reference(_SRC_BASE)
 @pytest.mark.parametrize(
     "rel,table",
     [

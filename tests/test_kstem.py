@@ -6,6 +6,7 @@ chain/pass-through behavior tests."""
 import zipfile
 
 import pyarrow as pa
+import pytest
 
 from lucene_ray.analysis import get_analyzer
 from lucene_ray.analysis.kstem import kstem, kstem_stem_terms
@@ -16,6 +17,7 @@ _ZIP = (
 )
 
 
+@pytest.mark.requires_reference(_ZIP)
 def test_reference_golden_pairs():
     with zipfile.ZipFile(_ZIP) as f:
         lines = f.read("kstem_examples.txt").decode("utf-8").splitlines()

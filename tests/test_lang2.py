@@ -49,6 +49,7 @@ def _pairs(rel, call="check", var=""):
     return pairs
 
 
+@pytest.mark.requires_reference(_TEST_BASE)
 @pytest.mark.parametrize(
     "rel,fn,minimum",
     [
@@ -65,6 +66,7 @@ def test_check_vectors(rel, fn, minimum):
         assert fn(inp) == want, (rel, inp, want, fn(inp))
 
 
+@pytest.mark.requires_reference(_TEST_BASE)
 def test_persian_stem_vectors():
     pairs = _pairs("fa/TestPersianStemFilter.java", "checkOneTerm", "a")
     assert len(pairs) >= 9
@@ -73,6 +75,7 @@ def test_persian_stem_vectors():
         assert arabic.persian_stem(inp.lower()) == want, (inp, want)
 
 
+@pytest.mark.requires_reference(_TEST_BASE)
 def test_latvian_stem_vectors():
     pairs = _pairs("lv/TestLatvianStemmer.java", "checkOneTerm", "a")
     assert len(pairs) >= 150
@@ -80,6 +83,7 @@ def test_latvian_stem_vectors():
         assert stemmers2.latvian_stem(inp) == want, (inp, want)
 
 
+@pytest.mark.requires_reference(_TEST_BASE)
 @pytest.mark.parametrize("var,derivational", [("a", True), ("b", False)])
 def test_indonesian_stem_vectors(var, derivational):
     pairs = _pairs("id/TestIndonesianStemmer.java", "checkOneTerm", var)
@@ -89,6 +93,7 @@ def test_indonesian_stem_vectors(var, derivational):
         assert got == want, (inp, want, got)
 
 
+@pytest.mark.requires_reference(_TEST_BASE)
 @pytest.mark.parametrize(
     "rel,var,name,minimum,call",
     [
@@ -137,6 +142,7 @@ def test_persian_analyzer_chain():
     assert an.tokenize_text("کتابهای") == ["كتاب"]
 
 
+@pytest.mark.requires_reference(_RES_BASE)
 def test_registry_and_stop_lists_match_resources():
     from lucene_ray.analysis import stoplists
 
@@ -161,6 +167,7 @@ def test_registry_and_stop_lists_match_resources():
         assert getattr(stoplists, attr) == frozenset(words), name
 
 
+@pytest.mark.requires_reference(_TEST_BASE)
 def test_german_normalization_filter():
     """de/GermanNormalizationFilter FSM vectors from the reference test
     + the chain position (post-stop, pre-stem: GermanAnalyzer.java:134)."""

@@ -7,6 +7,7 @@ import io
 import re
 
 import pyarrow as pa
+import pytest
 
 from lucene_ray.analysis import get_analyzer
 from lucene_ray.analysis import pattern as pat
@@ -28,6 +29,7 @@ def _java_str(s: str) -> str:
     )
 
 
+@pytest.mark.requires_reference(_TEST_BASE)
 def test_pattern_tokenizer_splitting_table():
     src = io.open(
         _TEST_BASE + "TestPatternTokenizer.java", encoding="utf-8"
@@ -76,6 +78,7 @@ def _capture_calls():
     return out
 
 
+@pytest.mark.requires_reference(_TEST_BASE)
 def test_capture_group_reference_vectors():
     calls = _capture_calls()
     assert len(calls) >= 15

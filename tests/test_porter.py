@@ -132,16 +132,19 @@ class TestEnglishAnalyzer:
         assert s.search("the", 10).docids.tolist() == []
 
 
+_ZIP = (
+    "/root/reference/lucene/analysis/common/src/test/org/apache/"
+    "lucene/analysis/en/porterTestData.zip"
+)
+
+
+@pytest.mark.requires_reference(_ZIP)
 def test_reference_porter_vocabulary():
     """The reference's own 23,531-word vocabulary (porterTestData.zip
     voc.txt -> output.txt), incl. the post-paper bli/logi revisions."""
     import zipfile
 
-    zp = (
-        "/root/reference/lucene/analysis/common/src/test/org/apache/"
-        "lucene/analysis/en/porterTestData.zip"
-    )
-    with zipfile.ZipFile(zp) as f:
+    with zipfile.ZipFile(_ZIP) as f:
         voc = f.read("voc.txt").decode("utf-8").splitlines()
         out = f.read("output.txt").decode("utf-8").splitlines()
     assert len(voc) == len(out) and len(voc) > 20000

@@ -20,6 +20,7 @@ _CASES = [
 ]
 
 
+@pytest.mark.requires_reference(_BASE)
 @pytest.mark.parametrize("zp,name,fn", _CASES, ids=[c[1] for c in _CASES])
 def test_reference_vocabulary(zp, name, fn):
     with zipfile.ZipFile(_BASE + zp) as f:
@@ -75,6 +76,7 @@ def test_registry_analyzers():
     assert toks and "cancións" not in toks  # stemmed
 
 
+@pytest.mark.requires_reference(_BASE)
 def test_sorani_vocabulary():
     from lucene_ray.analysis.stemmers import sorani_normalize_and_stem as fn
 

@@ -32,6 +32,7 @@ _CASES = [
 ]
 
 
+@pytest.mark.requires_reference(_BASE)
 @pytest.mark.parametrize("zp,name,fn", _CASES, ids=[c[1] for c in _CASES])
 def test_reference_vocabulary(zp, name, fn):
     with zipfile.ZipFile(_BASE + zp) as f:
@@ -84,6 +85,7 @@ _NO_CASES = [
 ]
 
 
+@pytest.mark.requires_reference(_BASE)
 @pytest.mark.parametrize(
     "path,fn,flags", _NO_CASES, ids=[c[0][3:] for c in _NO_CASES]
 )
@@ -125,6 +127,7 @@ def test_english_minimal_reference_examples():
         assert st.english_minimal_stem(w) == want, (w, want)
 
 
+@pytest.mark.requires_reference(_BASE)
 def test_swedish_minimal_reference_vocabulary():
     total = 0
     with open(_BASE + "sv/minimal.txt", encoding="utf-8") as f:
