@@ -2,12 +2,15 @@
 
 The reference's analysis chain (SURVEY.md §2.2) is CharFilter* -> Tokenizer ->
 TokenFilter* pulled token-at-a-time (lucene/core/.../analysis/TokenStream.java).
-Here the whole chain is a *vectorized batch function* over a pyarrow
-StringArray, built from RE2 kernels (``pyarrow.compute`` uses RE2 — the same
-regex engine as DuckDB), so the DuckDB oracle SQL produced by
-:func:`tokenize_sql_expr` tokenizes **identically** to the engine.
-
-Two analyzers:
+Here an analyzer writes its whole chain ONCE, as a *vectorized batch
+function* over a pyarrow StringArray: ``tokenize_flat`` returns the token
+stream (row_idx, term, position[, start, length]) and every token filter is
+a function of that stream (the helpers below: ``_add_twins`` injects tokens
+at their source's position, ``_drop`` removes tokens and renumbers
+positions). ``tokenize_array`` (one token list per row) and
+``tokenize_text`` (one string) are views over the stream defined once on
+:class:`Analyzer`, so the index builder, the query parser and every op run
+the same chain.
 
 ``CodeAnalyzer`` (default for the index — the north star's
 "StandardAnalyzer-equivalent with code-aware splitting"):
@@ -24,18 +27,24 @@ Two analyzers:
      chunks (maxTokenLength scanner semantics: the jflex scanner emits the
      buffered maxTokenLength chars and keeps scanning —
      StandardTokenizerImpl.jflex, analysis/standard/StandardAnalyzer.java:37)
+  The specification of these steps is the RE2 pass list ``_SPLIT_PASSES``
+  (``pyarrow.compute`` and DuckDB both use RE2): :func:`tokenize_sql_expr`
+  runs it in the oracle SQL and :func:`tokenize_re2` in pyarrow, and the
+  engine's byte kernel must match both.
 
-``StandardLiteAnalyzer`` — closer to pure UAX#29 (keeps ``don't``, ``3.14``,
-``SD500`` whole); used for golden-token conformance tests mirroring
-TestStandardAnalyzer cases; not SQL-mirrored.
+``UnicodeAnalyzer`` and its language chains tokenize with RE2 passes that
+produce one token list per row; ``StandardLiteAnalyzer`` and the
+whitespace/keyword/pattern analyzers split each text in Python. Both kinds
+feed their lists into the same stream (``_ListAnalyzer``).
 
 Scale notes: tokenization is a pure stateless ``map_batches`` stage —
-zero-copy Arrow in, RE2 C++ kernels, no Python-per-row work in the
-CodeAnalyzer path. Regexes are module-level constants (no per-batch compile).
+zero-copy Arrow in, no Python-per-row work in the CodeAnalyzer path.
+Regexes are module-level constants (no per-batch compile).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -72,8 +81,9 @@ def _split_overlong(tokens: list[str]) -> list[str]:
     run exceeds maxTokenLength the scanner emits the buffered
     maxTokenLength chars as a token and keeps going — over-long runs come
     out as consecutive maxTokenLength-sized chunks, never dropped).
-    Python-side fixup for the cold spec paths; the byte kernel and the SQL
-    mirror implement the same chunking vectorized."""
+    Python-side fixup for the list-producing tokenizers (RE2 passes and
+    per-text splitters); the byte kernel and the SQL mirror implement the
+    same chunking vectorized."""
     if all(len(t) <= MAX_TOKEN_LEN for t in tokens):
         return [t for t in tokens if t]
     out: list[str] = []
@@ -90,13 +100,163 @@ def _split_overlong(tokens: list[str]) -> list[str]:
     return out
 
 
-def _split_list_array(tokens: pa.ListArray, lengths: np.ndarray) -> pa.ListArray:
-    """Apply maxTokenLength chunking to a ListArray<string> (cold path —
-    only reached when some token exceeds MAX_TOKEN_LEN)."""
-    rows = tokens.to_pylist()
-    return pa.array(
-        [_split_overlong(r or []) for r in rows], type=pa.list_(pa.string())
+def _trim_lists(toks: pa.ListArray, keep: np.ndarray | None = None) -> pa.ListArray:
+    """The tail of every RE2 list tokenizer: drop the empty split
+    artifacts (and the tokens where ``keep`` is False), then chunk any
+    over-long token (``_split_overlong``)."""
+    lengths = pc.utf8_length(toks.values).to_numpy(zero_copy_only=False)
+    keep = lengths > 0 if keep is None else keep & (lengths > 0)
+    if not bool(keep.all()):
+        toks = _filter_list_array(toks, keep)
+        lengths = lengths[keep]
+    if bool((lengths > MAX_TOKEN_LEN).any()):
+        toks = pa.array(
+            [_split_overlong(r or []) for r in toks.to_pylist()],
+            type=pa.list_(pa.string()),
+        )
+    return toks
+
+
+# --- the token stream -------------------------------------------------------
+# A stream is the tuple (row_idx int64, term utf8, position int32) plus,
+# when offsets were asked for, (start int32, length int32): tokens in
+# (row, position) order, a token's twins right behind it.
+
+
+def _row_ordinals(row_idx: np.ndarray) -> np.ndarray:
+    """int32 0-based ordinal of every token within its row (``row_idx``
+    sorted) — the position of a stream without gaps or overlaps."""
+    n = len(row_idx)
+    row_change = np.empty(n, dtype=bool)
+    row_change[:1] = True
+    np.not_equal(row_idx[1:], row_idx[:-1], out=row_change[1:])
+    first_of_row = np.maximum.accumulate(
+        np.where(row_change, np.arange(n), 0)
     )
+    return (np.arange(n) - first_of_row).astype(np.int32)
+
+
+def _gather(stream: tuple, src: np.ndarray, terms: pa.Array, spans=None) -> tuple:
+    """The stream whose token j is ``terms[j]`` at the row and position of
+    source token ``src[j]`` (``src`` non-decreasing), with the source's
+    offsets unless ``spans`` = (starts, lengths) gives its own."""
+    if spans is None:
+        spans = tuple(a[src] for a in stream[3:])
+    return (stream[0][src], terms, stream[2][src]) + tuple(spans)
+
+
+def _add_twins(
+    stream: tuple, src: np.ndarray, twins: pa.Array,
+    twins_first: bool = False, spans=None,
+) -> tuple:
+    """Inject ``twins[j]`` at the position of source token ``src[j]``
+    (posInc 0: the synonym/phonetic inject mode). ``src`` is
+    non-decreasing; a token's twins keep their given order and follow the
+    token, or precede it when ``twins_first``. Twins copy their source's
+    offsets unless ``spans`` = (starts, lengths) gives their own."""
+    if len(src) == 0:
+        return stream
+    n = len(stream[0])
+    if spans is None:
+        spans = tuple(a[src] for a in stream[3:])
+    parts = [(np.arange(n), stream[1], stream[3:]), (src, twins, spans)]
+    if twins_first:
+        parts.reverse()
+    by_src = np.concatenate([p[0] for p in parts])
+    o = np.argsort(by_src, kind="stable")
+    terms = pa.concat_arrays([p[1] for p in parts]).take(pa.array(o))
+    spans = tuple(
+        np.concatenate(cols)[o] for cols in zip(parts[0][2], parts[1][2])
+    )
+    return _gather(stream, by_src[o], terms, spans)
+
+
+@functools.lru_cache(maxsize=None)
+def _value_set(words: frozenset) -> pa.Array:
+    """One Arrow value set per word set, built on first use."""
+    return pa.array(sorted(words), type=pa.string())
+
+
+def _drop(
+    stream: tuple, keep: np.ndarray | None = None, stop: frozenset = frozenset()
+) -> tuple:
+    """The stream without the tokens where ``keep`` is False and, given a
+    ``stop`` word set, without those terms (StopFilter). Positions are
+    renumbered to row ordinals: the compaction divergence documented on
+    EnglishAnalyzer (Lucene leaves gaps via posIncAttribute)."""
+    if keep is None:
+        keep = np.ones(len(stream[0]), dtype=bool)
+    if stop:
+        keep = keep & ~pc.is_in(
+            stream[1], value_set=_value_set(stop)
+        ).to_numpy(zero_copy_only=False)
+    row_idx = stream[0][keep]
+    tail = tuple(a[keep] for a in stream[3:])
+    return (row_idx, stream[1].filter(pa.array(keep)), _row_ordinals(row_idx)) + tail
+
+
+def _per_vocab(terms: pa.Array, expand) -> tuple[np.ndarray, pa.Array]:
+    """(src, out) of a filter defined per distinct term: ``expand`` maps
+    the batch vocabulary to one list of output terms per entry, and each
+    token's list is gathered from its entry (no per-token Python loop)."""
+    d = terms.dictionary_encode()
+    lists = pa.array(
+        expand(d.dictionary.to_pylist()), type=pa.list_(pa.string())
+    ).take(d.indices)
+    counts = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
+    return np.repeat(np.arange(len(terms), dtype=np.int64), counts), lists.flatten()
+
+
+class Analyzer:
+    """An analysis chain as ONE token stream. A subclass writes its chain
+    once, in ``tokenize_flat``; the list and single-text views below are
+    derived from that stream and never re-implement a filter."""
+
+    def tokenize_flat(self, texts, with_offsets: bool = False) -> tuple:
+        raise NotImplementedError
+
+    def tokenize_array(self, texts: pa.Array | pa.ChunkedArray) -> pa.ListArray:
+        """StringArray -> ListArray<string>: the stream's terms grouped by
+        row, in stream order (a null row gives [])."""
+        row_idx, terms = self.tokenize_flat(texts)[:2]
+        counts = np.bincount(row_idx, minlength=len(texts))
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        return pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), terms)
+
+    def tokenize_text(self, text: str) -> list[str]:
+        """Single-string view (query parsing, tests)."""
+        return self.tokenize_flat(pa.array([text], type=pa.string()))[1].to_pylist()
+
+
+class _ListAnalyzer(Analyzer):
+    """A tokenizer that natively produces one token list per row (RE2
+    passes, or ``_tokens`` per text in Python): its lists enter the
+    stream here, and its filters are written on the stream like any
+    other. Its passes rewrite the text, so it reports no offsets."""
+
+    supports_indexing = False
+
+    def _tokens(self, text: str) -> list[str]:
+        raise NotImplementedError
+
+    def _token_lists(self, texts: pa.Array) -> pa.ListArray:
+        return pa.array(
+            [self._tokens(t or "") for t in texts.to_pylist()],
+            type=pa.list_(pa.string()),
+        )
+
+    def tokenize_flat(self, texts, with_offsets: bool = False) -> tuple:
+        if with_offsets:
+            raise ValueError(
+                f"{self.name} analyzer does not support the offsets option "
+                "(its tokenizer rewrites the text before splitting)"
+            )
+        if isinstance(texts, pa.ChunkedArray):
+            texts = texts.combine_chunks()
+        lists = self._token_lists(texts)
+        counts = np.diff(lists.offsets.to_numpy(zero_copy_only=False))
+        row_idx = np.repeat(np.arange(len(lists), dtype=np.int64), counts)
+        return row_idx, lists.flatten(), _row_ordinals(row_idx)
 
 
 _LUT_LOWER = np.zeros(256, dtype=bool)
@@ -110,44 +270,23 @@ _LUT_TOLOWER = np.arange(256, dtype=np.uint8)
 _LUT_TOLOWER[ord("A") : ord("Z") + 1] += 32
 
 
-class CodeAnalyzer:
+class CodeAnalyzer(Analyzer):
     """Stateless, vectorized code-aware analyzer (see module docstring).
 
-    Two equivalent implementations:
-      - ``tokenize_array``: the RE2 pipeline (kept as the *specification* —
-        byte-for-byte mirrored by the DuckDB oracle SQL)
-      - ``tokenize_flat``: a single-pass BYTE-LEVEL numpy kernel over the
-        Arrow string buffers (~6x less memory traffic than six RE2 passes;
-        the hot path for index builds). The split rules are evaluated on the
-        original bytes: a token boundary exists where
-          r1: lower->UPPER       r2: UPPER->UPPER followed by lower
-          r3: letter->digit      r4: digit->letter
-        which equals the sequential RE2 passes because space insertion never
-        changes any character and no two match sites overlap (rule sites
-        need contradictory char classes). Parity is enforced by
-        tests/test_analyzer.py::test_fast_path_matches_re2.
+    ``tokenize_flat`` is a single-pass BYTE-LEVEL numpy kernel over the
+    Arrow string buffers (~6x less memory traffic than the six RE2 passes
+    it implements). The split rules are evaluated on the original bytes:
+    a token boundary exists where
+      r1: lower->UPPER       r2: UPPER->UPPER followed by lower
+      r3: letter->digit      r4: digit->letter
+    which equals the sequential RE2 passes because space insertion never
+    changes any character and no two match sites overlap (rule sites
+    need contradictory char classes). The RE2 passes stay as the
+    reference (:func:`tokenize_re2`, mirrored by the DuckDB oracle SQL);
+    parity is enforced by tests/test_analyzer.py::test_fast_path_matches_re2.
     """
 
     name = "code"
-
-    def tokenize_array(self, texts: pa.Array | pa.ChunkedArray) -> pa.ListArray:
-        """StringArray -> ListArray<string> of analyzed tokens per row."""
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        s = texts
-        for pat, repl in _SPLIT_PASSES:
-            s = pc.replace_substring_regex(s, pattern=pat, replacement=repl)
-        s = pc.utf8_lower(s)
-        toks = pc.split_pattern_regex(s, pattern=_SEP_PATTERN)
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        lengths = pc.utf8_length(toks.values).to_numpy(zero_copy_only=False)
-        if bool((lengths <= MAX_TOKEN_LEN).all()):
-            keep = lengths > 0
-            if bool(keep.all()):
-                return toks
-            return _filter_list_array(toks, keep)
-        return _split_list_array(toks, lengths)
 
     def tokenize_flat(
         self, texts: pa.Array | pa.ChunkedArray, with_offsets: bool = False
@@ -265,24 +404,11 @@ class CodeAnalyzer:
             n_tok,
             [None, pa.py_buffer(out_off.astype(np.int32).tobytes()), pa.py_buffer(values.tobytes())],
         )
-        row_idx = np.searchsorted(row_off, starts_idx, side="right") - 1
-        # position = ordinal within row
-        row_change = np.empty(n_tok, dtype=bool)
-        row_change[0] = True
-        np.not_equal(row_idx[1:], row_idx[:-1], out=row_change[1:])
-        first_of_row = np.maximum.accumulate(
-            np.where(row_change, np.arange(n_tok), 0)
-        )
-        positions = (np.arange(n_tok) - first_of_row).astype(np.int32)
+        row_idx = (np.searchsorted(row_off, starts_idx, side="right") - 1).astype(np.int64)
+        out = (row_idx, terms, _row_ordinals(row_idx))
         if with_offsets:
-            tok_starts = (starts_idx - row_off[row_idx]).astype(np.int32)
-            tok_lens = lengths.astype(np.int32)
-            return row_idx.astype(np.int64), terms, positions, tok_starts, tok_lens
-        return row_idx.astype(np.int64), terms, positions
-
-    def tokenize_text(self, text: str) -> list[str]:
-        """Single-string convenience (tests, query parsing)."""
-        return self.tokenize_array(pa.array([text], type=pa.string()))[0].as_py()
+            out += ((starts_idx - row_off[row_idx]).astype(np.int32), lengths.astype(np.int32))
+        return out
 
 
 def tokenize_sql_expr(col: str) -> str:
@@ -307,6 +433,19 @@ def tokenize_sql_expr(col: str) -> str:
     return expr
 
 
+def tokenize_re2(texts: pa.Array | pa.ChunkedArray) -> pa.ListArray:
+    """CodeAnalyzer's tokens per row, computed by running ``_SPLIT_PASSES``
+    in pyarrow (RE2) — the passes :func:`tokenize_sql_expr` emits for
+    DuckDB. The reference the byte kernel is tested against; no engine
+    path calls it."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    s = texts
+    for pat, repl in _SPLIT_PASSES:
+        s = pc.replace_substring_regex(s, pattern=pat, replacement=repl)
+    return _trim_lists(pc.split_pattern_regex(pc.utf8_lower(s), pattern=_SEP_PATTERN))
+
+
 def tok_cte(toks: str | None = None) -> str:
     """The ``WITH tok AS (...)`` opening of an oracle query: one
     (doc_id, term) row per token of the SQL list expression ``toks`` over
@@ -324,22 +463,15 @@ _STD_TOKEN_RE = re.compile(
 )
 
 
-class StandardLiteAnalyzer:
+class StandardLiteAnalyzer(_ListAnalyzer):
     """UAX#29-lite analyzer (keeps ``don't``/``3.14``/``SD500`` whole),
     lowercased. Python-regex based; used for conformance tests only."""
 
     name = "standard"
 
-    def tokenize_text(self, text: str) -> list[str]:
+    def _tokens(self, text: str) -> list[str]:
         return _split_overlong(
             [t.lower() for t in _STD_TOKEN_RE.findall(text)]
-        )
-
-    def tokenize_array(self, texts: pa.Array | pa.ChunkedArray) -> pa.ListArray:
-        pylist = texts.to_pylist()
-        return pa.array(
-            [self.tokenize_text(t or "") for t in pylist],
-            type=pa.list_(pa.string()),
         )
 
 
@@ -363,7 +495,44 @@ _UNI_MEDIAL = (("\\.", "\x01"), ("'", "\x02"), ("’", "\x03"))
 _UNI_MEDIAL_CTX = r"[\p{L}\p{N}\x01-\x03]"
 
 
-class UnicodeAnalyzer:
+def _uni_split(s: pa.Array, sep: str) -> pa.ListArray:
+    """Split lowercased text on ``sep`` with the UAX#29 medial joiners
+    protected (two passes: see the _UNI_MEDIAL comment) and restored."""
+    for _ in range(2):
+        for joiner, ph in _UNI_MEDIAL:
+            s = pc.replace_substring_regex(
+                s,
+                pattern=f"({_UNI_MEDIAL_CTX}){joiner}([\\p{{L}}\\p{{N}}])",
+                replacement=f"\\1{ph}\\2",
+            )
+    toks = pc.split_pattern_regex(s, pattern=sep)
+    vals = toks.values
+    for joiner, ph in _UNI_MEDIAL:
+        vals = pc.replace_substring(
+            vals, pattern=ph, replacement=joiner.lstrip("\\")
+        )
+    return pa.ListArray.from_arrays(toks.offsets, vals)
+
+
+def _uni_split_sql(expr: str, sep: str) -> tuple[str, str]:
+    """DuckDB twin of :func:`_uni_split`: (the split list expression, the
+    per-token expression over ``t`` that restores the joiners)."""
+    for _ in range(2):
+        for i, (joiner, _ph) in enumerate(_UNI_MEDIAL, start=1):
+            pat = f"({_UNI_MEDIAL_CTX}){joiner}([\\p{{L}}\\p{{N}}])"
+            pat_sql = pat.replace("'", "''")
+            expr = (
+                f"regexp_replace({expr}, '{pat_sql}', "
+                f"'\\1' || chr({i}) || '\\2', 'g')"
+            )
+    restore = "t"
+    for i, (joiner, _ph) in enumerate(_UNI_MEDIAL, start=1):
+        lit = joiner.lstrip("\\").replace("'", "''")
+        restore = f"replace({restore}, chr({i}), '{lit}')"
+    return f"string_split_regex({expr}, '{sep}')", restore
+
+
+class UnicodeAnalyzer(_ListAnalyzer):
     """Unicode StandardAnalyzer (UAX#29-lite): full \\p{L}\\p{N} ALPHANUM
     runs + single-char ideographic/Hiragana tokens + UAX#29 MidNumLet
     medial punctuation (don't / 3.14 / example.com stay whole),
@@ -388,36 +557,11 @@ class UnicodeAnalyzer:
             return rf"[^\p{{L}}\p{{N}}\x01-\x03{self.word_extend}]+"
         return _UNI_SEP_PATTERN
 
-    def tokenize_array(self, texts: pa.Array | pa.ChunkedArray) -> pa.ListArray:
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
+    def _token_lists(self, texts: pa.Array) -> pa.ListArray:
         s = pc.replace_substring_regex(
             texts, pattern=_UNI_ISOLATE_PATTERN, replacement=r" \1 "
         )
-        s = pc.utf8_lower(s)
-        for _ in range(2):  # two passes: see _UNI_MEDIAL comment
-            for joiner, ph in _UNI_MEDIAL:
-                s = pc.replace_substring_regex(
-                    s,
-                    pattern=f"({_UNI_MEDIAL_CTX}){joiner}([\\p{{L}}\\p{{N}}])",
-                    replacement=f"\\1{ph}\\2",
-                )
-        toks = pc.split_pattern_regex(s, pattern=self._sep_pattern())
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        vals = toks.values
-        for joiner, ph in _UNI_MEDIAL:
-            vals = pc.replace_substring(
-                vals, pattern=ph, replacement=joiner.lstrip("\\")
-            )
-        toks = pa.ListArray.from_arrays(toks.offsets, vals)
-        lengths = pc.utf8_length(toks.values).to_numpy(zero_copy_only=False)
-        if bool((lengths <= MAX_TOKEN_LEN).all()):
-            keep = lengths > 0
-            if bool(keep.all()):
-                return toks
-            return _filter_list_array(toks, keep)
-        return _split_list_array(toks, lengths)
+        return _trim_lists(_uni_split(pc.utf8_lower(s), self._sep_pattern()))
 
     @staticmethod
     def sql_expr(col: str) -> str:
@@ -427,46 +571,13 @@ class UnicodeAnalyzer:
             f"regexp_replace({col}, '{_UNI_ISOLATE_PATTERN}', ' \\1 ', 'g')"
         )
         expr = f"lower({expr})"
-        for _ in range(2):
-            for i, (joiner, _ph) in enumerate(_UNI_MEDIAL, start=1):
-                pat = f"({_UNI_MEDIAL_CTX}){joiner}([\\p{{L}}\\p{{N}}])"
-                pat_sql = pat.replace("'", "''")
-                expr = (
-                    f"regexp_replace({expr}, '{pat_sql}', "
-                    f"'\\1' || chr({i}) || '\\2', 'g')"
-                )
-        expr = f"string_split_regex({expr}, '{_UNI_SEP_PATTERN}')"
-        restore = "t"
-        for i, (joiner, _ph) in enumerate(_UNI_MEDIAL, start=1):
-            lit = joiner.lstrip("\\").replace("'", "''")
-            restore = f"replace({restore}, chr({i}), '{lit}')"
+        expr, restore = _uni_split_sql(expr, _UNI_SEP_PATTERN)
         # maxTokenLength SPLIT, codepoint-counted on both sides ('.' = one
         # codepoint in RE2, len() = codepoints in the python fixup)
         return (
             f"flatten(list_transform({expr}, "
             f"t -> regexp_extract_all({restore}, '.{{1,{MAX_TOKEN_LEN}}}')))"
         )
-
-    def tokenize_flat(self, texts, with_offsets: bool = False):
-        if with_offsets:
-            raise ValueError(
-                "unicode analyzer does not support the offsets option (the "
-                "ideograph isolation pass shifts byte positions)"
-            )
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        lists = self.tokenize_array(texts)
-        offs = lists.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        counts = np.diff(offs)
-        row_idx = np.repeat(np.arange(len(lists), dtype=np.int64), counts)
-        positions = (
-            np.arange(int(counts.sum()), dtype=np.int32)
-            - np.repeat(offs[:-1], counts).astype(np.int32)
-        )
-        return row_idx, lists.flatten(), positions
-
-    def tokenize_text(self, text: str) -> list[str]:
-        return self.tokenize_array(pa.array([text], type=pa.string()))[0].as_py()
 
 
 # EnglishAnalyzer's default stop set (analysis/common/.../en/EnglishAnalyzer.java
@@ -497,58 +608,14 @@ class EnglishAnalyzer(CodeAnalyzer):
 
         return stem_terms(terms)
 
-    @staticmethod
-    def _stem_one(t: str) -> str:
-        from lucene_ray.analysis.porter import porter_stem
-
-        return porter_stem(t)
-
     def tokenize_flat(self, texts, with_offsets: bool = False):
-        res = super().tokenize_flat(texts, with_offsets=with_offsets)
-        row_idx, terms = res[0], res[1]
-        if len(row_idx) == 0:
-            return res
-        import pyarrow.compute as pc
+        stream = _drop(super().tokenize_flat(texts, with_offsets), stop=self.stop_set)
+        return self._stem_stream(stream)
 
-        keep = pc.invert(
-            pc.is_in(terms, value_set=pa.array(sorted(self.stop_set)))
-        ).to_numpy(zero_copy_only=False)
-        row_idx = row_idx[keep]
-        terms = self._stem_terms(terms.filter(pa.array(keep)))
+    def _stem_stream(self, stream: tuple) -> tuple:
         # offsets stay those of the ORIGINAL (pre-stem) token — the
         # reference's stemmers never touch OffsetAttribute
-        tail = tuple(a[keep] for a in res[3:]) if with_offsets else ()
-        # recompute post-filter positions (ordinal within row)
-        n_tok = len(row_idx)
-        if n_tok == 0:
-            return (row_idx, terms, np.array([], dtype=np.int32)) + tail
-        row_change = np.empty(n_tok, dtype=bool)
-        row_change[0] = True
-        np.not_equal(row_idx[1:], row_idx[:-1], out=row_change[1:])
-        first_of_row = np.maximum.accumulate(
-            np.where(row_change, np.arange(n_tok), 0)
-        )
-        positions = (np.arange(n_tok) - first_of_row).astype(np.int32)
-        return (row_idx, terms, positions) + tail
-
-    def tokenize_array(self, texts):
-        toks = super().tokenize_array(texts)
-        out = [
-            [self._stem_one(t) for t in row if t not in self.stop_set]
-            for row in toks.to_pylist()
-        ]
-        return pa.array(out, type=pa.list_(pa.string()))
-
-    def tokenize_text(self, text: str) -> list[str]:
-        # NB: go through the BASE tokenizer explicitly — super().tokenize_text
-        # dispatches back into the overridden tokenize_array and stemming is
-        # not idempotent
-        base = CodeAnalyzer.tokenize_array(self, pa.array([text], type=pa.string()))
-        return [
-            self._stem_one(t)
-            for t in base[0].as_py()
-            if t not in self.stop_set
-        ]
+        return (stream[0], self._stem_terms(stream[1])) + stream[2:]
 
 
 class EnglishSnowballAnalyzer(EnglishAnalyzer):
@@ -576,12 +643,6 @@ class EnglishSnowballAnalyzer(EnglishAnalyzer):
 
         return porter2_stem_terms(terms)
 
-    @staticmethod
-    def _stem_one(t: str) -> str:
-        from lucene_ray.analysis.porter2 import porter2_stem
-
-        return porter2_stem(t)
-
 
 class EnglishKStemAnalyzer(EnglishAnalyzer):
     """The KStemFilter chain (analysis/common/.../en/KStemFilter.java:
@@ -600,12 +661,6 @@ class EnglishKStemAnalyzer(EnglishAnalyzer):
 
         return kstem_stem_terms(terms)
 
-    @staticmethod
-    def _stem_one(t: str) -> str:
-        from lucene_ray.analysis.kstem import kstem
-
-        return kstem(t)
-
 
 class PhoneticAnalyzer(CodeAnalyzer):
     """CodeAnalyzer chain + PhoneticFilter inject mode
@@ -623,67 +678,10 @@ class PhoneticAnalyzer(CodeAnalyzer):
     def tokenize_flat(self, texts, with_offsets: bool = False):
         from lucene_ray.analysis.phonetic import encode_terms
 
-        res = super().tokenize_flat(texts, with_offsets=with_offsets)
-        row_idx, terms, positions = res[0], res[1], res[2]
-        if len(row_idx) == 0:
-            return res
-        if isinstance(terms, pa.ChunkedArray):
-            terms = terms.combine_chunks()
-        codes = encode_terms(terms, self.encoder)
-        hit = (
-            pa.compute.utf8_length(codes)
-            .to_numpy(zero_copy_only=False) > 0
-        )
-        if not hit.any():
-            return res
-        nh = int(hit.sum())
-        comb_row = np.concatenate([row_idx, row_idx[hit]])
-        comb_pos = np.concatenate([positions, positions[hit]])
-        plain = (
-            terms.cast(pa.string())
-            if isinstance(terms, pa.DictionaryArray)
-            else terms
-        )
-        comb_terms = pa.concat_arrays(
-            [plain, codes.filter(pa.array(hit))]
-        )
-        # phonetic FIRST within the position (PhoneticFilter emits the
-        # encoded form, then the saved original at posInc 0)
-        phon_last = np.concatenate(
-            [np.ones(len(row_idx), np.int8), np.zeros(nh, np.int8)]
-        )
-        o = np.lexsort((phon_last, comb_pos, comb_row))
-        out = (
-            comb_row[o],
-            comb_terms.take(pa.array(o)),
-            comb_pos[o].astype(positions.dtype),
-        )
-        if with_offsets:
-            st, ln = res[3], res[4]
-            out = out + (
-                np.concatenate([st, st[hit]])[o],
-                np.concatenate([ln, ln[hit]])[o],
-            )
-        return out
-
-    def tokenize_array(self, texts):
-        from lucene_ray.analysis.phonetic import ENCODERS
-
-        enc = ENCODERS[self.encoder]
-        toks = super().tokenize_array(texts)
-        out = []
-        for row in toks.to_pylist():
-            r = []
-            for t in row:
-                v = enc(t)
-                if v and v != t:
-                    r.append(v)
-                r.append(t)
-            out.append(r)
-        return pa.array(out, type=pa.list_(pa.string()))
-
-    def tokenize_text(self, text: str) -> list[str]:
-        return self.tokenize_array(pa.array([text], type=pa.string()))[0].as_py()
+        stream = super().tokenize_flat(texts, with_offsets)
+        codes = encode_terms(stream[1], self.encoder)
+        hit = np.nonzero(pc.utf8_length(codes).to_numpy(zero_copy_only=False))[0]
+        return _add_twins(stream, hit, codes.take(pa.array(hit)), twins_first=True)
 
 
 class SoundexAnalyzer(PhoneticAnalyzer):
@@ -718,79 +716,10 @@ class MultiPhoneticAnalyzer(CodeAnalyzer):
     def tokenize_flat(self, texts, with_offsets: bool = False):
         from lucene_ray.analysis.phonetic import encode_multi_vocab
 
-        res = super().tokenize_flat(texts, with_offsets=with_offsets)
-        row_idx, terms, positions = res[0], res[1], res[2]
-        if len(row_idx) == 0:
-            return res
-        if isinstance(terms, pa.ChunkedArray):
-            terms = terms.combine_chunks()
-        d = (
-            terms
-            if isinstance(terms, pa.DictionaryArray)
-            else terms.dictionary_encode()
-        )
-        vocab = d.dictionary.to_pylist()
-        codes_v = encode_multi_vocab(vocab, self.multi_encoder)
-        if not any(codes_v):
-            return res
-        # vocab-level flat code table + per-entry offsets, then a pure
-        # numpy gather expands it to the token stream (no per-token loop)
-        counts_v = np.array([len(c) for c in codes_v], dtype=np.int64)
-        flat_codes_v = np.array(
-            [c for lst in codes_v for c in lst], dtype=object
-        )
-        starts_v = np.concatenate([[0], np.cumsum(counts_v)[:-1]])
-        idx = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        cnt = counts_v[idx]  # codes per token
-        total = int(cnt.sum())
-        tok_end = np.cumsum(cnt)
-        slot = np.arange(total, dtype=np.int64) - np.repeat(
-            tok_end - cnt, cnt
-        )  # 0..cnt-1 within each token
-        gather = np.repeat(starts_v[idx], cnt) + slot
-        code_terms = pa.array(flat_codes_v[gather].tolist(), type=pa.string())
-        comb_row = np.concatenate([row_idx, np.repeat(row_idx, cnt)])
-        comb_pos = np.concatenate([positions, np.repeat(positions, cnt)])
-        plain = (
-            terms.cast(pa.string())
-            if isinstance(terms, pa.DictionaryArray)
-            else terms
-        )
-        comb_terms = pa.concat_arrays([plain, code_terms])
-        # original FIRST within the position, codes after in slot order
-        key = np.concatenate(
-            [np.zeros(len(row_idx), np.int64), slot + 1]
-        )
-        o = np.lexsort((key, comb_pos, comb_row))
-        out = (
-            comb_row[o],
-            comb_terms.take(pa.array(o)),
-            comb_pos[o].astype(positions.dtype),
-        )
-        if with_offsets:
-            st, ln = res[3], res[4]
-            out = out + (
-                np.concatenate([st, np.repeat(st, cnt)])[o],
-                np.concatenate([ln, np.repeat(ln, cnt)])[o],
-            )
-        return out
-
-    def tokenize_array(self, texts):
-        from lucene_ray.analysis.phonetic import MULTI_ENCODERS
-
-        enc = MULTI_ENCODERS[self.multi_encoder]
-        toks = super().tokenize_array(texts)
-        out = []
-        for row in toks.to_pylist():
-            r = []
-            for t in row:
-                r.append(t)
-                r.extend(enc(t))
-            out.append(r)
-        return pa.array(out, type=pa.list_(pa.string()))
-
-    def tokenize_text(self, text: str) -> list[str]:
-        return self.tokenize_array(pa.array([text], type=pa.string()))[0].as_py()
+        stream = super().tokenize_flat(texts, with_offsets)
+        return _add_twins(stream, *_per_vocab(
+            stream[1], lambda vocab: encode_multi_vocab(vocab, self.multi_encoder)
+        ))
 
 
 class DaitchMokotoffAnalyzer(MultiPhoneticAnalyzer):
@@ -798,26 +727,19 @@ class DaitchMokotoffAnalyzer(MultiPhoneticAnalyzer):
     multi_encoder = "dm_soundex"
 
 
-class WhitespaceAnalyzer:
+class WhitespaceAnalyzer(_ListAnalyzer):
     """analysis/core/WhitespaceAnalyzer.java: split on whitespace runs,
     NO lowercasing, no filters. ASCII whitespace class [\\t\\n\\f\\r ] on BOTH
     sides so the RE2/DuckDB '\\s' mirror stays byte-identical (CLAUDE.md
     RE2-expressibility rule; Python's \\s would also split on \\x0b/\\xa0
     etc. that RE2 does not). Query/analysis surface only — not a valid
-    INDEXING analyzer (no tokenize_flat; tokens may contain ':')."""
+    INDEXING analyzer (tokens may contain ':')."""
 
     name = "whitespace"
-    supports_indexing = False
     _WS = re.compile(r"[\t\n\f\r ]+")
 
-    def tokenize_text(self, text: str) -> list[str]:
+    def _tokens(self, text: str) -> list[str]:
         return _split_overlong(self._WS.split(text))
-
-    def tokenize_array(self, texts: pa.Array | pa.ChunkedArray) -> pa.ListArray:
-        return pa.array(
-            [self.tokenize_text(t or "") for t in texts.to_pylist()],
-            type=pa.list_(pa.string()),
-        )
 
     @staticmethod
     def sql_expr(col: str) -> str:
@@ -830,22 +752,15 @@ class WhitespaceAnalyzer:
         )
 
 
-class KeywordAnalyzer:
+class KeywordAnalyzer(_ListAnalyzer):
     """analysis/core/KeywordAnalyzer.java: the whole input is ONE token,
     untouched. Query/analysis surface only — not a valid INDEXING analyzer
-    (no tokenize_flat; tokens may contain ':')."""
+    (tokens may contain ':')."""
 
     name = "keyword"
-    supports_indexing = False
 
-    def tokenize_text(self, text: str) -> list[str]:
+    def _tokens(self, text: str) -> list[str]:
         return [text] if text else []
-
-    def tokenize_array(self, texts: pa.Array | pa.ChunkedArray) -> pa.ListArray:
-        return pa.array(
-            [self.tokenize_text(t or "") for t in texts.to_pylist()],
-            type=pa.list_(pa.string()),
-        )
 
 
 # Demo synonym rules over the benchmark-vocabulary corpus (the single-token
@@ -872,75 +787,11 @@ class SynonymAnalyzer(CodeAnalyzer):
     has_overlaps = True
 
     def tokenize_flat(self, texts, with_offsets: bool = False):
-        res = super().tokenize_flat(texts, with_offsets=with_offsets)
-        row_idx, terms, positions = res[0], res[1], res[2]
-        if len(row_idx) == 0:
-            return res
-        if isinstance(terms, pa.ChunkedArray):
-            terms = terms.combine_chunks()
-        dict_arr = (
-            terms
-            if isinstance(terms, pa.DictionaryArray)
-            else terms.dictionary_encode()
-        )
-        vocab = dict_arr.dictionary.to_pylist()
-        mapped = np.array(
-            [SYNONYM_MAP.get(t, "") for t in vocab], dtype=object
-        )
-        codes = dict_arr.indices.to_numpy(zero_copy_only=False)
-        hit = mapped[codes] != ""
-        if not hit.any():
-            return res
-        nh = int(hit.sum())
-        comb_row = np.concatenate([row_idx, row_idx[hit]])
-        comb_pos = np.concatenate([positions, positions[hit]])
-        plain = terms.cast(pa.string()) if isinstance(terms, pa.DictionaryArray) else terms
-        comb_terms = pa.concat_arrays(
-            [plain, pa.array(mapped[codes[hit]].tolist(), type=pa.string())]
-        )
-        # restore the (doc, position) stream order build_segment_postings
-        # requires; originals sort before their injected twins
-        orig_first = np.concatenate(
-            [np.zeros(len(row_idx), np.int8), np.ones(nh, np.int8)]
-        )
-        o = np.lexsort((orig_first, comb_pos, comb_row))
-        out = (
-            comb_row[o],
-            comb_terms.take(pa.array(o)),
-            comb_pos[o].astype(positions.dtype),
-        )
-        if with_offsets:
-            st, ln = res[3], res[4]
-            out = out + (
-                np.concatenate([st, st[hit]])[o],
-                np.concatenate([ln, ln[hit]])[o],
-            )
-        return out
-
-    def tokenize_array(self, texts):
-        # list view: inject the synonym right after its original (position
-        # semantics live only in tokenize_flat)
-        toks = super().tokenize_array(texts)
-        out = []
-        for row in toks.to_pylist():
-            cur = []
-            for t in row:
-                cur.append(t)
-                s = SYNONYM_MAP.get(t)
-                if s:
-                    cur.append(s)
-            out.append(cur)
-        return pa.array(out, type=pa.list_(pa.string()))
-
-    def tokenize_text(self, text: str) -> list[str]:
-        base = CodeAnalyzer.tokenize_array(self, pa.array([text], type=pa.string()))
-        out = []
-        for t in base[0].as_py():
-            out.append(t)
-            s = SYNONYM_MAP.get(t)
-            if s:
-                out.append(s)
-        return out
+        stream = super().tokenize_flat(texts, with_offsets)
+        return _add_twins(stream, *_per_vocab(
+            stream[1],
+            lambda vocab: [[SYNONYM_MAP[t]] if t in SYNONYM_MAP else [] for t in vocab],
+        ))
 
 
 # 1:1 accent-folding table (the Latin-1/Latin-Extended-A subset of
@@ -974,25 +825,14 @@ class FoldingAnalyzer(CodeAnalyzer):
 
     name = "folding"
 
-    def _fold(self, texts):
+    def tokenize_flat(self, texts, with_offsets: bool = False):
         if isinstance(texts, pa.ChunkedArray):
             texts = texts.combine_chunks()
-        return pa.array(
+        folded = pa.array(
             [fold_ascii(t) if t is not None else None for t in texts.to_pylist()],
             type=pa.string(),
         )
-
-    def tokenize_flat(self, texts, with_offsets: bool = False):
-        return super().tokenize_flat(self._fold(texts), with_offsets=with_offsets)
-
-    def tokenize_array(self, texts):
-        return super().tokenize_array(self._fold(texts))
-
-    def tokenize_text(self, text: str) -> list[str]:
-        base = CodeAnalyzer.tokenize_array(
-            self, pa.array([fold_ascii(text)], type=pa.string())
-        )
-        return base[0].as_py()
+        return super().tokenize_flat(folded, with_offsets=with_offsets)
 
 
 # HTMLStripCharFilter-lite (analysis/common/.../charfilter/
@@ -1025,25 +865,14 @@ class HTMLStripAnalyzer(CodeAnalyzer):
 
     name = "html"
 
-    def _strip(self, texts):
+    def tokenize_flat(self, texts, with_offsets: bool = False):
         if isinstance(texts, pa.ChunkedArray):
             texts = texts.combine_chunks()
-        return pa.array(
+        stripped = pa.array(
             [strip_html(t) if t is not None else None for t in texts.to_pylist()],
             type=pa.string(),
         )
-
-    def tokenize_flat(self, texts, with_offsets: bool = False):
-        return super().tokenize_flat(self._strip(texts), with_offsets=with_offsets)
-
-    def tokenize_array(self, texts):
-        return super().tokenize_array(self._strip(texts))
-
-    def tokenize_text(self, text: str) -> list[str]:
-        base = CodeAnalyzer.tokenize_array(
-            self, pa.array([strip_html(text)], type=pa.string())
-        )
-        return base[0].as_py()
+        return super().tokenize_flat(stripped, with_offsets=with_offsets)
 
 
 def _term_buffer(terms: pa.Array) -> tuple[np.ndarray, np.ndarray]:
@@ -1127,38 +956,15 @@ class _GramAnalyzer(CodeAnalyzer):
     edge = False
 
     def tokenize_flat(self, texts, with_offsets: bool = False):
-        res = super().tokenize_flat(texts, with_offsets=with_offsets)
-        row_idx, terms, positions = res[0], res[1], res[2]
-        if len(row_idx) == 0:
-            return res
+        stream = super().tokenize_flat(texts, with_offsets)
         src, grams, within = _expand_char_grams(
-            terms, self.gmin, self.gmax, edge=self.edge
+            stream[1], self.gmin, self.gmax, edge=self.edge
         )
-        out = (
-            row_idx[src],
-            grams,
-            positions[src].astype(positions.dtype),
-        )
+        spans = None
         if with_offsets:
-            st = res[3][src] + within.astype(res[3].dtype)
-            _d, goffs = _term_buffer(grams)
-            glen = np.diff(goffs).astype(res[4].dtype)
-            out = out + (st, glen)
-        return out
-
-    def tokenize_text(self, text: str) -> list[str]:
-        toks = super().tokenize_text(text)
-        out: list[str] = []
-        for t in toks:
-            for g in range(self.gmin, self.gmax + 1):
-                if self.edge:
-                    if len(t) >= g:
-                        out.append(t[:g])
-                else:
-                    out.extend(
-                        t[i : i + g] for i in range(0, len(t) - g + 1)
-                    )
-        return out
+            glen = np.diff(_term_buffer(grams)[1]).astype(np.int32)
+            spans = (stream[3][src] + within.astype(np.int32), glen)
+        return _gather(stream, src, grams, spans)
 
 
 class NGramAnalyzer(_GramAnalyzer):
@@ -1179,63 +985,36 @@ class EdgeNGramAnalyzer(_GramAnalyzer):
     gmin, gmax, edge = 1, 3, True
 
 
+def _pair_twins(stream: tuple, idx: np.ndarray, sep: str) -> tuple:
+    """Twin ``term[i] + sep + term[i+1]`` for every i in ``idx``, at token
+    i's position and spanning both tokens' offsets (ShingleFilter /
+    CommonGramsFilter)."""
+    terms = stream[1]
+    grams = pc.binary_join_element_wise(
+        terms.take(pa.array(idx)), terms.take(pa.array(idx + 1)), sep
+    )
+    spans = None
+    if len(stream) > 3:
+        st, ln = stream[3], stream[4]
+        spans = (st[idx], (st[idx + 1] + ln[idx + 1]) - st[idx])
+    return _add_twins(stream, idx, grams, spans=spans)
+
+
 class ShingleAnalyzer(CodeAnalyzer):
     """Word 2-shingles + unigrams (ShingleFilter.java:71 defaults:
     min/max shingle size 2, separator ' ', outputUnigrams=true). The
-    shingle is emitted at its FIRST token's position (posInc 0 — an
-    overlap for norms purposes). Shingle terms contain ' ', which never
-    collides with analyzed tokens or 'field:value' keyword terms."""
+    shingle is emitted right after its FIRST token, at that position
+    (posInc 0 — an overlap for norms purposes): ``a b c`` -> a, a b, b,
+    b c, c. Shingle terms contain ' ', which never collides with analyzed
+    tokens or 'field:value' keyword terms."""
 
     name = "shingle"
     has_overlaps = True
 
     def tokenize_flat(self, texts, with_offsets: bool = False):
-        import pyarrow.compute as pc
-
-        res = super().tokenize_flat(texts, with_offsets=with_offsets)
-        row_idx, terms, positions = res[0], res[1], res[2]
-        n = len(row_idx)
-        if n < 2:
-            return res
-        same = row_idx[1:] == row_idx[:-1]
-        if not same.any():
-            return res
-        left = terms.slice(0, n - 1).take(pa.array(np.nonzero(same)[0]))
-        right = terms.slice(1).take(pa.array(np.nonzero(same)[0]))
-        sh = pc.binary_join_element_wise(left, right, " ")
-        idx = np.nonzero(same)[0]
-        comb_row = np.concatenate([row_idx, row_idx[idx]])
-        comb_pos = np.concatenate([positions, positions[idx]])
-        comb_terms = pa.concat_arrays(
-            [terms.combine_chunks() if isinstance(terms, pa.ChunkedArray) else terms, sh]
-        )
-        unigram_first = np.concatenate(
-            [np.zeros(n, np.int8), np.ones(len(idx), np.int8)]
-        )
-        o = np.lexsort((unigram_first, comb_pos, comb_row))
-        out = (
-            comb_row[o],
-            comb_terms.take(pa.array(o)),
-            comb_pos[o].astype(positions.dtype),
-        )
-        if with_offsets:
-            st, ln = res[3], res[4]
-            # shingle spans first token start .. second token end
-            sh_st = st[idx]
-            sh_ln = (st[idx + 1] + ln[idx + 1]) - st[idx]
-            out = out + (
-                np.concatenate([st, sh_st])[o],
-                np.concatenate([ln, sh_ln])[o],
-            )
-        return out
-
-    def tokenize_text(self, text: str) -> list[str]:
-        toks = super().tokenize_text(text)
-        out = list(toks)
-        out.extend(
-            f"{a} {b}" for a, b in zip(toks, toks[1:])
-        )
-        return out
+        stream = super().tokenize_flat(texts, with_offsets)
+        row_idx = stream[0]
+        return _pair_twins(stream, np.nonzero(row_idx[1:] == row_idx[:-1])[0], " ")
 
 
 class CommonGramsAnalyzer(CodeAnalyzer):
@@ -1255,66 +1034,14 @@ class CommonGramsAnalyzer(CodeAnalyzer):
 
         self.common_words = ENGLISH_SNOWBALL_STOP
 
-    def _common_mask(self, terms) -> np.ndarray:
-        import pyarrow.compute as pc
-
-        return pc.is_in(
-            terms, value_set=pa.array(sorted(self.common_words))
-        ).to_numpy(zero_copy_only=False)
-
     def tokenize_flat(self, texts, with_offsets: bool = False):
-        import pyarrow.compute as pc
-
-        res = super().tokenize_flat(texts, with_offsets=with_offsets)
-        row_idx, terms, positions = res[0], res[1], res[2]
-        n = len(row_idx)
-        if n < 2:
-            return res
-        terms = (
-            terms.combine_chunks()
-            if isinstance(terms, pa.ChunkedArray)
-            else terms
-        )
-        common = self._common_mask(terms)
+        stream = super().tokenize_flat(texts, with_offsets)
+        row_idx = stream[0]
+        common = pc.is_in(
+            stream[1], value_set=_value_set(self.common_words)
+        ).to_numpy(zero_copy_only=False)
         pair = (row_idx[1:] == row_idx[:-1]) & (common[:-1] | common[1:])
-        if not pair.any():
-            return res
-        idx = np.nonzero(pair)[0]
-        left = terms.slice(0, n - 1).take(pa.array(idx))
-        right = terms.slice(1).take(pa.array(idx))
-        grams = pc.binary_join_element_wise(left, right, "_")
-        comb_row = np.concatenate([row_idx, row_idx[idx]])
-        comb_pos = np.concatenate([positions, positions[idx]])
-        comb_terms = pa.concat_arrays([terms, grams])
-        unigram_first = np.concatenate(
-            [np.zeros(n, np.int8), np.ones(len(idx), np.int8)]
-        )
-        o = np.lexsort((unigram_first, comb_pos, comb_row))
-        out = (
-            comb_row[o],
-            comb_terms.take(pa.array(o)),
-            comb_pos[o].astype(positions.dtype),
-        )
-        if with_offsets:
-            st, ln = res[3], res[4]
-            g_st = st[idx]
-            g_ln = (st[idx + 1] + ln[idx + 1]) - st[idx]
-            out = out + (
-                np.concatenate([st, g_st])[o],
-                np.concatenate([ln, g_ln])[o],
-            )
-        return out
-
-    def tokenize_text(self, text: str) -> list[str]:
-        toks = super().tokenize_text(text)
-        out = []
-        for i, t in enumerate(toks):
-            out.append(t)
-            if i + 1 < len(toks) and (
-                t in self.common_words or toks[i + 1] in self.common_words
-            ):
-                out.append(f"{t}_{toks[i + 1]}")
-        return out
+        return _pair_twins(stream, np.nonzero(pair)[0], "_")
 
     @staticmethod
     def sql_expr(col: str) -> str:
@@ -1336,36 +1063,17 @@ class CommonGramsQueryAnalyzer(CommonGramsAnalyzer):
     name = "commongrams_query"
     supports_indexing = False
 
-    def tokenize_text(self, text: str) -> list[str]:
-        # base tokens via the CodeAnalyzer ARRAY path explicitly —
-        # CodeAnalyzer.tokenize_text dispatches through the overridden
-        # self.tokenize_array and would recurse
-        toks = CodeAnalyzer.tokenize_array(
-            self, pa.array([text], type=pa.string())
-        )[0].as_py()
-        if len(toks) <= 1:
-            return toks
-        cw = self.common_words
-        out: list[str] = []
-        for i, t in enumerate(toks):
-            if i + 1 < len(toks):
-                if t in cw or toks[i + 1] in cw:
-                    out.append(f"{t}_{toks[i + 1]}")
-                else:
-                    out.append(t)
-            else:
-                if not (toks[i - 1] in cw or t in cw):
-                    out.append(t)
-        return out
-
-    def tokenize_array(self, texts):
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        return pa.array(
-            [self.tokenize_text(t) if t is not None else None
-             for t in texts.to_pylist()],
-            type=pa.list_(pa.string()),
-        )
+    def tokenize_flat(self, texts, with_offsets: bool = False):
+        stream = super().tokenize_flat(texts, with_offsets)
+        row_idx, pos = stream[0], stream[2]
+        # the index stream puts each gram right behind the unigram it
+        # starts at, and a row always ends on a unigram
+        gram = np.zeros(len(row_idx), dtype=bool)
+        gram[1:] = (row_idx[1:] == row_idx[:-1]) & (pos[1:] == pos[:-1])
+        starts_gram = np.append(gram[1:], False)
+        after_gram = np.insert(gram[:-1], 0, False)
+        last = np.append(row_idx[1:] != row_idx[:-1], True)
+        return _drop(stream, gram | ~(starts_gram | (last & after_gram)))
 
 
 class Gram3Analyzer(CodeAnalyzer):
@@ -1374,40 +1082,21 @@ class Gram3Analyzer(CodeAnalyzer):
     NGramTokenizer.java emits positions incrementing per gram; contrast
     NGramAnalyzer above, whose [1..2] filter grams overlap positions).
     Each token yields max(len-2, 1) grams: substr(t, i, 3) in offset
-    order; tokens shorter than 3 pass through whole. Per-occurrence
-    Python gram expansion — a gate/test analyzer, not a bench path."""
+    order; tokens shorter than 3 pass through whole."""
 
     name = "gram3"
-
-    def tokenize_array(self, texts):
-        toks = super().tokenize_array(texts)
-        out = [
-            [
-                t[i : i + 3]
-                for t in row
-                for i in range(max(len(t) - 2, 1))
-            ]
-            for row in toks.to_pylist()
-        ]
-        return pa.array(out, type=pa.list_(pa.string()))
 
     def tokenize_flat(self, texts, with_offsets: bool = False):
         if with_offsets:
             raise ValueError("gram3 analyzer does not support offsets")
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        lists = self.tokenize_array(texts)
-        offs = lists.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        counts = np.diff(offs)
-        row_idx = np.repeat(np.arange(len(lists), dtype=np.int64), counts)
-        positions = (
-            np.arange(int(counts.sum()), dtype=np.int32)
-            - np.repeat(offs[:-1], counts).astype(np.int32)
-        )
-        return row_idx, lists.flatten(), positions
-
-    def tokenize_text(self, text: str) -> list[str]:
-        return self.tokenize_array(pa.array([text], type=pa.string()))[0].as_py()
+        row_idx, terms, _pos = super().tokenize_flat(texts)
+        src, grams, _within = _expand_char_grams(terms, 3, 3)
+        short = np.nonzero(np.diff(_term_buffer(terms)[1]) < 3)[0]
+        by_src = np.concatenate([short, src])
+        o = np.argsort(by_src, kind="stable")
+        row_idx = row_idx[by_src[o]]
+        terms = pa.concat_arrays([terms.take(pa.array(short)), grams]).take(pa.array(o))
+        return row_idx, terms, _row_ordinals(row_idx)
 
 
 # --- emoji-lite (UnicodeEmojiAnalyzer) pattern data -------------------------
@@ -1457,9 +1146,7 @@ class UnicodeEmojiAnalyzer(UnicodeAnalyzer):
 
     name = "unicode_emoji"
 
-    def tokenize_array(self, texts: pa.Array | pa.ChunkedArray) -> pa.ListArray:
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
+    def _token_lists(self, texts: pa.Array) -> pa.ListArray:
         s = texts
         for pat, rep, _ph, _lit in _EMO_KEYCAPS:
             s = pc.replace_substring_regex(s, pattern=pat, replacement=rep)
@@ -1467,37 +1154,15 @@ class UnicodeEmojiAnalyzer(UnicodeAnalyzer):
         s = pc.replace_substring_regex(
             s, pattern=_UNI_ISOLATE_PATTERN, replacement=r" \1 "
         )
-        s = pc.utf8_lower(s)
-        for _ in range(2):
-            for joiner, ph in _UNI_MEDIAL:
-                s = pc.replace_substring_regex(
-                    s,
-                    pattern=f"({_UNI_MEDIAL_CTX}){joiner}([\\p{{L}}\\p{{N}}])",
-                    replacement=f"\\1{ph}\\2",
-                )
-        toks = pc.split_pattern_regex(s, pattern=_EMO_SEP)
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = _uni_split(pc.utf8_lower(s), _EMO_SEP)
         vals = toks.values
-        for joiner, ph in _UNI_MEDIAL:
-            vals = pc.replace_substring(
-                vals, pattern=ph, replacement=joiner.lstrip("\\")
-            )
         for _pat, _rep, ph, lit in _EMO_KEYCAPS:
             if ph is not None:
                 vals = pc.replace_substring(vals, pattern=ph, replacement=lit)
-        toks = pa.ListArray.from_arrays(toks.offsets, vals)
-        lengths = pc.utf8_length(toks.values).to_numpy(zero_copy_only=False)
-        junk = pc.match_substring_regex(
-            toks.values, _EMO_JUNK
-        ).to_numpy(zero_copy_only=False)
-        keep = (lengths > 0) & ~junk
-        if bool((lengths <= MAX_TOKEN_LEN).all()):
-            if bool(keep.all()):
-                return toks
-            return _filter_list_array(toks, keep)
-        lengths = np.where(junk, 0, lengths)
-        return _split_list_array(toks, lengths)
+        junk = pc.match_substring_regex(vals, _EMO_JUNK).to_numpy(
+            zero_copy_only=False
+        )
+        return _trim_lists(pa.ListArray.from_arrays(toks.offsets, vals), ~junk)
 
     @staticmethod
     def sql_expr(col: str) -> str:
@@ -1513,19 +1178,7 @@ class UnicodeEmojiAnalyzer(UnicodeAnalyzer):
             f"regexp_replace({expr}, '{_UNI_ISOLATE_PATTERN}', ' \\1 ', 'g')"
         )
         expr = f"lower({expr})"
-        for _ in range(2):
-            for i, (joiner, _ph) in enumerate(_UNI_MEDIAL, start=1):
-                pat = f"({_UNI_MEDIAL_CTX}){joiner}([\\p{{L}}\\p{{N}}])"
-                pat_sql = pat.replace("'", "''")
-                expr = (
-                    f"regexp_replace({expr}, '{pat_sql}', "
-                    f"'\\1' || chr({i}) || '\\2', 'g')"
-                )
-        expr = f"string_split_regex({expr}, '{_EMO_SEP}')"
-        restore = "t"
-        for i, (joiner, _ph) in enumerate(_UNI_MEDIAL, start=1):
-            lit = joiner.lstrip("\\").replace("'", "''")
-            restore = f"replace({restore}, chr({i}), '{lit}')"
+        expr, restore = _uni_split_sql(expr, _EMO_SEP)
         restore = f"replace({restore}, chr(4), '#')"
         restore = f"replace({restore}, chr(5), '*')"
         junk_sql = _EMO_JUNK.replace("'", "''")
@@ -1547,26 +1200,13 @@ class ICUNormalizeAnalyzer(UnicodeAnalyzer):
 
     name = "icu_normalize"
 
-    def tokenize_array(self, texts):
-        import pyarrow.compute as pc
-
+    def tokenize_flat(self, texts, with_offsets: bool = False):
         from lucene_ray.analysis.icu import nfkc_cf_terms
 
-        lists = super().tokenize_array(texts)
-        flat = lists.flatten()
-        offs = lists.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(flat):
-            flat = nfkc_cf_terms(flat)
-            keep = pc.utf8_length(flat).to_numpy(zero_copy_only=False) > 0
-            if not keep.all():
-                flat = flat.filter(pa.array(keep))
-                kept_cum = np.concatenate(
-                    ([0], np.cumsum(keep.astype(np.int64)))
-                )
-                offs = kept_cum[offs]
-        return pa.ListArray.from_arrays(
-            pa.array(offs, type=pa.int32()), flat
-        )
+        stream = super().tokenize_flat(texts, with_offsets)
+        terms = nfkc_cf_terms(stream[1])
+        keep = pc.utf8_length(terms).to_numpy(zero_copy_only=False) > 0
+        return _drop((stream[0], terms) + stream[2:], keep)
 
     @staticmethod
     def sql_expr(col: str) -> str:
@@ -1598,38 +1238,22 @@ class _LightStemAnalyzer(UnicodeAnalyzer):
     # ckb/SoraniAnalyzer.java:113-120); None = no pre-stop pass
     pre_stop_language: str | None = None
 
-    def tokenize_array(self, texts):
-        import pyarrow.compute as pc
-
+    def tokenize_flat(self, texts, with_offsets: bool = False):
         from lucene_ray.analysis.lightstem import light_stem_terms
 
-        lists = super().tokenize_array(texts)
-        flat = lists.flatten()
-        if self.elision_articles and len(flat):
+        stream = super().tokenize_flat(texts, with_offsets)
+        terms = stream[1]
+        if self.elision_articles:
             alt = "|".join(self.elision_articles)
-            flat = pc.replace_substring_regex(
-                flat, pattern=f"^(?:{alt})['’]", replacement=""
+            terms = pc.replace_substring_regex(
+                terms, pattern=f"^(?:{alt})['’]", replacement=""
             )
-        offs = lists.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        if self.pre_stop_language and len(flat):
-            flat = light_stem_terms(flat, self.pre_stop_language)
-        if len(flat):
-            # drop stopwords AND tokens emptied by elision in one mask
-            keep = pc.utf8_length(flat).to_numpy(zero_copy_only=False) > 0
-            if self.stop_set:
-                keep &= pc.invert(
-                    pc.is_in(flat, value_set=pa.array(sorted(self.stop_set)))
-                ).to_numpy(zero_copy_only=False)
-            if not keep.all():
-                flat = flat.filter(pa.array(keep))
-                kept_cum = np.concatenate(
-                    ([0], np.cumsum(keep.astype(np.int64)))
-                )
-                offs = kept_cum[offs]
-        stemmed = light_stem_terms(flat, self.language)
-        return pa.ListArray.from_arrays(
-            pa.array(offs, type=pa.int32()), stemmed
-        )
+        if self.pre_stop_language:
+            terms = light_stem_terms(terms, self.pre_stop_language)
+        # drop stopwords AND tokens emptied by elision in one pass
+        keep = pc.utf8_length(terms).to_numpy(zero_copy_only=False) > 0
+        stream = _drop((stream[0], terms) + stream[2:], keep, stop=self.stop_set)
+        return (stream[0], light_stem_terms(stream[1], self.language)) + stream[2:]
 
     @staticmethod
     def sql_expr(col: str) -> str:
@@ -1930,47 +1554,18 @@ class CJKAnalyzer(UnicodeAnalyzer):
 
         return CJK_LUCENE_STOP
 
-    def tokenize_array(self, texts: pa.Array | pa.ChunkedArray) -> pa.ListArray:
+    def _token_lists(self, texts: pa.Array) -> pa.ListArray:
         from lucene_ray.analysis import cjkwidth
 
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        texts = cjkwidth.fold_array(texts)
         s = pc.replace_substring_regex(
-            texts, pattern=_CJK_RUN_ISOLATE, replacement=r" \1 "
+            cjkwidth.fold_array(texts), pattern=_CJK_RUN_ISOLATE, replacement=r" \1 "
         )
-        s = pc.utf8_lower(s)
-        for _ in range(2):  # two passes: see _UNI_MEDIAL comment
-            for joiner, ph in _UNI_MEDIAL:
-                s = pc.replace_substring_regex(
-                    s,
-                    pattern=f"({_UNI_MEDIAL_CTX}){joiner}([\\p{{L}}\\p{{N}}])",
-                    replacement=f"\\1{ph}\\2",
-                )
-        toks = pc.split_pattern_regex(s, pattern=self._sep_pattern())
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        vals = toks.values
-        for joiner, ph in _UNI_MEDIAL:
-            vals = pc.replace_substring(
-                vals, pattern=ph, replacement=joiner.lstrip("\\")
-            )
-        toks = pa.ListArray.from_arrays(toks.offsets, vals)
-        toks = _cjk_bigram_expand(toks)
-        # stop filter (post-bigram, as the reference chain orders it) +
-        # empty-artifact drop in one mask
-        vals = toks.values
-        lengths = pc.utf8_length(vals).to_numpy(zero_copy_only=False)
-        keep = lengths > 0
-        keep &= pc.invert(
-            pc.is_in(vals, value_set=pa.array(sorted(self.stop_set)))
-        ).to_numpy(zero_copy_only=False)
-        if not bool(keep.all()):
-            toks = _filter_list_array(toks, keep)
-            lengths = lengths[keep]
-        if bool((lengths <= MAX_TOKEN_LEN).all()):
-            return toks
-        return _split_list_array(toks, lengths)
+        toks = _uni_split(pc.utf8_lower(s), self._sep_pattern())
+        return _trim_lists(_cjk_bigram_expand(toks))
+
+    def tokenize_flat(self, texts, with_offsets: bool = False):
+        # StopFilter after bigramming, as the reference chain orders it
+        return _drop(super().tokenize_flat(texts, with_offsets), stop=self.stop_set)
 
     @classmethod
     def sql_expr(cls, col: str) -> str:
@@ -1980,20 +1575,8 @@ class CJKAnalyzer(UnicodeAnalyzer):
         expr = cjkwidth.sql_fold(col)
         expr = f"regexp_replace({expr}, '{_CJK_RUN_ISOLATE}', ' \\1 ', 'g')"
         expr = f"lower({expr})"
-        for _ in range(2):
-            for i, (joiner, _ph) in enumerate(_UNI_MEDIAL, start=1):
-                pat = f"({_UNI_MEDIAL_CTX}){joiner}([\\p{{L}}\\p{{N}}])"
-                pat_sql = pat.replace("'", "''")
-                expr = (
-                    f"regexp_replace({expr}, '{pat_sql}', "
-                    f"'\\1' || chr({i}) || '\\2', 'g')"
-                )
         sep = rf"[^\p{{L}}\p{{N}}\x01-\x03{cls.word_extend}]+"
-        expr = f"string_split_regex({expr}, '{sep}')"
-        restore = "t"
-        for i, (joiner, _ph) in enumerate(_UNI_MEDIAL, start=1):
-            lit = joiner.lstrip("\\").replace("'", "''")
-            restore = f"replace({restore}, chr({i}), '{lit}')"
+        expr, restore = _uni_split_sql(expr, sep)
         bigrams = (
             f"CASE WHEN length(t) > 1 "
             f"THEN list_transform(range(1, length(t)), i -> substr(t, i::INT, 2)) "
@@ -2077,67 +1660,11 @@ class EnglishKeywordRepeatAnalyzer(EnglishAnalyzer):
     name = "english_keyword_repeat"
     has_overlaps = True
 
-    def tokenize_flat(self, texts, with_offsets: bool = False):
-        if with_offsets:
-            raise ValueError(
-                "keyword-repeat analyzer does not support the offsets option"
-            )
-        res = CodeAnalyzer.tokenize_flat(self, texts)
-        row_idx, terms = res[0], res[1]
-        if len(row_idx) == 0:
-            return res
-        keep = pc.invert(
-            pc.is_in(terms, value_set=pa.array(sorted(self.stop_set)))
-        ).to_numpy(zero_copy_only=False)
-        row_idx = row_idx[keep]
-        terms = terms.filter(pa.array(keep)).cast(pa.string())
-        n_tok = len(row_idx)
-        if n_tok == 0:
-            return (row_idx, terms, np.array([], dtype=np.int32))
-        row_change = np.empty(n_tok, dtype=bool)
-        row_change[0] = True
-        np.not_equal(row_idx[1:], row_idx[:-1], out=row_change[1:])
-        first_of_row = np.maximum.accumulate(
-            np.where(row_change, np.arange(n_tok), 0)
-        )
-        positions = (np.arange(n_tok) - first_of_row).astype(np.int32)
-        stemmed = self._stem_terms(terms)
-        differs = pc.not_equal(stemmed, terms).to_numpy(zero_copy_only=False)
-        if not bool(differs.any()):
-            return row_idx, terms, positions
-        counts = 1 + differs.astype(np.int64)
-        total = int(counts.sum())
-        starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        out_terms = np.empty(total, dtype=object)
-        out_terms[starts] = np.asarray(terms.to_pylist(), dtype=object)
-        out_terms[starts[differs] + 1] = np.asarray(
-            stemmed.filter(pa.array(differs)).to_pylist(), dtype=object
-        )
-        return (
-            np.repeat(row_idx, counts),
-            pa.array(out_terms.tolist(), type=pa.string()),
-            np.repeat(positions, counts).astype(np.int32),
-        )
-
-    def tokenize_array(self, texts):
-        base = CodeAnalyzer.tokenize_array(self, texts)
-        out = []
-        for row in base.to_pylist():
-            o = []
-            for t in row:
-                if t in self.stop_set:
-                    continue
-                o.append(t)
-                s = self._stem_one(t)
-                if s != t:
-                    o.append(s)
-            out.append(o)
-        return pa.array(out, type=pa.list_(pa.string()))
-
-    def tokenize_text(self, text: str) -> list[str]:
-        return self.tokenize_array(
-            pa.array([text], type=pa.string())
-        )[0].as_py()
+    def _stem_stream(self, stream: tuple) -> tuple:
+        stemmed = self._stem_terms(stream[1])
+        differs = pc.not_equal(stemmed, stream[1]).to_numpy(zero_copy_only=False)
+        src = np.nonzero(differs)[0]
+        return _add_twins(stream, src, stemmed.take(pa.array(src)))
 
 
 class ArabicAnalyzer(_LightStemAnalyzer):

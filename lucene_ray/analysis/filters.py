@@ -162,7 +162,11 @@ def decompose_term(
     return out
 
 
-from lucene_ray.analysis.analyzer import UnicodeAnalyzer  # noqa: E402
+from lucene_ray.analysis.analyzer import (  # noqa: E402
+    UnicodeAnalyzer,
+    _add_twins,
+    _per_vocab,
+)
 
 
 class DictionaryCompoundAnalyzer(UnicodeAnalyzer):
@@ -200,79 +204,9 @@ class DictionaryCompoundAnalyzer(UnicodeAnalyzer):
             for t in vocab
         ]
 
-    def tokenize_array(self, texts):
-        toks = super().tokenize_array(texts)
-        vals = toks.values
-        if len(vals) == 0:
-            return toks
-        d = vals.dictionary_encode()
-        subs = self._subwords(d.dictionary.to_pylist())
-        codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        counts = np.array([len(s) for s in subs], dtype=np.int64)[codes] + 1
-        if bool((counts == 1).all()):
-            return toks
-        out_vals: list = []
-        pl = vals.to_pylist()
-        for t, c in zip(pl, codes):
-            out_vals.append(t)
-            out_vals.extend(subs[c])
-        cum = np.concatenate(([0], np.cumsum(counts)))
-        offs = _offsets(toks)
-        return pa.ListArray.from_arrays(
-            pa.array(cum[offs], type=pa.int32()),
-            pa.array(out_vals, type=pa.string()),
-        )
-
     def tokenize_flat(self, texts, with_offsets: bool = False):
-        if with_offsets:
-            raise ValueError(
-                "compound analyzer does not support the offsets option"
-            )
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        lists = UnicodeAnalyzer.tokenize_array(self, texts)
-        offs = _offsets(lists)
-        counts = np.diff(offs)
-        row_idx = np.repeat(np.arange(len(lists), dtype=np.int64), counts)
-        positions = (
-            np.arange(int(counts.sum()), dtype=np.int32)
-            - np.repeat(offs[:-1], counts).astype(np.int32)
-        )
-        terms = lists.flatten().cast(pa.string())
-        if len(terms) == 0:
-            return row_idx, terms, positions
-        d = terms.dictionary_encode()
-        subs = self._subwords(d.dictionary.to_pylist())
-        codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        n_sub = np.array([len(s) for s in subs], dtype=np.int64)[codes]
-        if not bool(n_sub.any()):
-            return row_idx, terms, positions
-        # subwords copy the original's row and position (posInc == 0);
-        # originals sort before their subwords, subwords keep scan order
-        sub_terms: list = []
-        for c in codes[n_sub > 0]:
-            sub_terms.extend(subs[c])
-        comb_row = np.concatenate([row_idx, np.repeat(row_idx, n_sub)])
-        comb_pos = np.concatenate([positions, np.repeat(positions, n_sub)])
-        # builder streams are plain string arrays (keyword-term concat in
-        # build_one_segment) — cast away large_string from the flatten
-        plain = terms.cast(pa.string())
-        comb_terms = pa.concat_arrays(
-            [plain, pa.array(sub_terms, type=pa.string())]
-        )
-        order_key = np.concatenate(
-            [
-                np.zeros(len(row_idx), np.int64),
-                # stable within (row, pos): scan order via arange
-                1 + np.arange(int(n_sub.sum()), dtype=np.int64),
-            ]
-        )
-        o = np.lexsort((order_key, comb_pos, comb_row))
-        return (
-            comb_row[o],
-            comb_terms.take(pa.array(o)),
-            comb_pos[o].astype(positions.dtype),
-        )
+        stream = super().tokenize_flat(texts, with_offsets)
+        return _add_twins(stream, *_per_vocab(stream[1], self._subwords))
 
     @classmethod
     def sql_expr(cls, col: str) -> str:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pyarrow as pa
 
 __all__ = [
@@ -111,17 +110,21 @@ def capture_groups_term(
     return caps
 
 
-from lucene_ray.analysis.analyzer import UnicodeAnalyzer  # noqa: E402
+from lucene_ray.analysis.analyzer import (  # noqa: E402
+    UnicodeAnalyzer,
+    _gather,
+    _ListAnalyzer,
+    _per_vocab,
+)
 
 
-class PatternTokenizerAnalyzer:
+class PatternTokenizerAnalyzer(_ListAnalyzer):
     """PatternTokenizer as an analyzer: split or group-match mode, with
     the PatternAnalyzer-style optional lowercase. Instantiate with a
     custom pattern; the "pattern" registry entry is a demo instance
     (split on non-alphanumeric-or-apostrophe, lowercased)."""
 
-    name = "pattern"
-    supports_indexing = False  # tokens may contain ':' (shared term dict)
+    name = "pattern"  # not an indexing analyzer: tokens may contain ':'
 
     def __init__(
         self, pattern: str = r"[^a-zA-Z0-9']+", group: int = -1,
@@ -132,18 +135,10 @@ class PatternTokenizerAnalyzer:
         self.lowercase = lowercase
         self._rx = re.compile(pattern)
 
-    def tokenize_text(self, text: str) -> list[str]:
+    def _tokens(self, text: str) -> list[str]:
         if self.lowercase:
             text = text.lower()
         return pattern_tokenize(text, self.pattern, self.group)
-
-    def tokenize_array(self, texts) -> pa.ListArray:
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        return pa.array(
-            [self.tokenize_text(t or "") for t in texts.to_pylist()],
-            type=pa.list_(pa.string()),
-        )
 
 
 class PatternCaptureGroupAnalyzer(UnicodeAnalyzer):
@@ -165,59 +160,8 @@ class PatternCaptureGroupAnalyzer(UnicodeAnalyzer):
             for t in vocab
         ]
 
-    def tokenize_array(self, texts):
-        toks = super().tokenize_array(texts)
-        vals = toks.values
-        if len(vals) == 0:
-            return toks
-        d = vals.dictionary_encode()
-        exp = self._expand(d.dictionary.to_pylist())
-        codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        counts = np.array([len(e) for e in exp], dtype=np.int64)[codes]
-        out_vals: list = []
-        for c in codes:
-            out_vals.extend(exp[c])
-        offs = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        cum = np.concatenate(([0], np.cumsum(counts)))
-        return pa.ListArray.from_arrays(
-            pa.array(cum[offs], type=pa.int32()),
-            pa.array(out_vals, type=pa.string()),
-        )
-
     def tokenize_flat(self, texts, with_offsets: bool = False):
-        if with_offsets:
-            raise ValueError(
-                "capture-group analyzer does not support the offsets option"
-            )
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        lists = UnicodeAnalyzer.tokenize_array(self, texts)
-        offs = lists.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        counts = np.diff(offs)
-        row_idx = np.repeat(np.arange(len(lists), dtype=np.int64), counts)
-        positions = (
-            np.arange(int(counts.sum()), dtype=np.int32)
-            - np.repeat(offs[:-1], counts).astype(np.int32)
-        )
-        terms = lists.flatten().cast(pa.string())
-        if len(terms) == 0:
-            return row_idx, terms, positions
-        d = terms.dictionary_encode()
-        exp = self._expand(d.dictionary.to_pylist())
-        codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        n_out = np.array([len(e) for e in exp], dtype=np.int64)[codes]
-        if bool((n_out == 1).all()):
-            # nothing expanded (each token passed through as itself)
-            flat: list = [exp[c][0] for c in codes]
-            return row_idx, pa.array(flat, type=pa.string()), positions
-        out_terms: list = []
-        for c in codes:
-            out_terms.extend(exp[c])
-        # every emitted token copies the original's row and position
-        out_row = np.repeat(row_idx, n_out)
-        out_pos = np.repeat(positions, n_out)
-        return (
-            out_row,
-            pa.array(out_terms, type=pa.string()),
-            out_pos.astype(positions.dtype),
-        )
+        # the first emitted token replaces the original (itself when
+        # preserving it), the rest follow at its position
+        stream = super().tokenize_flat(texts, with_offsets)
+        return _gather(stream, *_per_vocab(stream[1], self._expand))

@@ -43,9 +43,7 @@ class UrlEmailAnalyzer(UnicodeAnalyzer):
     # — analysis/ops surface only, the builder rejects it
     supports_indexing = False
 
-    def tokenize_array(self, texts: pa.Array | pa.ChunkedArray) -> pa.ListArray:
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
+    def _token_lists(self, texts: pa.Array) -> pa.ListArray:
         spans = pc.split_pattern_regex(texts, pattern=_WS)
         if isinstance(spans, pa.ChunkedArray):
             spans = spans.combine_chunks()
@@ -58,7 +56,7 @@ class UrlEmailAnalyzer(UnicodeAnalyzer):
         )
         # unicode-tokenize every span in one vectorized pass; special
         # spans override with their single lowered token
-        sub = UnicodeAnalyzer.tokenize_array(self, frags)
+        sub = UnicodeAnalyzer._token_lists(self, frags)
         sub_offs = sub.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         sub_counts = np.diff(sub_offs)
         counts = np.where(special, 1, sub_counts)

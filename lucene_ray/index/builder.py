@@ -346,7 +346,7 @@ class BuildOptions:
         if not getattr(analyzer, "supports_indexing", True):
             raise ValueError(
                 f"analyzer {self.analyzer_name!r} is a query/analysis-surface "
-                "analyzer (no tokenize_flat; tokens may contain ':', which the "
+                "analyzer (tokens may contain ':', which the "
                 "shared term dict reserves for keyword fields) — index with "
                 "'code' or 'english'"
             )

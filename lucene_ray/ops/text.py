@@ -2168,7 +2168,15 @@ def _dsir_doc_features(tokens: list[str], cache: dict) -> list[int]:
 
 
 def dsir_weights(sf_dir: str, target_lang: str = DSIR_TARGET_LANG):
-    """(doc_id, weight): DSIR importance weight per document —
+    """(doc_id, weight): DSIR importance weight per document (see
+    :func:`_dsir_weigher`)."""
+    docs, weigh = _dsir_weigher(sf_dir, target_lang)
+    return docs.map_batches(weigh, batch_format="pyarrow", batch_size=4096)
+
+
+def _dsir_weigher(sf_dir: str, target_lang: str):
+    """(documents dataset, weigh): ``weigh`` maps a documents batch to
+    (doc_id, weight), the DSIR importance weight per document —
     weight(d) = sum over d's hashed unigram+bigram features of
     ln p_target(b) - ln p_raw(b), with add-one smoothing over
     DSIR_BUCKETS buckets; target = docs with lang == target_lang, raw =
@@ -2246,7 +2254,7 @@ def dsir_weights(sf_dir: str, target_lang: str = DSIR_TARGET_LANG):
             }
         )
 
-    return ds.map_batches(weigh, batch_format="pyarrow", batch_size=4096)
+    return ds, weigh
 
 
 def dsir_weights_sql() -> str:
@@ -2701,34 +2709,20 @@ def dsir_resample(
     import hashlib as _hl
     import math
 
-    import ray
-
-    # per-doc importance weight (the gated dsir_weights kernel)
-    weights = dsir_weights(sf_dir, target_lang)
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    sha_u = {}
-    # content-keyed u per doc, computed streaming; the dict is only built
-    # on the DRIVER here because the gate corpus is small — at scale this
-    # is the same map_batches that computes the weight (one pass), kept
-    # separate only to reuse the gated dsir_weights kernel verbatim
-    for b in docs.iter_batches(batch_format="pyarrow", batch_size=4096):
-        for did, t in zip(
-            b.column("doc_id").to_pylist(), b.column("text").to_pylist()
-        ):
-            h = int(_hl.sha256((t or "").encode()).hexdigest()[:8], 16)
-            sha_u[int(did)] = (h + 0.5) / 4294967296.0
-    u_ref = ray.put(sha_u)
+    # per-doc importance weight (the gated dsir_weights kernel) and the
+    # content-keyed u, both computed in the same per-batch pass
+    docs, weigh = _dsir_weigher(sf_dir, target_lang)
 
     def score_topk(batch: pa.Table) -> pa.Table:
-        u = ray.get(u_ref)
-        dids = batch.column("doc_id").to_pylist()
-        ws = batch.column("weight").to_pylist()
+        weights = weigh(batch)
         scored = []
-        for did, w in zip(dids, ws):
-            g = -math.log(-math.log(u[int(did)]))
+        for did, w, t in zip(
+            weights.column("doc_id").to_pylist(),
+            weights.column("weight").to_pylist(),
+            batch.column("text").to_pylist(),
+        ):
+            h = int(_hl.sha256((t or "").encode()).hexdigest()[:8], 16)
+            g = -math.log(-math.log((h + 0.5) / 4294967296.0))
             scored.append((w + g, int(did)))
         scored.sort(key=lambda sv: (-sv[0], sv[1]))
         top = scored[:k]
@@ -2739,7 +2733,7 @@ def dsir_resample(
             }
         )
 
-    cand = weights.map_batches(
+    cand = docs.map_batches(
         score_topk, batch_format="pyarrow", batch_size=4096
     ).to_pandas()  # O(batches * k)
     cand = cand.sort_values(

@@ -6,6 +6,7 @@ import pyarrow as pa
 import pytest
 
 from lucene_ray.analysis import CodeAnalyzer, StandardLiteAnalyzer, get_analyzer, tokenize_sql_expr
+from lucene_ray.analysis.analyzer import _REGISTRY, tokenize_re2
 
 CODE_GOLDENS = [
     # (text, expected tokens) — WordDelimiterGraphFilter-style splitting
@@ -102,8 +103,8 @@ def test_fast_path_matches_re2():
     ] + generate_shard(0, 30, seed=9).column("content").to_pylist()
     arr = pa.array(texts, type=pa.string())
     an = CodeAnalyzer()
-    # reference: RE2 list path exploded
-    toks = an.tokenize_array(arr)
+    # reference: the RE2 passes, exploded
+    toks = tokenize_re2(arr)
     offs = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     counts = np.diff(offs)
     want_rows = np.repeat(np.arange(len(counts)), counts)
@@ -117,9 +118,72 @@ def test_fast_path_matches_re2():
 
     # sliced array (non-zero arrow offset)
     sl = arr.slice(3, 10)
-    toks2 = an.tokenize_array(sl)
+    toks2 = tokenize_re2(sl)
     rows2, terms2, _ = an.tokenize_flat(sl)
     assert terms2.to_pylist() == toks2.values.to_pylist()
+
+
+# every registry analyzer plus the four the registry loads lazily
+ALL_ANALYZERS = sorted(
+    set(_REGISTRY) | {"compound", "pattern", "capturegroup", "url_email"}
+)
+
+VIEW_EDGE_ROWS = [
+    None,
+    "",
+    "x" * 300 + " tail " + "Y" * 256,
+    "Crème brûlée, naïve façade: Ärger über Öl",
+    "<p class='q'>big &amp; fast</p> scan&#10;done",
+    "big fast scan of the data",
+    "the of and a to in is it",
+]
+
+
+@pytest.fixture(scope="module")
+def view_texts():
+    from lucene_ray.index.corpus import generate_shard
+
+    sample = generate_shard(0, 20, seed=9).column("content").to_pylist()
+    return sample + VIEW_EDGE_ROWS
+
+
+@pytest.mark.parametrize("name", ALL_ANALYZERS)
+def test_views_agree_with_stream(name, view_texts):
+    """tokenize_array and tokenize_text are views of tokenize_flat: the
+    stream's terms grouped by row, in stream order; a null row is []."""
+    an = get_analyzer(name)
+    arr = pa.array(view_texts, type=pa.string())
+    row_idx, terms, _pos = an.tokenize_flat(arr)
+    by_row = [[] for _ in view_texts]
+    for r, t in zip(row_idx.tolist(), terms.to_pylist()):
+        by_row[r].append(t)
+    assert by_row[view_texts.index(None)] == []
+    assert an.tokenize_array(arr).to_pylist() == by_row
+    assert [an.tokenize_text(t) for t in view_texts if t is not None] == [
+        row for row, t in zip(by_row, view_texts) if t is not None
+    ]
+
+
+def test_shingle_stream_interleaves_like_shingle_filter():
+    an = get_analyzer("shingle")
+    rows, terms, pos = an.tokenize_flat(pa.array(["a b c"]))
+    assert terms.to_pylist() == ["a", "a b", "b", "b c", "c"]
+    assert pos.tolist() == [0, 0, 1, 1, 2]
+    assert an.tokenize_text("a b c") == ["a", "a b", "b", "b c", "c"]
+
+
+def test_commongrams_query_stream_positions():
+    """CommonGramsQueryFilter output stands at consecutive positions."""
+    an = get_analyzer("commongrams_query")
+    rows, terms, pos = an.tokenize_flat(
+        pa.array(["the quick brown", "fox of the lazy dog"])
+    )
+    assert rows.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
+    assert terms.to_pylist() == [
+        "the_quick", "quick", "brown",
+        "fox_of", "of_the", "the_lazy", "lazy", "dog",
+    ]
+    assert pos.tolist() == [0, 1, 2, 0, 1, 2, 3, 4]
 
 
 def test_tokenize_flat_positions():

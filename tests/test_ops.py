@@ -3532,3 +3532,23 @@ class TestDsirResample:
             ["weight", "doc_id"], ascending=[False, True]
         ).head(15)
         assert set(a["doc_id"]) != set(w["doc_id"])
+
+    def test_driver_never_reads_text(self, monkeypatch):
+        """The content-keyed noise is computed inside the Ray Data pass:
+        the driver only ever sees per-batch candidates, never a batch of
+        document text."""
+        import pyarrow as pa
+        import ray.data
+
+        from lucene_ray.ops.text import dsir_resample
+
+        iter_batches = ray.data.Dataset.iter_batches
+
+        def guarded(self, *args, **kwargs):
+            for b in iter_batches(self, *args, **kwargs):
+                names = b.column_names if isinstance(b, pa.Table) else list(b.keys())
+                assert "text" not in names, "document text iterated on the driver"
+                yield b
+
+        monkeypatch.setattr(ray.data.Dataset, "iter_batches", guarded)
+        assert len(dsir_resample(SF, k=5)) == 5
