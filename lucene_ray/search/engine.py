@@ -35,23 +35,14 @@ from lucene_ray.search.query import (
     BlendedTermQuery,
     CombinedFieldQuery,
     CommonTermsQuery,
-    ConstantScoreQuery,
     DisjunctionMaxQuery,
     DisjunctionSumQuery,
-    DocValuesTermsQuery,
-    IndexOrDocValuesQuery,
-    SortedSetDocValuesRangeQuery,
     FuzzyQuery,
     MatchAllDocsQuery,
     MultiPhraseQuery,
     NGramPhraseQuery,
     NestedBooleanQuery,
     PhraseQuery,
-    PointRangeQuery,
-    RangeFieldQuery,
-    LatLonBoxQuery,
-    LatLonDistanceQuery,
-    LatLonPolygonQuery,
     PrefixQuery,
     RegexpQuery,
     IntervalQuery,
@@ -63,6 +54,8 @@ from lucene_ray.search.query import (
     WildcardQuery,
     parse_query,
 )
+from lucene_ray.search.fuzzylikethis import FuzzyLikeThisQuery
+from lucene_ray.search.mlt import MoreLikeThisQuery
 from lucene_ray.search.rewrite import MULTI_TERM_TYPES, maybe_rewrite
 from lucene_ray.search.reader import IndexReader
 from lucene_ray.search.scorer import (
@@ -138,9 +131,8 @@ def build_scorers(
     and the sharded actors (every shard scores against identical idf/avgdl,
     the IndexSearcher stats-broadcast contract, SURVEY.md §3.3 step 2).
     ``field_sum_ttf``: global per-analyzed-field sumTotalTermFreq, needed
-    only when the tree holds a CombinedFieldQuery."""
-    from lucene_ray.search.similarity import ConstantScorer
-
+    only when the tree holds a CombinedFieldQuery. Constant-score clause
+    types need no entry: their clause-table rows score ``q.boost``."""
     scorers = {}
     for q in flat_clauses(bq):
         if isinstance(q, CombinedFieldQuery):
@@ -207,22 +199,6 @@ def build_scorers(
                         df, doc_count, sum_ttf, boost=q.boost,
                         total_term_freq=max(1, ttf),
                     )
-        elif isinstance(
-            q,
-            (
-                MatchAllDocsQuery,
-                ConstantScoreQuery,
-                PointRangeQuery,
-                RangeFieldQuery,
-                LatLonBoxQuery,
-                LatLonDistanceQuery,
-                LatLonPolygonQuery,
-                DocValuesTermsQuery,
-                SortedSetDocValuesRangeQuery,
-                IndexOrDocValuesQuery,
-            ),
-        ):
-            scorers[q] = ConstantScorer(q.boost)
     return scorers
 
 
@@ -263,44 +239,40 @@ class IndexSearcher:
 
     _MULTI = MULTI_TERM_TYPES
 
-    def _maybe_rewrite(self, bq: BooleanQuery) -> BooleanQuery:
+    # rewrite against the reader's term statistics / vocabulary before any
+    # scoring (CommonTermsQuery, sandbox FuzzyLikeThisQuery, the XML
+    # LikeThisQuery's MoreLikeThisQuery)
+    _LAZY_READER_QUERIES = (CommonTermsQuery, FuzzyLikeThisQuery, MoreLikeThisQuery)
+
+    def prepare(self, query: str | BooleanQuery) -> BooleanQuery:
+        """The one query-preparation path (search, count, explain,
+        highlight, the profiler, search_time_limited): parse a string,
+        rewrite reader-lazy queries — top level, or a clause of any
+        must/should/must_not list (each becomes one nested boolean clause)
+        — then expand multi-term queries against the vocabulary
+        (Query.rewrite before createWeight, IndexSearcher.java)."""
+        bq = self.parse(query) if isinstance(query, str) else query
+        lazy = self._LAZY_READER_QUERIES
+        if isinstance(bq, lazy):
+            bq = bq.rewrite(self.reader)
+        if any(isinstance(q, lazy) for q in bq.must + bq.should + bq.must_not):
+
+            def fix(clauses):
+                return [
+                    q.rewrite(self.reader).freeze() if isinstance(q, lazy) else q
+                    for q in clauses
+                ]
+
+            bq = BooleanQuery(
+                must=fix(bq.must), should=fix(bq.should),
+                must_not=fix(bq.must_not),
+                min_should_match=bq.min_should_match,
+            )
         return maybe_rewrite(
             bq,
             self.reader.vocabulary,
             lambda: self.reader.vocabulary(include_fields=True),
         )
-
-
-    _LAZY_READER_QUERIES = ("FuzzyLikeThisQuery", "MoreLikeThisQuery")
-
-    def _rewrite_fuzzylikethis(self, bq):
-        """Reader-lazy queries (sandbox FuzzyLikeThisQuery, the XML
-        LikeThisQuery's MoreLikeThisQuery) rewrite against the reader —
-        top-level or embedded as a boolean clause (the XML parser wraps
-        them in a should)."""
-        lazy = self._LAZY_READER_QUERIES
-        if type(bq).__name__ in lazy:
-            return bq.rewrite(self.reader)
-        if not isinstance(bq, BooleanQuery):
-            return bq
-
-        def fix(clauses):
-            out = []
-            for q in clauses:
-                if type(q).__name__ in lazy:
-                    rw = q.rewrite(self.reader)
-                    out.append(rw.freeze())
-                else:
-                    out.append(q)
-            return out
-
-        if any(type(q).__name__ in lazy for q in bq.must + bq.should):
-            return BooleanQuery(
-                must=fix(bq.must), should=fix(bq.should),
-                must_not=list(bq.must_not),
-                min_should_match=bq.min_should_match,
-            )
-        return bq
 
     def search(
         self,
@@ -313,11 +285,7 @@ class IndexSearcher:
         uses the exhaustive path (the min-competitive floor logic assumes
         top-of-index scores; Lucene's paging collector has the same split,
         search/TopScoreDocCollector.java:104-160)."""
-        bq = self.parse(query) if isinstance(query, str) else query
-        if isinstance(bq, CommonTermsQuery):
-            bq = bq.rewrite(self.reader)
-        bq = self._rewrite_fuzzylikethis(bq)
-        bq = self._maybe_rewrite(bq)
+        bq = self.prepare(query)
         if not (bq.must or bq.should):
             return TopDocs(np.array([], dtype=np.int64), np.array([], dtype=np.float32), 0)
         scorers = self._scorers(bq)
@@ -372,11 +340,7 @@ class IndexSearcher:
         doc count. Counts are always exact — candidate docid sets are free
         in this design, so the reference's 1000-hit threshold approximation
         is unnecessary."""
-        bq = self.parse(query) if isinstance(query, str) else query
-        if isinstance(bq, CommonTermsQuery):
-            bq = bq.rewrite(self.reader)
-        bq = self._rewrite_fuzzylikethis(bq)
-        bq = self._maybe_rewrite(bq)
+        bq = self.prepare(query)
         if not (bq.must or bq.should):
             return 0
         has_dels = any(getattr(e, "del_gen", 0) > 0 for e in self.reader.segments)
@@ -1534,8 +1498,7 @@ def search_time_limited(
 
     clock = clock or _time.monotonic
     t0 = clock()
-    bq = searcher.parse(query) if isinstance(query, str) else query
-    bq = searcher._maybe_rewrite(bq)
+    bq = searcher.prepare(query)
     if not (bq.must or bq.should):
         return TopDocs(
             np.array([], dtype=np.int64), np.array([], dtype=np.float32), 0

@@ -26,7 +26,7 @@ from lucene_ray.search.query import (
     SynonymQuery,
     TermQuery,
 )
-from lucene_ray.search.scorer import _canonical_scores, build_clauses
+from lucene_ray.search.scorer import FREQ, TERM, _canonical_scores, build_clauses
 from lucene_ray.util.smallfloat import byte4_to_int
 
 
@@ -99,8 +99,7 @@ def _bm25_leaf(q, clause, value, tf, norm_byte, searcher) -> Explanation:
 def explain(searcher, query, docid: int) -> Explanation:
     """Why ``docid`` does (or does not) match ``query``, and its exact score
     (IndexSearcher.explain, search/IndexSearcher.java:747)."""
-    bq = searcher.parse(query) if isinstance(query, str) else query
-    bq = searcher._maybe_rewrite(bq)
+    bq = searcher.prepare(query)
     if not (bq.must or bq.should):
         return _no_match("query matches no documents (no positive clauses)")
 
@@ -162,11 +161,12 @@ def explain(searcher, query, docid: int) -> Explanation:
         contrib, matched = c.contrib(cand1, sr.norm_bytes)
         if not matched[0]:
             continue
-        tf = c.lookup(cand1)[0] if c._scored is None else 0
+        has_tf = c.kind in (TERM, FREQ)
+        tf = c.lookup(cand1)[0] if has_tf else 0
         if (
             bm25_shaped
             and isinstance(q, (TermQuery, PhraseQuery, SynonymQuery, SpanNearQuery))
-            and c._scored is None
+            and has_tf
         ):
             details.append(_bm25_leaf(q, c, contrib[0], tf, norm_byte, searcher))
         else:

@@ -282,8 +282,7 @@ def highlight_hits(
     PassageScorer idf weights instead of match count."""
     from lucene_ray.search.engine import fetch_stored, query_terms
 
-    bq = searcher.parse(query)
-    bq = searcher._maybe_rewrite(bq)
+    bq = searcher.prepare(query)
     terms = query_terms(bq)
     td = searcher.search(bq, k)
     if len(td.docids) == 0:

@@ -79,7 +79,7 @@ class QueryProfilerIndexSearcher:
         s = self.searcher
         bq = s.parse(query) if isinstance(query, str) else query
         t0 = time.perf_counter_ns()
-        rewritten = s._maybe_rewrite(bq)
+        rewritten = s.prepare(bq)
         rewrite_ns = time.perf_counter_ns() - t0
 
         t1 = time.perf_counter_ns()

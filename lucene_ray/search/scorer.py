@@ -1,5 +1,28 @@
-"""Per-segment query execution: exhaustive TAAT oracle + block-max pruned
-MaxScore path, sharing one contribution model so scores are bit-identical.
+"""Per-segment query execution: the clause table, an exhaustive TAAT oracle
+and a block-max pruned MaxScore path, sharing one contribution model so
+scores are bit-identical.
+
+Clause table (the rewrite -> Weight -> per-segment Scorer step, SURVEY.md
+§2.11): every query type is ONE row of ``CLAUSE_TABLE``, keyed by its
+class — the row's kind and its match function. ``build_clauses`` looks the
+row up, runs the match (through the segment's LRUQueryCache unless the row
+says otherwise), drops an empty result and wraps the rest in a ``_Clause``.
+A type without a row raises TypeError: multi-term, span-wrapper,
+phrase-wildcard and reader-lazy queries are rewritten away before scoring.
+The four kinds:
+  - TERM: a TermQuery's SegmentTermCursor — lazy, block-selective decode
+    and per-block max scores for pruning (TermScorer + ImpactsDISI).
+  - FREQ: (docids, freqs) scored by the clause's similarity, max score over
+    the matches — phrase, sloppy/n-gram/multi-phrase, interval, span-near,
+    span algebra, synonym (the PhraseWeight/SpanWeight shape).
+  - CONST: docids, each scoring ``q.boost`` (ConstantScoreWeight /
+    ConstantScoreScorer) — points, range fields, doc values,
+    index-or-doc-values, exists, shapes, lat/lon, geo3d, multi-range,
+    function match/range, match-all, constant-score.
+  - SCORED: (docids, float32 scores) the match function computes —
+    combined field, blended, nested boolean, block joins, term automaton,
+    feature, payload, distance features, function score, covering and the
+    disjunctions.
 
 Reference machinery being re-expressed (SURVEY.md §2.11):
   - TermScorer + ImpactsDISI block skipping (search/TermScorer.java:29-95,
@@ -27,10 +50,13 @@ CheckHits duel contract, test-framework/.../CheckHits.java:691-712).
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from lucene_ray.codec.forutil import decode_stream, decode_stream_blocks
 from lucene_ray.config import BLOCK_SIZE
+from lucene_ray.search.intervals import interval_postings
 from lucene_ray.search.query import (
     BooleanQuery,
     CombinedFieldQuery,
@@ -41,9 +67,11 @@ from lucene_ray.search.query import (
     SortedSetDocValuesRangeQuery,
     CoveringQuery,
     DisjunctionSumQuery,
+    FieldMaskingSpanQuery,
     MatchAllDocsQuery,
     MultiPhraseQuery,
     NestedBooleanQuery,
+    PayloadScoreQuery,
     PhraseQuery,
     PointInSetQuery,
     PointRangeQuery,
@@ -84,6 +112,7 @@ from lucene_ray.search.query import (
     ToParentBlockJoinQuery,
 )
 from lucene_ray.search.similarity import BM25Scorer
+from lucene_ray.search.termautomaton import TermAutomatonQuery, automaton_docids
 
 # span-algebra types evaluated through search/spans.py (SpanNearQuery keeps
 # its dedicated fast path for all-term clauses)
@@ -95,7 +124,11 @@ SPAN_QUERY_TYPES = (
     SpanPositionRangeQuery,
     SpanContainingQuery,
     SpanWithinQuery,
+    FieldMaskingSpanQuery,
 )
+
+# clause kinds (one per CLAUSE_TABLE row; see the module docstring)
+TERM, FREQ, CONST, SCORED = "term", "freq", "const", "scored"
 
 # relative safety margin applied to float upper bounds before pruning
 # (absorbs float32 summation-order differences; ImpactsDISI uses exact
@@ -212,21 +245,22 @@ class SegmentTermCursor:
 
 
 class _Clause:
-    """Evaluated clause: (sorted docids, freqs, scorer) OR a pre-scored
-    (sorted docids, float32 scores) pair (DisjunctionMax). Term clauses keep
-    a cursor for lazy/selective work."""
+    """One query's matches in one segment, shaped by its row's ``kind``:
+    TERM keeps a cursor for lazy/selective work, FREQ holds (sorted docids,
+    freqs) + scorer, CONST and SCORED hold pre-scored (sorted docids,
+    float32 scores)."""
 
-    __slots__ = ("key", "cursor", "scorer", "_eval", "_max_score", "_scored")
+    __slots__ = ("kind", "key", "cursor", "scorer", "_eval", "_max_score", "_scored")
 
-    def __init__(self, key, cursor, scorer, evaluated=None, max_score=None,
+    def __init__(self, kind, key, cursor, scorer, evaluated=None, max_score=None,
                  scored=None):
+        self.kind = kind
         self.key = key
         self.cursor = cursor
         self.scorer = scorer
         self._eval = evaluated
         self._max_score = max_score
-        self._scored = scored  # (docids, float32 scores) for composite
-        # clauses whose score is not a (tf, norm) function
+        self._scored = scored
 
     def evaluate(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eval is None:
@@ -287,28 +321,51 @@ class _Clause:
 _POS_SPAN = np.int64(1) << np.int64(22)  # > max in-doc position we index
 
 
-def _phrase_postings(reader, terms: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Exact phrase match: (docids, phrase_freq), fully vectorized.
+def _positional_postings(reader, term: str, what: str = "phrase"):
+    """``reader.postings(term)``, refusing an index built without positions."""
+    p = reader.postings(term)
+    if p is not None and p._ttf > 0 and len(p._pos_blob) == 0:
+        raise ValueError(
+            f"{what} query on an index built without positions "
+            "(index_options='freqs'); rebuild with 'positions'"
+        )
+    return p
+
+
+def _multi_phrase_postings(
+    reader, slots: tuple, offsets: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact phrase match over position slots: (docids, phrase_freq), fully
+    vectorized. ``slots`` holds each position's alternative terms (one term
+    per slot for a plain phrase); ``offsets`` each slot's position offset
+    (default: the slot index).
 
     ExactPhraseMatcher semantics (search/ExactPhraseMatcher.java:38) via
     int64 (docid, position) keys: a phrase starts at (d, p) iff
-    (d*SPAN + p + i) is a posting key of term i for every i — so the match
-    set is the running ``intersect1d`` of shifted key arrays. Positions
-    beyond SPAN (~4M tokens into one doc) are not matchable (documented cap,
-    the maxTokenLength-style bound for phrase spans)."""
+    (d*SPAN + p + off_i) is a posting key of some alternative of slot i for
+    every i — so the match set is the running ``intersect1d`` of shifted
+    key arrays, each slot's keys the UNION of its alternatives'
+    (MultiPhraseQuery.java via UnionPostingsEnum). Positions beyond SPAN
+    (~4M tokens into one doc) are not matchable (documented cap, the
+    maxTokenLength-style bound for phrase spans)."""
     empty = np.array([], dtype=np.int64)
     keys = None
-    for i, t in enumerate(terms):
-        p = reader.postings(t)
-        if p is None:
+    for i, alts in enumerate(slots):
+        off = i if offsets is None else int(offsets[i])
+        slot_keys = []
+        for t in alts:
+            p = _positional_postings(reader, t)
+            if p is None:
+                continue
+            d_rep, abs_pos = p.flat_positions()
+            slot_keys.append(d_rep * _POS_SPAN + abs_pos - off)
+        if not slot_keys:
             return empty, empty
-        if p._ttf > 0 and len(p._pos_blob) == 0:
-            raise ValueError(
-                "phrase query on an index built without positions "
-                "(index_options='freqs'); rebuild with 'positions'"
-            )
-        d_rep, abs_pos = p.flat_positions()
-        k = d_rep * _POS_SPAN + abs_pos - i
+        k = (
+            slot_keys[0]
+            if len(slot_keys) == 1
+            else np.unique(np.concatenate(slot_keys))
+        )
         keys = k if keys is None else np.intersect1d(keys, k, assume_unique=True)
         if len(keys) == 0:
             return empty, empty
@@ -322,60 +379,29 @@ def _gapped_phrase_postings(
     """Phrase with EXPLICIT position offsets per term (NGramPhraseQuery's
     rewritten form, search/NGramPhraseQuery.java:66-71 builder.add(term,
     i)): a match starts at (d, p) iff term_j occurs at p + off_j for every
-    kept (term_j, off_j). Same int64-key algebra as _phrase_postings with
-    the offset taken from the pair instead of the enumeration index."""
-    empty = np.array([], dtype=np.int64)
-    keys = None
-    for t, off in pairs:
-        p = reader.postings(t)
+    kept (term_j, off_j)."""
+    return _multi_phrase_postings(
+        reader, tuple((t,) for t, _off in pairs), tuple(off for _t, off in pairs)
+    )
+
+
+def _positions_conjunction(reader, terms: tuple, what: str, adjust: bool):
+    """(per-term (docids, positions), docs holding every term), or None when
+    a term is absent or no doc holds them all. ``adjust`` subtracts each
+    term's slot index (offset-adjusted phrase positions)."""
+    per_term = []
+    cand: np.ndarray | None = None
+    for i, t in enumerate(terms):
+        p = _positional_postings(reader, t, what)
         if p is None:
-            return empty, empty
-        if p._ttf > 0 and len(p._pos_blob) == 0:
-            raise ValueError(
-                "phrase query on an index built without positions "
-                "(index_options='freqs'); rebuild with 'positions'"
-            )
+            return None
         d_rep, abs_pos = p.flat_positions()
-        k = d_rep * _POS_SPAN + abs_pos - int(off)
-        keys = k if keys is None else np.intersect1d(keys, k, assume_unique=True)
-        if len(keys) == 0:
-            return empty, empty
-    docids_out, freqs_out = np.unique(keys // _POS_SPAN, return_counts=True)
-    return docids_out.astype(np.int64), freqs_out.astype(np.int64)
-
-
-def _multi_phrase_postings(reader, slots: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """MultiPhraseQuery match (search/MultiPhraseQuery.java via
-    UnionPostingsEnum): per position-slot, UNION the shifted (docid, pos)
-    keys of the slot's alternative terms, then intersect across slots —
-    the same int64-key algebra as _phrase_postings with a union layer."""
-    empty = np.array([], dtype=np.int64)
-    keys = None
-    for i, alts in enumerate(slots):
-        slot_keys = []
-        for t in alts:
-            p = reader.postings(t)
-            if p is None:
-                continue
-            if p._ttf > 0 and len(p._pos_blob) == 0:
-                raise ValueError(
-                    "phrase query on an index built without positions "
-                    "(index_options='freqs'); rebuild with 'positions'"
-                )
-            d_rep, abs_pos = p.flat_positions()
-            slot_keys.append(d_rep * _POS_SPAN + abs_pos - i)
-        if not slot_keys:
-            return empty, empty
-        k = (
-            slot_keys[0]
-            if len(slot_keys) == 1
-            else np.unique(np.concatenate(slot_keys))
-        )
-        keys = k if keys is None else np.intersect1d(keys, k, assume_unique=True)
-        if len(keys) == 0:
-            return empty, empty
-    docids_out, freqs_out = np.unique(keys // _POS_SPAN, return_counts=True)
-    return docids_out.astype(np.int64), freqs_out.astype(np.int64)
+        pos = abs_pos.astype(np.int64)
+        per_term.append((d_rep, pos - i if adjust else pos))
+        cand = p.docids if cand is None else np.intersect1d(cand, p.docids, assume_unique=True)
+        if len(cand) == 0:
+            return None
+    return per_term, cand
 
 
 def _sloppy_phrase_postings(
@@ -395,30 +421,14 @@ def _sloppy_phrase_postings(
     Vectorized gather per term; the window sweep runs only over docs
     containing ALL terms (the conjunction pre-filter), each a tiny
     merged-positions two-pointer pass."""
-    empty = np.array([], dtype=np.int64)
-    k = len(terms)
-    per_term = []
-    cand: np.ndarray | None = None
-    for i, t in enumerate(terms):
-        p = reader.postings(t)
-        if p is None:
-            return empty, empty
-        if p._ttf > 0 and len(p._pos_blob) == 0:
-            raise ValueError(
-                "phrase query on an index built without positions "
-                "(index_options='freqs'); rebuild with 'positions'"
-            )
-        d_rep, abs_pos = p.flat_positions()
-        adj = abs_pos.astype(np.int64) - i  # offset-adjusted positions
-        per_term.append((d_rep, adj))
-        docs_i = p.docids
-        cand = docs_i if cand is None else np.intersect1d(cand, docs_i, assume_unique=True)
-        if len(cand) == 0:
-            return empty, empty
-
-    if len(set(terms)) < k:
-        return _sloppy_repeats(per_term, cand, k, slop)
-    return _covering_window_sweep(per_term, cand, k, slop)
+    got = _positions_conjunction(reader, terms, "phrase", adjust=True)
+    if got is None:
+        empty = np.array([], dtype=np.int64)
+        return empty, empty
+    per_term, cand = got
+    if len(set(terms)) < len(terms):
+        return _sloppy_repeats(per_term, cand, len(terms), slop)
+    return _covering_window_sweep(per_term, cand, len(terms), slop)
 
 
 def _covering_window_sweep(per_term, cand: np.ndarray, k: int, width: int):
@@ -535,24 +545,12 @@ def _span_near_postings(
     non-overlapping matches greedily."""
     if len(set(terms)) < len(terms):
         raise ValueError("SpanNearQuery with repeated terms is not supported")
-    empty = np.array([], dtype=np.int64)
+    got = _positions_conjunction(reader, terms, "span", adjust=False)
+    if got is None:
+        empty = np.array([], dtype=np.int64)
+        return empty, empty
+    per_term, cand = got
     k = len(terms)
-    per_term = []
-    cand: np.ndarray | None = None
-    for t in terms:
-        p = reader.postings(t)
-        if p is None:
-            return empty, empty
-        if p._ttf > 0 and len(p._pos_blob) == 0:
-            raise ValueError(
-                "span query on an index built without positions "
-                "(index_options='freqs'); rebuild with 'positions'"
-            )
-        d_rep, abs_pos = p.flat_positions()
-        per_term.append((d_rep, abs_pos.astype(np.int64)))
-        cand = p.docids if cand is None else np.intersect1d(cand, p.docids, assume_unique=True)
-        if len(cand) == 0:
-            return empty, empty
     if not ordered:
         return _covering_window_sweep(per_term, cand, k, slop + k - 1)
 
@@ -591,37 +589,56 @@ def _union_sum_tfs(parts: list[tuple[np.ndarray, np.ndarray]]):
     """Union doc sets summing tfs (SynonymQuery blended postings)."""
     if not parts:
         return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-    d = np.concatenate([p[0] for p in parts])
-    t = np.concatenate([p[1] for p in parts])
-    order = np.argsort(d, kind="stable")
-    d, t = d[order], t[order]
-    change = np.empty(len(d), dtype=bool)
-    change[0] = True
-    change[1:] = d[1:] != d[:-1]
-    starts = np.nonzero(change)[0]
+    d, t, starts = _group_by_doc(
+        np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    )
     return d[starts], np.add.reduceat(t, starts)
 
 
-def _block_join(reader, q, scorers: dict) -> tuple[np.ndarray, np.ndarray]:
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in sorted, non-empty
+    ``keys`` — the segment offsets the np.*.reduceat reducers take."""
+    change = np.empty(len(keys), dtype=bool)
+    change[0] = True
+    change[1:] = keys[1:] != keys[:-1]
+    return np.nonzero(change)[0]
+
+
+def _group_by_doc(keys: np.ndarray, vals: np.ndarray):
+    """Stable-sort (keys, vals) by key: (sorted keys, vals in that order,
+    run starts) — the one group-by-doc step before a reduceat."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    return keys, vals[order], _run_starts(keys)
+
+
+def _parent_docs(reader, q, scorers: dict) -> np.ndarray:
+    """Sorted docids of ``q.parents_filter`` in this segment (the block
+    joins' BitSetProducer)."""
+    c = build_clauses(reader, [q.parents_filter], scorers)
+    return np.sort(c[0].evaluate()[0]) if c else _no_docs()
+
+
+def _sub_matches(reader, sub, scorers: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(docids, float32 scores) of one wrapped query in this segment."""
+    c = build_clauses(reader, [sub], scorers)
+    return c[0].eval_scores(reader.norm_bytes) if c else _no_scored()
+
+
+def _block_join(reader, q, scorers: dict, siblings) -> tuple[np.ndarray, np.ndarray]:
     """ToParentBlockJoinQuery evaluation (join/.../ToParentBlockJoinQuery
     .java BlockJoinScorer): children precede their parent, so a matching
     child's parent is the FIRST parents-filter doc with a larger docid.
     Returns (parent docids, aggregated child scores per score_mode)."""
-    empty = np.array([], dtype=np.int64), np.array([], dtype=np.float32)
-    p_clauses = build_clauses(reader, [q.parents_filter], scorers)
-    if not p_clauses:
-        return empty
+    empty = _no_scored()
     # parents stay UNFILTERED by live docs: a tombstoned parent still
     # delimits its block (children must not leak into the next block);
     # it can't be RETURNED because the top-level candidate live filter
     # drops it (Lucene: the BitSetProducer ignores deletions too)
-    parents = np.sort(p_clauses[0].evaluate()[0])
+    parents = _parent_docs(reader, q, scorers)
     if len(parents) == 0:
         return empty
-    c_clauses = build_clauses(reader, [q.child_query], scorers)
-    if not c_clauses:
-        return empty
-    cd, cs = c_clauses[0].eval_scores(reader.norm_bytes)
+    cd, cs = _sub_matches(reader, q.child_query, scorers)
     live = getattr(reader, "live_mask", None)
     if live is not None:
         # tombstoned CHILDREN never match nor contribute score
@@ -637,12 +654,7 @@ def _block_join(reader, q, scorers: dict) -> tuple[np.ndarray, np.ndarray]:
     cd, cs, pidx = cd[ok], cs[ok], pidx[ok]
     if len(cd) == 0:
         return empty
-    order = np.argsort(pidx, kind="stable")
-    pidx_s, cs_s = pidx[order], cs[order]
-    change = np.empty(len(pidx_s), dtype=bool)
-    change[0] = True
-    change[1:] = pidx_s[1:] != pidx_s[:-1]
-    starts = np.nonzero(change)[0]
+    pidx_s, cs_s, starts = _group_by_doc(pidx, cs)
     if q.score_mode == "sum":
         agg = np.add.reduceat(cs_s.astype(np.float32), starts)
     elif q.score_mode == "none":
@@ -652,7 +664,9 @@ def _block_join(reader, q, scorers: dict) -> tuple[np.ndarray, np.ndarray]:
     return parents[pidx_s[starts]], agg.astype(np.float32)
 
 
-def _child_block_join(reader, q, scorers: dict) -> tuple[np.ndarray, np.ndarray]:
+def _child_block_join(
+    reader, q, scorers: dict, siblings
+) -> tuple[np.ndarray, np.ndarray]:
     """ToChildBlockJoinQuery evaluation (join/.../ToChildBlockJoinQuery
     .java ToChildBlockJoinScorer): for each parent matching parent_query,
     every live child in its block matches; child score = parent score
@@ -660,17 +674,11 @@ def _child_block_join(reader, q, scorers: dict) -> tuple[np.ndarray, np.ndarray]
     because the build contract puts a parent LAST in every block and
     blocks never straddle segments (the prior segment always ends with a
     parent), mirroring the reference's prevParentDoc bitset walk."""
-    empty = np.array([], dtype=np.int64), np.array([], dtype=np.float32)
-    p_clauses = build_clauses(reader, [q.parents_filter], scorers)
-    if not p_clauses:
-        return empty
-    parents = np.sort(p_clauses[0].evaluate()[0])
+    empty = _no_scored()
+    parents = _parent_docs(reader, q, scorers)
     if len(parents) == 0:
         return empty
-    m_clauses = build_clauses(reader, [q.parent_query], scorers)
-    if not m_clauses:
-        return empty
-    pd, ps = m_clauses[0].eval_scores(reader.norm_bytes)
+    pd, ps = _sub_matches(reader, q.parent_query, scorers)
     # the reference throws if the parent query matches a non-parent doc
     # (ToChildBlockJoinScorer.validateParentDoc); restrict to parents and
     # keep the contract observable through the query's own semantics
@@ -707,20 +715,19 @@ def _child_block_join(reader, q, scorers: dict) -> tuple[np.ndarray, np.ndarray]
 
 
 def _parent_children_join(
-    reader, q, scorers: dict
+    reader, q, scorers: dict, siblings
 ) -> tuple[np.ndarray, np.ndarray]:
     """ParentChildrenBlockJoinQuery evaluation: intersect ONE parent's
     child block with the child query's matches (scores kept)."""
-    empty = np.array([], dtype=np.int64), np.array([], dtype=np.float32)
+    empty = _no_scored()
     # the query names a GLOBAL parent docid; this scorer runs per segment
     # over LOCAL docids — resolve, and bail out in every other segment
     local_parent = q.parent_docid - reader.docid_base
     if not (0 <= local_parent < reader.doc_count):
         return empty
-    p_clauses = build_clauses(reader, [q.parents_filter], scorers)
-    if not p_clauses:
+    parents = _parent_docs(reader, q, scorers)
+    if len(parents) == 0:
         return empty
-    parents = np.sort(p_clauses[0].evaluate()[0])
     i = int(np.searchsorted(parents, local_parent))
     if i >= len(parents) or parents[i] != local_parent:
         raise ValueError(
@@ -728,10 +735,7 @@ def _parent_children_join(
         )
     lo = int(parents[i - 1]) + 1 if i > 0 else 0
     hi = int(local_parent)  # exclusive: the parent itself is not a child
-    c_clauses = build_clauses(reader, [q.child_query], scorers)
-    if not c_clauses:
-        return empty
-    cd, cs = c_clauses[0].eval_scores(reader.norm_bytes)
+    cd, cs = _sub_matches(reader, q.child_query, scorers)
     m = (cd >= lo) & (cd < hi)
     cd, cs = cd[m], cs[m]
     live = getattr(reader, "live_mask", None)
@@ -801,22 +805,15 @@ def _index_or_dv_docids(reader, q, use_dv: bool) -> np.ndarray:
     table); dv side DocValuesTermsQuery / SortedSetDocValuesRangeQuery
     (ord scan) or PointRangeQuery (NUMERIC doc-values column scan — the
     'slow' newSlowRangeQuery execution)."""
-    from lucene_ray.search.query import (
-        DocValuesTermsQuery as _DVT,
-        PointRangeQuery as _PRQ,
-        SortedSetDocValuesRangeQuery as _SSR,
-        TermQuery as _TQ,
-    )
-
     sub = q.dv_query if use_dv else q.index_query
-    if isinstance(sub, _TQ):
+    if isinstance(sub, TermQuery):
         cur = reader.term_cursor(sub.term)
         if cur is None:
             return np.array([], dtype=np.int64)
         return cur.decode_all()[0]
-    if isinstance(sub, (_DVT, _SSR)):
+    if isinstance(sub, (DocValuesTermsQuery, SortedSetDocValuesRangeQuery)):
         return _dv_filter_docids(reader, sub)
-    if isinstance(sub, _PRQ):
+    if isinstance(sub, PointRangeQuery):
         if use_dv:
             vals = reader.doc_values(sub.field)
             m = np.ones(len(vals), dtype=bool)
@@ -830,968 +827,647 @@ def _index_or_dv_docids(reader, q, use_dv: bool) -> np.ndarray:
 
 
 def _qcache(reader, q, compute):
-    """Route a compound clause's doc-set materialization through the
-    segment's LRUQueryCache (UsageTrackingQueryCachingPolicy: cached from
-    the second use on; plain TermQuery never goes through here)."""
+    """Route a clause's match through the segment's LRUQueryCache
+    (UsageTrackingQueryCachingPolicy: cached from the second use on)."""
     cache = getattr(reader, "query_cache", None)
     if cache is None:
         return compute()
     return cache.get_or_compute(q, compute)
 
 
+def _no_docs() -> np.ndarray:
+    return np.array([], dtype=np.int64)
+
+
+def _no_scored() -> tuple[np.ndarray, np.ndarray]:
+    return np.array([], dtype=np.int64), np.array([], dtype=np.float32)
+
+
+def _eval_expression(reader, source: str, docs=None, score=None, owner=""):
+    """Evaluate an expression (search/expressions.py) over ``docs`` (every
+    doc of the segment when None): ``_score`` binds to ``score``, ``doc_len``
+    to the norms-stored token count, any other identifier to the numeric
+    doc-values field of that name. A constant formula broadcasts."""
+    from lucene_ray.search.expressions import compile_expression
+
+    expr = compile_expression(source)
+    pick = (lambda a: a) if docs is None else (lambda a: a[docs])
+    bindings = {}
+    for v in expr.variables:
+        if v == "_score":
+            if score is None:
+                raise ValueError(
+                    f"{owner} has no _score variable (no enclosing query)"
+                )
+            bindings[v] = score.astype(np.float64)
+        elif v == "doc_len":
+            bindings[v] = pick(reader.doc_len).astype(np.float64)
+        else:
+            bindings[v] = pick(reader.doc_values(v)).astype(np.float64)
+    vals = np.asarray(expr.evaluate(bindings), dtype=np.float64)
+    if vals.ndim == 0:
+        vals = np.full(reader.doc_count if docs is None else len(docs), float(vals))
+    return vals
+
+
+# --- match functions: (reader, q, scorers, siblings) -> the row kind's payload
+# (TERM: cursor or None; FREQ: (docids, freqs); CONST: docids; SCORED:
+# (docids, float32 scores)). ``siblings`` is the clause list ``q`` came in.
+
+
+def _term_match(reader, q, scorers, siblings):
+    return reader.term_cursor(q.term)
+
+
+def _phrase_match(reader, q, scorers, siblings):
+    if getattr(q, "slop", 0) > 0:
+        return _sloppy_phrase_postings(reader, q.terms, q.slop)
+    return _gapped_phrase_postings(
+        reader, tuple((t, i) for i, t in enumerate(q.terms))
+    )
+
+
+def _span_match(reader, q, scorers, siblings):
+    from lucene_ray.search.spans import span_postings
+
+    return span_postings(reader, q)
+
+
+def _span_near_match(reader, q, scorers, siblings):
+    if all(isinstance(t, str) for t in q.terms):
+        return _span_near_postings(reader, q.terms, q.slop, q.ordered)
+    # span-source composition (SpanOr/Not/First sub-clauses)
+    return _span_match(reader, q, scorers, siblings)
+
+
+def _synonym_match(reader, q, scorers, siblings):
+    parts = []
+    for t in q.terms:
+        p = reader.postings(t)
+        if p is not None:
+            parts.append((p.docids, p.tfs))
+    return _union_sum_tfs(parts)
+
+
+def _combined_field_union(reader, q):
+    """Disjunction over all (term, field) postings with weighted float
+    freqs (CombinedFieldScorer.freq(): sum of weight * tf over matching
+    iterators)."""
+    parts = []
+    for t in q.terms:
+        for f, w in q.fields:
+            it = t if f in ("", "content") else f"{f}:{t}"
+            p = reader.postings(it)
+            if p is not None:
+                parts.append((p.docids, np.float64(w) * p.tfs))
+    if not parts:
+        return np.array([], dtype=np.int64), np.array([], dtype=np.float64)
+    alld = np.concatenate([x[0] for x in parts])
+    allf = np.concatenate([x[1] for x in parts])
+    docids = np.unique(alld)
+    freqs = np.zeros(len(docids), dtype=np.float64)
+    np.add.at(freqs, np.searchsorted(docids, alld), allf)
+    return docids, freqs
+
+
+def _combined_field_match(reader, q, scorers, siblings):
+    sc = scorers.get(q)
+    if sc is None:
+        return _no_scored()  # df == 0 for every (term, field) pair
+    # only the union is cached: scores depend on the global stats
+    docids, freqs = _qcache(reader, q, lambda: _combined_field_union(reader, q))
+    if len(docids) == 0:
+        return _no_scored()
+    # combined norm per matched doc: byte4(round(Σ w * len_f)) decoded
+    # from the per-field byte4 norms — the additive-norm combine of
+    # MultiNormsLeafSimScorer.java:143-153
+    from lucene_ray.util.smallfloat import byte4_to_int, int_to_byte4
+
+    lens = np.zeros(len(docids), dtype=np.float32)
+    for f, w in q.fields:
+        fn = reader.field_norms(f)
+        if fn is None:
+            raise KeyError(f"CombinedFieldQuery field {f!r} has no norms column")
+        lens += np.float32(w) * byte4_to_int(fn[0][docids]).astype(np.float32)
+    combined_norms = int_to_byte4(np.floor(lens + np.float32(0.5)).astype(np.int64))
+    return docids, sc.score(freqs.astype(np.float32), combined_norms).astype(np.float32)
+
+
+def _blended_match(reader, q, scorers, siblings):
+    """Per-term postings scored with BLENDED stats (scorers keyed
+    (q, term)), combined dismax/boolean (BlendedTermQuery.java
+    RewriteMethod variants)."""
+    per_term = []
+    for t in q.terms:
+        sc = scorers.get((q, t))
+        if sc is None:
+            continue
+        cur = reader.term_cursor(t)
+        if cur is None:
+            continue
+        d, tfs = cur.decode_all()
+        if len(d) == 0:
+            continue
+        per_term.append((d, sc.score(tfs.astype(np.float32), reader.norm_bytes[d])))
+    if not per_term:
+        return _no_scored()
+    all_d = np.unique(np.concatenate([d for d, _s in per_term]))
+    smax = np.zeros(len(all_d), dtype=np.float32)
+    ssum = np.zeros(len(all_d), dtype=np.float32)
+    for d, s in per_term:
+        idx = np.searchsorted(all_d, d)
+        np.maximum.at(smax, idx, s)
+        np.add.at(ssum, idx, s)
+    if q.rewrite == "boolean":
+        score = ssum
+    else:  # dismax: max + tie * (sum of the others)
+        score = smax + np.float32(q.tie_breaker) * (ssum - smax)
+    return all_d, score.astype(np.float32)
+
+
+def _exists_match(reader, q, scorers, siblings):
+    from lucene_ray.config import KEYWORD_FIELDS
+
+    if q.field == "content":
+        return np.nonzero(reader.doc_len > 0)[0].astype(np.int64)
+    dense = (
+        q.field in KEYWORD_FIELDS
+        or q.field in reader.doc_values_schema()
+        or q.field in reader.sorted_dv_schema()
+        or q.field in reader.binary_dv_schema()
+    )
+    if dense:
+        return np.arange(reader.doc_count, dtype=np.int64)
+    # SORTED_NUMERIC lists are per-doc and may be EMPTY (the sidecar stores
+    # a list row per doc verbatim), so existence = non-empty list, not the
+    # dense all-docs set. (ADVICE r4)
+    if q.field in reader.sorted_numeric_dv_schema():
+        offsets, _flat = reader.sorted_numeric_doc_values(q.field)
+        return np.nonzero(np.diff(offsets) > 0)[0].astype(np.int64)
+    # indexed shapes: docs present in the shapes sidecar
+    if q.field in reader.shape_fields():
+        return np.unique(reader.shape_triangles(q.field)[0]).astype(np.int64)
+    return _no_docs()
+
+
+def _check_relation(q, allowed: tuple, what: str, note: str = "") -> None:
+    if q.relation not in allowed:
+        raise ValueError(f"unsupported {what} relation: {q.relation!r}{note}")
+
+
+def _shape_docids(reader, q, relate, contains=None) -> np.ndarray:
+    """Per-doc reduction of a per-triangle shape test over the doc-major
+    triangle rows of ``q.field``. ``relate(tris)`` -> (intersects,
+    within-or-None) per triangle; ``contains(tris, edge_flags)`` ->
+    (candidate, not-within) per triangle for the CONTAINS relation
+    (format-v9 edge flags). A doc intersects if any triangle does, is
+    within if all are, is disjoint if it has a shape and none intersects,
+    contains if some triangle is a candidate and none is not-within."""
+    dd, *tris = reader.shape_triangles(q.field)
+    if len(dd) == 0:
+        return _no_docs()
+    tris = tuple(tris)
+    starts = _run_starts(dd)
+
+    def any_(x):
+        return np.add.reduceat(x.astype(np.int64), starts) > 0
+
+    if q.relation == "contains":
+        cand, notw = contains(tris, reader.shape_edge_flags(q.field))
+        keep = any_(cand) & ~any_(notw)
+    else:
+        inter, within = relate(tris)
+        if q.relation == "intersects":
+            keep = any_(inter)
+        elif q.relation == "within":
+            keep = np.add.reduceat(within.astype(np.int64), starts) == np.diff(
+                np.append(starts, len(dd))
+            )
+        else:  # disjoint: the doc HAS a shape and nothing intersects
+            keep = ~any_(inter)
+    return dd[starts][keep].astype(np.int64)
+
+
+def _shape_box_match(reader, q, scorers, siblings):
+    from lucene_ray.search.spatial import tri_box_relation, tri_polygon_contains
+
+    _check_relation(q, ("intersects", "within", "disjoint", "contains"), "shape")
+    # CONTAINS: the box as a 4-vertex ring through the polygon CONTAINS
+    # machinery (LatLonShapeBoundingBoxQuery's CONTAINS path)
+    shell = (
+        (q.min_lat, q.min_lat, q.max_lat, q.max_lat),
+        (q.min_lon, q.max_lon, q.max_lon, q.min_lon),
+    )
+    return _shape_docids(
+        reader, q,
+        lambda tris: tri_box_relation(tris, q.min_lat, q.max_lat, q.min_lon, q.max_lon),
+        lambda tris, flags: tri_polygon_contains(tris, flags, shell),
+    )
+
+
+def _shape_polygon_match(reader, q, scorers, siblings):
+    from lucene_ray.search.spatial import tri_polygon_contains, tri_polygon_relation
+
+    _check_relation(q, ("intersects", "within", "disjoint", "contains"), "shape")
+    return _shape_docids(
+        reader, q,
+        lambda tris: tri_polygon_relation(tris, q.shell, q.holes),
+        lambda tris, flags: tri_polygon_contains(tris, flags, q.shell, q.holes),
+    )
+
+
+def _shape_point_match(reader, q, scorers, siblings):
+    from lucene_ray.search.spatial import _point_in_tri
+
+    _check_relation(q, ("intersects", "disjoint"), "point")
+    return _shape_docids(
+        reader, q,
+        lambda tris: (_point_in_tri(float(q.lon), float(q.lat), *tris), None),
+    )
+
+
+def _shape_line_match(reader, q, scorers, siblings):
+    from lucene_ray.search.spatial import tri_line_contains, tri_line_relation
+
+    _check_relation(
+        q, ("intersects", "disjoint", "contains"), "line",
+        " (a 2-D shape is never WITHIN a line)",
+    )
+    return _shape_docids(
+        reader, q,
+        lambda tris: (tri_line_relation(tris, q.lats, q.lons), None),
+        lambda tris, flags: tri_line_contains(tris, flags, q.lats, q.lons),
+    )
+
+
+def _sorted_numeric_range_match(reader, q, scorers, siblings):
+    offsets, flat = reader.sorted_numeric_doc_values(q.field)
+    hit = np.ones(len(flat), dtype=bool)
+    if q.lower is not None:
+        hit &= flat >= q.lower
+    if q.upper is not None:
+        hit &= flat <= q.upper
+    # ANY value in range: per-doc hit counts via a cumulative sum — empty
+    # per-doc lists (offsets[d] == offsets[d+1], incl. a trailing empty doc
+    # whose offset == len(flat)) yield 0 naturally, where reduceat would
+    # raise. (ADVICE r4)
+    cum = np.zeros(len(flat) + 1, dtype=np.int64)
+    np.cumsum(hit, out=cum[1:])
+    per_doc = cum[offsets[1:]] - cum[offsets[:-1]]
+    return np.nonzero(per_doc > 0)[0].astype(np.int64)
+
+
+def _multi_range_match(reader, q, scorers, siblings):
+    parts = [reader.point_range(q.field, lo, hi) for lo, hi in q.ranges]
+    parts = [p for p in parts if len(p)]
+    if not parts:
+        return _no_docs()
+    return np.unique(np.concatenate(parts))
+
+
+def _function_match(reader, q, scorers, siblings):
+    vals = _eval_expression(reader, q.expression, owner="FunctionMatchQuery")
+    return np.nonzero(vals != 0.0)[0].astype(np.int64)
+
+
+def _function_range_match(reader, q, scorers, siblings):
+    vals = _eval_expression(reader, q.expression, owner="FunctionRangeQuery")
+    keep = np.ones(reader.doc_count, dtype=bool)
+    if q.lower is not None:
+        keep &= vals >= q.lower if q.include_lower else vals > q.lower
+    if q.upper is not None:
+        keep &= vals <= q.upper if q.include_upper else vals < q.upper
+    return np.nonzero(keep)[0].astype(np.int64)
+
+
+def _index_or_dv_match(reader, q, scorers, siblings):
+    # cost rule (IndexOrDocValuesQuery.java scorerSupplier: dv path when
+    # the lead cost of the OTHER required clauses is below the index
+    # query's own cost): estimate lead from sibling TermQuery dfs, index
+    # cost from the wrapped query's df / doc_count
+    lead = min(
+        (
+            reader.term_stats(o.term)[0]
+            for o in siblings
+            if o is not q and isinstance(o, TermQuery)
+        ),
+        default=None,
+    )
+    index_cost = (
+        reader.term_stats(q.index_query.term)[0]
+        if isinstance(q.index_query, TermQuery)
+        else reader.doc_count
+    )
+    use_dv = lead is not None and lead < index_cost
+    # cached per chosen side
+    return _qcache(reader, (q, use_dv), lambda: _index_or_dv_docids(reader, q, use_dv))
+
+
+def _bbox_match(reader, q, scorers, siblings):
+    # 1e-4-degree fixed point on both axes (builder _synth_bbox_*
+    # encoding); per-axis relation intersect, CROSSES as whole-box
+    # intersects - within - contains (LatLonBoundingBox.java
+    # newCrossesQuery semantics)
+    from lucene_ray.search.spatial import QUANT
+
+    ql = [int(round(q.min_lat * QUANT)), int(round(q.min_lon * QUANT))]
+    qh = [int(round(q.max_lat * QUANT)), int(round(q.max_lon * QUANT))]
+    axes = (f"{q.field}_lat", f"{q.field}_lon")
+
+    def both(rel):
+        a = reader.range_field_docs(axes[0], ql[0], qh[0], rel)
+        b = reader.range_field_docs(axes[1], ql[1], qh[1], rel)
+        return np.intersect1d(a, b, assume_unique=True)
+
+    if q.relation in ("intersects", "within", "contains"):
+        return both(q.relation)
+    if q.relation == "crosses":
+        inter = both("intersects")
+        rest = np.union1d(both("within"), both("contains"))
+        return np.setdiff1d(inter, rest, assume_unique=True)
+    raise ValueError(f"unknown bbox relation: {q.relation!r}")
+
+
+def _constant_score_match(reader, q, scorers, siblings):
+    sub = build_clauses(reader, [q.query], scorers)
+    if not sub:
+        return _no_docs()
+    return np.unique(np.concatenate([c.evaluate()[0] for c in sub]))
+
+
+def _nested_boolean_match(reader, q, scorers, siblings):
+    # parenthesized group with MUST/MUST_NOT structure: evaluate the inner
+    # boolean densely, surface it as ONE scored clause
+    d, s = evaluate_boolean(reader, q.to_boolean(), scorers)
+    if q.boost != 1.0:
+        s = (s * np.float32(q.boost)).astype(np.float32)
+    return d, s
+
+
+def _automaton_match(reader, q, scorers, siblings):
+    d = automaton_docids(reader, q)
+    return d, np.full(len(d), np.float32(q.boost), dtype=np.float32)
+
+
+def _feature_match(reader, q, scorers, siblings):
+    vals = reader.doc_values(q.field).astype(np.float32)
+    docids = np.nonzero(vals > 0)[0].astype(np.int64)
+    v = vals[docids]
+    if q.function == "saturation":
+        s = np.float32(q.weight) * (v / (v + np.float32(q.pivot)))
+    else:  # log
+        s = np.float32(q.weight) * np.log1p(v)
+    return docids, s.astype(np.float32)
+
+
+def _payload_match(reader, q, scorers, siblings):
+    # composable clause form (the standalone float64 twin lives in
+    # engine.payload_score_search; this is the scorer-tree path the XML
+    # BoostingTermQuery element uses)
+    seg_d, seg_v = [], []
+    for term in q.terms:
+        tp = reader.postings(term)
+        if tp is None:
+            continue
+        if not tp.has_payloads:
+            raise ValueError("index was built without payloads (build_index payload_fn)")
+        d, v = tp.flat_payloads()
+        seg_d.append(d)
+        seg_v.append(v)
+    if not seg_d:
+        return _no_scored()
+    d_s, v_s, starts = _group_by_doc(
+        np.concatenate(seg_d), np.concatenate(seg_v).astype(np.float64)
+    )
+    if q.function == "sum":
+        sc = np.add.reduceat(v_s, starts)
+    elif q.function == "min":
+        sc = np.minimum.reduceat(v_s, starts)
+    elif q.function == "max":
+        sc = np.maximum.reduceat(v_s, starts)
+    elif q.function == "avg":
+        cnt = np.diff(np.append(starts, len(d_s))).astype(np.float64)
+        sc = np.add.reduceat(v_s, starts) / cnt
+    else:
+        raise ValueError(f"unknown payload function: {q.function}")
+    return d_s[starts].astype(np.int64), (sc * float(q.boost)).astype(np.float32)
+
+
+def _long_distance_feature_match(reader, q, scorers, siblings):
+    vals = reader.doc_values(q.field).astype(np.int64)
+    docids = np.arange(len(vals), dtype=np.int64)
+    # Math.max - Math.min (overflow-safe order of operations)
+    dist = np.abs(vals - np.int64(q.origin)).astype(np.float64)
+    piv = np.float64(q.pivot_distance)
+    return docids, (np.float64(q.boost) * (piv / (piv + dist))).astype(np.float32)
+
+
+def _geo_distance_feature_match(reader, q, scorers, siblings):
+    from lucene_ray.search.spatial import haversine_m
+
+    t = reader._spatial_candidates(q.field, -90.0, 90.0, -180.0, 180.0)
+    if t is None:
+        return _no_scored()
+    docids = t.column("docid").to_numpy(zero_copy_only=False).astype(np.int64)
+    dist = haversine_m(
+        t.column("lat").to_numpy(zero_copy_only=False),
+        t.column("lon").to_numpy(zero_copy_only=False),
+        q.lat, q.lon,
+    )
+    piv = np.float64(q.pivot_m)
+    s = (np.float64(q.boost) * (piv / (piv + dist))).astype(np.float32)
+    order = np.argsort(docids, kind="stable")
+    return docids[order], s[order]
+
+
+def _function_score_match(reader, q, scorers, siblings):
+    # FunctionScoreQuery.java:44 — match set of the wrapped query, score
+    # from the compiled formula over (_score, doc values)
+    d, s = _sub_matches(reader, q.query, scorers)
+    if len(d) == 0:
+        return _no_scored()
+    vals = _eval_expression(reader, q.expression, docs=d, score=s)
+    return d, (np.float64(q.boost) * vals).astype(np.float32)
+
+
+def _sub_scores(reader, queries, scorers):
+    """Every match of every sub-query, grouped by doc: (stable-sorted
+    docids, float32 scores, run starts), or None when no sub-query
+    matches in this segment."""
+    subs = build_clauses(reader, list(queries), scorers)
+    if not subs:
+        return None
+    parts = [c.eval_scores(reader.norm_bytes) for c in subs]
+    d = np.concatenate([d for d, _s in parts])
+    if len(d) == 0:
+        return None
+    return _group_by_doc(d, np.concatenate([s for _d, s in parts]).astype(np.float32))
+
+
+def _covering_match(reader, q, scorers, siblings):
+    # sandbox/search/CoveringQuery.java:51 / CoveringScorer.java — doc
+    # matches iff #matching sub-queries >= max(1, minMatch(doc)); score =
+    # sum of the matching clauses' scores
+    grouped = _sub_scores(reader, q.queries, scorers)
+    if grouped is None:
+        return _no_scored()
+    d, s, starts = grouped
+    uniq = d[starts]
+    counts = np.diff(np.append(starts, len(d)))
+    summed = np.add.reduceat(s, starts)
+    need = _eval_expression(reader, q.min_match_source, docs=uniq, owner="CoveringQuery")
+    keep = counts >= np.maximum(need, 1.0)
+    return uniq[keep], (np.float32(q.boost) * summed[keep]).astype(np.float32)
+
+
+def _disjunction_sum_match(reader, q, scorers, siblings):
+    grouped = _sub_scores(reader, q.disjuncts, scorers)
+    if grouped is None:
+        return _no_scored()
+    d, s, starts = grouped
+    return d[starts], np.add.reduceat(s, starts).astype(np.float32)
+
+
+def _disjunction_max_match(reader, q, scorers, siblings):
+    grouped = _sub_scores(reader, q.disjuncts, scorers)
+    if grouped is None:
+        return _no_scored()
+    d, s, starts = grouped
+    mx = np.maximum.reduceat(s, starts)
+    sm = np.add.reduceat(s, starts)
+    final = mx + np.float32(q.tie_breaker) * (sm - mx)
+    return d[starts], final.astype(np.float32)
+
+
+class _Row(NamedTuple):
+    """One query type's clause-table row: its kind and match function.
+    ``cached``: build_clauses routes the match through the segment's query
+    cache keyed by the query (rows that cache a part themselves, or not
+    at all, say False)."""
+
+    kind: str
+    match: Callable
+    cached: bool = True
+
+
+CLAUSE_TABLE: dict[type, _Row] = {
+    TermQuery: _Row(TERM, _term_match, cached=False),
+    # FREQ: (docids, freqs)
+    PhraseQuery: _Row(FREQ, _phrase_match),
+    NGramPhraseQuery: _Row(
+        FREQ, lambda reader, q, _s, _q: _gapped_phrase_postings(reader, q.kept())
+    ),
+    MultiPhraseQuery: _Row(
+        FREQ, lambda reader, q, _s, _q: _multi_phrase_postings(reader, q.slots)
+    ),
+    IntervalQuery: _Row(
+        FREQ, lambda reader, q, _s, _q: interval_postings(reader, q.source)
+    ),
+    SpanNearQuery: _Row(FREQ, _span_near_match),
+    **{t: _Row(FREQ, _span_match) for t in SPAN_QUERY_TYPES},
+    SynonymQuery: _Row(FREQ, _synonym_match),
+    # CONST: docids, each scoring q.boost
+    MatchAllDocsQuery: _Row(
+        CONST, lambda reader, q, _s, _q: np.arange(reader.doc_count, dtype=np.int64),
+        cached=False,
+    ),
+    ConstantScoreQuery: _Row(CONST, _constant_score_match),
+    PointRangeQuery: _Row(
+        CONST, lambda reader, q, _s, _q: reader.point_range(q.field, q.lower, q.upper)
+    ),
+    PointInSetQuery: _Row(
+        CONST, lambda reader, q, _s, _q: reader.point_in_set(q.field, q.values)
+    ),
+    MultiRangeQuery: _Row(CONST, _multi_range_match),
+    RangeFieldQuery: _Row(
+        CONST,
+        lambda reader, q, _s, _q: reader.range_field_docs(
+            q.field, q.lower, q.upper, q.relation
+        ),
+    ),
+    DocValuesTermsQuery: _Row(CONST, lambda reader, q, _s, _q: _dv_filter_docids(reader, q)),
+    SortedSetDocValuesRangeQuery: _Row(
+        CONST, lambda reader, q, _s, _q: _dv_filter_docids(reader, q)
+    ),
+    SortedNumericRangeQuery: _Row(CONST, _sorted_numeric_range_match),
+    IndexOrDocValuesQuery: _Row(CONST, _index_or_dv_match, cached=False),
+    FieldExistsQuery: _Row(CONST, _exists_match),
+    FunctionMatchQuery: _Row(CONST, _function_match),
+    FunctionRangeQuery: _Row(CONST, _function_range_match),
+    ShapeBoxQuery: _Row(CONST, _shape_box_match),
+    ShapePolygonQuery: _Row(CONST, _shape_polygon_match),
+    ShapePointQuery: _Row(CONST, _shape_point_match),
+    ShapeLineQuery: _Row(CONST, _shape_line_match),
+    LatLonBoundingBoxQuery: _Row(CONST, _bbox_match),
+    LatLonBoxQuery: _Row(
+        CONST,
+        lambda reader, q, _s, _q: reader.spatial_box(
+            q.field, q.lat_lo, q.lat_hi, q.lon_lo, q.lon_hi
+        ),
+    ),
+    LatLonDistanceQuery: _Row(
+        CONST,
+        lambda reader, q, _s, _q: reader.spatial_distance(
+            q.field, q.lat, q.lon, q.radius_m
+        ),
+    ),
+    LatLonPolygonQuery: _Row(
+        CONST, lambda reader, q, _s, _q: reader.spatial_polygon(q.field, q.shell, q.holes)
+    ),
+    Geo3DShapeQuery: _Row(
+        CONST, lambda reader, q, _s, _q: reader.spatial_shape3d(q.field, q.shape)
+    ),
+    # SCORED: (docids, float32 scores)
+    CombinedFieldQuery: _Row(SCORED, _combined_field_match, cached=False),
+    BlendedTermQuery: _Row(SCORED, _blended_match),
+    NestedBooleanQuery: _Row(SCORED, _nested_boolean_match),
+    ToParentBlockJoinQuery: _Row(SCORED, _block_join),
+    ToChildBlockJoinQuery: _Row(SCORED, _child_block_join),
+    ParentChildrenBlockJoinQuery: _Row(SCORED, _parent_children_join),
+    TermAutomatonQuery: _Row(SCORED, _automaton_match),
+    FeatureQuery: _Row(SCORED, _feature_match),
+    PayloadScoreQuery: _Row(SCORED, _payload_match),
+    LongDistanceFeatureQuery: _Row(SCORED, _long_distance_feature_match),
+    GeoDistanceFeatureQuery: _Row(SCORED, _geo_distance_feature_match),
+    FunctionScoreQuery: _Row(SCORED, _function_score_match),
+    CoveringQuery: _Row(SCORED, _covering_match),
+    DisjunctionSumQuery: _Row(SCORED, _disjunction_sum_match, cached=False),
+    DisjunctionMaxQuery: _Row(SCORED, _disjunction_max_match, cached=False),
+}
+
+
 def build_clauses(reader, queries: list, scorers: dict) -> list[_Clause]:
-    """Materialize clause list for one segment; absent terms drop out."""
+    """Materialize the clause list for one segment: one CLAUSE_TABLE lookup
+    per query; a query with no match in this segment drops out."""
     out = []
     for q in queries:
-        if isinstance(q, TermQuery):
-            cur = reader.term_cursor(q.term)
-            if cur is None:
-                continue
-            out.append(_Clause(q, cur, scorers[q]))
-        elif isinstance(q, PhraseQuery):
-            if getattr(q, "slop", 0) > 0:
-                docids, freqs = _qcache(
-                    reader, q, lambda: _sloppy_phrase_postings(reader, q.terms, q.slop)
-                )
-            else:
-                docids, freqs = _qcache(
-                    reader, q, lambda: _phrase_postings(reader, q.terms)
-                )
-            if len(docids) == 0:
-                continue
+        row = CLAUSE_TABLE.get(type(q))
+        if row is None:
+            raise TypeError(
+                f"{type(q).__name__} has no clause-table row; rewrite it "
+                "before scoring or add a row to scorer.CLAUSE_TABLE"
+            )
+        if row.cached:
+            res = _qcache(reader, q, lambda: row.match(reader, q, scorers, queries))
+        else:
+            res = row.match(reader, q, scorers, queries)
+        kind = row.kind
+        if kind == TERM:
+            if res is not None:
+                out.append(_Clause(TERM, q, res, scorers[q]))
+            continue
+        docids = res if kind == CONST else res[0]
+        if len(docids) == 0:
+            continue
+        if kind == FREQ:
             sc = scorers[q]
-            ms = float(
-                sc.score(freqs.astype(np.float32), reader.norm_bytes[docids]).max()
-            )
-            out.append(_Clause(q, None, sc, (docids, freqs), max_score=ms))
-        elif isinstance(q, NGramPhraseQuery):
-            docids, freqs = _qcache(
-                reader, q, lambda q=q: _gapped_phrase_postings(reader, q.kept())
-            )
-            if len(docids) == 0:
-                continue
-            sc = scorers[q]
-            ms = float(
-                sc.score(freqs.astype(np.float32), reader.norm_bytes[docids]).max()
-            )
-            out.append(_Clause(q, None, sc, (docids, freqs), max_score=ms))
-        elif isinstance(q, MultiPhraseQuery):
-            docids, freqs = _qcache(
-                reader, q, lambda: _multi_phrase_postings(reader, q.slots)
-            )
-            if len(docids) == 0:
-                continue
-            sc = scorers[q]
-            ms = float(
-                sc.score(freqs.astype(np.float32), reader.norm_bytes[docids]).max()
-            )
-            out.append(_Clause(q, None, sc, (docids, freqs), max_score=ms))
-        elif isinstance(q, IntervalQuery):
-            from lucene_ray.search.intervals import interval_postings
-
-            docids, freqs = _qcache(
-                reader, q, lambda: interval_postings(reader, q.source)
-            )
-            if len(docids) == 0:
-                continue
-            sc = scorers[q]
-            ms = float(
-                sc.score(freqs.astype(np.float32), reader.norm_bytes[docids]).max()
-            )
-            out.append(_Clause(q, None, sc, (docids, freqs), max_score=ms))
-        elif isinstance(q, SpanNearQuery):
-            if all(isinstance(t, str) for t in q.terms):
-                docids, freqs = _qcache(
-                    reader, q,
-                    lambda: _span_near_postings(reader, q.terms, q.slop, q.ordered),
-                )
-            else:
-                # span-source composition (SpanOr/Not/First sub-clauses)
-                from lucene_ray.search.spans import span_postings
-
-                docids, freqs = _qcache(
-                    reader, q, lambda: span_postings(reader, q)
-                )
-            if len(docids) == 0:
-                continue
-            sc = scorers[q]
-            ms = float(
-                sc.score(freqs.astype(np.float32), reader.norm_bytes[docids]).max()
-            )
-            out.append(_Clause(q, None, sc, (docids, freqs), max_score=ms))
-        elif isinstance(q, SPAN_QUERY_TYPES):
-            from lucene_ray.search.spans import span_postings
-
-            docids, freqs = _qcache(reader, q, lambda: span_postings(reader, q))
-            if len(docids) == 0:
-                continue
-            sc = scorers[q]
-            ms = float(
-                sc.score(freqs.astype(np.float32), reader.norm_bytes[docids]).max()
-            )
-            out.append(_Clause(q, None, sc, (docids, freqs), max_score=ms))
-        elif isinstance(q, SynonymQuery):
-            def _syn_union(q=q):
-                parts = []
-                for t in q.terms:
-                    p = reader.postings(t)
-                    if p is not None:
-                        parts.append((p.docids, p.tfs))
-                return _union_sum_tfs(parts)
-
-            docids, tfs = _qcache(reader, q, _syn_union)
-            if len(docids) == 0:
-                continue
-            sc = scorers[q]
-            ms = float(sc.score(tfs.astype(np.float32), reader.norm_bytes[docids]).max())
-            out.append(_Clause(q, None, sc, (docids, tfs), max_score=ms))
-        elif isinstance(q, CombinedFieldQuery):
-            sc = scorers.get(q)
-            if sc is None:
-                continue  # df == 0 for every (term, field) pair
-            def _cfq_union(q=q):
-                # disjunction over all (term, field) postings with
-                # weighted float freqs (CombinedFieldScorer.freq():
-                # sum of weight * tf over matching iterators)
-                parts = []
-                for t in q.terms:
-                    for f, w in q.fields:
-                        it = t if f in ("", "content") else f"{f}:{t}"
-                        p = reader.postings(it)
-                        if p is not None:
-                            parts.append(
-                                (p.docids, np.float64(w) * p.tfs)
-                            )
-                if not parts:
-                    return (
-                        np.array([], dtype=np.int64),
-                        np.array([], dtype=np.float64),
-                    )
-                alld = np.concatenate([x[0] for x in parts])
-                allf = np.concatenate([x[1] for x in parts])
-                docids = np.unique(alld)
-                freqs = np.zeros(len(docids), dtype=np.float64)
-                np.add.at(freqs, np.searchsorted(docids, alld), allf)
-                return docids, freqs
-
-            docids, freqs = _qcache(reader, q, _cfq_union)
-            if len(docids) == 0:
-                continue
-            # combined norm per matched doc: byte4(round(Σ w * len_f))
-            # decoded from the per-field byte4 norms — the additive-norm
-            # combine of MultiNormsLeafSimScorer.java:143-153
-            from lucene_ray.util.smallfloat import byte4_to_int, int_to_byte4
-
-            lens = np.zeros(len(docids), dtype=np.float32)
-            for f, w in q.fields:
-                fn = reader.field_norms(f)
-                if fn is None:
-                    raise KeyError(
-                        f"CombinedFieldQuery field {f!r} has no norms column"
-                    )
-                lens += np.float32(w) * byte4_to_int(fn[0][docids]).astype(
-                    np.float32
-                )
-            combined_norms = int_to_byte4(
-                np.floor(lens + np.float32(0.5)).astype(np.int64)
-            )
-            scores = sc.score(
-                freqs.astype(np.float32), combined_norms
-            ).astype(np.float32)
-            out.append(
-                _Clause(
-                    q, None, sc, scored=(docids, scores),
-                    max_score=float(scores.max()),
-                )
-            )
-        elif isinstance(q, MatchAllDocsQuery):
-            docids = np.arange(reader.doc_count, dtype=np.int64)
-            scores = np.full(reader.doc_count, np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, scorers[q], scored=(docids, scores)))
-        elif isinstance(q, PointRangeQuery):
-            docids = _qcache(
-                reader, q, lambda: reader.point_range(q.field, q.lower, q.upper)
-            )
-            if len(docids) == 0:
-                continue
+            ms = float(sc.score(res[1].astype(np.float32), reader.norm_bytes[docids]).max())
+            out.append(_Clause(FREQ, q, None, sc, res, max_score=ms))
+        elif kind == CONST:
             scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, scorers.get(q), scored=(docids, scores)))
-        elif isinstance(q, PointInSetQuery):
-            docids = _qcache(
-                reader, q, lambda: reader.point_in_set(q.field, q.values)
-            )
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, None, scored=(docids, scores)))
-        elif isinstance(q, BlendedTermQuery):
-            # per-term postings scored with BLENDED stats (scorers keyed
-            # (q, term)), combined dismax/boolean (BlendedTermQuery.java
-            # RewriteMethod variants)
-            def _blended(q=q):
-                empty = (
-                    np.array([], dtype=np.int64),
-                    np.array([], dtype=np.float32),
-                )
-                per_term = []
-                for t in q.terms:
-                    sc = scorers.get((q, t))
-                    if sc is None:
-                        continue
-                    cur = reader.term_cursor(t)
-                    if cur is None:
-                        continue
-                    d, tfs = cur.decode_all()
-                    if len(d) == 0:
-                        continue
-                    s = sc.score(tfs.astype(np.float32), reader.norm_bytes[d])
-                    per_term.append((d, s))
-                if not per_term:
-                    return empty
-                all_d = np.unique(np.concatenate([d for d, _s in per_term]))
-                smax = np.zeros(len(all_d), dtype=np.float32)
-                ssum = np.zeros(len(all_d), dtype=np.float32)
-                for d, s in per_term:
-                    idx = np.searchsorted(all_d, d)
-                    np.maximum.at(smax, idx, s)
-                    np.add.at(ssum, idx, s)
-                if q.rewrite == "boolean":
-                    score = ssum
-                else:  # dismax: max + tie * (sum of the others)
-                    score = smax + np.float32(q.tie_breaker) * (ssum - smax)
-                return all_d, score.astype(np.float32)
-
-            d, s = _qcache(reader, q, _blended)
-            if len(d) == 0:
-                continue
-            out.append(_Clause(q, None, None, scored=(d, s)))
-        elif isinstance(q, FieldExistsQuery):
-            def _exists(q=q):
-                from lucene_ray.config import KEYWORD_FIELDS
-
-                if q.field == "content":
-                    return np.nonzero(reader.doc_len > 0)[0].astype(np.int64)
-                dense = (
-                    q.field in KEYWORD_FIELDS
-                    or q.field in reader.doc_values_schema()
-                    or q.field in reader.sorted_dv_schema()
-                    or q.field in reader.binary_dv_schema()
-                )
-                if dense:
-                    return np.arange(reader.doc_count, dtype=np.int64)
-                # SORTED_NUMERIC lists are per-doc and may be EMPTY (the
-                # sidecar stores a list row per doc verbatim), so existence
-                # = non-empty list, not the dense all-docs set. (ADVICE r4)
-                if q.field in reader.sorted_numeric_dv_schema():
-                    offsets, _flat = reader.sorted_numeric_doc_values(q.field)
-                    return np.nonzero(np.diff(offsets) > 0)[0].astype(np.int64)
-                # indexed shapes: docs present in the shapes sidecar
-                if q.field in reader.shape_fields():
-                    dd = reader.shape_triangles(q.field)[0]
-                    return np.unique(dd).astype(np.int64)
-                return np.array([], dtype=np.int64)
-
-            docids = _qcache(reader, q, _exists)
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, None, scored=(docids, scores)))
-        elif isinstance(q, ShapeBoxQuery):
-            def _shapebox(q=q):
-                from lucene_ray.search.spatial import (
-                    tri_box_relation,
-                    tri_polygon_contains,
-                )
-
-                if q.relation not in (
-                    "intersects", "within", "disjoint", "contains"
-                ):
-                    raise ValueError(
-                        f"unsupported shape relation: {q.relation!r}"
-                    )
-                dd, axx, ayy, bxx, byy, cxx, cyy = reader.shape_triangles(q.field)
-                if len(dd) == 0:
-                    return np.array([], dtype=np.int64)
-                # doc-major rows: aggregate per doc with reduceat
-                starts = np.nonzero(
-                    np.concatenate(([True], dd[1:] != dd[:-1]))
-                )[0]
-                docs_u = dd[starts]
-                if q.relation == "contains":
-                    # the box as a 4-vertex ring through the polygon
-                    # CONTAINS machinery (LatLonShapeBoundingBoxQuery's
-                    # CONTAINS path, format-v9 edge flags)
-                    shell = (
-                        (q.min_lat, q.min_lat, q.max_lat, q.max_lat),
-                        (q.min_lon, q.max_lon, q.max_lon, q.min_lon),
-                    )
-                    cand, notw = tri_polygon_contains(
-                        (axx, ayy, bxx, byy, cxx, cyy),
-                        reader.shape_edge_flags(q.field), shell,
-                    )
-                    any_cand = np.add.reduceat(cand.astype(np.int64), starts) > 0
-                    any_notw = np.add.reduceat(notw.astype(np.int64), starts) > 0
-                    return docs_u[any_cand & ~any_notw].astype(np.int64)
-                inter, within = tri_box_relation(
-                    (axx, ayy, bxx, byy, cxx, cyy),
-                    q.min_lat, q.max_lat, q.min_lon, q.max_lon,
-                )
-                any_inter = np.add.reduceat(inter.astype(np.int64), starts) > 0
-                all_within = (
-                    np.add.reduceat(within.astype(np.int64), starts)
-                    == np.diff(np.append(starts, len(dd)))
-                )
-                if q.relation == "intersects":
-                    keep = any_inter
-                elif q.relation == "within":
-                    keep = all_within
-                else:  # disjoint: the doc HAS a shape and nothing intersects
-                    keep = ~any_inter
-                return docs_u[keep].astype(np.int64)
-
-            docids = _qcache(reader, q, _shapebox)
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, None, scored=(docids, scores)))
-        elif isinstance(q, ShapePolygonQuery):
-            def _shapepoly(q=q):
-                from lucene_ray.search.spatial import (
-                    tri_polygon_contains,
-                    tri_polygon_relation,
-                )
-
-                if q.relation not in (
-                    "intersects", "within", "disjoint", "contains"
-                ):
-                    raise ValueError(
-                        f"unsupported shape relation: {q.relation!r}"
-                    )
-                dd, axx, ayy, bxx, byy, cxx, cyy = reader.shape_triangles(
-                    q.field
-                )
-                if len(dd) == 0:
-                    return np.array([], dtype=np.int64)
-                tris = (axx, ayy, bxx, byy, cxx, cyy)
-                starts = np.nonzero(
-                    np.concatenate(([True], dd[1:] != dd[:-1]))
-                )[0]
-                docs_u = dd[starts]
-                counts = np.diff(np.append(starts, len(dd)))
-                if q.relation == "contains":
-                    cand, notw = tri_polygon_contains(
-                        tris, reader.shape_edge_flags(q.field),
-                        q.shell, q.holes,
-                    )
-                    any_cand = np.add.reduceat(cand.astype(np.int64), starts) > 0
-                    any_notw = np.add.reduceat(notw.astype(np.int64), starts) > 0
-                    keep = any_cand & ~any_notw
-                else:
-                    inter, within = tri_polygon_relation(
-                        tris, q.shell, q.holes
-                    )
-                    any_inter = (
-                        np.add.reduceat(inter.astype(np.int64), starts) > 0
-                    )
-                    if q.relation == "intersects":
-                        keep = any_inter
-                    elif q.relation == "within":
-                        keep = (
-                            np.add.reduceat(within.astype(np.int64), starts)
-                            == counts
-                        )
-                    else:  # disjoint: has a shape, nothing intersects
-                        keep = ~any_inter
-                return docs_u[keep].astype(np.int64)
-
-            docids = _qcache(reader, q, _shapepoly)
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, None, scored=(docids, scores)))
-        elif isinstance(q, ShapePointQuery):
-            def _shapepoint(q=q):
-                from lucene_ray.search.spatial import _point_in_tri
-
-                if q.relation not in ("intersects", "disjoint"):
-                    raise ValueError(
-                        f"unsupported point relation: {q.relation!r}"
-                    )
-                dd, axx, ayy, bxx, byy, cxx, cyy = reader.shape_triangles(
-                    q.field
-                )
-                if len(dd) == 0:
-                    return np.array([], dtype=np.int64)
-                hit = _point_in_tri(
-                    float(q.lon), float(q.lat), axx, ayy, bxx, byy, cxx, cyy
-                )
-                starts = np.nonzero(
-                    np.concatenate(([True], dd[1:] != dd[:-1]))
-                )[0]
-                docs_u = dd[starts]
-                any_hit = np.add.reduceat(hit.astype(np.int64), starts) > 0
-                keep = any_hit if q.relation == "intersects" else ~any_hit
-                return docs_u[keep].astype(np.int64)
-
-            docids = _qcache(reader, q, _shapepoint)
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, None, scored=(docids, scores)))
-        elif isinstance(q, ShapeLineQuery):
-            def _shapeline(q=q):
-                from lucene_ray.search.spatial import (
-                    tri_line_contains,
-                    tri_line_relation,
-                )
-
-                if q.relation not in ("intersects", "disjoint", "contains"):
-                    raise ValueError(
-                        f"unsupported line relation: {q.relation!r} "
-                        "(a 2-D shape is never WITHIN a line)"
-                    )
-                dd, axx, ayy, bxx, byy, cxx, cyy = reader.shape_triangles(
-                    q.field
-                )
-                if len(dd) == 0:
-                    return np.array([], dtype=np.int64)
-                tris = (axx, ayy, bxx, byy, cxx, cyy)
-                starts = np.nonzero(
-                    np.concatenate(([True], dd[1:] != dd[:-1]))
-                )[0]
-                docs_u = dd[starts]
-                if q.relation == "contains":
-                    cand, notw = tri_line_contains(
-                        tris, reader.shape_edge_flags(q.field),
-                        q.lats, q.lons,
-                    )
-                    any_cand = np.add.reduceat(cand.astype(np.int64), starts) > 0
-                    any_notw = np.add.reduceat(notw.astype(np.int64), starts) > 0
-                    keep = any_cand & ~any_notw
-                else:
-                    inter = tri_line_relation(tris, q.lats, q.lons)
-                    any_inter = (
-                        np.add.reduceat(inter.astype(np.int64), starts) > 0
-                    )
-                    keep = any_inter if q.relation == "intersects" else ~any_inter
-                return docs_u[keep].astype(np.int64)
-
-            docids = _qcache(reader, q, _shapeline)
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, None, scored=(docids, scores)))
-        elif isinstance(q, SortedNumericRangeQuery):
-            def _snrange(q=q):
-                offsets, flat = reader.sorted_numeric_doc_values(q.field)
-                hit = np.ones(len(flat), dtype=bool)
-                if q.lower is not None:
-                    hit &= flat >= q.lower
-                if q.upper is not None:
-                    hit &= flat <= q.upper
-                # ANY value in range: per-doc hit counts via a cumulative
-                # sum — empty per-doc lists (offsets[d] == offsets[d+1],
-                # incl. a trailing empty doc whose offset == len(flat))
-                # yield 0 naturally, where reduceat would raise. (ADVICE r4)
-                cum = np.zeros(len(flat) + 1, dtype=np.int64)
-                np.cumsum(hit, out=cum[1:])
-                per_doc = cum[offsets[1:]] - cum[offsets[:-1]]
-                return np.nonzero(per_doc > 0)[0].astype(np.int64)
-
-            docids = _qcache(reader, q, _snrange)
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, None, scored=(docids, scores)))
-        elif isinstance(q, MultiRangeQuery):
-            def _multirange(q=q):
-                parts = [
-                    reader.point_range(q.field, lo, hi) for lo, hi in q.ranges
-                ]
-                parts = [p for p in parts if len(p)]
-                if not parts:
-                    return np.array([], dtype=np.int64)
-                return np.unique(np.concatenate(parts))
-
-            docids = _qcache(reader, q, _multirange)
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, None, scored=(docids, scores)))
-        elif isinstance(q, FunctionMatchQuery):
-            def _funcmatch(q=q):
-                from lucene_ray.search.expressions import compile_expression
-
-                expr = compile_expression(q.expression)
-                n = reader.doc_count
-                bindings = {}
-                for v in expr.variables:
-                    if v == "_score":
-                        raise ValueError(
-                            "FunctionMatchQuery has no _score variable "
-                            "(no enclosing query)"
-                        )
-                    elif v == "doc_len":
-                        bindings[v] = reader.doc_len.astype(np.float64)
-                    else:
-                        bindings[v] = reader.doc_values(v).astype(np.float64)
-                vals = np.asarray(expr.evaluate(bindings), dtype=np.float64)
-                if vals.ndim == 0:
-                    vals = np.full(n, float(vals))
-                return np.nonzero(vals != 0.0)[0].astype(np.int64)
-
-            docids = _qcache(reader, q, _funcmatch)
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, None, scored=(docids, scores)))
-        elif isinstance(q, FunctionRangeQuery):
-            def _funcrange(q=q):
-                from lucene_ray.search.expressions import compile_expression
-
-                expr = compile_expression(q.expression)
-                n = reader.doc_count
-                bindings = {}
-                for v in expr.variables:
-                    if v == "_score":
-                        raise ValueError(
-                            "FunctionRangeQuery has no _score variable "
-                            "(no enclosing query)"
-                        )
-                    elif v == "doc_len":
-                        bindings[v] = reader.doc_len.astype(np.float64)
-                    else:
-                        bindings[v] = reader.doc_values(v).astype(np.float64)
-                vals = np.asarray(expr.evaluate(bindings), dtype=np.float64)
-                if vals.ndim == 0:
-                    vals = np.full(n, float(vals))
-                keep = np.ones(n, dtype=bool)
-                if q.lower is not None:
-                    keep &= vals >= q.lower if q.include_lower else vals > q.lower
-                if q.upper is not None:
-                    keep &= vals <= q.upper if q.include_upper else vals < q.upper
-                return np.nonzero(keep)[0].astype(np.int64)
-
-            docids = _qcache(reader, q, _funcrange)
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, None, scored=(docids, scores)))
-        elif isinstance(q, (DocValuesTermsQuery, SortedSetDocValuesRangeQuery)):
-            docids = _qcache(reader, q, lambda: _dv_filter_docids(reader, q))
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, scorers.get(q), scored=(docids, scores)))
-        elif isinstance(q, IndexOrDocValuesQuery):
-            # cost rule (IndexOrDocValuesQuery.java scorerSupplier: dv path
-            # when the lead cost of the OTHER required clauses is below the
-            # index query's own cost): estimate lead from sibling TermQuery
-            # dfs, index cost from the wrapped query's df / doc_count
-            lead = min(
-                (
-                    reader.term_stats(o.term)[0]
-                    for o in queries
-                    if o is not q and isinstance(o, TermQuery)
-                ),
-                default=None,
-            )
-            index_cost = (
-                reader.term_stats(q.index_query.term)[0]
-                if isinstance(q.index_query, TermQuery)
-                else reader.doc_count
-            )
-            use_dv = lead is not None and lead < index_cost
-            docids = _qcache(
-                reader,
-                (q, use_dv),
-                lambda: _index_or_dv_docids(reader, q, use_dv),
-            )
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, scorers.get(q), scored=(docids, scores)))
-        elif isinstance(q, RangeFieldQuery):
-            docids = _qcache(
-                reader,
-                q,
-                lambda: reader.range_field_docs(
-                    q.field, q.lower, q.upper, q.relation
-                ),
-            )
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, scorers.get(q), scored=(docids, scores)))
-        elif isinstance(q, LatLonBoundingBoxQuery):
-            def _bbox_docs(q=q):
-                # 1e-4-degree fixed point on both axes (builder
-                # _synth_bbox_* encoding); per-axis relation intersect,
-                # CROSSES as whole-box intersects - within - contains
-                # (LatLonBoundingBox.java newCrossesQuery semantics)
-                from lucene_ray.search.spatial import QUANT
-
-                ql = [int(round(q.min_lat * QUANT)), int(round(q.min_lon * QUANT))]
-                qh = [int(round(q.max_lat * QUANT)), int(round(q.max_lon * QUANT))]
-                axes = (f"{q.field}_lat", f"{q.field}_lon")
-
-                def both(rel):
-                    a = reader.range_field_docs(axes[0], ql[0], qh[0], rel)
-                    b = reader.range_field_docs(axes[1], ql[1], qh[1], rel)
-                    return np.intersect1d(a, b, assume_unique=True)
-
-                if q.relation in ("intersects", "within", "contains"):
-                    return both(q.relation)
-                if q.relation == "crosses":
-                    inter = both("intersects")
-                    rest = np.union1d(both("within"), both("contains"))
-                    return np.setdiff1d(inter, rest, assume_unique=True)
-                raise ValueError(f"unknown bbox relation: {q.relation!r}")
-
-            docids = _qcache(reader, q, _bbox_docs)
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, scorers.get(q), scored=(docids, scores)))
-        elif isinstance(q, LatLonPolygonQuery):
-            docids = _qcache(
-                reader,
-                q,
-                lambda: reader.spatial_polygon(q.field, q.shell, q.holes),
-            )
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, scorers.get(q), scored=(docids, scores)))
-        elif isinstance(q, LatLonBoxQuery):
-            docids = _qcache(
-                reader,
-                q,
-                lambda: reader.spatial_box(
-                    q.field, q.lat_lo, q.lat_hi, q.lon_lo, q.lon_hi
-                ),
-            )
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, scorers.get(q), scored=(docids, scores)))
-        elif isinstance(q, Geo3DShapeQuery):
-            docids = _qcache(
-                reader,
-                q,
-                lambda: reader.spatial_shape3d(q.field, q.shape),
-            )
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, scorers.get(q), scored=(docids, scores)))
-        elif isinstance(q, LatLonDistanceQuery):
-            docids = _qcache(
-                reader,
-                q,
-                lambda: reader.spatial_distance(q.field, q.lat, q.lon, q.radius_m),
-            )
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, scorers.get(q), scored=(docids, scores)))
-        elif isinstance(q, ConstantScoreQuery):
-            def _const_docids(q=q):
-                sub = build_clauses(reader, [q.query], scorers | {q.query: scorers[q]})
-                if not sub:
-                    return np.array([], dtype=np.int64)
-                return np.unique(np.concatenate([c.evaluate()[0] for c in sub]))
-
-            docids = _qcache(reader, q, _const_docids)
-            if len(docids) == 0:
-                continue
-            scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
-            out.append(_Clause(q, None, scorers[q], scored=(docids, scores)))
-        elif isinstance(q, NestedBooleanQuery):
-            # parenthesized group with MUST/MUST_NOT structure: evaluate the
-            # inner boolean densely, surface it as ONE scored clause
-            d, s = _qcache(
-                reader, q, lambda q=q: evaluate_boolean(reader, q.to_boolean(), scorers)
-            )
-            if len(d) == 0:
-                continue
-            if q.boost != 1.0:
-                s = (s * np.float32(q.boost)).astype(np.float32)
-            out.append(_Clause(q, None, None, scored=(d, s)))
-        elif isinstance(q, ToParentBlockJoinQuery):
-            d, s = _qcache(
-                reader, q, lambda q=q: _block_join(reader, q, scorers)
-            )
-            if len(d) == 0:
-                continue
-            out.append(_Clause(q, None, None, scored=(d, s)))
-        elif type(q).__name__ == "TermAutomatonQuery":
-            from lucene_ray.search.termautomaton import automaton_docids
-
-            def _automaton(q=q):
-                d = automaton_docids(reader, q)
-                s = np.full(len(d), np.float32(q.boost), dtype=np.float32)
-                return d, s
-
-            d, s = _qcache(reader, q, _automaton)
-            if len(d) == 0:
-                continue
-            out.append(_Clause(q, None, None, scored=(d, s)))
-        elif isinstance(q, ToChildBlockJoinQuery):
-            d, s = _qcache(
-                reader, q, lambda q=q: _child_block_join(reader, q, scorers)
-            )
-            if len(d) == 0:
-                continue
-            out.append(_Clause(q, None, None, scored=(d, s)))
-        elif isinstance(q, ParentChildrenBlockJoinQuery):
-            d, s = _qcache(
-                reader, q, lambda q=q: _parent_children_join(reader, q, scorers)
-            )
-            if len(d) == 0:
-                continue
-            out.append(_Clause(q, None, None, scored=(d, s)))
-        elif isinstance(q, FeatureQuery):
-            def _feature(q=q):
-                vals = reader.doc_values(q.field).astype(np.float32)
-                docids = np.nonzero(vals > 0)[0].astype(np.int64)
-                v = vals[docids]
-                if q.function == "saturation":
-                    s = np.float32(q.weight) * (v / (v + np.float32(q.pivot)))
-                else:  # log
-                    s = np.float32(q.weight) * np.log1p(v)
-                return docids, s.astype(np.float32)
-
-            d, s = _qcache(reader, q, _feature)
-            if len(d) == 0:
-                continue
-            out.append(_Clause(q, None, None, scored=(d, s)))
-        elif type(q).__name__ == "PayloadScoreQuery":
-            # composable clause form (the standalone float64 twin lives in
-            # engine.payload_score_search; this is the scorer-tree path the
-            # XML BoostingTermQuery element uses)
-            def _payload(q=q):
-                empty = (
-                    np.array([], dtype=np.int64),
-                    np.array([], dtype=np.float32),
-                )
-                seg_d, seg_v = [], []
-                for term in q.terms:
-                    tp = reader.postings(term)
-                    if tp is None:
-                        continue
-                    if not tp.has_payloads:
-                        raise ValueError(
-                            "index was built without payloads "
-                            "(build_index payload_fn)"
-                        )
-                    d, v = tp.flat_payloads()
-                    seg_d.append(d)
-                    seg_v.append(v)
-                if not seg_d:
-                    return empty
-                d = np.concatenate(seg_d)
-                v = np.concatenate(seg_v).astype(np.float64)
-                order = np.argsort(d, kind="stable")
-                d_s, v_s = d[order], v[order]
-                starts = np.nonzero(
-                    np.concatenate(([True], d_s[1:] != d_s[:-1]))
-                )[0]
-                docs_u = d_s[starts].astype(np.int64)
-                if q.function == "sum":
-                    sc = np.add.reduceat(v_s, starts)
-                elif q.function == "min":
-                    sc = np.minimum.reduceat(v_s, starts)
-                elif q.function == "max":
-                    sc = np.maximum.reduceat(v_s, starts)
-                elif q.function == "avg":
-                    cnt = np.diff(np.append(starts, len(d_s))).astype(np.float64)
-                    sc = np.add.reduceat(v_s, starts) / cnt
-                else:
-                    raise ValueError(f"unknown payload function: {q.function}")
-                return docs_u, (sc * float(q.boost)).astype(np.float32)
-
-            d, s = _qcache(reader, q, _payload)
-            if len(d) == 0:
-                continue
-            out.append(_Clause(q, None, None, scored=(d, s)))
-        elif isinstance(q, LongDistanceFeatureQuery):
-            def _ldf(q=q):
-                vals = reader.doc_values(q.field).astype(np.int64)
-                docids = np.arange(len(vals), dtype=np.int64)
-                # Math.max - Math.min (overflow-safe order of operations)
-                dist = np.abs(vals - np.int64(q.origin)).astype(np.float64)
-                piv = np.float64(q.pivot_distance)
-                s = (np.float64(q.boost) * (piv / (piv + dist))).astype(
-                    np.float32
-                )
-                return docids, s
-
-            d, s = _qcache(reader, q, _ldf)
-            if len(d) == 0:
-                continue
-            out.append(_Clause(q, None, None, scored=(d, s)))
-        elif isinstance(q, GeoDistanceFeatureQuery):
-            def _gdf(q=q):
-                from lucene_ray.search.spatial import haversine_m
-
-                t = reader._spatial_candidates(
-                    q.field, -90.0, 90.0, -180.0, 180.0
-                )
-                empty = (
-                    np.array([], dtype=np.int64),
-                    np.array([], dtype=np.float32),
-                )
-                if t is None:
-                    return empty
-                docids = (
-                    t.column("docid").to_numpy(zero_copy_only=False)
-                    .astype(np.int64)
-                )
-                dist = haversine_m(
-                    t.column("lat").to_numpy(zero_copy_only=False),
-                    t.column("lon").to_numpy(zero_copy_only=False),
-                    q.lat, q.lon,
-                )
-                piv = np.float64(q.pivot_m)
-                s = (np.float64(q.boost) * (piv / (piv + dist))).astype(
-                    np.float32
-                )
-                order = np.argsort(docids, kind="stable")
-                return docids[order], s[order]
-
-            d, s = _qcache(reader, q, _gdf)
-            if len(d) == 0:
-                continue
-            out.append(_Clause(q, None, None, scored=(d, s)))
-        elif isinstance(q, FunctionScoreQuery):
-            # FunctionScoreQuery.java:44 — match set of the wrapped query,
-            # score from the compiled formula over (_score, doc values)
-            def _fscore(q=q):
-                from lucene_ray.search.expressions import compile_expression
-
-                expr = compile_expression(q.expression)
-                empty = (
-                    np.array([], dtype=np.int64),
-                    np.array([], dtype=np.float32),
-                )
-                subs = build_clauses(reader, [q.query], scorers)
-                if not subs:
-                    return empty
-                d, s = subs[0].eval_scores(reader.norm_bytes)
-                if len(d) == 0:
-                    return empty
-                bindings = {}
-                for v in expr.variables:
-                    if v == "_score":
-                        bindings[v] = s.astype(np.float64)
-                    elif v == "doc_len":
-                        bindings[v] = reader.doc_len[d].astype(np.float64)
-                    else:
-                        bindings[v] = reader.doc_values(v)[d].astype(np.float64)
-                vals = np.asarray(expr.evaluate(bindings), dtype=np.float64)
-                if vals.ndim == 0:  # constant formula
-                    vals = np.full(len(d), float(vals))
-                return d, (np.float64(q.boost) * vals).astype(np.float32)
-
-            d, s = _qcache(reader, q, _fscore)
-            if len(d) == 0:
-                continue
-            out.append(_Clause(q, None, None, scored=(d, s)))
-        elif isinstance(q, CoveringQuery):
-            # sandbox/search/CoveringQuery.java:51 / CoveringScorer.java —
-            # doc matches iff #matching sub-queries >= max(1, minMatch(doc));
-            # score = sum of the matching clauses' scores
-            def _covering(q=q):
-                from lucene_ray.search.expressions import compile_expression
-
-                empty = (
-                    np.array([], dtype=np.int64),
-                    np.array([], dtype=np.float32),
-                )
-                subs = build_clauses(reader, list(q.queries), scorers)
-                if not subs:
-                    return empty
-                parts_d, parts_s = [], []
-                for c in subs:
-                    d, s = c.eval_scores(reader.norm_bytes)
-                    parts_d.append(d)
-                    parts_s.append(s)
-                d = np.concatenate(parts_d)
-                if len(d) == 0:
-                    return empty
-                s = np.concatenate(parts_s).astype(np.float32)
-                order = np.argsort(d, kind="stable")
-                d, s = d[order], s[order]
-                change = np.empty(len(d), dtype=bool)
-                change[0] = True
-                change[1:] = d[1:] != d[:-1]
-                starts = np.nonzero(change)[0]
-                uniq = d[starts]
-                counts = np.diff(np.append(starts, len(d)))
-                summed = np.add.reduceat(s, starts)
-                expr = compile_expression(q.min_match_source)
-                bindings = {}
-                for v in expr.variables:
-                    if v == "doc_len":
-                        bindings[v] = reader.doc_len[uniq].astype(np.float64)
-                    else:
-                        bindings[v] = reader.doc_values(v)[uniq].astype(
-                            np.float64
-                        )
-                need = np.asarray(expr.evaluate(bindings), dtype=np.float64)
-                if need.ndim == 0:  # constant minimum
-                    need = np.full(len(uniq), float(need))
-                keep = counts >= np.maximum(need, 1.0)
-                return uniq[keep], (
-                    np.float32(q.boost) * summed[keep]
-                ).astype(np.float32)
-
-            d, s = _qcache(reader, q, _covering)
-            if len(d) == 0:
-                continue
-            out.append(_Clause(q, None, None, scored=(d, s)))
-        elif isinstance(q, DisjunctionSumQuery):
-            subs = build_clauses(reader, list(q.disjuncts), scorers)
-            if not subs:
-                continue
-            parts_d, parts_s = [], []
-            for c in subs:
-                d, s = c.eval_scores(reader.norm_bytes)
-                parts_d.append(d)
-                parts_s.append(s)
-            d = np.concatenate(parts_d)
-            s = np.concatenate(parts_s).astype(np.float32)
-            order = np.argsort(d, kind="stable")
-            d, s = d[order], s[order]
-            change = np.empty(len(d), dtype=bool)
-            change[0] = True
-            change[1:] = d[1:] != d[:-1]
-            starts = np.nonzero(change)[0]
-            summed = np.add.reduceat(s.astype(np.float32), starts)
-            out.append(_Clause(q, None, None, scored=(d[starts], summed.astype(np.float32))))
-        elif isinstance(q, DisjunctionMaxQuery):
-            subs = build_clauses(reader, list(q.disjuncts), scorers)
-            if not subs:
-                continue
-            parts_d, parts_s = [], []
-            for c in subs:
-                d, s = c.eval_scores(reader.norm_bytes)
-                parts_d.append(d)
-                parts_s.append(s)
-            d = np.concatenate(parts_d)
-            s = np.concatenate(parts_s).astype(np.float32)
-            order = np.argsort(d, kind="stable")
-            d, s = d[order], s[order]
-            change = np.empty(len(d), dtype=bool)
-            change[0] = True
-            change[1:] = d[1:] != d[:-1]
-            starts = np.nonzero(change)[0]
-            mx = np.maximum.reduceat(s, starts)
-            sm = np.add.reduceat(s, starts)
-            tie = np.float32(q.tie_breaker)
-            final = mx + tie * (sm - mx)
-            out.append(_Clause(q, None, None, scored=(d[starts], final.astype(np.float32))))
+            out.append(_Clause(CONST, q, None, None, scored=(docids, scores)))
+        else:
+            out.append(_Clause(SCORED, q, None, None, scored=res))
     return out
 
 

@@ -30,3 +30,29 @@ def test_tracer_hooks_install_and_restore():
     tokenize = [s for s in tracer.spans if s[0] == "analysis.tokenize"]
     assert tokenize
     assert {names[s[3]] for s in tokenize} == {"search.query.parse"}
+
+
+def test_tracer_hooks_stay_on_the_search_path(tmp_path, ray_session):
+    """The scorer, codec, reader and rewrite hooks must see a plain search:
+    a hook on a function the search path no longer calls reads zero."""
+    import glob
+
+    from lucene_ray.index.builder import build_index
+    from lucene_ray.index.corpus import write_corpus
+    from lucene_ray.search.engine import IndexSearcher
+    from lucene_ray.search.query import BooleanQuery, PhraseQuery, PrefixQuery, TermQuery
+
+    corpus, ix = str(tmp_path / "corpus"), str(tmp_path / "ix")
+    write_corpus(corpus, n_docs=200, n_shards=1, seed=3)
+    build_index(sorted(glob.glob(corpus + "/*.parquet")), ix, target_docs=100)
+    tracer = Tracer()
+    with instrumented(tracer):
+        s = IndexSearcher(ix)
+        tracer.enabled = True
+        for q in (TermQuery("merge"), PhraseQuery(("flush", "token")), PrefixQuery("mer")):
+            assert len(s.search(BooleanQuery(should=[q]), 5).docids)
+        tracer.enabled = False
+    table = tracer.table()
+    for name in ("search.scorer.score", "codec.decode", "search.rewrite"):
+        assert table.get(name, {}).get("count", 0) > 0, name
+    assert tracer.counts["search.reader.cursor_calls"] > 0

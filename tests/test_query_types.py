@@ -196,6 +196,26 @@ class TestQueryTypes:
             BooleanQuery(should=[PrefixQuery("par")]),
             BooleanQuery(should=[ConstantScoreQuery(TermQuery("index"))]),
             BooleanQuery(should=[MatchAllDocsQuery()]),
+            # a term mixed with one clause of each clause-table kind, so the
+            # pruned path's non-essential bounds use each kind's max_score
+            BooleanQuery(should=[TermQuery("catch"), PhraseQuery(("buffer", "manager"))]),
+            BooleanQuery(
+                should=[TermQuery("catch"), ConstantScoreQuery(TermQuery("double"), 2.0)]
+            ),
+            BooleanQuery(
+                should=[
+                    TermQuery("catch"),
+                    DisjunctionMaxQuery((TermQuery("double"), TermQuery("get")), 0.2),
+                ]
+            ),
+            BooleanQuery(
+                should=[
+                    TermQuery("catch"),
+                    PhraseQuery(("flush", "token")),
+                    ConstantScoreQuery(TermQuery("double")),
+                    DisjunctionMaxQuery((TermQuery("double"), TermQuery("get")), 0.2),
+                ]
+            ),
         ],
     )
     def test_duel_new_types(self, ix, q):
@@ -1657,7 +1677,7 @@ class TestPhraseWildcard:
         )
 
         s = IndexSearcher(ix)
-        bq = s._maybe_rewrite(
+        bq = s.prepare(
             BooleanQuery(must=[PhraseWildcardQuery(("sort", "mer*"))])
         )
         assert len(bq.must) == 1 and isinstance(bq.must[0], MultiPhraseQuery)
@@ -1719,7 +1739,7 @@ class TestPhraseWildcard:
         from lucene_ray.search.query import BooleanQuery, PhraseWildcardQuery
 
         s = IndexSearcher(ix)
-        bq = s._maybe_rewrite(
+        bq = s.prepare(
             BooleanQuery(must=[PhraseWildcardQuery(("*", "merge"), max_expansions=3)])
         )
         assert len(bq.must[0].slots[0]) == 3
