@@ -259,31 +259,43 @@ class _ListAnalyzer(Analyzer):
         return row_idx, lists.flatten(), _row_ordinals(row_idx)
 
 
-_LUT_LOWER = np.zeros(256, dtype=bool)
-_LUT_LOWER[ord("a") : ord("z") + 1] = True
-_LUT_UPPER = np.zeros(256, dtype=bool)
-_LUT_UPPER[ord("A") : ord("Z") + 1] = True
-_LUT_DIGIT = np.zeros(256, dtype=bool)
-_LUT_DIGIT[ord("0") : ord("9") + 1] = True
+#: byte -> class: 0 other, 1 lower, 2 UPPER, 3 digit (ASCII only)
+_CLASS = np.zeros(256, dtype=np.uint8)
+_CLASS[ord("a") : ord("z") + 1] = 1
+_CLASS[ord("A") : ord("Z") + 1] = 2
+_CLASS[ord("0") : ord("9") + 1] = 3
+#: (previous, current, next) class, as prev*16 + cur*4 + next -> does the
+#: current byte start a token? (the split rules of the CodeAnalyzer docstring)
+_P, _C, _N = np.indices((4, 4, 4)).reshape(3, 64)
+_STARTS = (_C > 0) & (
+    (_P == 0)                                # after a separator
+    | ((_P == 1) & (_C == 2))                # lower -> UPPER
+    | ((_P == 2) & (_C == 2) & (_N == 1))    # UPPER -> UPPER lower
+    | ((_P > 0) & ((_P == 3) != (_C == 3)))  # letter <-> digit
+)
+_INT32_MAX = np.iinfo(np.int32).max
 #: byte -> lowercased byte for A-Z, identity otherwise
-_LUT_TOLOWER = np.arange(256, dtype=np.uint8)
-_LUT_TOLOWER[ord("A") : ord("Z") + 1] += 32
+_LUT_TOLOWER = (np.arange(256) + 32 * (_CLASS == 2)).astype(np.uint8)
 
 
 class CodeAnalyzer(Analyzer):
-    """Stateless, vectorized code-aware analyzer (see module docstring).
+    """The default analyzer (module docstring, steps 1-5) as one byte-level
+    numpy kernel over the Arrow string buffers: no per-row Python, no regex.
 
-    ``tokenize_flat`` is a single-pass BYTE-LEVEL numpy kernel over the
-    Arrow string buffers (~6x less memory traffic than the six RE2 passes
-    it implements). The split rules are evaluated on the original bytes:
-    a token boundary exists where
-      r1: lower->UPPER       r2: UPPER->UPPER followed by lower
-      r3: letter->digit      r4: digit->letter
-    which equals the sequential RE2 passes because space insertion never
-    changes any character and no two match sites overlap (rule sites
-    need contradictory char classes). The RE2 passes stay as the
-    reference (:func:`tokenize_re2`, mirrored by the DuckDB oracle SQL);
-    parity is enforced by tests/test_analyzer.py::test_fast_path_matches_re2.
+    Each byte gets a class from ``_CLASS`` (other, lower, UPPER, digit) and
+    starts a token iff ``_STARTS`` holds for its (previous, current, next)
+    classes: an alphanumeric byte after a separator, lower->UPPER,
+    UPPER->UPPER followed by lower, or letter<->digit. The rules read the
+    original bytes, which equals the sequential RE2 passes (inserting a
+    space changes no character, and no two rule sites overlap). At a row
+    seam the previous and next class read as "other": the lookahead never
+    crosses a row, and every row's first alphanumeric byte starts a token.
+    A token is the alphanumeric bytes from its start to the next start,
+    lowercased; its offset in the term buffer is one ``cumsum`` of the
+    alphanumeric mask, read at the starts. The RE2 passes stay the
+    specification (:func:`tokenize_re2`; :func:`tokenize_sql_expr` in the
+    oracle), and tests/test_analyzer.py::test_fast_path_matches_re2 holds
+    the kernel to them.
     """
 
     name = "code"
@@ -305,110 +317,62 @@ class CodeAnalyzer(Analyzer):
         are UTF-8 bytes, identical for ASCII text, documented divergence).
         Tokens are byte-sub-runs of the original text (split passes only
         insert boundaries), so offsets slice the stored text exactly.
-
-        Byte-level single-pass kernel (see class docstring).
         """
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        n_rows = len(texts)
-        empty_i32 = np.array([], dtype=np.int32)
-        empty = (
-            np.array([], dtype=np.int64),
-            pa.array([], type=pa.string()),
-            empty_i32,
-        )
-        if with_offsets:
-            empty = empty + (empty_i32, empty_i32)
-        if n_rows == 0:
-            return empty
-        bufs = texts.buffers()
-        if texts.type == pa.large_string():
-            off_dtype = np.int64
-        else:
-            off_dtype = np.int32
-        row_off = np.frombuffer(
-            bufs[1], dtype=off_dtype, count=n_rows + 1, offset=texts.offset * np.dtype(off_dtype).itemsize
-        ).astype(np.int64)
-        if bufs[2] is None or row_off[-1] == row_off[0]:
-            return empty
-        base = int(row_off[0])  # sliced arrays start mid-buffer
-        data = np.frombuffer(bufs[2], dtype=np.uint8, count=int(row_off[-1]))[base:]
-        row_off = row_off - base
-        lo = _LUT_LOWER[data]
-        up = _LUT_UPPER[data]
-        dg = _LUT_DIGIT[data]
-        alnum = lo | up | dg
-        if texts.null_count:
-            valid = texts.is_valid().to_numpy(zero_copy_only=False)
-            for r in np.nonzero(~valid)[0]:  # nulls with nonzero spans
-                alnum[row_off[r] : row_off[r + 1]] = False
-
-        start = alnum.copy()
-        # boundary rules on original bytes (i >= 1)
-        let_prev = lo[:-1] | up[:-1]
-        rules = (~alnum[:-1]) | (lo[:-1] & up[1:]) | (let_prev & dg[1:]) | (
-            dg[:-1] & (lo[1:] | up[1:])
-        )
-        # r2 (acronym boundary) needs the NEXT byte: up[i-1] & up[i] & lo[i+1]
-        r2 = np.zeros(len(data) - 1, dtype=bool)
-        if len(data) >= 3:
-            r2[:-1] = up[:-2] & up[1:-1] & lo[2:]
-            # the lookahead must not cross a row seam (rows are independent
-            # strings in the RE2 reference pipeline)
-            seam = row_off[1:-1]
-            seam = seam[(seam >= 2) & (seam < len(data))]
-            r2[seam - 2] = False
-        start[1:] &= rules | r2
-        # rows must not merge: the first alnum byte of every row starts a token
-        heads = row_off[:-1][row_off[:-1] < len(data)]
-        start[heads] |= alnum[heads]
-        # (start is already False wherever ~alnum)
-
-        tok_of_byte = np.cumsum(start) - 1
-        tok_bytes = np.nonzero(alnum)[0]
-        if len(tok_bytes) == 0:
-            return empty
-        tok_ids = tok_of_byte[tok_bytes]
-        n_tok = int(tok_ids[-1]) + 1
-        lengths = np.bincount(tok_ids, minlength=n_tok)
-        starts_idx = np.nonzero(start)[0]
-
-        if (lengths > MAX_TOKEN_LEN).any():
+        if texts.null_count:  # a null row may still span bytes
+            texts = pc.fill_null(texts, "")
+        data, row_off = _term_buffer(texts)
+        n, n_rows = len(data), len(row_off) - 1
+        if n == 0:
+            return _empty_stream(with_offsets)
+        ctx = np.zeros(n + 2, dtype=np.uint8)  # classes, "other" at both ends
+        ctx[1:-1] = _CLASS[data]
+        code = ctx[:-2] * 16 + ctx[1:-1] * 4 + ctx[2:]  # _STARTS index
+        if n_rows > 1:  # row seams: no previous / next class across them
+            seams = row_off[1:-1]
+            seams = seams[(seams > 0) & (seams < n)]
+            code[seams] &= 15
+            code[seams - 1] &= 60
+        bounds = np.append(np.flatnonzero(_STARTS[code]), n)  # token starts, end
+        # a token's bytes are the alnum bytes from its start to the next
+        # bound, so its offset in the term buffer is the count of alnum
+        # bytes before its start (ctx[i] is the class of byte i - 1)
+        alnum = ctx.astype(bool)
+        out_off = alnum.cumsum()[bounds]
+        starts = bounds[:-1]
+        if out_off[-1] > MAX_TOKEN_LEN and np.diff(out_off).max() > MAX_TOKEN_LEN:
             # maxTokenLength SPLIT (jflex scanner semantics, see
             # _split_overlong): each over-long token becomes consecutive
             # MAX_TOKEN_LEN-sized chunks. The chunks cover the token's bytes
-            # contiguously in order, so the value buffer is STILL exactly
-            # the alnum bytes in order — only starts/lengths re-shape.
-            n_chunks = (lengths + MAX_TOKEN_LEN - 1) // MAX_TOKEN_LEN
-            rep = np.repeat(np.arange(n_tok), n_chunks)
-            chunk_ord = np.arange(int(n_chunks.sum())) - np.repeat(
-                np.concatenate(([0], np.cumsum(n_chunks)[:-1])), n_chunks
-            )
-            starts_idx = starts_idx[rep] + chunk_ord * MAX_TOKEN_LEN
-            lengths = np.minimum(
-                lengths[rep] - chunk_ord * MAX_TOKEN_LEN, MAX_TOKEN_LEN
-            )
-            n_tok = len(starts_idx)
-        # tokens (or chunks) are exactly the alnum bytes in order
-        out_off = np.concatenate(([0], np.cumsum(lengths)))
-        values = _LUT_TOLOWER[data[tok_bytes]]
-        if int(out_off[-1]) > np.iinfo(np.int32).max:
+            # contiguously in order, so the term buffer is STILL exactly
+            # the alnum bytes in order — only starts and offsets re-shape.
+            n_chunks = (np.diff(out_off) + MAX_TOKEN_LEN - 1) // MAX_TOKEN_LEN
+            rep = np.repeat(np.arange(len(starts)), n_chunks)
+            shift = _row_ordinals(rep) * MAX_TOKEN_LEN  # chunk ordinal in its token
+            starts = starts[rep] + shift
+            out_off = np.append(out_off[rep] + shift, out_off[-1])
+        if out_off[-1] > _INT32_MAX:
             # pa.utf8 carries int32 offsets: >2 GiB of token bytes in one
             # batch would silently wrap and corrupt the term array
             raise ValueError(
                 f"token byte volume {int(out_off[-1])} exceeds int32 utf8 "
                 "offsets; lower the batch size for this stage"
             )
-        terms = pa.Array.from_buffers(
-            pa.utf8(),
-            n_tok,
-            [None, pa.py_buffer(out_off.astype(np.int32).tobytes()), pa.py_buffer(values.tobytes())],
-        )
-        row_idx = (np.searchsorted(row_off, starts_idx, side="right") - 1).astype(np.int64)
-        out = (row_idx, terms, _row_ordinals(row_idx))
+        terms = pa.Array.from_buffers(pa.utf8(), len(starts), [
+            None, pa.py_buffer(out_off.astype(np.int32)),
+            pa.py_buffer(_LUT_TOLOWER[data[alnum[1:-1]]]),
+        ])
+        row_idx = np.searchsorted(row_off[1:-1], starts, side="right")
+        first = np.searchsorted(starts, row_off[:-1])  # each row's first token
+        out = (row_idx, terms, (np.arange(len(starts)) - first[row_idx]).astype(np.int32))
         if with_offsets:
-            out += ((starts_idx - row_off[row_idx]).astype(np.int32), lengths.astype(np.int32))
+            out += ((starts - row_off[row_idx]).astype(np.int32), np.diff(out_off).astype(np.int32))
         return out
+
+
+def _empty_stream(with_offsets: bool) -> tuple:
+    empty = np.array([], dtype=np.int32)
+    out = (np.array([], dtype=np.int64), pa.array([], type=pa.string()), empty)
+    return out + (empty, empty) if with_offsets else out
 
 
 def tokenize_sql_expr(col: str) -> str:
@@ -876,17 +840,21 @@ class HTMLStripAnalyzer(CodeAnalyzer):
 
 
 def _term_buffer(terms: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """(uint8 data, int64 offsets rebased to 0) of a utf8 term array —
-    zero-copy access for the vectorized gram expanders."""
+    """(uint8 data, int64 offsets rebased to 0) of a utf8 array —
+    zero-copy access for the byte kernel and the gram expanders."""
     if isinstance(terms, pa.ChunkedArray):
         terms = terms.combine_chunks()
+    if len(terms) == 0:
+        return np.zeros(0, dtype=np.uint8), np.zeros(1, dtype=np.int64)
+    bufs = terms.buffers()
     odt = np.int64 if terms.type == pa.large_string() else np.int32
     offs = np.frombuffer(
-        terms.buffers()[1], dtype=odt, count=len(terms) + 1,
+        bufs[1], dtype=odt, count=len(terms) + 1,
         offset=terms.offset * np.dtype(odt).itemsize,
     ).astype(np.int64)
-    data = np.frombuffer(terms.buffers()[2], dtype=np.uint8, count=int(offs[-1]))
-    return data[offs[0]:], offs - offs[0]
+    base = int(offs[0])  # sliced arrays start mid-buffer
+    data = np.frombuffer(bufs[2] or b"", dtype=np.uint8, count=int(offs[-1]) - base, offset=base)
+    return data, offs - base
 
 
 def _expand_char_grams(

@@ -27,7 +27,7 @@ import numpy as np
 import ray
 
 from lucene_ray.config import DEFAULT_TOP_K
-from lucene_ray.search.engine import TopDocs, build_scorers, query_terms
+from lucene_ray.search.engine import TopDocs, build_scorers, query_terms, rewrite_lazy
 from lucene_ray.search.query import BooleanQuery, CommonTermsQuery, parse_query
 from lucene_ray.search.scorer import _topk, score_segment_exhaustive, score_segment_pruned
 from lucene_ray.search.similarity import BM25Similarity
@@ -432,12 +432,20 @@ class DistributedSearcher:
             if isinstance(query, str)
             else query
         )
-        if isinstance(bq, CommonTermsQuery):
+
+        def rewrite(q):
+            if not isinstance(q, CommonTermsQuery):
+                raise ValueError(
+                    f"{type(q).__name__} needs an index reader to rewrite; "
+                    "DistributedSearcher holds none on the driver"
+                )
             # df-cutoff split against the SAME gathered global stats every
             # shard scores with (self.doc_count already excludes reclaimed)
-            bq = bq.rewrite_with(
-                self._gather_stats(list(bq.terms)), float(self.doc_count)
+            return q.rewrite_with(
+                self._gather_stats(list(q.terms)), float(self.doc_count)
             )
+
+        bq = rewrite_lazy(bq, rewrite)
         bq = maybe_rewrite(
             bq, self.vocabulary, lambda: self.vocabulary(include_fields=True)
         )

@@ -202,6 +202,34 @@ def build_scorers(
     return scorers
 
 
+#: queries rewritten against the reader's term statistics / vocabulary
+#: before any scoring (CommonTermsQuery, sandbox FuzzyLikeThisQuery, the
+#: XML LikeThisQuery's MoreLikeThisQuery)
+_LAZY_READER_QUERIES = (CommonTermsQuery, FuzzyLikeThisQuery, MoreLikeThisQuery)
+
+
+def rewrite_lazy(bq, rewrite) -> BooleanQuery:
+    """``bq`` with every reader-lazy query replaced by ``rewrite(q)``: the
+    query itself, or a clause of any must/should/must_not list (which
+    becomes one nested boolean clause). Shared by IndexSearcher.prepare
+    and DistributedSearcher, so no lazy clause reaches the scorer."""
+    if isinstance(bq, _LAZY_READER_QUERIES):
+        bq = rewrite(bq)
+    if not any(isinstance(q, _LAZY_READER_QUERIES) for q in bq.must + bq.should + bq.must_not):
+        return bq
+
+    def fix(clauses):
+        return [
+            rewrite(q).freeze() if isinstance(q, _LAZY_READER_QUERIES) else q
+            for q in clauses
+        ]
+
+    return BooleanQuery(
+        must=fix(bq.must), should=fix(bq.should), must_not=fix(bq.must_not),
+        min_should_match=bq.min_should_match,
+    )
+
+
 class IndexSearcher:
     def __init__(
         self,
@@ -239,35 +267,14 @@ class IndexSearcher:
 
     _MULTI = MULTI_TERM_TYPES
 
-    # rewrite against the reader's term statistics / vocabulary before any
-    # scoring (CommonTermsQuery, sandbox FuzzyLikeThisQuery, the XML
-    # LikeThisQuery's MoreLikeThisQuery)
-    _LAZY_READER_QUERIES = (CommonTermsQuery, FuzzyLikeThisQuery, MoreLikeThisQuery)
-
     def prepare(self, query: str | BooleanQuery) -> BooleanQuery:
         """The one query-preparation path (search, count, explain,
         highlight, the profiler, search_time_limited): parse a string,
-        rewrite reader-lazy queries — top level, or a clause of any
-        must/should/must_not list (each becomes one nested boolean clause)
-        — then expand multi-term queries against the vocabulary
-        (Query.rewrite before createWeight, IndexSearcher.java)."""
+        rewrite reader-lazy queries (:func:`rewrite_lazy`), then expand
+        multi-term queries against the vocabulary (Query.rewrite before
+        createWeight, IndexSearcher.java)."""
         bq = self.parse(query) if isinstance(query, str) else query
-        lazy = self._LAZY_READER_QUERIES
-        if isinstance(bq, lazy):
-            bq = bq.rewrite(self.reader)
-        if any(isinstance(q, lazy) for q in bq.must + bq.should + bq.must_not):
-
-            def fix(clauses):
-                return [
-                    q.rewrite(self.reader).freeze() if isinstance(q, lazy) else q
-                    for q in clauses
-                ]
-
-            bq = BooleanQuery(
-                must=fix(bq.must), should=fix(bq.should),
-                must_not=fix(bq.must_not),
-                min_should_match=bq.min_should_match,
-            )
+        bq = rewrite_lazy(bq, lambda q: q.rewrite(self.reader))
         return maybe_rewrite(
             bq,
             self.reader.vocabulary,

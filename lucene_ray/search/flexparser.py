@@ -57,6 +57,7 @@ from lucene_ray.search.query import (
     _group_clause,
     _range_query,
     _token_queries,
+    analyze_texts,
     discard_escapes,
 )
 
@@ -197,9 +198,7 @@ class StandardQueryParser:
             if j >= len(toks) or not toks[j].group("rparen"):
                 raise ValueError("missing ')' in query")
             boost = float(toks[j].group("gboost") or 1.0)
-            bq = self._assemble(sub)
-            clause = _group_clause(bq, boost)
-            qs = [clause] if clause is not None else []
+            qs = _group_clause(self._assemble(sub), boost)
             return ("leaf", m.group("lmod") or None, qs), j + 1
 
         if m.group("phrase"):
@@ -286,21 +285,18 @@ class StandardQueryParser:
             fm = _FIELD_RE.match(w)
             if fm:
                 inline_field = fm.group(1)
-        if field is None and inline_field is None and self.fields:
-            qs = []
-            for f in self.fields:
-                qs.extend(
-                    _token_queries(w, is_phrase, boost, slop, self.analyzer,
-                                   field=f)
-                )
-            self._check_wildcards(qs)
-            if len(qs) > 1:
-                # GroupQueryNode(OR) — one SHOULD-sum clause
-                return [DisjunctionSumQuery(tuple(qs))]
-            return qs
-        qs = _token_queries(w, is_phrase, boost, slop, self.analyzer,
-                            field=field)
+        multi = field is None and inline_field is None and self.fields
+        texts: list[str] = []
+        builds = [
+            _token_queries(w, is_phrase, boost, slop, texts, field=f)
+            for f in (self.fields if multi else [field])
+        ]
+        words = analyze_texts(self.analyzer, texts)
+        qs = [q for build in builds for q in build(words)]
         self._check_wildcards(qs)
+        if multi and len(qs) > 1:
+            # GroupQueryNode(OR) — one SHOULD-sum clause
+            return [DisjunctionSumQuery(tuple(qs))]
         return qs
 
     def _check_wildcards(self, qs):
@@ -330,9 +326,9 @@ class StandardQueryParser:
                 bound(hi_raw, 0 if incl_hi else -1),
                 boost=boost,
             )
-        return _range_query(
-            field, lo_raw, hi_raw, incl_lo, incl_hi, boost, self.analyzer
-        )
+        texts: list[str] = []
+        build = _range_query(field, lo_raw, hi_raw, incl_lo, incl_hi, boost, texts)
+        return build(analyze_texts(self.analyzer, texts))[0]
 
     # -- fn: interval functions ----------------------------------------------
 
@@ -462,9 +458,7 @@ class StandardQueryParser:
                 getattr(bq, self._occur(c[1], kind)).extend(c[2])
             else:
                 sub = self._assemble_nested(c)
-                clause = _group_clause(sub, 1.0)
-                if clause is not None:
-                    getattr(bq, self._occur(None, kind)).append(clause)
+                getattr(bq, self._occur(None, kind)).extend(_group_clause(sub, 1.0))
         return bq
 
 

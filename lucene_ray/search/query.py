@@ -25,6 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+import pyarrow as pa
+
 
 @dataclass(frozen=True)
 class TermQuery:
@@ -1082,7 +1084,28 @@ def _ends_escaped(s: str) -> bool:
     return (len(s) - len(s.rstrip("\\"))) % 2 == 1
 
 
-def _token_queries(w, is_phrase, boost, slop, analyzer, field=None) -> list:
+def analyze_texts(analyzer, texts: list[str]) -> list[list[str]]:
+    """The token list of every text, from ONE ``analyzer.tokenize_flat``
+    call: the stream's ``row_idx`` maps each token back to its text."""
+    words: list[list[str]] = [[] for _ in texts]
+    if texts:
+        row_idx, terms = analyzer.tokenize_flat(pa.array(texts, type=pa.string()))[:2]
+        for r, t in zip(row_idx.tolist(), terms.to_pylist()):
+            words[r].append(t)
+    return words
+
+
+def _queued(texts: list, s: str) -> int:
+    """Queue ``s`` for analysis: ``words[k]`` is then its token list."""
+    texts.append(s)
+    return len(texts) - 1
+
+
+def _const(*qs):
+    return lambda words: list(qs)
+
+
+def _token_queries(w, is_phrase, boost, slop, texts, field=None):
     """Queries for ONE parsed token: field-scoped term/wildcard, fuzzy,
     wildcard, phrase, or analyzed term(s). ``field`` is the enclosing scope
     (``field:(...)`` / ``field:"..."``); an explicit inline prefix wins.
@@ -1091,28 +1114,31 @@ def _token_queries(w, is_phrase, boost, slop, analyzer, field=None) -> list:
     discarded at each terminal (discardEscapeChar's call sites in
     QueryParserBase.getFieldQuery/getWildcardQuery/getFuzzyQuery).
     Wildcard patterns keep their escapes: WildcardQuery's matcher treats
-    ``\\x`` as literal x (search/WildcardQuery.java:55-82)."""
+    ``\\x`` as literal x (search/WildcardQuery.java:55-82).
+
+    Queues the text(s) it analyzes; returns ``build(words) -> [queries]``."""
     from lucene_ray.config import KEYWORD_FIELDS
+
+    def analyzed(k, prefix="", phrase=False):
+        # the tokens of texts[k], scoped by prefix: one PhraseQuery when a
+        # phrase analyzes to several, else one TermQuery each
+        def build(words):
+            toks = [prefix + t for t in words[k]]
+            if phrase and len(toks) > 1:
+                return [PhraseQuery(tuple(toks), boost=boost, slop=slop)]
+            return [TermQuery(t, boost=boost) for t in toks]
+
+        return build
 
     if is_phrase:
         if field in KEYWORD_FIELDS:
             # StringField phrase = exact unanalyzed value match
-            return [TermQuery(f"{field}:{discard_escapes(w)}", boost=boost)]
+            return _const(TermQuery(f"{field}:{discard_escapes(w)}", boost=boost))
         if field is not None and field != "content":
             # analyzed-field phrase (field:"..."): analyze, then scope every
             # position-carrying term to the field's shared-dict namespace
             # (QueryParser.getFieldQuery over a non-default TextField)
-            toks = analyzer.tokenize_text(discard_escapes(w))
-            if not toks:
-                return []
-            if len(toks) > 1:
-                return [
-                    PhraseQuery(
-                        tuple(f"{field}:{t}" for t in toks),
-                        boost=boost, slop=slop,
-                    )
-                ]
-            return [TermQuery(f"{field}:{toks[0]}", boost=boost)]
+            return analyzed(_queued(texts, discard_escapes(w)), f"{field}:", True)
     else:
         fm = _FIELD_RE.match(w)
         fld = val = None
@@ -1126,8 +1152,8 @@ def _token_queries(w, is_phrase, boost, slop, analyzer, field=None) -> list:
                 # (queryparser/.../classic/QueryParser.java:84 field
                 # scoping; document/StringField.java exact terms)
                 if _has_unescaped(val, "*?"):
-                    return [WildcardQuery(f"{fld}:{val}", boost=boost)]
-                return [TermQuery(f"{fld}:{discard_escapes(val)}", boost=boost)]
+                    return _const(WildcardQuery(f"{fld}:{val}", boost=boost))
+                return _const(TermQuery(f"{fld}:{discard_escapes(val)}", boost=boost))
             if fld == "content":
                 w = val  # the default field — analyze normally
             else:
@@ -1135,15 +1161,14 @@ def _token_queries(w, is_phrase, boost, slop, analyzer, field=None) -> list:
                 # the value, scope each token to "fld:" — real positions,
                 # so wildcards/phrases work per field
                 if _has_unescaped(val, "*?"):
-                    return [WildcardQuery(f"{fld}:{val.lower()}", boost=boost)]
-                toks = analyzer.tokenize_text(discard_escapes(val))
-                return [TermQuery(f"{fld}:{t}", boost=boost) for t in toks]
+                    return _const(WildcardQuery(f"{fld}:{val.lower()}", boost=boost))
+                return analyzed(_queued(texts, discard_escapes(val)), f"{fld}:")
         m = _FUZZY_RE.match(w)
         if m and m.group(1) and not _ends_escaped(m.group(1)):
-            toks = analyzer.tokenize_text(discard_escapes(m.group(1)))
-            if toks:
-                term = "".join(toks)
-                sl = m.group(2)
+            k, sl = _queued(texts, discard_escapes(m.group(1))), m.group(2)
+
+            def fuzzy(words):
+                term = "".join(words[k])
                 if not sl:
                     edits = 2  # bare ~ = defaultMaxEdits
                 else:
@@ -1158,10 +1183,11 @@ def _token_queries(w, is_phrase, boost, slop, analyzer, field=None) -> list:
                         edits = 0
                     else:
                         edits = min(int((1.0 - f) * len(term)), 2)
-                return [FuzzyQuery(term, max_edits=edits, boost=boost)]
-            return []
+                return [FuzzyQuery(term, max_edits=edits, boost=boost)] if term else []
+
+            return fuzzy
         if _has_unescaped(w, "*?"):
-            return [WildcardQuery(w.lower(), boost=boost)]
+            return _const(WildcardQuery(w.lower(), boost=boost))
     if is_phrase and _has_unescaped(w, "*?"):
         # ComplexPhraseQueryParser semantics (queryparser/complexPhrase/
         # ComplexPhraseQueryParser.java:61): wildcards INSIDE a quoted
@@ -1171,32 +1197,31 @@ def _token_queries(w, is_phrase, boost, slop, analyzer, field=None) -> list:
         # queries for slop; documented divergence).
         if slop:
             raise ValueError("wildcard phrases do not support slop")
-        slots: list[str] = []
-        for word in w.split():
-            if _has_unescaped(word, "*?"):
-                slots.append(word.lower())
-            else:
-                slots.extend(analyzer.tokenize_text(discard_escapes(word)))
-        if not slots:
-            return []
-        if len(slots) == 1:
-            return [WildcardQuery(slots[0], boost=boost)]
-        return [PhraseWildcardQuery(tuple(slots), boost=boost)]
-    toks = analyzer.tokenize_text(discard_escapes(w))
-    if not toks:
-        return []
-    if is_phrase and len(toks) > 1:
-        return [PhraseQuery(tuple(toks), boost=boost, slop=slop)]
-    return [TermQuery(t, boost=boost) for t in toks]
+        # a wildcard word is its own slot; any other word, its tokens
+        slots = [
+            [word.lower()] if _has_unescaped(word, "*?")
+            else _queued(texts, discard_escapes(word))
+            for word in w.split()
+        ]
+
+        def phrase(words):
+            flat = [t for s in slots for t in (s if isinstance(s, list) else words[s])]
+            if len(flat) > 1:
+                return [PhraseWildcardQuery(tuple(flat), boost=boost)]
+            return [WildcardQuery(t, boost=boost) for t in flat]
+
+        return phrase
+    return analyzed(_queued(texts, discard_escapes(w)), "", is_phrase)
 
 
-def _range_query(field, lo_raw, hi_raw, incl_lo, incl_hi, boost, analyzer):
+def _range_query(field, lo_raw, hi_raw, incl_lo, incl_hi, boost, texts):
     """``field:[a TO b]`` / ``{a TO b}`` (QueryParser.jj RangeQuery
     production; TermRangeQuery.java / PointRangeQuery.java targets).
     ``*`` = open bound. Numeric doc-value fields route to PointRangeQuery
     (inclusive bounds, so exclusive brackets shift by one); keyword fields
     range over their 'field:value' namespace; the default field analyzes
-    its endpoints like the classic parser does."""
+    its endpoints like the classic parser does (queued on ``texts``, as in
+    :func:`_token_queries`; returns ``build(words) -> [query]``)."""
     from lucene_ray.config import KEYWORD_FIELDS, NUMERIC_DV_FIELDS
 
     lo = None if lo_raw == "*" else discard_escapes(lo_raw)
@@ -1212,32 +1237,30 @@ def _range_query(field, lo_raw, hi_raw, incl_lo, incl_hi, boost, analyzer):
                     f"numeric range bound {x!r} for field {field!r}"
                 ) from None
 
-        return PointRangeQuery(
+        return _const(PointRangeQuery(
             field,
             bound(lo, 0 if incl_lo else 1),
             bound(hi, 0 if incl_hi else -1),
             boost=boost,
-        )
+        ))
     if field in KEYWORD_FIELDS:
         # open ends stay INSIDE this field's term namespace: ';' is ':'+1,
         # so ["f:", "f;") spans exactly the f-prefixed keyword terms
-        lower = f"{field}:{lo}" if lo is not None else f"{field}:"
-        upper = f"{field}:{hi}" if hi is not None else f"{field};"
-        return TermRangeQuery(
-            lower,
-            upper,
+        return _const(TermRangeQuery(
+            f"{field}:{lo}" if lo is not None else f"{field}:",
+            f"{field}:{hi}" if hi is not None else f"{field};",
             incl_lo if lo is not None else True,
             incl_hi if hi is not None else False,
             boost=boost,
-        )
+        ))
+    ends = [None if x is None else _queued(texts, x) for x in (lo, hi)]
 
-    def norm(x):
-        if x is None:
-            return None
-        toks = analyzer.tokenize_text(x)
-        return toks[0] if toks else None
+    def build(words):
+        # an endpoint is its first token (open when it analyzes away)
+        lower, upper = (words[k][0] if k is not None and words[k] else None for k in ends)
+        return [TermRangeQuery(lower, upper, incl_lo, incl_hi, boost=boost)]
 
-    return TermRangeQuery(norm(lo), norm(hi), incl_lo, incl_hi, boost=boost)
+    return build
 
 
 def _scale_boost(q, factor: float):
@@ -1250,19 +1273,19 @@ def _scale_boost(q, factor: float):
     return q
 
 
-def _group_clause(sub: BooleanQuery, boost: float):
-    """One clause from a parsed parenthesized group (QueryParser.jj Clause
-    -> nested BooleanQuery). A pure-SHOULD group stays a
-    DisjunctionSumQuery (same semantics, pruning-friendly); any
-    MUST/MUST_NOT structure becomes a NestedBooleanQuery."""
+def _group_clause(sub: BooleanQuery, boost: float) -> list:
+    """The clause (none for an empty group) of a parsed parenthesized
+    group (QueryParser.jj Clause -> nested BooleanQuery). A pure-SHOULD
+    group stays a DisjunctionSumQuery (same semantics, pruning-friendly);
+    any MUST/MUST_NOT structure becomes a NestedBooleanQuery."""
     if not (sub.must or sub.should or sub.must_not):
-        return None
+        return []
     if not sub.must and not sub.must_not and sub.min_should_match <= 1:
         disjuncts = tuple(_scale_boost(q, boost) for q in sub.should)
         if len(disjuncts) == 1:
-            return disjuncts[0]
-        return DisjunctionSumQuery(disjuncts)
-    return sub.freeze(boost)
+            return [disjuncts[0]]
+        return [DisjunctionSumQuery(disjuncts)]
+    return [sub.freeze(boost)]
 
 
 def parse_query(text: str, analyzer) -> BooleanQuery:
@@ -1272,22 +1295,23 @@ def parse_query(text: str, analyzer) -> BooleanQuery:
     ``^boost``), ``[a TO b]`` / ``{a TO b}`` ranges, AND/OR/&&/||/NOT with
     the reference's addClause semantics (AND promotes the PREVIOUS clause
     to required and requires the current one; default operator is OR).
-    Raises ValueError on unbalanced parentheses."""
+    Raises ValueError on unbalanced parentheses. The descent queues the
+    text of every analyzable terminal; ONE analyzer call then analyzes
+    them all (:func:`analyze_texts`), and only then is the query built."""
     toks = [m for m in _LEX_RE.finditer(text) if not m.group("space")]
-    bq, i = _parse_bool(toks, 0, analyzer, None, 0)
+    texts: list[str] = []
+    build, i = _parse_bool(toks, 0, texts, None, 0)
     if i != len(toks):
         raise ValueError("unbalanced ')' in query")
-    return bq
+    return build(analyze_texts(analyzer, texts))
 
 
-def _parse_bool(
-    toks: list, i: int, analyzer, field_ctx: str | None, depth: int
-) -> tuple[BooleanQuery, int]:
-    """One boolean level; stops (without consuming) at ')' when depth>0."""
-    # [occur, [queries]] per SYNTACTIC clause — kept as a list so a later
-    # AND can promote the previous clause (QueryParser.addClause: AND makes
-    # the preceding clause required unless it is prohibited)
-    clauses: list[list] = []
+def _parse_bool(toks: list, i: int, texts: list, field_ctx: str | None, depth: int):
+    """One boolean level; stops (without consuming) at ')' when depth>0.
+    Returns (build(words) -> BooleanQuery, next token index)."""
+    # (occur, AND-joined, build) per SYNTACTIC clause — kept in order so a
+    # later AND can promote the previous clause (QueryParser.addClause)
+    clauses: list[tuple] = []
     conj: str | None = None
     mod: str | None = None
     while i < len(toks):
@@ -1316,33 +1340,29 @@ def _parse_bool(
 
         if m.group("lparen"):
             fld = (m.group("lfield") or "").rstrip(":") or field_ctx
-            sub, j = _parse_bool(toks, i + 1, analyzer, fld, depth + 1)
+            sub, j = _parse_bool(toks, i + 1, texts, fld, depth + 1)
             if j >= len(toks) or not toks[j].group("rparen"):
                 raise ValueError("missing ')' in query")
-            boost = float(toks[j].group("gboost") or 1.0)
+            qb = _group(sub, float(toks[j].group("gboost") or 1.0))
             i = j + 1
-            clause = _group_clause(sub, boost)
-            qs = [clause] if clause is not None else []
             cmod = m.group("lmod") or mod
         elif m.group("phrase"):
             fld = (m.group("pfield") or "").rstrip(":") or field_ctx
-            qs = _token_queries(
+            qb = _token_queries(
                 m.group("pbody"), True,
                 float(m.group("pboost") or 1.0),
                 int(m.group("pslop") or 0),
-                analyzer, field=fld,
+                texts, field=fld,
             )
             cmod = m.group("pmod") or mod
             i += 1
         elif m.group("range"):
             fld = (m.group("rfield") or "").rstrip(":") or field_ctx
-            qs = [
-                _range_query(
-                    fld, m.group("rlo"), m.group("rhi"),
-                    m.group("ropen") == "[", m.group("rclose") == "]",
-                    float(m.group("rboost") or 1.0), analyzer,
-                )
-            ]
+            qb = _range_query(
+                fld, m.group("rlo"), m.group("rhi"),
+                m.group("ropen") == "[", m.group("rclose") == "]",
+                float(m.group("rboost") or 1.0), texts,
+            )
             cmod = m.group("rmod") or mod
             i += 1
         elif m.group("rgx"):
@@ -1356,7 +1376,7 @@ def _parse_bool(
                 # field-scoped regexp runs in the 'field:' term namespace
                 # (both keyword and analyzed fields store scoped terms)
                 body = f"{fld}:{body}"
-            qs = [RegexpQuery(body, boost=float(m.group("xboost") or 1.0))]
+            qb = _const(RegexpQuery(body, boost=float(m.group("xboost") or 1.0)))
             cmod = m.group("xmod") or mod
             i += 1
         else:
@@ -1370,26 +1390,35 @@ def _parse_bool(
             bm = _BOOST_RE.match(w)
             if bm and bm.group(1) and not _ends_escaped(bm.group(1)):
                 w, boost = bm.group(1), float(bm.group(2))
-            qs = _token_queries(w, False, boost, 0, analyzer, field=field_ctx)
+            qb = _token_queries(w, False, boost, 0, texts, field=field_ctx)
             i += 1
 
-        if cmod == "-":
-            occur = "must_not"
-        elif cmod == "+":
-            occur = "must"
-        else:
-            occur = "must" if conj == "and" else "should"
-        if conj == "and" and clauses and clauses[-1][0] == "should":
-            clauses[-1][0] = "must"  # addClause: AND requires the previous
-        if qs:
-            clauses.append([occur, qs])
+        occur = {"-": "must_not", "+": "must"}.get(cmod, "must" if conj == "and" else "should")
+        clauses.append((occur, conj == "and", qb))
         conj = None
         mod = None
+    return lambda words: _assemble(clauses, words), i
 
+
+def _group(sub, boost: float):
+    return lambda words: _group_clause(sub(words), boost)
+
+
+def _assemble(clauses: list, words: list) -> BooleanQuery:
+    """One level's BooleanQuery from its analyzed clauses. A clause whose
+    text analyzed away adds nothing, so an AND after it promotes the
+    clause before it (addClause: AND requires the previous SHOULD)."""
+    kept: list[list] = []
+    for occur, anded, build in clauses:
+        if anded and kept and kept[-1][0] == "should":
+            kept[-1][0] = "must"
+        qs = build(words)
+        if qs:
+            kept.append([occur, qs])
     bq = BooleanQuery()
-    for occur, qs in clauses:
+    for occur, qs in kept:
         getattr(bq, occur).extend(qs)
-    return bq, i
+    return bq
 
 
 def iter_clauses(bq: BooleanQuery):

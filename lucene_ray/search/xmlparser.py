@@ -143,10 +143,10 @@ class CoreParser:
         sub = parse_query((el.text or "").strip(), self.analyzer)
         from lucene_ray.search.query import _group_clause
 
-        q = _group_clause(sub, self._boost(el))
-        if q is None:
+        qs = _group_clause(sub, self._boost(el))
+        if not qs:
             raise XMLParseError("<UserQuery> text produced no clauses")
-        return q
+        return qs[0]
 
     def _q_TermQuery(self, el):
         return TermQuery(
@@ -177,17 +177,19 @@ class CoreParser:
         )
 
     def _q_RangeQuery(self, el):
-        from lucene_ray.search.query import _range_query
+        from lucene_ray.search.query import _range_query, analyze_texts
 
         field = self._field(el)
         lo = el.get("lowerTerm")
         hi = el.get("upperTerm")
         incl_lo = el.get("includeLower", "true").lower() == "true"
         incl_hi = el.get("includeUpper", "true").lower() == "true"
-        return _range_query(
+        texts: list[str] = []
+        build = _range_query(
             field, lo if lo is not None else "*", hi if hi is not None else "*",
-            incl_lo, incl_hi, self._boost(el), self.analyzer,
+            incl_lo, incl_hi, self._boost(el), texts,
         )
+        return build(analyze_texts(self.analyzer, texts))[0]
 
     def _q_PointRangeQuery(self, el):
         lo = el.get("lowerTerm")

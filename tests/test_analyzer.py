@@ -100,6 +100,9 @@ def test_fast_path_matches_re2():
         "ends.alnum1",
         "1digitsFirst",
         "\x00weird\x7fbytes\t",
+        # row seams: no lookahead or camel/digit rule reads across rows
+        "AB", "cd", "xA", "Bc", "A", "Bc", "ab", "Cd", "A1", "b",
+        "AB", "", None, "cD",
     ] + generate_shard(0, 30, seed=9).column("content").to_pylist()
     arr = pa.array(texts, type=pa.string())
     an = CodeAnalyzer()

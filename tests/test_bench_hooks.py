@@ -25,11 +25,12 @@ def test_tracer_hooks_install_and_restore():
             engine.parse_query("fooBar AND baz", CodeAnalyzer())
         tracer.enabled = False
     assert (CodeAnalyzer.__dict__["tokenize_flat"], engine.parse_query) == before
-    # query-time analysis runs the stream kernel, inside the parse span
+    # query-time analysis is ONE run of the stream kernel per parse, inside
+    # the parse span
     names = {i: s[0] for i, s in enumerate(tracer.spans)}
     tokenize = [s for s in tracer.spans if s[0] == "analysis.tokenize"]
-    assert tokenize
-    assert {names[s[3]] for s in tokenize} == {"search.query.parse"}
+    assert len(tokenize) == 1
+    assert names[tokenize[0][3]] == "search.query.parse"
 
 
 def test_tracer_hooks_stay_on_the_search_path(tmp_path, ray_session):

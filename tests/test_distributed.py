@@ -67,6 +67,31 @@ def test_distributed_commonterms_matches_local(ix, ray_session):
         np.testing.assert_allclose(a.scores, b.scores, rtol=1e-6, atol=0)
 
 
+def test_distributed_lazy_clauses_match_local(ix, ray_session):
+    """A CommonTermsQuery inside must/should/must_not is rewritten on the
+    driver (shared rewrite_lazy), not shipped to a shard unrewritten."""
+    from lucene_ray.search.fuzzylikethis import FuzzyLikeThisQuery
+    from lucene_ray.search.mlt import MoreLikeThisQuery
+    from lucene_ray.search.query import BooleanQuery, CommonTermsQuery, TermQuery
+
+    local = IndexSearcher(ix, pruned=False)
+    dist = DistributedSearcher(ix, n_shards=3, pruned=False)
+    ctq = CommonTermsQuery(("the", "merge", "zzznope"), max_term_frequency=0.4)
+    for q in (
+        BooleanQuery(must=[ctq], should=[TermQuery("index")]),
+        BooleanQuery(should=[ctq, TermQuery("flush")]),
+        BooleanQuery(should=[TermQuery("index")], must_not=[ctq]),
+    ):
+        a, b = local.search(q, 20), dist.search(q, 20)
+        assert a.docids.tolist() == b.docids.tolist(), q
+        np.testing.assert_allclose(a.scores, b.scores, rtol=1e-6, atol=0)
+        assert dist.count(q) == local.count(q), q
+    # the other lazy types need a reader: a clear error on the driver
+    for lazy in (FuzzyLikeThisQuery(5), MoreLikeThisQuery("merge index", "code")):
+        with pytest.raises(ValueError, match=type(lazy).__name__):
+            dist.search(BooleanQuery(should=[lazy, TermQuery("index")]), 5)
+
+
 def test_distributed_many_queries_one_pool(ix, ray_session):
     dist = DistributedSearcher(ix, n_shards=2)
     local = IndexSearcher(ix)

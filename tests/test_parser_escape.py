@@ -2,12 +2,16 @@
 QueryParserBase.escape/discardEscapeChar) + Lucene wildcard semantics
 (WildcardQuery.java toAutomaton — no fnmatch character classes)."""
 
+import json
+from pathlib import Path
+
 import duckdb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucene_ray.analysis.analyzer import CodeAnalyzer
+from lucene_ray.pipelines.flagship import REFERENCE_QUERIES
 from lucene_ray.search.query import (
     BooleanQuery,
     FuzzyQuery,
@@ -241,3 +245,89 @@ class TestFuzzyFloat:
         assert self._edits("merge~0.8") == 0    # (1-0.8)*5 = 1.0 -> int 1? no: 0.2*5=1.0 -> 1
         assert self._edits("merge~0.5") == 2    # 0.5*5 = 2.5 -> 2
         assert self._edits("ab~0.4") == 1       # 0.6*2 = 1.2 -> 1
+
+
+# Parse pins: the repr of parse_query for a fixed set of strings, per
+# analyzer. They hold the parser's output identical across changes to how
+# it analyzes its terminals. Regenerate ONLY deliberately:
+#     python -m tests.test_parser_escape   # rewrites tests/data/parse_pins.json
+PIN_PATH = Path(__file__).parent / "data" / "parse_pins.json"
+PIN_ANALYZERS = ("code", "english", "synonym")
+PIN_QUERIES = [q for _qid, q, _k in REFERENCE_QUERIES] + [
+    # escapes
+    r"\+merge sort", r"foo\:bar", r"a\*b", r"m\u0065rge", r"\(merge AND sort\)",
+    r'"get \"manager\""', r"\AND merge", "merge\\ sort",
+    # fuzzy and boost
+    "mrege~", "mrege~0.5", "mrege~0", "mrege~1.5", "readSpec~1", "...~", r"a\~2",
+    "merge^2.5", "readSpec^2", '"get manager"^2', '"get manager"~3', r"merge\^2",
+    # field groups, keyword and analyzed fields
+    "repo:(alpha beta)", "title:(fooBar baz*)", "content:(merge flush)",
+    "repo:alpha", "lang:py*", 'path:"src/Foo.py"', r"repo:a\:b", "content:readSpec",
+    "title:fooBar", 'title:"get manager"', "title:get*", 'title:"x"', "title:...",
+    # ranges
+    "[a TO m]", "{readSpec TO zz}", "n_chars:[10 TO 20]", "n_chars:{10 TO *]",
+    "repo:[a TO m}", "[* TO fooBar]", "[... TO zz]", "title:[big TO fast]",
+    # wildcard phrases and regexps
+    '"get* manager"', '"readSpec bu?fer"', '"get* ..."', '"a* b*"', '"x*"',
+    "/mer.e/", "title:/get.*/", r"/a\/b/", "+/ab+c/^3 -x",
+    # nested groups, operators, empty-analysis words
+    "+(mer* flush) index", "(merge AND flush) token", "((a OR b) AND (c -d))^2",
+    "-(x y) z", "a AND (b OR (c AND d))", "merge NOT flush", "merge && flush || token",
+    "...", "--- merge", "merge AND ... AND flush", "... AND merge", "(...)", '"..."',
+    "(merge)^2", "(readSpec OR ...)^0.5",
+    # stop words, stems and synonyms
+    "the running dogs", "running AND the", '"the quick fox"', "big fast scan",
+    '"big data"', "fast~1", "title:big", "[big TO scan]",
+    # parse errors
+    "(merge", "merge)", '"get* x"~2', "n_chars:[a TO b]", "bad\\", r"m\u00zz",
+]
+
+
+def _pin(q: str, an) -> tuple[str, int]:
+    """(repr of the parse or the error type, analyzer calls it made)."""
+    calls = []
+    flat = an.tokenize_flat
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return flat(*args, **kwargs)
+
+    an.tokenize_flat = counted
+    try:
+        return repr(parse_query(q, an)), len(calls)
+    except ValueError:
+        return "ValueError", len(calls)
+    finally:
+        del an.tokenize_flat
+
+
+def _pins() -> dict:
+    from lucene_ray.analysis import get_analyzer
+
+    out = {}
+    for name in PIN_ANALYZERS:
+        for q in PIN_QUERIES:
+            r, calls = _pin(q, get_analyzer(name))
+            out.setdefault(name, {})[q] = {"repr": r, "analyzes": calls > 0}
+    return out
+
+
+def test_parse_pins():
+    """Every pinned parse is unchanged, and a parse analyzes all its
+    terminals in ONE analyzer call (none when nothing is analyzed)."""
+    from lucene_ray.analysis import get_analyzer
+
+    pins = json.loads(PIN_PATH.read_text())
+    assert len(PIN_QUERIES) == len(set(PIN_QUERIES)) >= 60
+    for name in PIN_ANALYZERS:
+        assert list(pins[name]) == PIN_QUERIES, name
+        for q in PIN_QUERIES:
+            r, calls = _pin(q, get_analyzer(name))
+            assert r == pins[name][q]["repr"], (name, q)
+            if r != "ValueError":
+                assert calls == int(pins[name][q]["analyzes"]), (name, q, calls)
+
+
+if __name__ == "__main__":
+    PIN_PATH.write_text(json.dumps(_pins(), indent=1) + "\n")
+    print(f"wrote {PIN_PATH}")
