@@ -72,12 +72,11 @@ def may_contain(packed: np.ndarray, term: str) -> bool:
 
     m = len(packed) * 8
     h1, h2 = _term_hashes(pa.array([term]))
-    mask = np.uint64(m - 1)
-    for j in range(K_PROBES):
-        idx = int((h1[0] + np.uint64(j) * h2[0]) & mask)
-        if not (packed[idx >> 3] >> (idx & 7)) & 1:
-            return False
-    return True
+    # array arithmetic, as in build_filter: uint64 arrays wrap silently,
+    # where numpy scalars warn on overflow
+    probes = np.arange(K_PROBES, dtype=np.uint64)
+    idx = ((h1 + probes * h2) & np.uint64(m - 1)).astype(np.int64)
+    return bool(((packed[idx >> 3] >> (idx & 7)) & 1).all())
 
 
 def sidecar_path(seg_dir: str) -> str:

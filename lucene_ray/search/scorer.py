@@ -130,6 +130,9 @@ SPAN_QUERY_TYPES = (
 # clause kinds (one per CLAUSE_TABLE row; see the module docstring)
 TERM, FREQ, CONST, SCORED = "term", "freq", "const", "scored"
 
+# below this many hits a plain lexsort beats partition + lexsort in _topk
+_PARTITION_MIN = 512
+
 # relative safety margin applied to float upper bounds before pruning
 # (absorbs float32 summation-order differences; ImpactsDISI uses exact
 # float32 arithmetic instead — our bounds are float64 with a margin)
@@ -186,9 +189,6 @@ class SegmentTermCursor:
             return np.zeros(len(offsets), dtype=np.float64)
         return scorer.max_score_blocks(tfs, norms, offsets)
 
-    def max_score(self, scorer: BM25Scorer) -> float:
-        return float(self.block_max_scores(scorer).max(initial=0.0))
-
     def blocks_for(self, docids: np.ndarray) -> np.ndarray:
         """Block index that would contain each docid (searchsorted on the
         per-block last-docid column — the skip-list replacement)."""
@@ -202,9 +202,12 @@ class SegmentTermCursor:
             hit = cand == self.row["singleton_docid"]
             tf[hit] = self.row["singleton_tf"]
             return tf
-        blocks = np.unique(self.blocks_for(cand))
-        blocks = blocks[blocks < len(self._block_last)]
-        if self._full is not None or len(blocks) * 4 >= len(self._block_last):
+        full = self._full is not None
+        if not full:
+            blocks = np.unique(self.blocks_for(cand))
+            blocks = blocks[blocks < len(self._block_last)]
+            full = len(blocks) * 4 >= len(self._block_last)
+        if full:
             # cursor cached across queries: when candidates touch a sizable
             # share of the blocks, one full decode now is cheaper than
             # repeated selective decodes (skip-selective path kept for
@@ -250,16 +253,14 @@ class _Clause:
     freqs) + scorer, CONST and SCORED hold pre-scored (sorted docids,
     float32 scores)."""
 
-    __slots__ = ("kind", "key", "cursor", "scorer", "_eval", "_max_score", "_scored")
+    __slots__ = ("kind", "key", "cursor", "scorer", "_eval", "_scored")
 
-    def __init__(self, kind, key, cursor, scorer, evaluated=None, max_score=None,
-                 scored=None):
+    def __init__(self, kind, key, cursor, scorer, evaluated=None, scored=None):
         self.kind = kind
         self.key = key
         self.cursor = cursor
         self.scorer = scorer
         self._eval = evaluated
-        self._max_score = max_score
         self._scored = scored
 
     def evaluate(self) -> tuple[np.ndarray, np.ndarray]:
@@ -309,13 +310,6 @@ class _Clause:
                 out[hit] = tfs[idx[hit]]
             return out
         return self.cursor.lookup(cand)
-
-    def max_score(self) -> float:
-        if self._max_score is not None:
-            return self._max_score
-        if self._scored is not None:
-            return float(self._scored[1].max()) if len(self._scored[1]) else 0.0
-        return self.cursor.max_score(self.scorer)
 
 
 _POS_SPAN = np.int64(1) << np.int64(22)  # > max in-doc position we index
@@ -1460,9 +1454,7 @@ def build_clauses(reader, queries: list, scorers: dict) -> list[_Clause]:
         if len(docids) == 0:
             continue
         if kind == FREQ:
-            sc = scorers[q]
-            ms = float(sc.score(res[1].astype(np.float32), reader.norm_bytes[docids]).max())
-            out.append(_Clause(FREQ, q, None, sc, res, max_score=ms))
+            out.append(_Clause(FREQ, q, None, scorers[q], res))
         elif kind == CONST:
             scores = np.full(len(docids), np.float32(q.boost), dtype=np.float32)
             out.append(_Clause(CONST, q, None, None, scored=(docids, scores)))
@@ -1472,10 +1464,18 @@ def build_clauses(reader, queries: list, scorers: dict) -> list[_Clause]:
 
 
 def _topk(docids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """top-k by (score desc, docid asc) — HitQueue.java:78-84 tie-break."""
+    """top-k by (score desc, docid asc) — HitQueue.java:78-84 tie-break.
+    Past _PARTITION_MIN hits a partition first keeps every hit scoring at
+    least the kth score (ties included), so only those go to the lexsort."""
     if len(docids) == 0:
         return docids[:0], scores[:0].astype(np.float32)
-    order = np.lexsort((docids, -scores.astype(np.float64)))[:k]
+    neg = -scores.astype(np.float64)
+    if len(neg) > max(k, _PARTITION_MIN):
+        kth = np.partition(neg, k - 1)[k - 1]
+        if kth == kth:  # a NaN kth (NaN sorts last) means fewer than k numbers
+            keep = np.flatnonzero(neg <= kth)
+            docids, scores, neg = docids[keep], scores[keep], neg[keep]
+    order = np.lexsort((docids, neg))[:k]
     return docids[order], scores[order].astype(np.float32)
 
 
@@ -1504,26 +1504,26 @@ def _candidate_set(reader, bq: BooleanQuery, scorers: dict):
         return None
     should = build_clauses(reader, bq.should, scorers)
     must_not = build_clauses(reader, bq.must_not, scorers)
+    if not (must or should):
+        return None
 
+    # dense per-segment masks: a hit count per doc for required clauses,
+    # an OR of the optional clauses' docids otherwise
     if bq.must:
-        cand = None
+        hits = np.zeros(reader.doc_count, dtype=np.int32)
         for c in must:
-            d, _ = c.evaluate()
-            cand = d if cand is None else np.intersect1d(cand, d, assume_unique=True)
-        if cand is None or len(cand) == 0:
-            return None
+            hits[c.evaluate()[0]] += 1
+        keep = hits == len(must)
     else:
-        if not should:
-            return None
-        cand = np.unique(np.concatenate([c.evaluate()[0] for c in should]))
-
+        keep = np.zeros(reader.doc_count, dtype=bool)
+        for c in should:
+            keep[c.evaluate()[0]] = True
     live = getattr(reader, "live_mask", None)
     if live is not None:
-        cand = cand[live[cand]]  # tombstoned docs never match (LiveDocs)
+        keep &= live  # tombstoned docs never match (LiveDocs)
     for c in must_not:
-        d, _ = c.evaluate()
-        cand = cand[~np.isin(cand, d, assume_unique=True)]
-    return cand, must, should
+        keep[c.evaluate()[0]] = False
+    return np.flatnonzero(keep), must, should
 
 
 def count_segment(reader, bq: BooleanQuery, scorers: dict) -> int:
@@ -1619,7 +1619,17 @@ def score_segment_pruned(
     if not clauses:
         return np.array([], dtype=np.int64), np.array([], dtype=np.float32), 0, True
 
-    max_scores = np.array([c.max_score() for c in clauses], dtype=np.float64)
+    # one bound pass per clause: a term's block maxima give its max score and
+    # its non-essential per-block bounds; any other clause is materialized,
+    # so its (docids, scores) are kept for the essential loop and the rescore
+    norm_bytes = reader.norm_bytes
+    bms = [c.cursor.block_max_scores(c.scorer) if c.kind == TERM else None for c in clauses]
+    scored = [None if c.kind == TERM else c.eval_scores(norm_bytes) for c in clauses]
+    max_scores = np.array(
+        [b.max(initial=0.0) if b is not None else ds[1].max(initial=0.0)
+         for b, ds in zip(bms, scored)],
+        dtype=np.float64,
+    )
     order = np.argsort(-max_scores, kind="stable")  # eval from strongest
 
     doc_count = reader.doc_count
@@ -1627,22 +1637,21 @@ def score_segment_pruned(
     acc = np.zeros(doc_count, dtype=np.float32)
     in_cand = np.zeros(doc_count, dtype=bool)
     theta = float(theta)
-    evaluated: list[int] = []
     j = 0
     while j < len(order):
         rest_bound = float(max_scores[order[j:]].sum()) * (1 + _BOUND_MARGIN)
         if theta > 0 and rest_bound <= theta:
             break  # remaining clauses cannot introduce a competitive doc
-        c = clauses[order[j]]
-        d, s = c.eval_scores(reader.norm_bytes)
+        i = order[j]
+        d, s = clauses[i].eval_scores(norm_bytes) if scored[i] is None else scored[i]
         if live is not None:
             # filter BEFORE the θ floor sees these scores — a tombstoned
             # high scorer must not raise the floor and prune live docs
             m = live[d]
             d, s = d[m], s[m]
+        scored[i] = d, s
         acc[d] += s
         in_cand[d] = True
-        evaluated.append(order[j])
         # floor = kth best current partial sum (valid lower bounds)
         cand_scores = acc[in_cand]
         if len(cand_scores) >= k:
@@ -1650,18 +1659,16 @@ def score_segment_pruned(
             theta = max(theta, kth)
         j += 1
 
-    cand = np.nonzero(in_cand)[0].astype(np.int64)
-    non_essential = [clauses[i] for i in order[j:]]
-    if non_essential:
+    cand = np.flatnonzero(in_cand)
+    if j < len(order):
         # refine upper bounds per candidate with per-block maxes, then prune
         ub = acc[cand].astype(np.float64)
-        for c in non_essential:
-            if c.cursor is not None:
-                bms = c.cursor.block_max_scores(c.scorer)
-                bi = np.minimum(c.cursor.blocks_for(cand), len(bms) - 1)
-                ub += bms[bi]
+        for i in order[j:]:
+            if bms[i] is not None:
+                bi = np.minimum(clauses[i].cursor.blocks_for(cand), len(bms[i]) - 1)
+                ub += bms[i][bi]
             else:
-                ub += c.max_score()
+                ub += max_scores[i]
         keep = ub * (1 + _BOUND_MARGIN) >= theta
         survivors = cand[keep]
     else:
@@ -1671,11 +1678,21 @@ def score_segment_pruned(
                 acc[survivors].astype(np.float64) * (1 + _BOUND_MARGIN) >= theta
             ]
 
-    exact = len(evaluated) == len(clauses)
+    exact = j == len(order)  # every clause evaluated
     if len(survivors) == 0:
         return survivors, np.array([], dtype=np.float32), int(len(cand)), exact
-    total, matches = _canonical_scores(clauses, survivors, reader.norm_bytes)
-    keep = matches >= 1
-    survivors, total = survivors[keep], total[keep]
+    # canonical-order rescore (the _canonical_scores sum): a clause with kept
+    # scores is scattered into one dense buffer, gathered at the survivors
+    # and cleared (+0.0f off its matches is exact); only non-essential terms
+    # are looked up. Every survivor matched an evaluated clause.
+    total = np.zeros(len(survivors), dtype=np.float32)
+    buf = np.zeros(doc_count, dtype=np.float32)
+    for c, ds in zip(clauses, scored):
+        if ds is None:
+            total = total + c.contrib(survivors, norm_bytes)[0]
+        else:
+            buf[ds[0]] = ds[1]
+            total = total + buf[survivors]
+            buf[ds[0]] = 0.0
     d, s = _topk(survivors, total, k)
     return d, s, int(len(cand)), exact

@@ -36,6 +36,19 @@ class BM25Similarity:
             raise ValueError(f"illegal b value: {b}")
         self.k1 = np.float32(k1)
         self.b = np.float32(b)
+        self._norm_memo = (None, None)
+
+    def _norm_inverse(self, avgdl: np.float32) -> np.ndarray:
+        """The 256-entry norm-inverse cache, float32 throughout. The table
+        for the last avgdl is kept (read-only): a query's terms share it."""
+        if self._norm_memo[0] != avgdl:
+            cache = np.float32(1.0) / (
+                self.k1 * ((np.float32(1.0) - self.b) + self.b * LENGTH_TABLE_F32 / avgdl)
+            )
+            cache = cache.astype(np.float32)
+            cache.flags.writeable = False
+            self._norm_memo = (avgdl, cache)
+        return self._norm_memo[1]
 
     def idf(self, doc_freq: int, doc_count: int) -> np.float32:
         return np.float32(
@@ -58,16 +71,8 @@ class BM25Similarity:
         total_term_freq: int = 0,
     ) -> "BM25Scorer":
         avgdl = self.avgdl(sum_total_term_freq, doc_count)
-        # 256-entry norm-inverse cache, float32 throughout
-        cache = np.float32(1.0) / (
-            self.k1
-            * (
-                (np.float32(1.0) - self.b)
-                + self.b * LENGTH_TABLE_F32 / avgdl
-            )
-        )
         weight = np.float32(boost) * self.idf(doc_freq, doc_count)
-        return BM25Scorer(weight, cache.astype(np.float32))
+        return BM25Scorer(weight, self._norm_inverse(avgdl))
 
     def phrase_scorer(
         self,
@@ -84,12 +89,8 @@ class BM25Similarity:
         for df in doc_freqs:
             idf_sum += float(self.idf(df, doc_count))
         avgdl = self.avgdl(sum_total_term_freq, doc_count)
-        cache = np.float32(1.0) / (
-            self.k1
-            * ((np.float32(1.0) - self.b) + self.b * LENGTH_TABLE_F32 / avgdl)
-        )
         weight = np.float32(boost) * np.float32(idf_sum)
-        return BM25Scorer(weight, cache.astype(np.float32))
+        return BM25Scorer(weight, self._norm_inverse(avgdl))
 
 
 class BM25Scorer:

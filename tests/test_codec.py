@@ -210,3 +210,27 @@ def test_offsets_stream_roundtrip():
     assert int(df.sum()) == len(pdoc)
     assert len(odelta) == n_tok and len(olen) == n_tok
     assert olen.sum() == lens.sum()
+
+
+def test_bloom_probe_matches_build_without_warnings():
+    """may_contain probes exactly the K bits build_filter sets, with no
+    uint64 overflow warning (array arithmetic wraps silently)."""
+    import warnings
+
+    from lucene_ray.codec.bloom import build_filter, may_contain
+
+    terms = [f"term{chr(97 + i % 26)}{i}" for i in range(200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = build_filter(pa.array(terms))
+        assert all(may_contain(full, t) for t in terms)
+        for t in terms:
+            one = build_filter(pa.array([t]))
+            bits = np.flatnonzero(np.unpackbits(one, bitorder="little"))
+            assert 1 <= len(bits) <= 4
+            assert may_contain(one, t)
+            for b in bits:
+                cleared = np.unpackbits(one, bitorder="little")
+                cleared[b] = 0
+                assert not may_contain(np.packbits(cleared, bitorder="little"), t)
+        assert not may_contain(np.zeros_like(full), terms[0])

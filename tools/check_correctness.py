@@ -75,59 +75,62 @@ def main() -> None:
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  ignore_reinit_error=True)
 
-    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    import __ray_entry__ as entrymod
+    try:
+        sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        import __ray_entry__ as entrymod
 
-    con = duckdb.connect()
-    for t in TABLES:
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
-        )
-
-    qs = entrymod.queries()
-    oracles = entrymod.oracle_sql()
-    out = {}
-    for name, fn in qs.items():
-        if only and name not in only:
-            continue
-        rec: dict = {}
-        try:
-            raw = to_pandas(fn(sf_dir))
-            # dtypes as returned: canon() widens every int to int64, so an
-            # int32 -> int64 change would not show in engine_hash
-            rec["engine_schema"] = ",".join(
-                f"{c}:{raw[c].dtype}" for c in raw.columns
+        con = duckdb.connect()
+        for t in TABLES:
+            con.execute(
+                f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
             )
-            mine = canon(raw)
-            rec["spark_rows"] = len(mine)
-            # engine-side hash: diff two runs' output to show a refactor
-            # left every gate's result unchanged
-            rec["engine_hash"] = value_hash(mine)
-            sql = oracles.get(name)
-            if sql is None:
-                rec["err"] = "no_oracle"
-            else:
-                oracle = canon(con.execute(sql).fetchdf())
-                rec["oracle_rows"] = len(oracle)
-                rec["rows_match"] = len(mine) == len(oracle)
-                rec["schema_match"] = [str(mine[c].dtype) for c in mine.columns] == [
-                    str(oracle[c].dtype) for c in oracle.columns
-                ] and list(mine.columns) == list(oracle.columns)
-                rec["hash_match"] = value_hash(mine) == value_hash(oracle)
-                if not rec["hash_match"]:
-                    rec["my_dtypes"] = {c: str(mine[c].dtype) for c in mine.columns}
-                    rec["or_dtypes"] = {c: str(oracle[c].dtype) for c in oracle.columns}
-        except Exception as e:  # noqa: BLE001
-            rec["err"] = f"{type(e).__name__}: {e}"
-        out[name] = rec
-        flag = "OK " if rec.get("hash_match") else ("--- " if rec.get("err") == "no_oracle" else "FAIL")
-        shown = {k: v for k, v in rec.items() if k != "engine_schema"}
-        print(flag, name, f"engine_schema={rec.get('engine_schema')}",
-              json.dumps(shown, default=str)[:240], flush=True)
 
-    bad = [k for k, v in out.items() if v.get("hash_match") is False or
-           (v.get("err") and v["err"] != "no_oracle")]
-    print("\nFAILING:", bad if bad else "none")
+        qs = entrymod.queries()
+        oracles = entrymod.oracle_sql()
+        out = {}
+        for name, fn in qs.items():
+            if only and name not in only:
+                continue
+            rec: dict = {}
+            try:
+                raw = to_pandas(fn(sf_dir))
+                # dtypes as returned: canon() widens every int to int64, so an
+                # int32 -> int64 change would not show in engine_hash
+                rec["engine_schema"] = ",".join(
+                    f"{c}:{raw[c].dtype}" for c in raw.columns
+                )
+                mine = canon(raw)
+                rec["spark_rows"] = len(mine)
+                # engine-side hash: diff two runs' output to show a refactor
+                # left every gate's result unchanged
+                rec["engine_hash"] = value_hash(mine)
+                sql = oracles.get(name)
+                if sql is None:
+                    rec["err"] = "no_oracle"
+                else:
+                    oracle = canon(con.execute(sql).fetchdf())
+                    rec["oracle_rows"] = len(oracle)
+                    rec["rows_match"] = len(mine) == len(oracle)
+                    rec["schema_match"] = [str(mine[c].dtype) for c in mine.columns] == [
+                        str(oracle[c].dtype) for c in oracle.columns
+                    ] and list(mine.columns) == list(oracle.columns)
+                    rec["hash_match"] = value_hash(mine) == value_hash(oracle)
+                    if not rec["hash_match"]:
+                        rec["my_dtypes"] = {c: str(mine[c].dtype) for c in mine.columns}
+                        rec["or_dtypes"] = {c: str(oracle[c].dtype) for c in oracle.columns}
+            except Exception as e:  # noqa: BLE001
+                rec["err"] = f"{type(e).__name__}: {e}"
+            out[name] = rec
+            flag = "OK " if rec.get("hash_match") else ("--- " if rec.get("err") == "no_oracle" else "FAIL")
+            shown = {k: v for k, v in rec.items() if k != "engine_schema"}
+            print(flag, name, f"engine_schema={rec.get('engine_schema')}",
+                  json.dumps(shown, default=str)[:240], flush=True)
+
+        bad = [k for k, v in out.items() if v.get("hash_match") is False or
+               (v.get("err") and v["err"] != "no_oracle")]
+        print("\nFAILING:", bad if bad else "none")
+    finally:
+        ray.shutdown()
 
 
 if __name__ == "__main__":
