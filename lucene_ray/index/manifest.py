@@ -20,6 +20,8 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from lucene_ray.index.segfiles import ENTRY
 
 
@@ -91,6 +93,23 @@ class Manifest:
     @property
     def live_segments(self) -> list:
         return [s for s in self.segments if not s.deleted]
+
+
+def segment_groups(entries: list, global_docids):
+    """The one global-to-segment grouping: yields (entry, positions, local
+    docids) for each of ``entries`` (ascending by docid_base) holding any
+    of ``global_docids``. ``positions`` index ``global_docids`` in input
+    order; docids below the first base belong to no entry and are
+    skipped."""
+    g = np.asarray(global_docids, dtype=np.int64)
+    bases = np.array([e.docid_base for e in entries], dtype=np.int64)
+    seg_idx = np.searchsorted(bases, g, side="right") - 1
+    for si in np.unique(seg_idx):
+        if si < 0:
+            continue
+        e = entries[int(si)]
+        pos = np.flatnonzero(seg_idx == si)
+        yield e, pos, g[pos] - e.docid_base
 
 
 def segment_dir(index_dir: str, name: str) -> str:

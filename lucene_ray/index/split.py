@@ -252,8 +252,7 @@ def pk_split_index(
     # scale note: like the reference tool, membership is resolved on the
     # driver (O(maxDoc) docid lists) — this is index SURGERY, not a query
     # path; shard-scale splitting goes through split_index per segment
-    s = IndexSearcher(src_dir)
-    matched = set(s.search(query, max(max_doc, 1)).docids.tolist())
+    matched = set(IndexSearcher(src_dir).matching_docs(query).tolist())
     _copy_full(src_dir, dir1)
     delete_docs(dir1, [d for d in range(max_doc) if d not in matched])
     _copy_full(src_dir, dir2)

@@ -40,6 +40,7 @@ from lucene_ray.index.manifest import (
     SegmentEntry,
     read_manifest,
     segment_dir,
+    segment_groups,
     write_entry,
     write_manifest,
 )
@@ -74,14 +75,8 @@ def delete_docs(index_dir: str, global_docids) -> int:
     manifest = read_manifest(index_dir)
     g = np.unique(np.asarray(global_docids, dtype=np.int64))
     live_entries = sorted(manifest.live_segments, key=lambda e: e.docid_base)
-    bases = np.array([e.docid_base for e in live_entries], dtype=np.int64)
-    seg_idx = np.searchsorted(bases, g, side="right") - 1
     before = sum(getattr(e, "del_count", 0) for e in live_entries)
-    for si in np.unique(seg_idx):
-        if si < 0:
-            continue
-        e = live_entries[int(si)]
-        local = g[seg_idx == si] - e.docid_base
+    for e, _pos, local in segment_groups(live_entries, g):
         _apply_segment_deletes(index_dir, e, local)
     after = sum(getattr(e, "del_count", 0) for e in live_entries)
     if after - before:
@@ -99,16 +94,10 @@ def _apply_soft(index_dir: str, global_docids, value: bool) -> int:
     manifest = read_manifest(index_dir)
     g = np.unique(np.asarray(global_docids, dtype=np.int64))
     live_entries = sorted(manifest.live_segments, key=lambda e: e.docid_base)
-    bases = np.array([e.docid_base for e in live_entries], dtype=np.int64)
-    seg_idx = np.searchsorted(bases, g, side="right") - 1
     changed = 0
-    for si in np.unique(seg_idx):
-        if si < 0:
-            continue
-        e = live_entries[int(si)]
+    for e, _pos, local in segment_groups(live_entries, g):
         seg_d = segment_dir(index_dir, e.name)
-        local = g[seg_idx == si] - e.docid_base
-        local = local[(local >= 0) & (local < e.doc_count)]
+        local = local[local < e.doc_count]
         if value and getattr(e, "del_gen", 0) > 0:
             # never soft-mark a hard tombstone (keeps del_count +
             # soft_del_count disjoint for live_doc_count)

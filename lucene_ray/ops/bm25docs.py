@@ -96,11 +96,9 @@ def _docset_table(docsets) -> pa.Table:
 
 
 def _docsets(s, queries) -> pa.Table:
-    """(qid, docid) doc-set gate table: every hit of s.search(q) for each
-    (qid, q) of ``queries``, in order."""
-    return _docset_table(
-        (qid, s.search(q, 1_000_000).docids) for qid, q in queries
-    )
+    """(qid, docid) doc-set gate table: the match set of each (qid, q) of
+    ``queries`` (``s.matching_docs(q)``), in order."""
+    return _docset_table((qid, s.matching_docs(q)) for qid, q in queries)
 
 
 def _ranked_table(ranked, rank_type=pa.int32()) -> pa.Table:
@@ -790,8 +788,7 @@ def splitter_engine(sf_dir: str) -> pa.Table:
         s = IndexSearcher(ix)
         from lucene_ray.search.query import BooleanQuery
 
-        td = s.search(BooleanQuery(should=[MatchAllDocsQuery()]), 10_000_000)
-        return sorted(td.docids.tolist())
+        return s.matching_docs(BooleanQuery(should=[MatchAllDocsQuery()]))
 
     parts = seq + rr + [pk1, pk2, two, rearr]
     return _docset_table((qid, docset(ix)) for qid, ix in enumerate(parts))
@@ -2886,10 +2883,10 @@ def sortednumeric_engine(sf_dir: str, k: int = 20) -> pa.Table:
     ))
 
     def sorted_top(selector: str, asc: bool):
-        td = s.search("merge", 1_000_000)
-        vals = fetch_sorted_numeric_selected(s.reader, td.docids, "sig_nums", selector)
+        docids = s.matching_docs("merge")
+        vals = fetch_sorted_numeric_selected(s.reader, docids, "sig_nums", selector)
         key = vals if asc else -vals
-        return td.docids[np.lexsort((td.docids, key))[:k]]
+        return docids[np.lexsort((docids, key))[:k]]
 
     sorts = _ranked_table(
         ((qid, sorted_top(selector, asc))
@@ -2937,10 +2934,10 @@ def binarydv_engine(sf_dir: str) -> pa.Table:
     s = IndexSearcher(ix)
     out_q, out_d, out_h = [], [], []
     for qid, term in ((0, "merge"), (1, "window")):
-        td = s.search(term, 1_000_000)
-        blobs = fetch_binary_doc_values(s.reader, td.docids, "content_sha")
-        out_q.extend([qid] * len(td.docids))
-        out_d.extend(td.docids.tolist())
+        docids = s.matching_docs(term)
+        blobs = fetch_binary_doc_values(s.reader, docids, "content_sha")
+        out_q.extend([qid] * len(docids))
+        out_d.extend(docids.tolist())
         out_h.extend(b.hex() for b in blobs)
     return pa.table(
         {
@@ -3290,9 +3287,9 @@ def multisyn_engine(sf_dir: str) -> pa.Table:
     s = IndexSearcher(ix)
     an = get_analyzer("code")
     return _docset_table(
-        (qid, np.sort(s.search(
-            apply_multi_synonyms(parse_query(q, an), MULTISYN_RULES), 1 << 62
-        ).docids))
+        (qid, s.matching_docs(
+            apply_multi_synonyms(parse_query(q, an), MULTISYN_RULES)
+        ))
         for qid, q in MULTISYN_QUERIES
     )
 
@@ -5280,9 +5277,9 @@ def combinedfield_engine(sf_dir: str) -> pa.Table:
     s = IndexSearcher(ix)
     fields = (("content", CFQ_W_CONTENT), ("repo", CFQ_W_REPO))
     return _docset_table(
-        (qid, np.sort(s.search(BooleanQuery(should=[
+        (qid, s.matching_docs(BooleanQuery(should=[
             CombinedFieldQuery(terms=tuple(terms), fields=fields)
-        ]), 1_000_000).docids))
+        ])))
         for qid, terms in COMBINEDFIELD_QUERIES
     )
 
@@ -5865,13 +5862,12 @@ def dvupdate_engine(sf_dir: str, k: int = 25) -> pa.Table:
         ]
         force_merge(ix)
         s2 = IndexSearcher(ix)
-        td = s2.search(
+        docids = s2.matching_docs(
             BooleanQuery(
                 should=[PointRangeQuery("n_chars", DV_UPDATE_VALUE, DV_UPDATE_VALUE)]
-            ),
-            1_000_000,
+            )
         )
-        ranked.append((2, np.sort(td.docids)[:k]))
+        ranked.append((2, docids[:k]))
         return _ranked_table(ranked)
     finally:
         shutil.rmtree(ix, ignore_errors=True)
@@ -7062,7 +7058,7 @@ def softdelete_engine(sf_dir: str) -> pa.Table:
         ids = np.arange(n, dtype=np.int64)
 
         def collect():
-            return IndexSearcher(ix).search("merge", 1_000_000).docids
+            return IndexSearcher(ix).matching_docs("merge")
 
         soft_delete_docs(ix, ids[ids % 7 == 0])
         hits = [collect()]
@@ -7275,7 +7271,7 @@ def replica_engine(sf_dir: str) -> pa.Table:
         build_index([corpus_path], src, target_docs=8192)
 
         def collect():
-            return IndexSearcher(dst).search("merge", 1_000_000).docids
+            return IndexSearcher(dst).matching_docs("merge")
 
         replicate(src, dst)
         hits = [collect()]
@@ -8125,12 +8121,11 @@ def searchquality_engine(sf_dir: str) -> pa.Table:
     s = IndexSearcher(ix)
     ranked, qrels = {}, {}
     for qid, term, judge_term, k in QUALITY_QUERIES:
-        td = s.search(term, k=1 << 62)
-        vals = fetch_doc_values(s.reader, td.docids, "n_chars")
-        order = np.lexsort((td.docids, -vals))[:k]
-        ranked[qid] = td.docids[order].tolist()
-        jd = s.search(judge_term, k=1 << 62)
-        qrels[qid] = set(jd.docids.tolist())
+        docids = s.matching_docs(term)
+        vals = fetch_doc_values(s.reader, docids, "n_chars")
+        order = np.lexsort((docids, -vals))[:k]
+        ranked[qid] = docids[order].tolist()
+        qrels[qid] = set(s.matching_docs(judge_term).tolist())
     stats = execute_benchmark(ranked, SetJudge(qrels))
     out = {"qid": [], "metric": [], "value": []}
     for qid in sorted(stats):

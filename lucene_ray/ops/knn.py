@@ -758,8 +758,7 @@ def knn_filtered(sf_dir: str, k: int = TOP_K, term: str = KNN_FILTER_TERM) -> "r
     # docid == doc_id: documents_as_corpus preserves row order and docids
     # are assigned 0..n-1 in row order (builder.plan_segments)
     searcher = IndexSearcher(_engine_index(sf_dir))
-    td = searcher.search(BooleanQuery(should=[TermQuery(term)]), 1_000_000)
-    allowed = np.sort(td.docids.astype(np.int64))
+    allowed = searcher.matching_docs(BooleanQuery(should=[TermQuery(term)]))
     import pandas as pd
 
     if len(allowed) == 0:

@@ -139,8 +139,7 @@ def dataset_split(
     from lucene_ray.search.engine import fetch_stored
     from lucene_ray.search.query import BooleanQuery, MatchAllDocsQuery
 
-    td = searcher.search(BooleanQuery(must=[MatchAllDocsQuery()]), 1 << 62)
-    docids = np.sort(td.docids)
+    docids = searcher.matching_docs(BooleanQuery(must=[MatchAllDocsQuery()]))
     if len(docids) == 0:
         return docids, np.array([], dtype=object)
     stored = fetch_stored(searcher.reader, docids)
@@ -181,8 +180,8 @@ def confusion_matrix(
 
     Scoring is the SimpleNaiveBayesClassifier chain verbatim (prior +
     left-assoc per-token ln sums, math.log floats — bit-identical to the
-    SQL oracle); the per-token class hit counts come from ONE term search
-    per distinct token (matched docs' stored class gather), cached across
+    SQL oracle); the per-token class hit counts come from ONE term match
+    set per distinct token (matched docs' stored class gather), cached across
     test items — the CachingNaiveBayes strategy, same counts as the
     per-class conjunction counts."""
     from collections import Counter
@@ -204,11 +203,11 @@ def confusion_matrix(
 
     def class_hits(w: str) -> Counter:
         if w not in cache:
-            td = train_searcher.search(BooleanQuery(must=[TermQuery(w)]), 1 << 62)
-            if len(td.docids) == 0:
+            docids = train_searcher.matching_docs(BooleanQuery(must=[TermQuery(w)]))
+            if len(docids) == 0:
                 cache[w] = Counter()
             else:
-                stored = fetch_stored(train_searcher.reader, td.docids)
+                stored = fetch_stored(train_searcher.reader, docids)
                 cache[w] = Counter(stored.column(class_field).to_pylist())
         return cache[w]
 

@@ -27,7 +27,15 @@ import numpy as np
 import ray
 
 from lucene_ray.config import DEFAULT_TOP_K
-from lucene_ray.search.engine import TopDocs, build_scorers, query_terms, rewrite_lazy
+from lucene_ray.search.engine import (
+    TopDocs,
+    build_scorers,
+    collect_matches,
+    fetch_doc_values,
+    fetch_stored,
+    query_terms,
+    rewrite_lazy,
+)
 from lucene_ray.search.query import BooleanQuery, CommonTermsQuery, parse_query
 from lucene_ray.search.scorer import _topk, score_segment_exhaustive, score_segment_pruned
 from lucene_ray.search.similarity import BM25Similarity
@@ -77,18 +85,20 @@ class SegmentShardActor:
             for bq in bqs
         ]
 
+    def _matches(
+        self, bq: BooleanQuery, stats: dict, doc_count: int, sum_ttf: int
+    ) -> np.ndarray:
+        """Ascending global docids of this shard's matches, unscored (the
+        per-leaf MatchingDocs; ``collect_matches``, as the local searcher)."""
+        scorers = build_scorers(bq, stats, doc_count, sum_ttf, BM25Similarity())
+        return collect_matches(self._reader, self._entries, bq, scorers)
+
     def count_shard(
         self, bq: BooleanQuery, stats: dict, doc_count: int, sum_ttf: int
     ) -> int:
         """Exact non-scoring hit count over this shard's segments
         (TotalHitCountCollector per leaf, summed in the reduce)."""
-        from lucene_ray.search.scorer import count_segment
-
-        scorers = build_scorers(bq, stats, doc_count, sum_ttf, BM25Similarity())
-        return sum(
-            count_segment(self._reader.segment_reader(e.name), bq, scorers)
-            for e in self._entries
-        )
+        return len(self._matches(bq, stats, doc_count, sum_ttf))
 
     def sort_shard(
         self, bq: BooleanQuery, stats: dict, doc_count: int, sum_ttf: int,
@@ -98,21 +108,11 @@ class SegmentShardActor:
         each shard returns its k best (value, docid) rows; the driver's
         merge keeps the global k (identical results to the local path
         because per-shard top-k under a total order is merge-safe)."""
-        from lucene_ray.search.engine import fetch_doc_values
-
-        d, _s, n, _e = self.search_shard(
-            bq, stats, doc_count, sum_ttf, k=1 << 62, pruned=False
-        )
-        if not len(d):
-            return (
-                np.array([], dtype=np.int64),
-                np.array([], dtype=np.int64),
-                n,
-            )
+        d = self._matches(bq, stats, doc_count, sum_ttf)
         vals = fetch_doc_values(self._reader, d, field)
         key = vals if ascending else -vals
         order = np.lexsort((d, key))[:k]
-        return d[order], vals[order], n
+        return d[order], vals[order], len(d)
 
     def taxonomy_facet_shard(
         self, bq: BooleanQuery, stats: dict, doc_count: int, sum_ttf: int,
@@ -123,11 +123,7 @@ class SegmentShardActor:
         path-field tuple; additive across shards."""
         import pyarrow.compute as pc
 
-        from lucene_ray.search.engine import fetch_stored
-
-        d, _s, _n, _e = self.search_shard(
-            bq, stats, doc_count, sum_ttf, k=1 << 62, pruned=False
-        )
+        d = self._matches(bq, stats, doc_count, sum_ttf)
         if not len(d):
             return {}
         stored = fetch_stored(self._reader, d)
@@ -153,14 +149,9 @@ class SegmentShardActor:
     ) -> list:
         """Per-shard numeric range-facet counts (LongRangeFacetCounts per
         leaf) — counts are additive across shards."""
-        from lucene_ray.search.engine import fetch_doc_values
-
-        d, _s, _n, _e = self.search_shard(
-            bq, stats, doc_count, sum_ttf, k=1 << 62, pruned=False
+        vals = fetch_doc_values(
+            self._reader, self._matches(bq, stats, doc_count, sum_ttf), field
         )
-        if not len(d):
-            return [0] * len(ranges)
-        vals = fetch_doc_values(self._reader, d, field)
         return [
             int(((vals >= lo) & (vals <= hi)).sum()) for lo, hi in ranges
         ]
@@ -174,11 +165,7 @@ class SegmentShardActor:
         additive across shards, so the reduce is a dict sum)."""
         from collections import Counter
 
-        from lucene_ray.search.engine import fetch_stored
-
-        d, _s, _n, _e = self.search_shard(
-            bq, stats, doc_count, sum_ttf, k=1 << 62, pruned=False
-        )
+        d = self._matches(bq, stats, doc_count, sum_ttf)
         if not len(d):
             return {}
         vals = fetch_stored(self._reader, d).column(field).to_pylist()

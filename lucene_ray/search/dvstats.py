@@ -16,8 +16,6 @@ Divergences from the reference, chosen for exact DuckDB-oracle parity:
 
 from __future__ import annotations
 
-import numpy as np
-
 from lucene_ray.search.engine import (
     IndexSearcher,
     fetch_doc_values,
@@ -32,10 +30,10 @@ def numeric_dv_stats(searcher: IndexSearcher, query, field: str) -> dict | None:
     ``query``: count / min / max / exact sum / exact variance numerator /
     float64 mean. Returns None when no doc matches (the reference leaves
     min/max null at count 0)."""
-    td = searcher.search(query, 1_000_000)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return None
-    vals = fetch_doc_values(searcher.reader, td.docids, field)
+    vals = fetch_doc_values(searcher.reader, docids, field)
     pyvals = [int(v) for v in vals]  # exact integer moments (no int64 overflow)
     count = len(pyvals)
     vsum = sum(pyvals)
@@ -54,9 +52,9 @@ def sorted_dv_stats(searcher: IndexSearcher, query, field: str) -> dict | None:
     """SortedDocValuesStats (DocValuesStats.java SortedDocValuesStats
     subclass): lexicographic min/max TERM of a SORTED doc-values field over
     the matching docs. Returns None when no doc matches."""
-    td = searcher.search(query, 1_000_000)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return None
-    terms = fetch_sorted_dv_values(searcher.reader, td.docids, field)
+    terms = fetch_sorted_dv_values(searcher.reader, docids, field)
     svals = [str(t) for t in terms]
     return {"count": len(svals), "tmin": min(svals), "tmax": max(svals)}

@@ -30,6 +30,7 @@ import pyarrow as pa
 from lucene_ray.analysis import get_analyzer
 from lucene_ray.config import DEFAULT_TOP_K
 from lucene_ray.index import segfiles
+from lucene_ray.index.manifest import segment_groups
 from lucene_ray.search.query import (
     BooleanQuery,
     BlendedTermQuery,
@@ -60,8 +61,9 @@ from lucene_ray.search.rewrite import MULTI_TERM_TYPES, maybe_rewrite
 from lucene_ray.search.reader import IndexReader
 from lucene_ray.search.scorer import (
     SPAN_QUERY_TYPES,
+    _no_docs,
     _topk,
-    count_segment,
+    match_segment,
     score_segment_exhaustive,
     score_segment_pruned,
 )
@@ -339,18 +341,33 @@ class IndexSearcher:
 
         return explain(self, query, docid)
 
+    def matching_docs(self, query: str | BooleanQuery) -> np.ndarray:
+        """The match set of ``query`` as ascending global docids, nothing
+        scored or ranked (ScoreMode.COMPLETE_NO_SCORES; the per-segment
+        MatchingDocs a FacetsCollector hands to facets). Same preparation
+        and empty-query rules as ``search``: ``search(query, k)`` returns
+        a top-k of exactly this set."""
+        bq = self.prepare(query)
+        if not (bq.must or bq.should):
+            return _no_docs()
+        return self._matches(bq)
+
     def count(self, query: str | BooleanQuery) -> int:
         """Exact hit count without collecting top-k
         (search/IndexSearcher.java:380 count(): shortcut paths, then
-        TotalHitCountCollector). Shortcuts valid only with no deletions:
-        a lone TermQuery counts via its docFreq, MatchAllDocsQuery via the
-        doc count. Counts are always exact — candidate docid sets are free
-        in this design, so the reference's 1000-hit threshold approximation
-        is unnecessary."""
+        TotalHitCountCollector). Shortcuts valid only with no hard or soft
+        deletions: a lone TermQuery counts via its docFreq,
+        MatchAllDocsQuery via the doc count. Otherwise the count is the
+        size of the ``matching_docs`` set — exact, because that set is
+        materialized per segment without scoring, so the reference's
+        1000-hit threshold approximation is unnecessary."""
         bq = self.prepare(query)
         if not (bq.must or bq.should):
             return 0
-        has_dels = any(getattr(e, "del_gen", 0) > 0 for e in self.reader.segments)
+        has_dels = any(
+            getattr(e, "del_gen", 0) > 0 or getattr(e, "soft_del_gen", 0) > 0
+            for e in self.reader.segments
+        )
         clauses = bq.must + bq.should
         if (
             not has_dels
@@ -363,11 +380,46 @@ class IndexSearcher:
                 return int(self.reader.global_term_stats([q.term])[q.term][0])
             if isinstance(q, MatchAllDocsQuery):
                 return int(self.reader.doc_count)
-        scorers = self._scorers(bq)
-        return sum(
-            count_segment(self.reader.segment_reader(e.name), bq, scorers)
-            for e in self.reader.segments
+        return len(self._matches(bq))
+
+    def _matches(self, bq: BooleanQuery) -> np.ndarray:
+        return collect_matches(
+            self.reader, self.reader.segments, bq, self._scorers(bq)
         )
+
+
+def collect_matches(
+    reader: IndexReader, entries: list, bq: BooleanQuery, scorers: dict
+) -> np.ndarray:
+    """Ascending global docids matching prepared ``bq`` in ``entries`` (a
+    docid_base-ascending subset of ``reader.segments``): ``match_segment``
+    per segment, rebased. Shared by IndexSearcher.matching_docs/count and
+    the distributed shard actors."""
+    parts = [
+        match_segment(reader.segment_reader(e.name), bq, scorers)[0] + e.docid_base
+        for e in entries
+    ]
+    return np.concatenate(parts) if parts else _no_docs()
+
+
+def _list_values(
+    offsets: np.ndarray, flat: np.ndarray, local: np.ndarray
+) -> np.ndarray:
+    """Every value of the multi-valued doc-values lists of ``local`` docs
+    (``flat[offsets[d]:offsets[d + 1]]`` for each d, concatenated in
+    order) — one vectorized gather, no per-doc loop."""
+    lens = offsets[local + 1] - offsets[local]
+    within = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens, lens)
+    return flat[np.repeat(offsets[local], lens) + within]
+
+
+def _selected_index(offsets: np.ndarray, local: np.ndarray, selector: str):
+    """(index into the flat column of each doc's first ("min") or last
+    ("max") value, mask of docs whose list is empty) — the
+    Sorted{Numeric,Set}Selector read over ascending per-doc lists. An
+    empty list's index points at a neighbouring doc's value."""
+    start, end = offsets[local], offsets[local + 1]
+    return (start if selector == "min" else end - 1), start == end
 
 
 def facet_counts(
@@ -378,8 +430,8 @@ def facet_counts(
     fields instead of a taxonomy index). Returns (value, count) sorted by
     count desc then value asc. Collects the full matching doc SET (facets
     are exhaustive by definition), then one stored-fields gather."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return []
     reader = searcher.reader
     first = reader.segments[0]
@@ -387,24 +439,17 @@ def facet_counts(
         # SORTED-DV-backed counting (SortedSetDocValuesFacetCounts.java
         # singleton path): per-segment ordinal bincount over the hit set,
         # then a term-keyed cross-segment sum — columnar, no row-store read
-        g = np.sort(np.asarray(td.docids, dtype=np.int64))
         agg: dict[str, int] = {}
-        for entry in reader.segments:
-            a = int(np.searchsorted(g, entry.docid_base))
-            b = int(np.searchsorted(g, entry.docid_base + entry.doc_count))
-            if a == b:
-                continue
+        for entry, _pos, local in segment_groups(reader.segments, docids):
             ords, terms = reader.segment_reader(entry.name).sorted_doc_values(
                 field
             )
-            counts = np.bincount(
-                ords[g[a:b] - entry.docid_base], minlength=len(terms)
-            )
+            counts = np.bincount(ords[local], minlength=len(terms))
             for ti in np.nonzero(counts)[0]:
                 t = str(terms[ti])
                 agg[t] = agg.get(t, 0) + int(counts[ti])
         return sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))
-    stored = fetch_stored(reader, td.docids)
+    stored = fetch_stored(reader, docids)
     vals = stored.column(field).to_pylist()
     from collections import Counter
 
@@ -420,27 +465,17 @@ def sorted_set_facet_counts(
     doc contributes once per DISTINCT value in its set (the reader
     guarantees de-duplicated ascending ords per doc). Returns
     (value, count) sorted by count desc then value asc."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
-        return []
     reader = searcher.reader
-    g = np.sort(np.asarray(td.docids, dtype=np.int64))
     agg: dict[str, int] = {}
-    for entry in reader.segments:
-        a = int(np.searchsorted(g, entry.docid_base))
-        b = int(np.searchsorted(g, entry.docid_base + entry.doc_count))
-        if a == b:
-            continue
+    for entry, _pos, local in segment_groups(
+        reader.segments, searcher.matching_docs(query)
+    ):
         offsets, flat_ords, terms = reader.segment_reader(
             entry.name
         ).sorted_set_doc_values(field)
-        local = g[a:b] - entry.docid_base
-        lens = offsets[local + 1] - offsets[local]
-        starts = offsets[local]
-        idx = np.repeat(starts, lens) + (
-            np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens, lens)
+        counts = np.bincount(
+            _list_values(offsets, flat_ords, local), minlength=len(terms)
         )
-        counts = np.bincount(flat_ords[idx], minlength=len(terms))
         for ti in np.nonzero(counts)[0]:
             t = str(terms[ti])
             agg[t] = agg.get(t, 0) + int(counts[ti])
@@ -464,10 +499,10 @@ def taxonomy_facet_counts(
     arrow value_counts per depth — no per-doc python loop."""
     import pyarrow.compute as pc
 
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return []
-    stored = fetch_stored(searcher.reader, td.docids)
+    stored = fetch_stored(searcher.reader, docids)
     out: list[tuple[str, int]] = []
     path = None
     for depth, f in enumerate(path_fields):
@@ -527,12 +562,12 @@ def facet_sum_values(
     the doc-values field here). Returns (value, sum) sorted by sum desc
     then value asc; one non-scoring match collection, one stored gather,
     one doc-values gather, a numpy segmented sum."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return []
-    stored = fetch_stored(searcher.reader, td.docids)
+    stored = fetch_stored(searcher.reader, docids)
     labels = np.asarray(stored.column(field).to_pylist(), dtype=object)
-    vals = fetch_doc_values(searcher.reader, td.docids, value_field)
+    vals = fetch_doc_values(searcher.reader, docids, value_field)
     uniq, inv = np.unique(labels.astype(str), return_inverse=True)
     sums = np.zeros(len(uniq), dtype=np.int64)
     np.add.at(sums, inv, vals)
@@ -575,15 +610,9 @@ def drill_sideways_counts(
 
 def fetch_doc_values(reader: IndexReader, global_docids, field: str) -> np.ndarray:
     """Numeric doc values for global docids, input order preserved."""
-    g = np.asarray(global_docids, dtype=np.int64)
-    bases = np.array([e.docid_base for e in reader.segments], dtype=np.int64)
-    seg_idx = np.searchsorted(bases, g, side="right") - 1
-    out = np.zeros(len(g), dtype=np.int64)
-    for si in np.unique(seg_idx):
-        entry = reader.segments[int(si)]
-        sel = np.nonzero(seg_idx == si)[0]
-        dv = reader.segment_reader(entry.name).doc_values(field)
-        out[sel] = dv[g[sel] - entry.docid_base]
+    out = np.zeros(len(global_docids), dtype=np.int64)
+    for entry, pos, local in segment_groups(reader.segments, global_docids):
+        out[pos] = reader.segment_reader(entry.name).doc_values(field)[local]
     return out
 
 
@@ -659,15 +688,10 @@ def fetch_sorted_dv_values(
     """SORTED doc-value TERMS for global docids, input order preserved —
     the TermOrdValComparator's value view (per-segment ords resolve through
     each segment's own dictionary; cross-segment comparison is by term)."""
-    g = np.asarray(global_docids, dtype=np.int64)
-    bases = np.array([e.docid_base for e in reader.segments], dtype=np.int64)
-    seg_idx = np.searchsorted(bases, g, side="right") - 1
-    out = np.empty(len(g), dtype=object)
-    for si in np.unique(seg_idx):
-        entry = reader.segments[int(si)]
-        sel = np.nonzero(seg_idx == si)[0]
+    out = np.empty(len(global_docids), dtype=object)
+    for entry, pos, local in segment_groups(reader.segments, global_docids):
         ords, terms = reader.segment_reader(entry.name).sorted_doc_values(field)
-        out[sel] = terms[ords[g[sel] - entry.docid_base]]
+        out[pos] = terms[ords[local]]
     return out
 
 
@@ -794,26 +818,20 @@ def fetch_stored(reader: IndexReader, global_docids) -> pa.Table:
     docids, preserving input order — search-result display fetch
     (demo/.../SearchFiles.java:207-214). Only the owning segments' stored
     tables are touched."""
-    import numpy as np
-
-    g = np.asarray(global_docids, dtype=np.int64)
-    bases = np.array([e.docid_base for e in reader.segments], dtype=np.int64)
-    seg_idx = np.searchsorted(bases, g, side="right") - 1
     parts = []
     order = []
-    for si in np.unique(seg_idx):
-        entry = reader.segments[int(si)]
-        sel = np.nonzero(seg_idx == si)[0]
-        sr = reader.segment_reader(entry.name)
-        t = sr.stored_rows(g[sel] - entry.docid_base)
-        t = t.append_column("docid", pa.array(g[sel], type=pa.int64()))
+    for entry, pos, local in segment_groups(reader.segments, global_docids):
+        t = reader.segment_reader(entry.name).stored_rows(local)
+        t = t.append_column(
+            "docid", pa.array(local + entry.docid_base, type=pa.int64())
+        )
         parts.append(t)
-        order.append(sel)
+        order.append(pos)
     if not parts:
         return pa.table({})
     merged = pa.concat_tables(parts)
-    inv = np.empty(len(g), dtype=np.int64)
-    inv[np.concatenate(order)] = np.arange(len(g))
+    inv = np.empty(len(global_docids), dtype=np.int64)
+    inv[np.concatenate(order)] = np.arange(len(global_docids))
     return merged.take(inv)
 
 
@@ -923,10 +941,10 @@ def join_query(
     'field:value' keyword terms), optionally ANDed with ``to_query``.
     ScoreMode.None semantics (constant-score to-side). ``max_terms`` caps
     the value set (BooleanQuery.maxClauseCount spirit)."""
-    td = searcher.search(from_query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(from_query)
+    if len(docids) == 0:
         return BooleanQuery()  # no from-matches -> matches nothing
-    stored = fetch_stored(searcher.reader, td.docids)
+    stored = fetch_stored(searcher.reader, docids)
     vals = sorted(set(stored.column(field).to_pylist()))[:max_terms]
     in_set = TermInSetQuery(tuple(f"{field}:{v}" for v in vals))
     out = BooleanQuery(must=[in_set])
@@ -957,11 +975,11 @@ def double_range_facet_counts(
     (range_index, count) per range, input order; ranges may overlap."""
     from lucene_ray.search.similarity import _ulog
 
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return [(i, 0) for i in range(len(ranges))]
     vals = _ulog(
-        fetch_doc_values(searcher.reader, td.docids, field).astype(np.float64)
+        fetch_doc_values(searcher.reader, docids, field).astype(np.float64)
         + 1.0
     )
     return [
@@ -987,30 +1005,30 @@ def join_query_scored(
     support counts."""
     if score_mode not in ("total", "max", "avg"):
         raise ValueError("score_mode must be total/max/avg")
-    td = searcher.search(from_query, k=1 << 62)
+    docids = searcher.matching_docs(from_query)
     z = np.array([], dtype=np.int64)
-    if len(td.docids) == 0:
+    if len(docids) == 0:
         return SortedTopDocs(z, np.array([], dtype=np.float64), 0, z)
-    stored = fetch_stored(searcher.reader, td.docids)
+    stored = fetch_stored(searcher.reader, docids)
     from collections import Counter
 
     support = Counter(stored.column(field).to_pylist())
     to_q = BooleanQuery(
         must=[TermInSetQuery(tuple(f"{field}:{v}" for v in sorted(support)))]
     )
-    to_td = searcher.search(to_q, k=1 << 62)
-    to_vals = fetch_stored(searcher.reader, to_td.docids).column(field).to_pylist()
+    to_docs = searcher.matching_docs(to_q)
+    to_vals = fetch_stored(searcher.reader, to_docs).column(field).to_pylist()
     if score_mode == "total":
         scores = np.array([support[v] for v in to_vals], dtype=np.int64)
     else:  # max / avg over constant from-scores
         scores = np.ones(len(to_vals), dtype=np.int64)
-    order = np.lexsort((to_td.docids, -scores))
+    order = np.lexsort((to_docs, -scores))
     if k is not None:
         order = order[:k]
     return SortedTopDocs(
-        to_td.docids[order],
+        to_docs[order],
         scores[order].astype(np.float64),
-        len(to_td.docids),
+        len(to_docs),
         scores[order],
     )
 
@@ -1032,10 +1050,10 @@ def join_query_numeric(
     from lucene_ray.search.query import PointInSetQuery
 
     to_field = to_field or from_field
-    td = searcher.search(from_query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(from_query)
+    if len(docids) == 0:
         return BooleanQuery()  # no from-matches -> matches nothing
-    vals = fetch_doc_values(searcher.reader, td.docids, from_field)
+    vals = fetch_doc_values(searcher.reader, docids, from_field)
     vs = tuple(sorted({int(v) for v in vals})[:max_terms])
     out = BooleanQuery(must=[PointInSetQuery(to_field, vs)])
     if to_query is not None:
@@ -1065,31 +1083,31 @@ def join_query_numeric_scored(
     if score_mode not in ("total", "max", "avg"):
         raise ValueError("score_mode must be total/max/avg")
     to_field = to_field or from_field
-    td = searcher.search(from_query, k=1 << 62)
+    docids = searcher.matching_docs(from_query)
     z = np.array([], dtype=np.int64)
-    if len(td.docids) == 0:
+    if len(docids) == 0:
         return SortedTopDocs(z, np.array([], dtype=np.float64), 0, z)
     from collections import Counter
 
     support = Counter(
-        int(v) for v in fetch_doc_values(searcher.reader, td.docids, from_field)
+        int(v) for v in fetch_doc_values(searcher.reader, docids, from_field)
     )
     to_q = BooleanQuery(
         must=[PointInSetQuery(to_field, tuple(sorted(support)))]
     )
-    to_td = searcher.search(to_q, k=1 << 62)
-    to_vals = fetch_doc_values(searcher.reader, to_td.docids, to_field)
+    to_docs = searcher.matching_docs(to_q)
+    to_vals = fetch_doc_values(searcher.reader, to_docs, to_field)
     if score_mode == "total":
         scores = np.array([support[int(v)] for v in to_vals], dtype=np.int64)
     else:  # max / avg over constant from-scores
         scores = np.ones(len(to_vals), dtype=np.int64)
-    order = np.lexsort((to_td.docids, -scores))
+    order = np.lexsort((to_docs, -scores))
     if k is not None:
         order = order[:k]
     return SortedTopDocs(
-        to_td.docids[order],
+        to_docs[order],
         scores[order].astype(np.float64),
-        len(to_td.docids),
+        len(to_docs),
         scores[order],
     )
 
@@ -1116,31 +1134,30 @@ def join_query_global_ordinal(
     if score_mode not in ("none", "total", "max", "avg"):
         raise ValueError("score_mode must be none/total/max/avg")
     reader = searcher.reader
-    readers = reader.all_readers()
-    segs = []
-    for sr in readers:
-        ords, terms = sr.sorted_doc_values(field)
-        segs.append((sr, ords, terms))
     z = np.array([], dtype=np.int64)
-    if not segs:
+    if not reader.segments:
         return SortedTopDocs(z, np.array([], dtype=np.float64), 0, z)
-    global_terms = np.unique(np.concatenate([t for _, _, t in segs]))
-    seg2glob = [np.searchsorted(global_terms, t) for _, _, t in segs]
+    segs = {
+        e.name: reader.segment_reader(e.name).sorted_doc_values(field)
+        for e in reader.segments
+    }
+    global_terms = np.unique(np.concatenate([t for _o, t in segs.values()]))
+    # each segment's ords lifted to global ordinals
+    global_ords = {
+        n: np.searchsorted(global_terms, t)[o] for n, (o, t) in segs.items()
+    }
 
-    td = searcher.search(from_query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(from_query)
+    if len(docids) == 0:
         return SortedTopDocs(z, np.array([], dtype=np.float64), 0, z)
     support = np.zeros(len(global_terms), dtype=np.int64)
-    for (sr, ords, _t), m in zip(segs, seg2glob):
-        lo = sr.docid_base
-        hi = lo + sr.doc_count
-        mine = td.docids[(td.docids >= lo) & (td.docids < hi)] - lo
-        if len(mine):
-            np.add.at(support, m[ords[mine]], 1)
+    for e, _pos, local in segment_groups(reader.segments, docids):
+        np.add.at(support, global_ords[e.name][local], 1)
 
     docs_parts, score_parts = [], []
-    for (sr, ords, _t), m in zip(segs, seg2glob):
-        gl = m[ords]
+    for e in reader.segments:
+        sr = reader.segment_reader(e.name)
+        gl = global_ords[e.name]
         match = support[gl] > 0
         if sr.live_mask is not None:
             match &= sr.live_mask
@@ -1167,10 +1184,10 @@ def all_groups(searcher: "IndexSearcher", query, field: str) -> list[str]:
     """Distinct group values among the matching docs, sorted — the
     AllGroupsCollector (grouping/AllGroupsCollector.java); its size is
     the groupCount companion to grouped top-k."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return []
-    stored = fetch_stored(searcher.reader, td.docids)
+    stored = fetch_stored(searcher.reader, docids)
     return sorted(set(stored.column(field).to_pylist()))
 
 
@@ -1184,10 +1201,10 @@ def sampled_facet_counts(
     ops/text.py sample_hash (content-keyed, reproducible across runs /
     cluster sizes; the reference's XORShift sampler is seed-keyed).
     Returns (value, count) over the sample, count desc then value asc."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return []
-    stored = fetch_stored(searcher.reader, td.docids)
+    stored = fetch_stored(searcher.reader, docids)
     shas = stored.column("content_sha256").to_pylist()
     keep = np.array([int(h[:8], 16) % den < num for h in shas], dtype=bool)
     vals = np.asarray(stored.column(field).to_pylist(), dtype=object)[keep]
@@ -1205,33 +1222,23 @@ def fetch_sorted_numeric_selected(
     the first and MAX the last entry. Input order preserved."""
     if selector not in ("min", "max"):
         raise ValueError("selector must be 'min' or 'max'")
-    g = np.asarray(global_docids, dtype=np.int64)
-    bases = np.array([e.docid_base for e in reader.segments], dtype=np.int64)
-    seg_idx = np.searchsorted(bases, g, side="right") - 1
-    out = np.zeros(len(g), dtype=np.int64)
-    for si in np.unique(seg_idx):
-        entry = reader.segments[int(si)]
-        sel = np.nonzero(seg_idx == si)[0]
+    out = np.zeros(len(global_docids), dtype=np.int64)
+    for entry, pos, local in segment_groups(reader.segments, global_docids):
         offsets, flat = reader.segment_reader(entry.name).sorted_numeric_doc_values(
             field
         )
-        local = g[sel] - entry.docid_base
-        # An empty per-doc list has offsets[local] == offsets[local+1];
-        # indexing flat there would silently read a NEIGHBORING doc's
+        idx, empty = _selected_index(offsets, local, selector)
+        # An empty per-doc list would silently read a NEIGHBORING doc's
         # value. SortedNumericSelector has no missing sentinel, so refuse
         # loudly instead. (ADVICE r4)
-        empty = offsets[local] == offsets[local + 1]
         if empty.any():
-            bad = g[sel][empty]
+            bad = local[empty] + entry.docid_base
             raise ValueError(
                 f"fetch_sorted_numeric_selected: field {field!r} has no "
                 f"values for docid(s) {bad[:5].tolist()} — filter with "
                 "FieldExistsQuery first or supply dense values"
             )
-        if selector == "min":
-            out[sel] = flat[offsets[local]]
-        else:
-            out[sel] = flat[offsets[local + 1] - 1]
+        out[pos] = flat[idx]
     return out
 
 
@@ -1240,15 +1247,11 @@ def fetch_binary_doc_values(
 ) -> list[bytes]:
     """BINARY doc values for global docids, input order preserved
     (index/BinaryDocValues.java)."""
-    g = np.asarray(global_docids, dtype=np.int64)
-    bases = np.array([e.docid_base for e in reader.segments], dtype=np.int64)
-    seg_idx = np.searchsorted(bases, g, side="right") - 1
-    out: list = [None] * len(g)
-    for si in np.unique(seg_idx):
-        entry = reader.segments[int(si)]
+    out: list = [None] * len(global_docids)
+    for entry, pos, local in segment_groups(reader.segments, global_docids):
         vals = reader.segment_reader(entry.name).binary_doc_values(field)
-        for i in np.nonzero(seg_idx == si)[0]:
-            out[int(i)] = vals[int(g[i] - entry.docid_base)]
+        for i, d in zip(pos.tolist(), local.tolist()):
+            out[i] = vals[d]
     return out
 
 
@@ -1357,10 +1360,10 @@ def long_value_facet_counts(
     matching docs (facet/LongValueFacetCounts.java) — top children ordered
     by count desc, value asc (LongValueFacetCounts.getTopChildren:426).
     Returns [(value, count)]."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return []
-    vals = fetch_doc_values(searcher.reader, td.docids, field)
+    vals = fetch_doc_values(searcher.reader, docids, field)
     uniq, counts = np.unique(vals, return_counts=True)
     order = np.lexsort((uniq, -counts))[:top_n]
     return [(int(uniq[i]), int(counts[i])) for i in order]
@@ -1374,27 +1377,11 @@ def multi_long_value_facet_counts(
     :117 countMultiValued): EVERY value occurrence of every matching doc
     increments its count (intra-doc duplicates count per occurrence).
     Top children ordered count desc, value asc. Returns [(value, count)]."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
-        return []
-    docids = np.sort(np.asarray(td.docids, dtype=np.int64))
-    parts = []
     rd = searcher.reader
-    for e in rd.segments:
-        sr = rd.segment_reader(e.name)
-        lo = np.searchsorted(docids, e.docid_base)
-        hi = np.searchsorted(docids, e.docid_base + e.doc_count)
-        if lo == hi:
-            continue
-        local = docids[lo:hi] - e.docid_base
-        offsets, flat = sr.sorted_numeric_doc_values(field)
-        # vectorized multi-slice gather (no per-doc Python loop)
-        lens = offsets[local + 1] - offsets[local]
-        total = int(lens.sum())
-        if total == 0:
-            continue
-        within = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-        parts.append(flat[np.repeat(offsets[local], lens) + within])
+    parts = []
+    for e, _pos, local in segment_groups(rd.segments, searcher.matching_docs(query)):
+        offsets, flat = rd.segment_reader(e.name).sorted_numeric_doc_values(field)
+        parts.append(_list_values(offsets, flat, local))
     if not parts:
         return []
     vals = np.concatenate(parts)
@@ -1419,34 +1406,26 @@ def search_sorted_set(
     SortField.setMissingValue). Returns (docids[k], keys[k])."""
     if selector not in ("min", "max"):
         raise ValueError(f"unknown SortedSetSelector: {selector!r}")
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
-        return np.array([], dtype=np.int64), []
-    docids = np.sort(np.asarray(td.docids, dtype=np.int64))
-    keys: list = [None] * len(docids)
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
+        return docids, []
+    keys = np.full(len(docids), "", dtype=object)
+    present = np.zeros(len(docids), dtype=bool)
     rd = searcher.reader
-    for e in rd.segments:
-        sr = rd.segment_reader(e.name)
-        lo = np.searchsorted(docids, e.docid_base)
-        hi = np.searchsorted(docids, e.docid_base + e.doc_count)
-        if lo == hi:
-            continue
-        local = docids[lo:hi] - e.docid_base
-        offsets, flat_ords, terms = sr.sorted_set_doc_values(field)
-        for i, d in zip(range(lo, hi), local):
-            s, t = offsets[d], offsets[d + 1]
-            if s == t:
-                continue  # missing: key stays None -> sorts last
-            ord_ = flat_ords[s] if selector == "min" else flat_ords[t - 1]
-            keys[i] = str(terms[ord_])
-    present = np.array([x is not None for x in keys])
-    kp = np.array([x if x is not None else "" for x in keys], dtype="U")
-    uniq, inv = np.unique(kp, return_inverse=True)
+    for e, pos, local in segment_groups(rd.segments, docids):
+        offsets, flat_ords, terms = rd.segment_reader(e.name).sorted_set_doc_values(
+            field
+        )
+        idx, empty = _selected_index(offsets, local, selector)
+        has = ~empty  # missing: key stays "" and absent -> sorts last
+        keys[pos[has]] = terms[flat_ords[idx[has]]]
+        present[pos[has]] = True
+    uniq, inv = np.unique(keys.astype("U"), return_inverse=True)
     code = inv if ascending else -inv
     # missing docs always last: lift their code above every present key
     code = np.where(present, code, np.iinfo(np.int64).max)
     order = np.lexsort((docids, code))[:k]
-    return docids[order], [keys[i] for i in order]
+    return docids[order], [keys[i] if present[i] else None for i in order]
 
 
 def range_facet_counts(
@@ -1456,10 +1435,10 @@ def range_facet_counts(
     (facet/.../range/LongRangeFacetCounts.java): returns one (range_index,
     count) per requested [lo, hi] INCLUSIVE range, in input order. Ranges
     may overlap (each is counted independently, as in the reference)."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return [(i, 0) for i in range(len(ranges))]
-    vals = fetch_doc_values(searcher.reader, td.docids, field)
+    vals = fetch_doc_values(searcher.reader, docids, field)
     out = []
     for i, (lo, hi) in enumerate(ranges):
         out.append((i, int(((vals >= lo) & (vals <= hi)).sum())))
@@ -1645,10 +1624,9 @@ def search_sorted_expression(
     O(matches) vectorized gather, top-k only."""
     from lucene_ray.search.expressions import compile_expression
 
-    td = searcher.search(query, k=1 << 62)
-    z = np.array([], dtype=np.int64)
-    if len(td.docids) == 0:
-        return SortedTopDocs(z, np.array([], dtype=np.float64), 0, z)
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
+        return SortedTopDocs(docids, np.array([], dtype=np.float64), 0, docids)
     expr = compile_expression(expression)
     bindings = {}
     for v in expr.variables:
@@ -1661,19 +1639,19 @@ def search_sorted_expression(
                     for e in searcher.reader.segments
                 ]
             )
-            bindings[v] = vals[td.docids].astype(np.float64)
+            bindings[v] = vals[docids].astype(np.float64)
         else:
             bindings[v] = fetch_doc_values(
-                searcher.reader, td.docids, v
+                searcher.reader, docids, v
             ).astype(np.float64)
     keys = np.asarray(expr.evaluate(bindings), dtype=np.float64)
     if keys.ndim == 0:
-        keys = np.full(len(td.docids), float(keys))
-    order = np.lexsort((td.docids, keys if ascending else -keys))[:k]
+        keys = np.full(len(docids), float(keys))
+    order = np.lexsort((docids, keys if ascending else -keys))[:k]
     return SortedTopDocs(
-        td.docids[order],
+        docids[order],
         np.zeros(len(order), dtype=np.float32),  # field sorts carry no score
-        td.total_hits,
+        len(docids),
         keys[order],
     )
 

@@ -152,7 +152,7 @@ def explain(searcher, query, docid: int) -> Explanation:
 
     pairs = must_pairs + should_pairs
     scoring = [c for _q, c in pairs]
-    total, _m = _canonical_scores(scoring, cand1, sr.norm_bytes)
+    total = _canonical_scores(scoring, cand1, sr.norm_bytes)
     norm_byte = int(sr.norm_bytes[local])
     sim = searcher.sim
     bm25_shaped = all(hasattr(sim, a) for a in ("k1", "b", "avgdl"))

@@ -51,18 +51,18 @@ def group_topk(
     ``query`` — groups ranked by (hit count desc, value asc), docs within a
     group by the ``sort_field`` doc value (desc unless ``ascending``),
     docid-asc tie-break, ``k_per_group`` docs each."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return []
-    stored = fetch_stored(searcher.reader, td.docids)
+    stored = fetch_stored(searcher.reader, docids)
     groups = np.asarray(stored.column(group_field).to_pylist(), dtype=object)
-    vals = fetch_doc_values(searcher.reader, td.docids, sort_field)
+    vals = fetch_doc_values(searcher.reader, docids, sort_field)
     uniq, counts = np.unique(groups, return_counts=True)
     top = np.lexsort((uniq, -counts))[:k_groups]
     out = []
     for grank, gi in enumerate(top):
         sel = np.nonzero(groups == uniq[gi])[0]
-        docs, v = td.docids[sel], vals[sel]
+        docs, v = docids[sel], vals[sel]
         order = np.lexsort((docs, v if ascending else -v))[:k_per_group]
         out.append(
             GroupDocs(uniq[gi], grank, int(counts[gi]), docs[order], v[order])
@@ -97,14 +97,14 @@ def diversified_topk(
     """
     from lucene_ray.search.engine import fetch_sorted_dv_values
 
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         z = np.array([], dtype=np.int64)
         return z, z, np.array([], dtype=object)
-    vals = fetch_doc_values(searcher.reader, td.docids, sort_field)
-    keys = fetch_sorted_dv_values(searcher.reader, td.docids, key_field)
-    order = np.lexsort((td.docids, -vals))
-    docs_o, vals_o, keys_o = td.docids[order], vals[order], keys[order]
+    vals = fetch_doc_values(searcher.reader, docids, sort_field)
+    keys = fetch_sorted_dv_values(searcher.reader, docids, key_field)
+    order = np.lexsort((docids, -vals))
+    docs_o, vals_o, keys_o = docids[order], vals[order], keys[order]
     # occurrence index of each row within its key, along the global order:
     # stable-sort by key preserves global order inside each key block
     by_key = np.argsort(keys_o, kind="stable")
@@ -132,18 +132,18 @@ def all_group_heads(
     stance as group_topk (module docstring). Returns the heads as sorted
     global docids (the reference's retrieveGroupHeads() FixedBitSet
     order)."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return np.array([], dtype=np.int64)
-    stored = fetch_stored(searcher.reader, td.docids)
+    stored = fetch_stored(searcher.reader, docids)
     groups = np.asarray(stored.column(group_field).to_pylist(), dtype=object)
-    vals = fetch_doc_values(searcher.reader, td.docids, sort_field)
-    order = np.lexsort((td.docids, vals if ascending else -vals))
+    vals = fetch_doc_values(searcher.reader, docids, sort_field)
+    order = np.lexsort((docids, vals if ascending else -vals))
     g_o = groups[order]
     # np.unique returns the FIRST index of each group value in g_o — the
     # best-ranked row per group under the order above
     _, first = np.unique(g_o, return_index=True)
-    return np.sort(td.docids[order][first])
+    return np.sort(docids[order][first])
 
 
 def distinct_values(
@@ -159,10 +159,10 @@ def distinct_values(
     group_topk convention), the DISTINCT ``value_field`` values among that
     group's matches (the reference's per-group ValuesCollector HashSet).
     Returns (group, sorted distinct values) pairs in group-rank order."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return []
-    stored = fetch_stored(searcher.reader, td.docids)
+    stored = fetch_stored(searcher.reader, docids)
     groups = np.asarray(stored.column(group_field).to_pylist(), dtype=object)
     vals = np.asarray(stored.column(value_field).to_pylist(), dtype=object)
     uniq, counts = np.unique(groups, return_counts=True)
@@ -184,10 +184,10 @@ def group_facet_counts(
     counts a (group, facet) ordinal pair once per segment and merges).
     Single-valued facet fields (the SV collector). Returns (facet value
     asc, group count) pairs."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return []
-    stored = fetch_stored(searcher.reader, td.docids)
+    stored = fetch_stored(searcher.reader, docids)
     groups = np.asarray(stored.column(group_field).to_pylist(), dtype=object)
     facets = np.asarray(stored.column(facet_field).to_pylist(), dtype=object)
     pairs = {(f, g) for f, g in zip(facets.tolist(), groups.tolist())}
@@ -232,17 +232,17 @@ def range_group_topk(
     ranked by (hit count desc, range lo asc), docs within a group by the
     same doc value (desc unless ``ascending``), docid-asc tie-break —
     group_topk's float-free convention. group_value = (lo, hi)."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return []
-    vals = fetch_doc_values(searcher.reader, td.docids, field)
+    vals = fetch_doc_values(searcher.reader, docids, field)
     lo, hi = long_range_bucket(vals, r_min, width, r_max)
     uniq, counts = np.unique(lo, return_counts=True)
     top = np.lexsort((uniq, -counts))[:k_groups]
     out = []
     for grank, gi in enumerate(top):
         sel = np.nonzero(lo == uniq[gi])[0]
-        docs, v = td.docids[sel], vals[sel]
+        docs, v = docids[sel], vals[sel]
         order = np.lexsort((docs, v if ascending else -v))[:k_per_group]
         out.append(
             GroupDocs(
@@ -274,17 +274,16 @@ def block_group_topk(
     groupSort-by-top-doc, and docs within a block keep index (docid)
     order — both float-free and exactly SQL-checkable. group_value =
     the block's parent GLOBAL docid."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
+    docids = searcher.matching_docs(query)
+    if len(docids) == 0:
         return []
-    ptd = searcher.search(parent_query, k=1 << 62)
-    parents = np.sort(ptd.docids)
+    parents = searcher.matching_docs(parent_query)
     if len(parents) == 0:
         return []
     # enclosing parent = smallest parent docid >= the child's docid
-    pi = np.searchsorted(parents, td.docids, side="left")
+    pi = np.searchsorted(parents, docids, side="left")
     ok = pi < len(parents)  # hits after the last parent have no block
-    docs = td.docids[ok]
+    docs = docids[ok]
     blk = parents[pi[ok]]
     # drop hits that ARE parents (a parent matching the child query is
     # its own block end, not a grouped hit — the reference collects it
@@ -294,7 +293,7 @@ def block_group_topk(
     out = []
     for grank, gi in enumerate(top):
         sel = np.nonzero(blk == uniq[gi])[0]
-        d = np.sort(docs[sel])[:k_per_group]
+        d = docs[sel][:k_per_group]  # docids ascend: index order
         out.append(
             GroupDocs(int(uniq[gi]), grank, int(counts[gi]), d, d.copy())
         )

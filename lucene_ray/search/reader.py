@@ -33,7 +33,9 @@ from lucene_ray.codec.postings_codec import (
     decode_term_postings,
 )
 from lucene_ray.index import segfiles
-from lucene_ray.index.manifest import Manifest, read_manifest, segment_dir
+from lucene_ray.index.manifest import (
+    Manifest, read_manifest, segment_dir, segment_groups,
+)
 
 _MISSING = object()  # field_norms cache sentinel (None is a valid entry)
 
@@ -877,22 +879,17 @@ class IndexReader:
         ids), the IndexReader.termVectors().get(doc) analog. Deleted docs
         are silently skipped — readers are live snapshots. Per-segment
         fetches prune parquet row groups by docid stats."""
-        docids = np.unique(np.asarray(docids, dtype=np.int64))
         parts = []
-        for e in self.segments:
-            lo = e.docid_base
-            sel = docids[(docids >= lo) & (docids < lo + e.doc_count)]
-            if not len(sel):
-                continue
+        for e, _pos, local in segment_groups(self.segments, np.unique(docids)):
             sr = self.segment_reader(e.name)
-            local = sel - lo
+            local = local[local < e.doc_count]
             if sr.live_mask is not None:
                 local = local[sr.live_mask[local]]
             if not len(local):
                 continue
             t = sr.term_vectors_local(local)
             gdoc = pa.array(
-                t.column("doc").to_numpy(zero_copy_only=False) + lo,
+                t.column("doc").to_numpy(zero_copy_only=False) + e.docid_base,
                 type=pa.int64(),
             )
             parts.append(t.set_column(0, "doc", gdoc))

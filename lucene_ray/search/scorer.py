@@ -1481,31 +1481,31 @@ def _topk(docids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, n
 
 def _canonical_scores(
     clauses: list[_Clause], cand: np.ndarray, norm_bytes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Exact float32 scores summed in canonical clause order (bit-identical
-    between the oracle and the pruned path). Returns (scores, match_count)."""
+    between the oracle and the pruned path)."""
     total = np.zeros(len(cand), dtype=np.float32)
-    matches = np.zeros(len(cand), dtype=np.int32)
     for c in clauses:
-        s, m = c.contrib(cand, norm_bytes)
         # adding exact 0.0f for non-matches never perturbs the sum
-        total = total + s
-        matches += m.astype(np.int32)
-    return total, matches
+        total = total + c.contrib(cand, norm_bytes)[0]
+    return total
 
 
-def _candidate_set(reader, bq: BooleanQuery, scorers: dict):
-    """Shared boolean doc-set algebra (BooleanWeight candidate computation):
-    returns (cand, must_clauses, should_clauses) with live-doc and MUST_NOT
-    filtering applied, or None when the segment provably has no hits."""
+def match_segment(reader, bq: BooleanQuery, scorers: dict):
+    """The one per-segment match function (BooleanWeight candidate
+    computation, ScoreMode.COMPLETE_NO_SCORES): the boolean doc-set algebra
+    with live-doc and MUST_NOT filtering, then the minimum-should-match
+    filter. Returns (ascending local docids of the full boolean, must
+    clauses, should clauses); nothing is scored."""
+    none = _no_docs(), [], []
     must = build_clauses(reader, bq.must, scorers)
     if bq.must and len(must) < len(bq.must):
         # a required clause is absent from this segment -> no hits
-        return None
+        return none
     should = build_clauses(reader, bq.should, scorers)
     must_not = build_clauses(reader, bq.must_not, scorers)
     if not (must or should):
-        return None
+        return none
 
     # dense per-segment masks: a hit count per doc for required clauses,
     # an OR of the optional clauses' docids otherwise
@@ -1523,27 +1523,18 @@ def _candidate_set(reader, bq: BooleanQuery, scorers: dict):
         keep &= live  # tombstoned docs never match (LiveDocs)
     for c in must_not:
         keep[c.evaluate()[0]] = False
-    return np.flatnonzero(keep), must, should
-
-
-def count_segment(reader, bq: BooleanQuery, scorers: dict) -> int:
-    """Exact non-scoring hit count (TotalHitCountCollector role,
-    search/TotalHitCountCollector.java). Candidate sets are materialized
-    docid arrays in this design, so exact counts cost no extra scoring work
-    — no 1000-hit approximation threshold is needed."""
-    res = _candidate_set(reader, bq, scorers)
-    if res is None:
-        return 0
-    cand, must, should = res
-    if len(cand) == 0:
-        return 0
+    cand = np.flatnonzero(keep)
+    # minimumShouldMatch: without MUST every candidate already matched one
+    # optional clause, so only msm > 1 needs the per-doc membership count.
+    # Counted over the declared optional clauses: one absent from this
+    # segment matches no doc here (explain applies the same rule).
     msm = bq.min_should_match
-    if should and msm > 0 and (bq.must or msm > 1):
+    if bq.should and msm > 0 and (bq.must or msm > 1) and len(cand):
         sm = np.zeros(len(cand), dtype=np.int32)
         for c in should:
             sm += (c.lookup(cand) > 0).astype(np.int32)
         cand = cand[sm >= msm]
-    return int(len(cand))
+    return cand, must, should
 
 
 def evaluate_boolean(
@@ -1552,29 +1543,12 @@ def evaluate_boolean(
     """(matching local docids, float32 scores) of the FULL boolean — the
     shared dense evaluation behind the exhaustive scorer and nested-group
     clauses (a nested BooleanQuery scores as the sum of its matching
-    scoring clauses, BooleanWeight.java)."""
-    empty = np.array([], dtype=np.int64), np.array([], dtype=np.float32)
-    res = _candidate_set(reader, bq, scorers)
-    if res is None:
-        return empty
-    cand, must, should = res
+    scoring clauses, BooleanWeight.java): match_segment's docids, scored
+    in canonical clause order."""
+    cand, must, should = match_segment(reader, bq, scorers)
     if len(cand) == 0:
-        return empty
-
-    scoring = must + should
-    total, matches = _canonical_scores(scoring, cand, reader.norm_bytes)
-    if bq.must:
-        if bq.min_should_match > 0 and should:
-            sm = np.zeros(len(cand), dtype=np.int32)
-            for c in should:
-                sm += (c.lookup(cand) > 0).astype(np.int32)
-            keep = sm >= bq.min_should_match
-            cand, total = cand[keep], total[keep]
-    else:
-        msm = max(1, bq.min_should_match)
-        keep = matches >= msm
-        cand, total = cand[keep], total[keep]
-    return cand, total
+        return cand, np.array([], dtype=np.float32)
+    return cand, _canonical_scores(must + should, cand, reader.norm_bytes)
 
 
 def score_segment_exhaustive(
