@@ -35,9 +35,9 @@ from lucene_ray.search.engine import (
     fetch_stored,
     query_terms,
     rewrite_lazy,
+    segment_hits,
 )
 from lucene_ray.search.query import BooleanQuery, CommonTermsQuery, parse_query
-from lucene_ray.search.scorer import _topk, score_segment_exhaustive, score_segment_pruned
 from lucene_ray.search.similarity import BM25Similarity
 
 
@@ -75,12 +75,9 @@ class SegmentShardActor:
     def search_shard_many(
         self, bqs: list, stats: dict, doc_count: int, sum_ttf: int, k: int,
         pruned: bool = True,
-    ):
-        empty = (
-            np.array([], dtype=np.int64), np.array([], dtype=np.float32), 0, True
-        )
+    ) -> list[TopDocs]:
         return [
-            empty if bq is None
+            TopDocs.merge(k, ()) if bq is None
             else self.search_shard(bq, stats, doc_count, sum_ttf, k, pruned)
             for bq in bqs
         ]
@@ -179,37 +176,13 @@ class SegmentShardActor:
         sum_ttf: int,
         k: int,
         pruned: bool = True,
-    ):
-        """Top-k of this shard's segments under GLOBAL stats. Returns
-        (docids, scores, total_hits, exact) — exact mirrors the per-segment
-        TotalHits relation flags."""
+    ) -> TopDocs:
+        """Top-k of this shard's segments under GLOBAL stats (the local
+        searcher's ``segment_hits`` loop and ``TopDocs.merge`` reduce)."""
         scorers = build_scorers(bq, stats, doc_count, sum_ttf, BM25Similarity())
-        all_d, all_s, total = [], [], 0
-        exact_all = True
-        theta = 0.0
-        for e in self._entries:
-            sr = self._reader.segment_reader(e.name)
-            if pruned:
-                d, s, n, exact = score_segment_pruned(sr, bq, scorers, k, theta)
-            else:
-                d, s, n, exact = score_segment_exhaustive(sr, bq, scorers, k)
-            total += n
-            exact_all = exact_all and exact
-            if len(d):
-                all_d.append(d + e.docid_base)
-                all_s.append(s)
-                merged = np.concatenate(all_s)
-                if len(merged) >= k:
-                    theta = max(theta, float(np.partition(merged, -k)[-k]))
-        if not all_d:
-            return (
-                np.array([], dtype=np.int64),
-                np.array([], dtype=np.float32),
-                total,
-                exact_all,
-            )
-        d, s = _topk(np.concatenate(all_d), np.concatenate(all_s), k)
-        return d, s, total, exact_all
+        return TopDocs.merge(
+            k, segment_hits(self._reader, self._entries, bq, scorers, k, pruned)
+        )
 
 
 class DistributedSearcher:
@@ -263,28 +236,10 @@ class DistributedSearcher:
             for a in self.actors
         ]
         per_shard = ray.get(futures)
-        out = []
-        for qi, bq in enumerate(prepared):
-            if bq is None:
-                out.append(
-                    TopDocs(np.array([], dtype=np.int64), np.array([], dtype=np.float32), 0)
-                )
-                continue
-            docs = [r[qi][0] for r in per_shard if len(r[qi][0])]
-            scores = [r[qi][1] for r in per_shard if len(r[qi][1])]
-            total = sum(r[qi][2] for r in per_shard)
-            relation = "eq" if all(r[qi][3] for r in per_shard) else "gte"
-            if not docs:
-                out.append(
-                    TopDocs(
-                        np.array([], dtype=np.int64),
-                        np.array([], dtype=np.float32), total, relation,
-                    )
-                )
-                continue
-            d, s = _topk(np.concatenate(docs), np.concatenate(scores), k)
-            out.append(TopDocs(d, s, total, relation))
-        return out
+        return [
+            TopDocs.merge(k, [r[qi] for r in per_shard])
+            for qi in range(len(prepared))
+        ]
 
     def _gather_stats(self, terms: list) -> dict:
         """One stats round trip: per-shard partial (df, ttf) folded into the
@@ -441,29 +396,4 @@ class DistributedSearcher:
         return bq
 
     def search(self, query, k: int = DEFAULT_TOP_K) -> TopDocs:
-        bq = self._prepare(query)
-        if bq is None:
-            return TopDocs(np.array([], dtype=np.int64), np.array([], dtype=np.float32), 0)
-
-        # phase 1: gather global term stats (one tiny dict per shard)
-        stats = self._gather_stats(query_terms(bq))
-        # phase 2: scatter with identical global stats, gather shard top-ks
-        results = ray.get(
-            [
-                a.search_shard.remote(
-                    bq, stats, self.doc_count, self.sum_ttf, k, self.pruned
-                )
-                for a in self.actors
-            ]
-        )
-        docs = [d for d, _s, _n, _e in results if len(d)]
-        scores = [s for _d, s, _n, _e in results if len(s)]
-        total = sum(n for _d, _s, n, _e in results)
-        relation = "eq" if all(e for _d, _s, _n, e in results) else "gte"
-        if not docs:
-            return TopDocs(
-                np.array([], dtype=np.int64), np.array([], dtype=np.float32),
-                total, relation,
-            )
-        d, s = _topk(np.concatenate(docs), np.concatenate(scores), k)
-        return TopDocs(d, s, total, relation)
+        return self.search_many([query], k)[0]

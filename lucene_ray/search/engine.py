@@ -62,8 +62,10 @@ from lucene_ray.search.reader import IndexReader
 from lucene_ray.search.scorer import (
     SPAN_QUERY_TYPES,
     _no_docs,
+    _no_scored,
     _topk,
     match_segment,
+    score_docs,
     score_segment_exhaustive,
     score_segment_pruned,
 )
@@ -89,6 +91,25 @@ class TopDocs:
         self.scores = scores
         self.total_hits = total_hits
         self.relation = relation
+
+    @staticmethod
+    def merge(k: int, parts) -> "TopDocs":
+        """The one top-k reduce (TopDocs.merge, search/TopDocs.java; the
+        CollectorManager.reduce step): the best k of the parts' hits by
+        (score desc, docid asc), total_hits summed, relation "eq" only when
+        every part is "eq". ``merge(k, ())`` is the empty result."""
+        docs, scores, total, exact = [], [], 0, True
+        for p in parts:
+            total += p.total_hits
+            exact = exact and p.relation == "eq"
+            if len(p.docids):
+                docs.append(p.docids)
+                scores.append(p.scores)
+        relation = "eq" if exact else "gte"
+        if not docs:
+            return TopDocs(*_no_scored(), total, relation)
+        d, s = _topk(np.concatenate(docs), np.concatenate(scores), k)
+        return TopDocs(d, s, total, relation)
 
     def to_rows(self, qid) -> list[dict]:
         return [
@@ -296,42 +317,11 @@ class IndexSearcher:
         search/TopScoreDocCollector.java:104-160)."""
         bq = self.prepare(query)
         if not (bq.must or bq.should):
-            return TopDocs(np.array([], dtype=np.int64), np.array([], dtype=np.float32), 0)
-        scorers = self._scorers(bq)
-        use_pruned = self.pruned and after is None
-        score_fn = score_segment_pruned if use_pruned else score_segment_exhaustive
-        all_docs, all_scores, total = [], [], 0
-        all_exact = True  # TotalHits.Relation: EQUAL_TO until a segment skips
-        theta = 0.0
-        for entry in self.reader.segments:
-            sr = self.reader.segment_reader(entry.name)
-            if use_pruned:
-                d, s, n, exact = score_fn(sr, bq, scorers, k, theta)
-            elif after is not None:
-                d, s, n, exact = score_fn(
-                    sr, bq, scorers, k, after=(after[0], after[1] - entry.docid_base)
-                )
-            else:
-                d, s, n, exact = score_fn(sr, bq, scorers, k)
-            total += n
-            all_exact = all_exact and exact
-            if len(d):
-                all_docs.append(d + entry.docid_base)
-                all_scores.append(s)
-                # raise the cross-segment floor to the kth-best score so far
-                merged = np.concatenate(all_scores)
-                if len(merged) >= k:
-                    theta = max(theta, float(np.partition(merged, -k)[-k]))
-        relation = "eq" if all_exact else "gte"
-        if not all_docs:
-            return TopDocs(
-                np.array([], dtype=np.int64), np.array([], dtype=np.float32), total,
-                relation,
-            )
-        docids = np.concatenate(all_docs)
-        scores = np.concatenate(all_scores)
-        d, s = _topk(docids, scores, k)
-        return TopDocs(d, s, total, relation)
+            return TopDocs.merge(k, ())
+        return TopDocs.merge(k, segment_hits(
+            self.reader, self.reader.segments, bq, self._scorers(bq), k,
+            self.pruned, after,
+        ))
 
     def explain(self, query: str | BooleanQuery, docid: int):
         """Score explanation tree for one document
@@ -386,6 +376,40 @@ class IndexSearcher:
         return collect_matches(
             self.reader, self.reader.segments, bq, self._scorers(bq)
         )
+
+
+def segment_hits(
+    reader: IndexReader, entries: list, bq: BooleanQuery, scorers: dict,
+    k: int, pruned: bool, after: tuple[float, int] | None = None,
+):
+    """The one per-segment top-k loop (a TopScoreDocCollector per leaf):
+    yields each segment of ``entries`` (a docid_base-ascending subset of
+    ``reader.segments``) as a TopDocs of its top-k with global docids,
+    empty segments included. Segments are scored only as the caller
+    advances, so ``TopDocs.merge`` of what it took is the result so far.
+
+    ``pruned`` scores with block-max MaxScore and carries the
+    min-competitive floor θ across segments: the kth-best score collected
+    so far (MaxScoreAccumulator). ``after`` is a (score, global docid)
+    searchAfter cursor; it forces the exhaustive path, as the floor
+    assumes top-of-index scores (TopScoreDocCollector.java:104-160). The
+    score functions are looked up as module globals at call time, so a
+    wrapper installed on this module sees every segment."""
+    pruned = pruned and after is None
+    theta, collected = 0.0, []
+    for e in entries:
+        sr = reader.segment_reader(e.name)
+        if pruned:
+            d, s, n, exact = score_segment_pruned(sr, bq, scorers, k, theta)
+        else:
+            local = None if after is None else (after[0], after[1] - e.docid_base)
+            d, s, n, exact = score_segment_exhaustive(sr, bq, scorers, k, after=local)
+        if pruned and len(d):
+            collected.append(s)
+            merged = np.concatenate(collected)
+            if len(merged) >= k:
+                theta = max(theta, float(np.partition(merged, -k)[-k]))
+        yield TopDocs(d + e.docid_base if len(d) else d, s, n, "eq" if exact else "gte")
 
 
 def collect_matches(
@@ -590,12 +614,15 @@ def drill_sideways_counts(
     DrillSidewaysQuery; here each dimension is one non-scoring conjunction
     over the same warm segment readers — identical results, n_dims passes
     (n_dims is small by construction). Per-dim counts come from the shared
-    facet_counts gather."""
-    from lucene_ray.search.query import BooleanQuery, TermQuery
+    facet_counts gather. A string or BooleanQuery base is one nested MUST
+    clause (DrillDownQuery wraps its base the same way), so a SHOULD-only
+    base keeps its own semantics."""
+    base = searcher.parse(base_query) if isinstance(base_query, str) else base_query
+    if isinstance(base, BooleanQuery):
+        base = base.freeze()
 
     def conj(skip_dim: str | None):
-        bq = BooleanQuery()
-        bq.must.append(base_query)
+        bq = BooleanQuery(must=[base])
         for f, v in drill_downs.items():
             if f != skip_dim:
                 bq.must.append(TermQuery(f"{f}:{v}"))
@@ -714,9 +741,9 @@ def search_sorted(
     after: tuple | None = None,
 ) -> SortedTopDocs:
     """Sort-by-field search (TopFieldCollector, search/TopFieldCollector.java
-    :553): collect the full matching doc set (constant relevance work — the
-    scores are ignored), then order by the doc-values field with docid-asc
-    tie-break. Numeric fields read NUMERIC doc values; string fields read
+    :553): collect the matching doc set unscored (``matching_docs``), order
+    it by the doc-values field with docid-asc tie-break, and score only the
+    k docs returned. Numeric fields read NUMERIC doc values; string fields read
     the stored keyword column and compare by ordinal — SortField.Type.STRING
     semantics (BytesRef ordinal comparator, search/comparators/
     TermOrdValComparator.java).
@@ -736,13 +763,28 @@ def search_sorted(
     create(sort, n, after, ...) FieldDoc semantics). The early-terminating
     index-sort path is bypassed with a cursor (its first-k-per-run cut
     could sit entirely before the cursor); correctness first."""
-    td = searcher.search(query, k=1 << 62)
-    if len(td.docids) == 0:
-        return SortedTopDocs(td.docids, td.scores, td.total_hits, td.docids[:0])
-    first = searcher.reader.segments[0]
-    dv_schema = searcher.reader.segment_reader(first.name).doc_values_schema()
+    reader = searcher.reader
+    bq = searcher.prepare(query)
+    docids = searcher.matching_docs(bq)
+    total = len(docids)
 
-    isort = getattr(searcher.reader.manifest, "index_sort", None)
+    def hits(docs, vals):
+        # only the returned docs are scored (evaluate_boolean's sum each)
+        scores = np.zeros(len(docs), dtype=np.float32)
+        if len(docs):
+            scorers = searcher._scorers(bq)
+            asc = np.argsort(docs)
+            for entry, pos, local in segment_groups(reader.segments, docs[asc]):
+                sr = reader.segment_reader(entry.name)
+                scores[asc[pos]] = score_docs(sr, bq, scorers, local)
+        return SortedTopDocs(docs, scores, total, vals)
+
+    if total == 0:
+        return hits(docids, docids)
+    first = reader.segments[0]
+    dv_schema = reader.segment_reader(first.name).doc_values_schema()
+
+    isort = getattr(reader.manifest, "index_sort", None)
     if (
         after is None
         and isort
@@ -750,67 +792,55 @@ def search_sorted(
         and (isort[1] == "asc") == ascending
         and field in dv_schema
     ):
-        order0 = np.argsort(td.docids)
-        docs_sorted = td.docids[order0]
-        scores_sorted = td.scores[order0]
         keep_parts = []
-        for entry in searcher.reader.segments:
+        for entry in reader.segments:
             runs = getattr(entry, "sorted_runs", None)
             if runs and getattr(entry, "dv_gen", 0) == 0:
                 for rs, re_ in runs:
-                    a = int(np.searchsorted(docs_sorted, entry.docid_base + rs))
-                    b = int(np.searchsorted(docs_sorted, entry.docid_base + re_))
+                    a = int(np.searchsorted(docids, entry.docid_base + rs))
+                    b = int(np.searchsorted(docids, entry.docid_base + re_))
                     # docid asc == requested order inside a run: the first
                     # k matches dominate every later one (ties included —
                     # equal keys tie-break docid asc)
                     keep_parts.append(np.arange(a, min(b, a + k)))
             else:
-                a = int(np.searchsorted(docs_sorted, entry.docid_base))
+                a = int(np.searchsorted(docids, entry.docid_base))
                 b = int(
-                    np.searchsorted(
-                        docs_sorted, entry.docid_base + entry.doc_count
-                    )
+                    np.searchsorted(docids, entry.docid_base + entry.doc_count)
                 )
                 keep_parts.append(np.arange(a, b))
-        sel = np.concatenate(keep_parts) if keep_parts else np.arange(0)
-        cand_docs = docs_sorted[sel]
-        cand_scores = scores_sorted[sel]
-        vals = fetch_doc_values(searcher.reader, cand_docs, field)
+        cand = docids[np.concatenate(keep_parts) if keep_parts else np.arange(0)]
+        vals = fetch_doc_values(reader, cand, field)
         key = vals if ascending else -vals
-        order = np.lexsort((cand_docs, key))[:k]
-        return SortedTopDocs(
-            cand_docs[order], cand_scores[order], td.total_hits, vals[order],
-            td.relation,
-        )
+        order = np.lexsort((cand, key))[:k]
+        return hits(cand[order], vals[order])
 
     if field in dv_schema:
-        vals = fetch_doc_values(searcher.reader, td.docids, field)
+        vals = fetch_doc_values(reader, docids, field)
         key = vals if ascending else -vals
     else:
         # SORTED doc values back the ordinal comparator when the index has
         # them; stored-column read is the fallback for fields outside the
         # DV schema (pre-schema-DV indexes)
-        sdv = searcher.reader.segment_reader(first.name).sorted_dv_schema()
+        sdv = reader.segment_reader(first.name).sorted_dv_schema()
         if field in sdv:
-            vals = fetch_sorted_dv_values(searcher.reader, td.docids, field)
+            vals = fetch_sorted_dv_values(reader, docids, field)
         else:
-            stored = fetch_stored(searcher.reader, td.docids)
+            stored = fetch_stored(reader, docids)
             vals = np.asarray(stored.column(field).to_pylist(), dtype=object)
         codes = np.unique(vals.astype(str), return_inverse=True)[1]
         key = codes if ascending else -codes
-    order = np.lexsort((td.docids, key))
+    order = np.lexsort((docids, key))
     if after is not None:
         av, adoc = after
-        vals_o, docs_o = vals[order], td.docids[order]
+        vals_o, docs_o = vals[order], docids[order]
         if ascending:
             keep = (vals_o > av) | ((vals_o == av) & (docs_o > adoc))
         else:
             keep = (vals_o < av) | ((vals_o == av) & (docs_o > adoc))
         order = order[keep]
     order = order[:k]
-    return SortedTopDocs(
-        td.docids[order], td.scores[order], td.total_hits, vals[order], td.relation
-    )
+    return hits(docids[order], vals[order])
 
 
 def fetch_stored(reader: IndexReader, global_docids) -> pa.Table:
@@ -864,27 +894,24 @@ class QueryScorerStage:
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, ranks, docids, scores = [], [], [], []
         ks = (
             batch.column("k").to_pylist()
             if "k" in batch.column_names
             else [self.k] * batch.num_rows
         )
-        for qid, qtext, k in zip(
-            batch.column("qid").to_pylist(),
-            batch.column("query").to_pylist(),
-            ks,
-        ):
-            td = self.searcher.search(qtext, int(k))
-            for r, (d, s) in enumerate(zip(td.docids, td.scores)):
-                qids.append(qid)
-                ranks.append(r)
-                docids.append(int(d))
-                scores.append(float(s))
+        tds = [
+            self.searcher.search(qtext, int(k))
+            for qtext, k in zip(batch.column("query").to_pylist(), ks)
+        ]
+        lens = np.array([len(td.docids) for td in tds], dtype=np.int64)
+        docids = np.concatenate([td.docids for td in tds] + [_no_docs()])
+        scores = np.concatenate([td.scores for td in tds] + [_no_scored()[1]])
+        qids = np.asarray(batch.column("qid").to_pylist(), dtype=np.int64)
+        ranks = np.arange(len(docids)) - np.repeat(np.cumsum(lens) - lens, lens)
         return pa.table(
             {
-                "qid": pa.array(qids, type=pa.int64()),
-                "rank": pa.array(ranks, type=pa.int32()),
+                "qid": pa.array(np.repeat(qids, lens), type=pa.int64()),
+                "rank": pa.array(ranks.astype(np.int32), type=pa.int32()),
                 "docid": pa.array(docids, type=pa.int64()),
                 "score": pa.array(scores, type=pa.float32()),
             }
@@ -1486,42 +1513,19 @@ def search_time_limited(
     t0 = clock()
     bq = searcher.prepare(query)
     if not (bq.must or bq.should):
-        return TopDocs(
-            np.array([], dtype=np.int64), np.array([], dtype=np.float32), 0
-        )
-    scorers = searcher._scorers(bq)
-    all_docs, all_scores, total = [], [], 0
-    done = 0
-    for entry in searcher.reader.segments:
-        if clock() - t0 > budget_s and (done > 0 or not greedy):
-            docids = (
-                np.concatenate(all_docs)
-                if all_docs
-                else np.array([], dtype=np.int64)
-            )
-            scores = (
-                np.concatenate(all_scores)
-                if all_scores
-                else np.array([], dtype=np.float32)
-            )
-            d, s = _topk(docids, scores, k)
-            raise TimeExceededException(
-                TopDocs(d, s, total, "gte"), clock() - t0, done
-            )
-        sr = searcher.reader.segment_reader(entry.name)
-        d, s, n, _exact = score_segment_exhaustive(sr, bq, scorers, k)
-        total += n
-        done += 1
-        if len(d):
-            all_docs.append(d + entry.docid_base)
-            all_scores.append(s)
-    if not all_docs:
-        return TopDocs(
-            np.array([], dtype=np.int64), np.array([], dtype=np.float32),
-            total,
-        )
-    d, s = _topk(np.concatenate(all_docs), np.concatenate(all_scores), k)
-    return TopDocs(d, s, total)
+        return TopDocs.merge(k, ())
+    entries = searcher.reader.segments
+    hits = segment_hits(
+        searcher.reader, entries, bq, searcher._scorers(bq), k, pruned=False
+    )
+    parts = []
+    for _ in entries:
+        if clock() - t0 > budget_s and (parts or not greedy):
+            partial = TopDocs.merge(k, parts)
+            partial.relation = "gte"  # the unscored segments went uncounted
+            raise TimeExceededException(partial, clock() - t0, len(parts))
+        parts.append(next(hits))
+    return TopDocs.merge(k, parts)
 
 
 class SearcherLifetimeManager:

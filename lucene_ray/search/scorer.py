@@ -1551,6 +1551,16 @@ def evaluate_boolean(
     return cand, _canonical_scores(must + should, cand, reader.norm_bytes)
 
 
+def score_docs(reader, bq: BooleanQuery, scorers: dict, docids: np.ndarray) -> np.ndarray:
+    """float32 scores of matching ascending local ``docids``, each the
+    sum ``evaluate_boolean`` computes for it — a sort-by-field search
+    scores only the docs it returns this way."""
+    clauses = build_clauses(reader, bq.must, scorers) + build_clauses(
+        reader, bq.should, scorers
+    )
+    return _canonical_scores(clauses, docids, reader.norm_bytes)
+
+
 def score_segment_exhaustive(
     reader, bq: BooleanQuery, scorers: dict, k: int, after=None
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:

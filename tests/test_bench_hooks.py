@@ -40,7 +40,7 @@ def test_tracer_hooks_stay_on_the_search_path(tmp_path, ray_session):
 
     from lucene_ray.index.builder import build_index
     from lucene_ray.index.corpus import write_corpus
-    from lucene_ray.search.engine import IndexSearcher
+    from lucene_ray.search.engine import IndexSearcher, search_time_limited
     from lucene_ray.search.query import BooleanQuery, PhraseQuery, PrefixQuery, TermQuery
 
     corpus, ix = str(tmp_path / "corpus"), str(tmp_path / "ix")
@@ -52,6 +52,17 @@ def test_tracer_hooks_stay_on_the_search_path(tmp_path, ray_session):
         tracer.enabled = True
         for q in (TermQuery("merge"), PhraseQuery(("flush", "token")), PrefixQuery("mer")):
             assert len(s.search(BooleanQuery(should=[q]), 5).docids)
+        # a searchAfter page, an exhaustive searcher and the time-limited
+        # search score through the same hooked functions
+        first = s.search("merge", 5)
+        for run in (
+            lambda: s.search("merge", 5, after=(float(first.scores[-1]), int(first.docids[-1]))),
+            lambda: IndexSearcher(ix, pruned=False).search("merge", 5),
+            lambda: search_time_limited(s, "merge", k=5, budget_s=3600.0),
+        ):
+            before = tracer.counts["search.scorer.calls"]
+            assert len(run().docids)
+            assert tracer.counts["search.scorer.calls"] > before
         tracer.enabled = False
     table = tracer.table()
     for name in ("search.scorer.score", "codec.decode", "search.rewrite"):

@@ -8,12 +8,13 @@ On a small two-segment index with hard and soft deletes:
   - ``count``'s docFreq and match-all shortcuts respect soft deletes;
   - min_should_match counts an optional clause absent from a segment as
     unmatched there, as ``explain`` does;
+  - ``drill_sideways_counts`` takes a TermQuery, string or BooleanQuery
+    base as one MUST clause;
   - the facet, join, grouping, classification, doc-values-stats and
     dataset-split functions and the shard facet methods take the match set
     only: they never reach ``IndexSearcher.search`` or ``search_shard``.
 """
 
-import inspect
 import pathlib
 import shutil
 
@@ -166,6 +167,37 @@ def test_absent_optional_clause_fails_min_should_match(ix):
     assert not s.explain(q, int(s.matching_docs("sort")[0])).is_match
 
 
+def test_drill_sideways_compound_base(ix):
+    """A TermQuery, string or BooleanQuery base is one MUST clause of each
+    drill-down conjunction: the hit count and every dimension's counts
+    equal those of the explicit set intersection (a SHOULD-only base keeps
+    its OR semantics)."""
+    from collections import Counter
+
+    s = IndexSearcher(ix)
+    drill = {"lang": "py", "repo": "a/x"}
+    dim_sets = {
+        f: set(s.matching_docs(BooleanQuery(must=[T(f"{f}:{v}")])).tolist())
+        for f, v in drill.items()
+    }
+    for base in (
+        T("merge"),
+        "merge scan",
+        BooleanQuery(should=[T("merge"), T("scan")]),
+        BooleanQuery(must=[T("flush")], must_not=[T("sort")]),
+    ):
+        alone = BooleanQuery(must=[base]) if isinstance(base, TermQuery) else base
+        docs = set(s.matching_docs(alone).tolist())
+        assert docs, base
+        hits, sideways = engine.drill_sideways_counts(s, base, drill)
+        assert hits == len(docs.intersection(*dim_sets.values())), base
+        for dim in drill:
+            keep = docs.intersection(*(v for f, v in dim_sets.items() if f != dim))
+            vals = engine.fetch_stored(s.reader, sorted(keep)).column(dim).to_pylist()
+            want = sorted(Counter(vals).items(), key=lambda kv: (-kv[1], kv[0]))
+            assert sideways[dim] == want, (base, dim)
+
+
 def _raise(*_a, **_k):
     raise AssertionError("a set-only caller ran a full-rank search")
 
@@ -229,10 +261,9 @@ def test_set_only_callers_never_rank(ix, monkeypatch):
 
 
 def test_full_rank_k_only_in_search_sorted():
-    """A full-rank ``k=1 << 62`` search is left only where the caller
-    needs the scores (``search_sorted`` returns them)."""
-    lines, start = inspect.getsourcelines(engine.search_sorted)
-    allowed = range(start, start + len(lines))
+    """No full-rank ``k=1 << 62`` search is left under ``lucene_ray/``:
+    set-only callers take ``matching_docs``, and ``search_sorted`` scores
+    only the k docs it returns."""
     root = pathlib.Path(lucene_ray.__file__).parent
     hits = [
         (p, i)
@@ -240,5 +271,4 @@ def test_full_rank_k_only_in_search_sorted():
         for i, line in enumerate(p.read_text().splitlines(), 1)
         if "1 << 62" in line
     ]
-    engine_path = pathlib.Path(engine.__file__)
-    assert hits and all(p == engine_path and i in allowed for p, i in hits), hits
+    assert not hits, hits
