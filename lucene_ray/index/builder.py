@@ -4,9 +4,8 @@ Pipeline shape (SURVEY.md §7.1 steps 2-6, replacing IndexWriter's DWPT +
 flush machinery, index/DocumentsWriter.java:409-460):
 
   plan (driver, Parquet footers only)
-      -> ray.data.from_items(segment specs)                # tiny control rows
-      -> map_batches(build_segment, task-parallel)         # the real work
-      -> driver folds the streamed entry rows into manifest.json
+      -> tasks.fan_out(build_one_segment, specs)           # one task per spec
+      -> build_index folds the returned entries into manifest.json
 
 Design notes for 100 TB scale:
   - **Deterministic docids under any parallelism** (north rule N vs 4N
@@ -31,6 +30,7 @@ Design notes for 100 TB scale:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import time
@@ -53,6 +53,7 @@ from lucene_ray.index.manifest import (
     write_entry,
     write_manifest,
 )
+from lucene_ray.index.tasks import fan_out
 
 STORED_COLUMNS = ["repo", "path", "commit", "lang"]
 
@@ -972,17 +973,16 @@ def build_index(
 ) -> Manifest:
     """Build (or resume) the whole index with Ray Data.
 
-    The control Dataset holds one row per segment spec; the heavy lifting is
-    a stateless ``map_batches`` over it (tasks, not actors — tokenization is
-    pure; SURVEY.md §7.2). Ray must already be initialised by the caller.
+    Each segment spec still to build is one task of ``tasks.fan_out``
+    (tasks, not actors — tokenization is pure; SURVEY.md §7.2);
+    ``concurrency`` caps the concurrent tasks. Ray must already be
+    initialised by the caller.
 
     ``options`` are the BuildOptions fields (analyzer_name, index_options,
     doc-value/point/shape/analyzed fields, ...); a build option is declared
     once, as a BuildOptions field plus one variant tag, and validated
     before any Ray task starts. An unknown keyword raises TypeError.
     """
-    import ray.data
-
     options = BuildOptions(**options)
     specs = plan_segments(input_paths, target_docs, options.variant)
     todo = []
@@ -994,68 +994,12 @@ def build_index(
         else:
             todo.append(s)
 
-    if todo:
-        import json as _json
-
-        def run_spec(batch: dict) -> dict:
-            out = []
-            for i in range(len(batch["seg_idx"])):
-                spec = SegmentSpec(
-                    seg_idx=int(batch["seg_idx"][i]),
-                    file=str(batch["file"][i]),
-                    rg_start=int(batch["rg_start"][i]),
-                    rg_end=int(batch["rg_end"][i]),
-                    n_docs=int(batch["n_docs"][i]),
-                    docid_base=int(batch["docid_base"][i]),
-                    variant=str(batch["variant"][i]),
-                )
-                entry = build_one_segment(spec, index_dir, options)
-                out.append(_json.dumps(entry.__dict__))
-            return {"entry": np.array(out)}
-
-        ds = ray.data.from_items(
-            [
-                {
-                    "seg_idx": s.seg_idx,
-                    "file": s.file,
-                    "rg_start": s.rg_start,
-                    "rg_end": s.rg_end,
-                    "n_docs": s.n_docs,
-                    "docid_base": s.docid_base,
-                    "variant": s.variant,
-                }
-                for s in todo
-            ]
-        )
-        ds = ds.repartition(len(todo))
-        if concurrency is None:
-            # above ~10 concurrent heavy workers this box hits a memory-
-            # subsystem cliff (BASELINE.md; re-measured r3: the identical
-            # 200K-doc build runs 9.1s at 10-way vs 17.5s at 24-way in the
-            # same VM state), so large budgets cap at PER_NODE_HEAVY_WORKERS
-            # — a PER-NODE saturation constant, not an engine limit: on a
-            # real cluster each node runs its own ~10-task pool and nodes
-            # scale linearly (zero cross-task coordination). Small budgets
-            # (<= 8) are below the cliff and use every core — capping there
-            # would also silently break the N -> 4N worker ratio the scaling
-            # criterion measures (2 workers -> 6 workers is 3x, bounding
-            # efficiency at 0.75 before any real loss).
-            import ray as _ray
-
-            from lucene_ray.config import PER_NODE_HEAVY_WORKERS
-
-            avail = int(_ray.cluster_resources().get("CPU", 8))
-            concurrency = (
-                avail
-                if avail <= 8
-                else min((avail * 3 + 2) // 4, PER_NODE_HEAVY_WORKERS)
-            )
-            concurrency = max(1, min(len(todo), concurrency))
-        result = ds.map_batches(run_spec, batch_size=None, concurrency=concurrency)
-        for batch in result.iter_batches(batch_format="pyarrow"):
-            for e in batch.column("entry").to_pylist():
-                done.append(SegmentEntry(**_json.loads(e)))
-
+    # one task per spec, even for one spec (tasks.fan_out)
+    done += fan_out(
+        functools.partial(build_one_segment, index_dir=index_dir, options=options),
+        todo,
+        concurrency,
+    )
     done.sort(key=lambda e: e.docid_base)
     prev = read_manifest(index_dir)
     manifest = Manifest(

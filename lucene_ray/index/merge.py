@@ -21,9 +21,9 @@ index/LogMergePolicy.java) — the merged segment inherits the first input's
 docid_base and locals shift by input offsets; global ids never change.
 With an append-only corpus delCount == 0, so the delete terms vanish.
 
-Execution: merge specs -> ray.data.from_items -> map_batches(tasks); each
-task streams the input postings tables term-by-term (k-way by sorted term
-in bounded chunks — `_iter_term_chunks`), decodes ONLY the current chunk,
+Execution: one ``tasks.fan_out`` task per merge spec; each task streams
+the input postings tables term-by-term (k-way by sorted term in bounded
+chunks — `_iter_term_chunks`), decodes ONLY the current chunk,
 rebases docids, re-encodes blocks and impacts EXACTLY as at build, and
 appends the chunk as a Parquet row group. Peak decoded state is
 O(chunk_pairs), independent of segment size — the SegmentMerger
@@ -32,6 +32,7 @@ mergeTerms streaming analog (index/SegmentMerger.java:109-165).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import time
@@ -55,6 +56,34 @@ from lucene_ray.index.manifest import (
     write_entry,
     write_manifest,
 )
+from lucene_ray.index.tasks import fan_out
+
+
+def _adjacent(a: SegmentEntry, b: SegmentEntry) -> bool:
+    """``b`` starts where ``a`` ends in the docid space. Only such
+    neighbours may share a merge: an exorcised segment leaves a docid gap
+    between its live neighbours, and a gap ends every merge window."""
+    return b.docid_base == a.docid_base + a.doc_count
+
+
+def _adjacent_runs(
+    live: list, keep=lambda e: True, max_len: int | None = None
+) -> list[list[str]]:
+    """Names of the maximal runs of docid-adjacent entries of ``live``
+    (docid order) that pass ``keep``; a run also ends after ``max_len``
+    entries. The windows of force_merge, force_merge_deletes and the
+    full-flush merges."""
+    runs: list[list[SegmentEntry]] = []
+    run: list[SegmentEntry] = []
+    for e in live:
+        if run and (not keep(e) or not _adjacent(run[-1], e) or len(run) == max_len):
+            runs.append(run)
+            run = []
+        if keep(e):
+            run.append(e)
+    if run:
+        runs.append(run)
+    return [[e.name for e in r] for r in runs]
 
 
 class TieredMergePolicy:
@@ -144,7 +173,7 @@ class TieredMergePolicy:
                 ):
                     e = pool[idx]
                     # adjacency: stop the window at a docid gap
-                    if cand and e.docid_base != cand[-1].docid_base + cand[-1].doc_count:
+                    if cand and not _adjacent(cand[-1], e):
                         break
                     if tot + e.bytes > self.max_merged_segment_bytes:
                         hit_too_large = True
@@ -484,7 +513,7 @@ def merge_segments(
     )
     assert len(entries) == len(names), "merge input missing from manifest"
     for a, b in zip(entries, entries[1:]):
-        assert b.docid_base == a.docid_base + a.doc_count, "non-adjacent merge"
+        assert _adjacent(a, b), "non-adjacent merge"
     new_base = entries[0].docid_base
     # every generation (del_gen, dv_gen, soft_del_gen) is part of the
     # identity: the same inputs re-merged after new deletes / DV updates /
@@ -723,18 +752,10 @@ class MergeOnFlushMergePolicy:
         live = sorted(
             (e for e in segments if not e.deleted), key=lambda e: e.docid_base
         )
-        specs: list[list[str]] = []
-        run: list[str] = []
-        for e in live:
-            if e.bytes < self.small_segment_threshold_bytes:
-                run.append(e.name)
-            else:
-                if len(run) > 1:
-                    specs.append(run)
-                run = []
-        if len(run) > 1:
-            specs.append(run)
-        return specs
+        runs = _adjacent_runs(
+            live, lambda e: e.bytes < self.small_segment_threshold_bytes
+        )
+        return [r for r in runs if len(r) > 1]
 
 
 def merge_on_commit(
@@ -757,12 +778,13 @@ def force_merge(index_dir: str, use_ray: bool = False) -> Manifest:
     manifest = read_manifest(index_dir)
     live = sorted(manifest.live_segments, key=lambda e: e.docid_base)
     while len(live) > 1:
-        # merge in windows of max_merge_at_once until one remains
+        # merge in windows of max_merge_at_once until one segment remains
+        # per docid-contiguous run
         specs = [
-            [e.name for e in live[i : i + MERGE_MAX_MERGE_AT_ONCE]]
-            for i in range(0, len(live), MERGE_MAX_MERGE_AT_ONCE)
+            r
+            for r in _adjacent_runs(live, max_len=MERGE_MAX_MERGE_AT_ONCE)
+            if len(r) > 1
         ]
-        specs = [s for s in specs if len(s) > 1]
         if not specs:
             break
         manifest = _apply_merges(index_dir, manifest, live, specs, use_ray)
@@ -784,13 +806,14 @@ def _apply_merges(
     merged_away = {n for spec in specs for n in spec}
     keep = [e for e in segments if e.name not in merged_away] + new_entries
     keep.sort(key=lambda e: e.docid_base)
+    live = [e for e in keep if not e.deleted]
     manifest = Manifest(
         generation=manifest.generation + 1,
         analyzer=manifest.analyzer,
         index_sort=getattr(manifest, "index_sort", None),
         user_data=getattr(manifest, "user_data", None),
-        doc_count=sum(e.doc_count for e in keep),
-        sum_ttf=sum(e.sum_ttf for e in keep),
+        doc_count=sum(e.doc_count for e in live),
+        sum_ttf=sum(e.sum_ttf for e in live),
         segments=keep,
     )
     write_manifest(index_dir, manifest)
@@ -798,35 +821,10 @@ def _apply_merges(
 
 
 def _execute_merges(index_dir: str, specs: list[list[str]], use_ray: bool) -> list[SegmentEntry]:
+    run = functools.partial(merge_segments, index_dir)
     if not use_ray or len(specs) == 1:
-        return [merge_segments(index_dir, spec) for spec in specs]
-    import json as _json
-
-    import ray.data
-
-    def run(batch: dict) -> dict:
-        out = []
-        for spec_json in batch["spec"]:
-            entry = merge_segments(index_dir, _json.loads(spec_json))
-            out.append(_json.dumps(entry.__dict__))
-        return {"entry": np.array(out)}
-
-    from lucene_ray.config import PER_NODE_HEAVY_WORKERS
-
-    ds = ray.data.from_items([{"spec": _json.dumps(s)} for s in specs]).repartition(
-        len(specs)
-    )
-    out = []
-    # merge tasks are allocation-heavy like segment builds: cap the pool at
-    # the per-node saturation constant (ConcurrentMergeScheduler's
-    # maxMergeCount role, index/ConcurrentMergeScheduler.java:61)
-    conc = max(1, min(len(specs), PER_NODE_HEAVY_WORKERS))
-    for batch in ds.map_batches(
-        run, batch_size=None, concurrency=conc
-    ).iter_batches(batch_format="pyarrow"):
-        for e in batch.column("entry").to_pylist():
-            out.append(SegmentEntry(**_json.loads(e)))
-    return out
+        return [run(spec) for spec in specs]
+    return fan_out(run, specs)
 
 
 def force_merge_deletes(
@@ -841,25 +839,16 @@ def force_merge_deletes(
     of adjacent qualifying segments merge together like a normal round."""
     manifest = read_manifest(index_dir)
     live = sorted(manifest.live_segments, key=lambda e: e.docid_base)
-    specs: list[list[str]] = []
-    run: list[str] = []
-    for e in live:
+
+    def qualifies(e: SegmentEntry) -> bool:
         # only deletes whose postings are still in the segment qualify —
         # a previous reclaiming merge keeps the tombstoned SLOTS (stable
         # docids) but already dropped their postings, so re-rewriting it
         # would be wasted work (idempotency)
         dels = getattr(e, "del_count", 0) - getattr(e, "reclaimed", 0)
-        if e.doc_count and 100.0 * dels / e.doc_count > pct_allowed:
-            run.append(e.name)
-            if len(run) == MERGE_MAX_MERGE_AT_ONCE:
-                specs.append(run)
-                run = []
-        else:
-            if run:
-                specs.append(run)
-            run = []
-    if run:
-        specs.append(run)
+        return bool(e.doc_count) and 100.0 * dels / e.doc_count > pct_allowed
+
+    specs = _adjacent_runs(live, qualifies, MERGE_MAX_MERGE_AT_ONCE)
     if not specs:
         return manifest
     return _apply_merges(index_dir, manifest, live, specs, use_ray)

@@ -12,7 +12,8 @@ either the old one or the new one, never a torn state.
 
 Scale shape: the copy set is computed from manifests only (no directory
 scans of segment data); each segment's file copies are independent, so a
-multi-node deployment runs one copy task per segment (``use_ray=True``).
+multi-node deployment runs one copy task per segment (``use_ray=True``,
+through ``tasks.fan_out``).
 Re-running after a crash copies only what is still missing (file-size
 compare on immutable files).
 """
@@ -24,6 +25,7 @@ import shutil
 
 from lucene_ray.index.manifest import read_manifest, segment_dir
 from lucene_ray.index.segfiles import ENTRY
+from lucene_ray.index.tasks import fan_out
 
 
 def _sync_file(src: str, dst: str, force: bool = False) -> int:
@@ -89,11 +91,8 @@ def replicate(src_dir: str, dst_dir: str, use_ray: bool = False) -> dict:
     pairs = [
         (segment_dir(src_dir, n), segment_dir(dst_dir, n)) for n in names
     ]
-    if use_ray and pairs:
-        import ray
-
-        sync_task = ray.remote(num_cpus=0.5)(_sync_segment)
-        results = ray.get([sync_task.remote(s, d) for s, d in pairs])
+    if use_ray:
+        results = fan_out(lambda p: _sync_segment(*p), pairs)
     else:
         results = [_sync_segment(s, d) for s, d in pairs]
     files = sum(r[0] for r in results)

@@ -16,8 +16,8 @@ never in-place), entry.json second, manifest.json last (atomic rename) —
 a crash between steps leaves the previous generation fully consistent.
 
 Scale shape: per-segment delete application is embarrassingly parallel
-(ray.data.from_items over segments -> map_batches tasks); only updated
-manifest entries flow back to the driver.
+(one ``tasks.fan_out`` task per segment); only each segment's new
+generation and delete count flow back to the caller.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from lucene_ray.index.manifest import (
     write_entry,
     write_manifest,
 )
+from lucene_ray.index.tasks import fan_out
 
 
 def _load_mask(f: segfiles.SegFile, seg_d: str, entry: SegmentEntry) -> np.ndarray:
@@ -197,47 +198,27 @@ def _tombstone_by_term(
 
     live_entries = sorted(manifest.live_segments, key=lambda e: e.docid_base)
 
-    def one(entry: SegmentEntry) -> tuple[str, int, int, int]:
+    def one(entry: SegmentEntry) -> tuple[int, int, int]:
         sr = SegmentReader(
             segment_dir(index_dir, entry.name),
             entry.docid_base,
             entry.doc_count,
-            del_gen=getattr(entry, "del_gen", 0),
+            del_gen=entry.del_gen,
         )
         tp = sr.postings(term)
-        if tp is None:
-            return entry.name, getattr(entry, "del_gen", 0), getattr(entry, "del_count", 0), 0
-        before = getattr(entry, "del_count", 0)
-        e2 = _apply_segment_deletes(index_dir, entry, tp.docids)
-        return entry.name, e2.del_gen, e2.del_count, e2.del_count - before
+        before = entry.del_count
+        if tp is not None:
+            entry = _apply_segment_deletes(index_dir, entry, tp.docids)
+        return entry.del_gen, entry.del_count, entry.del_count - before
 
-    total = 0
     if use_ray and len(live_entries) > 1:
-        import json as _json
-
-        import ray.data
-
-        by_name = {e.name: e for e in live_entries}
-
-        def run(batch: dict) -> dict:
-            out = []
-            for name in batch["name"]:
-                r = one(by_name[str(name)])
-                out.append(_json.dumps(r))
-            return {"r": np.array(out)}
-
-        ds = ray.data.from_items([{"name": e.name} for e in live_entries])
-        for b in ds.map_batches(run, batch_size=None).iter_batches(batch_format="pyarrow"):
-            for rj in b.column("r").to_pylist():
-                name, gen, cnt, newly = _json.loads(rj)
-                by_name[name].del_gen = gen
-                by_name[name].del_count = cnt
-                total += newly
+        results = fan_out(one, live_entries)
     else:
-        for e in live_entries:
-            _, _, _, newly = one(e)
-            total += newly
-    return int(total)
+        results = [one(e) for e in live_entries]
+    # a Ray task updated a copy of its entry: carry the generation back
+    for e, (gen, count, _) in zip(live_entries, results):
+        e.del_gen, e.del_count = gen, count
+    return sum(newly for _, _, newly in results)
 
 
 def _next_seg_idx(manifest: Manifest, index_dir: str | None = None) -> int:
@@ -330,8 +311,8 @@ def add_indexes(dest_dir: str, src_dirs: list[str]) -> Manifest:
             base += e.doc_count
     manifest.segments.sort(key=lambda x: x.docid_base)
     manifest.generation += 1
-    manifest.doc_count = sum(e.doc_count for e in manifest.segments)
-    manifest.sum_ttf = sum(e.sum_ttf for e in manifest.segments)
+    manifest.doc_count = sum(e.doc_count for e in manifest.live_segments)
+    manifest.sum_ttf = sum(e.sum_ttf for e in manifest.live_segments)
     write_manifest(dest_dir, manifest)
     return manifest
 
@@ -387,8 +368,8 @@ def _append_documents(
     manifest.segments.append(entry)
     manifest.segments.sort(key=lambda e: e.docid_base)
     manifest.generation += 1
-    manifest.doc_count = sum(e.doc_count for e in manifest.segments)
-    manifest.sum_ttf = sum(e.sum_ttf for e in manifest.segments)
+    manifest.doc_count = sum(e.doc_count for e in manifest.live_segments)
+    manifest.sum_ttf = sum(e.sum_ttf for e in manifest.live_segments)
     write_manifest(index_dir, manifest)
     return manifest
 

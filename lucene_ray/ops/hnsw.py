@@ -45,6 +45,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from lucene_ray.index.tasks import fan_out
 from lucene_ray.ops.knn import (
     TOP_K,
     _CACHE_ROOT,
@@ -329,40 +330,30 @@ def build_hnsw_index(
     os.makedirs(tmp_dir, exist_ok=True)
     specs = _shard_specs(sf_dir, shard_size)
 
-    def build_shard(batch: dict) -> pa.Table:
+    def build_shard(spec: dict) -> None:
         import pyarrow.parquet as pq
 
-        out = []
-        for shard, lo, hi in zip(
-            batch["shard"].tolist(), batch["lo"].tolist(), batch["hi"].tolist()
-        ):
-            t = pq.read_table(
-                f"{sf_dir}/embeddings.parquet",
-                columns=["vec_id", "embedding"],
-                filters=[("vec_id", ">=", lo), ("vec_id", "<", hi)],
-            )
-            ids = t.column("vec_id").to_numpy(zero_copy_only=False)
-            order = np.argsort(ids)
-            ids = ids[order]
-            mat = _embedding_matrix(
-                t.column("embedding").combine_chunks().take(pa.array(order))
-            )
-            g = _ShardGraph(ids, mat)
-            graph, vectors, meta = g.to_tables()
-            d = os.path.join(tmp_dir, f"shard={shard}")
-            os.makedirs(d, exist_ok=True)
-            pq.write_table(vectors, os.path.join(d, "vectors.parquet"))
-            pq.write_table(graph, os.path.join(d, "graph.parquet"))
-            with open(os.path.join(d, "meta.json"), "w") as f:
-                json.dump(meta, f)
-            out.append(shard)
-        return pa.table({"shard": pa.array(out, type=pa.int64())})
+        t = pq.read_table(
+            f"{sf_dir}/embeddings.parquet",
+            columns=["vec_id", "embedding"],
+            filters=[("vec_id", ">=", spec["lo"]), ("vec_id", "<", spec["hi"])],
+        )
+        ids = t.column("vec_id").to_numpy(zero_copy_only=False)
+        order = np.argsort(ids)
+        ids = ids[order]
+        mat = _embedding_matrix(
+            t.column("embedding").combine_chunks().take(pa.array(order))
+        )
+        g = _ShardGraph(ids, mat)
+        graph, vectors, meta = g.to_tables()
+        d = os.path.join(tmp_dir, f"shard={spec['shard']}")
+        os.makedirs(d, exist_ok=True)
+        pq.write_table(vectors, os.path.join(d, "vectors.parquet"))
+        pq.write_table(graph, os.path.join(d, "graph.parquet"))
+        with open(os.path.join(d, "meta.json"), "w") as f:
+            json.dump(meta, f)
 
-    (
-        ray.data.from_items(specs)
-        .map_batches(build_shard, batch_format="numpy", batch_size=1)
-        .materialize()
-    )
+    fan_out(build_shard, specs)
     with open(os.path.join(tmp_dir, "_HNSW_DONE"), "w") as f:
         f.write("ok")
     shutil.rmtree(index_dir, ignore_errors=True)

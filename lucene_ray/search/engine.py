@@ -234,10 +234,13 @@ _LAZY_READER_QUERIES = (CommonTermsQuery, FuzzyLikeThisQuery, MoreLikeThisQuery)
 def rewrite_lazy(bq, rewrite) -> BooleanQuery:
     """``bq`` with every reader-lazy query replaced by ``rewrite(q)``: the
     query itself, or a clause of any must/should/must_not list (which
-    becomes one nested boolean clause). Shared by IndexSearcher.prepare
-    and DistributedSearcher, so no lazy clause reaches the scorer."""
+    becomes one nested boolean clause). A bare clause query is a
+    one-clause (SHOULD) boolean. Shared by IndexSearcher.prepare and
+    DistributedSearcher, so no lazy clause reaches the scorer."""
     if isinstance(bq, _LAZY_READER_QUERIES):
         bq = rewrite(bq)
+    elif not isinstance(bq, BooleanQuery):
+        bq = BooleanQuery(should=[bq])
     if not any(isinstance(q, _LAZY_READER_QUERIES) for q in bq.must + bq.should + bq.must_not):
         return bq
 
@@ -555,10 +558,7 @@ def rescore(
     bit-identical to search()'s scorer, so rescore(q1 hits, q1, 0) is a
     no-op by construction."""
     from lucene_ray.search.explain import explain
-    from lucene_ray.search.query import BooleanQuery
 
-    if not isinstance(query, BooleanQuery):
-        query = BooleanQuery(should=[query])
     second = np.zeros(len(topdocs.docids), dtype=np.float32)
     for i, d in enumerate(topdocs.docids):
         ex = explain(searcher, query, int(d))

@@ -11,6 +11,7 @@ import pytest
 
 from lucene_ray.index.builder import build_index
 from lucene_ray.index.checkindex import check_index
+from lucene_ray.index.manifest import read_manifest
 from lucene_ray.index.merge import force_merge
 from lucene_ray.index.writer import (
     add_documents,
@@ -473,6 +474,95 @@ class TestExorcise:
         gap = set(range(victim.docid_base, victim.docid_base + victim.doc_count))
         assert not (got & gap)
         assert got  # still finds matches in surviving segments
+
+    @staticmethod
+    def _exorcise_second(ix):
+        import os
+
+        from lucene_ray.index.checkindex import exorcise_index
+        from lucene_ray.index.manifest import segment_dir
+
+        live = sorted(read_manifest(ix).live_segments, key=lambda e: e.docid_base)
+        with open(os.path.join(segment_dir(ix, live[1].name), "postings.parquet"), "wb") as f:
+            f.write(b"corrupt")
+        assert [n for n, _ in exorcise_index(ix)["removed"]] == [live[1].name]
+        return live
+
+    @staticmethod
+    def _assert_live_counts(ix):
+        m = read_manifest(ix)
+        assert m.doc_count == sum(e.doc_count for e in m.live_segments)
+        assert m.sum_ttf == sum(e.sum_ttf for e in m.live_segments)
+
+    def test_commit_counts_live_segments_only(self, ix, tmp_path):
+        """After an exorcise, add_documents, add_indexes and a merge round
+        publish doc_count/sum_ttf (BM25's N and avgdl) of the LIVE segments,
+        not of the exorcised entry too."""
+        from lucene_ray.index.merge import TieredMergePolicy, maybe_merge
+        from lucene_ray.index.writer import add_indexes
+
+        self._exorcise_second(ix)
+        self._assert_live_counts(ix)
+        add_documents(ix, pa.table({
+            "repo": ["r9"] * 5, "path": [f"new/{i}.py" for i in range(5)],
+            "commit": ["c1"] * 5, "lang": ["py"] * 5,
+            "content": [f"merge flush {_key(500 + i)}" for i in range(5)],
+        }))
+        self._assert_live_counts(ix)
+        src = str(tmp_path / "other.parquet")
+        _keyed_corpus(src, n=30)
+        other = str(tmp_path / "other")
+        build_index([src], other, target_docs=40)
+        add_indexes(ix, [other])
+        self._assert_live_counts(ix)
+        g0 = read_manifest(ix).generation
+        maybe_merge(ix, TieredMergePolicy(segs_per_tier=2, max_merge_at_once=2), use_ray=False)
+        assert read_manifest(ix).generation > g0  # a merge round ran
+        self._assert_live_counts(ix)
+        assert IndexReader(ix).doc_count == read_manifest(ix).doc_count
+
+    def test_merges_stop_at_docid_gap(self, ix):
+        """A docid gap (an exorcised segment) ends every merge window:
+        force_merge_deletes, force_merge, the full-flush merges and
+        maybe_merge complete, each docid-contiguous run ends as one
+        segment, and the doc sets of the queries are unchanged."""
+        from lucene_ray.index.merge import (
+            MergeOnFlushMergePolicy,
+            force_merge_deletes,
+            maybe_merge,
+            merge_on_commit,
+        )
+
+        segs = self._exorcise_second(ix)
+        gap = (segs[1].docid_base, segs[1].docid_base + segs[1].doc_count)
+        # both neighbours of the gap qualify for force_merge_deletes
+        delete_docs(ix, [segs[0].docid_base + i for i in range(5)]
+                    + [segs[2].docid_base + i for i in range(5)])
+        queries = ["merge", "flush sort", "+batch -hash", _key(3), _key(100)]
+        before = {q: doc_set(IndexSearcher(ix), q) for q in queries}
+
+        def check():
+            live = read_manifest(ix).live_segments
+            assert not any(
+                e.docid_base < gap[1] and gap[0] < e.docid_base + e.doc_count
+                for e in live
+            )
+            assert {q: doc_set(IndexSearcher(ix), q) for q in queries} == before
+            # the gap itself is the one whole-index finding
+            problems = check_index(ix)["problems"]
+            assert [p for p in problems if "prefix sum" not in p] == []
+            self._assert_live_counts(ix)
+            return live
+
+        force_merge_deletes(ix, pct_allowed=10.0)
+        check()
+        merge_on_commit(ix, MergeOnFlushMergePolicy(), use_ray=False)
+        check()
+        force_merge(ix)
+        live = check()
+        assert sorted(e.docid_base for e in live) == [0, gap[1]]
+        maybe_merge(ix, use_ray=False)
+        assert len(check()) == 2
 
     def test_exorcise_clean_index_is_noop(self, ix):
         from lucene_ray.index.checkindex import exorcise_index

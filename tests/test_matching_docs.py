@@ -10,6 +10,8 @@ On a small two-segment index with hard and soft deletes:
     unmatched there, as ``explain`` does;
   - ``drill_sideways_counts`` takes a TermQuery, string or BooleanQuery
     base as one MUST clause;
+  - a bare clause query searches, counts and matches as the one-clause
+    query;
   - the facet, join, grouping, classification, doc-values-stats and
     dataset-split functions and the shard facet methods take the match set
     only: they never reach ``IndexSearcher.search`` or ``search_shard``.
@@ -165,6 +167,21 @@ def test_absent_optional_clause_fails_min_should_match(ix):
     assert s.matching_docs(q).tolist() == []
     assert s.search(q, 100).total_hits == 0 == s.count(q)
     assert not s.explain(q, int(s.matching_docs("sort")[0])).is_match
+
+
+@pytest.mark.parametrize("text", ["lang:py", "merge", "sort"])
+def test_bare_clause_query_is_one_clause(ix, text):
+    """A bare clause query is the one-clause query: the same hits, float32
+    scores, total, count and match set as the string it parses from, on
+    the pruned and the exhaustive path."""
+    for pruned in (True, False):
+        s = IndexSearcher(ix, pruned=pruned)
+        a, b = s.search(T(text), 50), s.search(text, 50)
+        assert a.docids.tolist() == b.docids.tolist() and len(a.docids)
+        assert a.scores.tobytes() == b.scores.tobytes()
+        assert (a.total_hits, a.relation) == (b.total_hits, b.relation)
+    assert s.count(T(text)) == s.count(text)
+    assert s.matching_docs(T(text)).tolist() == s.matching_docs(text).tolist()
 
 
 def test_drill_sideways_compound_base(ix):

@@ -32,6 +32,7 @@ def test_full_flush_selects_adjacent_small_runs():
     class E:
         def __init__(self, name, base, b):
             self.name, self.docid_base, self.bytes = name, base, b
+            self.doc_count = 10  # every base below is 10 past the last
             self.deleted = False
 
     p = MergeOnFlushMergePolicy(small_segment_threshold_mb=1.0)

@@ -1350,6 +1350,17 @@ class TestRescore:
         assert rs.docids.tolist() == td.docids.tolist()
         np.testing.assert_array_equal(rs.scores, td.scores)
 
+    def test_rescore_takes_a_query_string(self, ix):
+        from lucene_ray.search.engine import rescore
+
+        s = IndexSearcher(ix, pruned=False)
+        td = s.search(BooleanQuery(should=[TermQuery("merge")]), 20)
+        a = rescore(s, td, "sort", weight=1.5)
+        b = rescore(s, td, TermQuery("sort"), weight=1.5)
+        assert a.docids.tolist() == b.docids.tolist()
+        np.testing.assert_array_equal(a.scores, b.scores)
+        assert not np.array_equal(a.scores, td.scores)  # the second pass counted
+
     def test_rescore_combines_explain_values(self, ix):
         from lucene_ray.search.engine import rescore
         from lucene_ray.search.explain import explain
