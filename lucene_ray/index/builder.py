@@ -971,7 +971,7 @@ def build_index(
     concurrency: int | None = None,
     **options,
 ) -> Manifest:
-    """Build (or resume) the whole index with Ray Data.
+    """Build (or resume) the whole index with Ray tasks.
 
     Each segment spec still to build is one task of ``tasks.fan_out``
     (tasks, not actors — tokenization is pure; SURVEY.md §7.2);

@@ -716,7 +716,7 @@ def maybe_merge(
 ) -> Manifest:
     """Run merge rounds until the policy is satisfied (IndexWriter.maybeMerge
     cascade, index/IndexWriter.java:701). Each round's merges execute in
-    parallel as a Ray Data task pool over the spec list; the manifest swap is
+    parallel, one Ray task per spec (tasks.fan_out); the manifest swap is
     a single atomic write per round."""
     policy = policy or TieredMergePolicy()
     manifest = read_manifest(index_dir)
@@ -787,8 +787,10 @@ def force_merge(index_dir: str, use_ray: bool = False) -> Manifest:
         ]
         if not specs:
             break
-        manifest = _apply_merges(index_dir, manifest, live, specs, use_ray)
-        live = manifest.segments
+        manifest = _apply_merges(
+            index_dir, manifest, manifest.segments, specs, use_ray
+        )
+        live = sorted(manifest.live_segments, key=lambda e: e.docid_base)
     return manifest
 
 
@@ -851,4 +853,4 @@ def force_merge_deletes(
     specs = _adjacent_runs(live, qualifies, MERGE_MAX_MERGE_AT_ONCE)
     if not specs:
         return manifest
-    return _apply_merges(index_dir, manifest, live, specs, use_ray)
+    return _apply_merges(index_dir, manifest, manifest.segments, specs, use_ray)

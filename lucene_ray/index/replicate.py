@@ -92,7 +92,9 @@ def replicate(src_dir: str, dst_dir: str, use_ray: bool = False) -> dict:
         (segment_dir(src_dir, n), segment_dir(dst_dir, n)) for n in names
     ]
     if use_ray:
-        results = fan_out(lambda p: _sync_segment(*p), pairs)
+        # file copies are I/O-bound: no heavy-worker cap, one task per
+        # segment up to the cluster's CPU slots
+        results = fan_out(lambda p: _sync_segment(*p), pairs, len(pairs))
     else:
         results = [_sync_segment(s, d) for s, d in pairs]
     files = sum(r[0] for r in results)

@@ -234,7 +234,7 @@ def pk_split_index(
     ``mid_term`` (a 'field:value' keyword term) builds the reference's
     midTerm form: dir1 = [*, mid), mid itself goes to dir2."""
     from lucene_ray.search.engine import IndexSearcher
-    from lucene_ray.search.query import BooleanQuery, TermRangeQuery
+    from lucene_ray.search.query import TermRangeQuery
 
     if (query is None) == (mid_term is None):
         raise ValueError("exactly one of query / mid_term required")
@@ -243,8 +243,6 @@ def pk_split_index(
         query = TermRangeQuery(
             f"{fld}:", mid_term, include_lower=True, include_upper=False
         )
-    if not isinstance(query, BooleanQuery):
-        query = BooleanQuery(should=[query])
     sm = read_manifest(src_dir)
     max_doc = max(
         (e.docid_base + e.doc_count for e in sm.live_segments), default=0

@@ -1,46 +1,31 @@
 """One fan-out for per-segment Ray work (SURVEY.md §7.2).
 
-Segment work — builds, merges, delete-by-term, replication, the HNSW shard
-build — is one shape: a control Dataset of small item rows, then a
-stateless ``map_batches`` of tasks, one item per block and one block per
-task. ``fan_out(fn, items)`` is that shape, written once. Items and results
-travel as pickled bytes, so the Ray path returns the same objects as
-``[fn(x) for x in items]`` in-process, in input order, and an exception
-raised by ``fn`` reaches the caller as itself.
+``fan_out(fn, items)`` is ``[fn(x) for x in items]`` with each item in its
+own Ray task: results in input order, the objects themselves, and an
+exception raised by ``fn`` reaching the caller as an instance of its own
+type (Ray's ``RayTaskError`` subclasses it). Plain tasks, not a Ray Data
+``map_batches``: a Dataset pays its executor start on every call (replicate
+of 10 segments on 1 CPU: 0.26 s through a Dataset, 0.10 s as tasks) and
+needs its own row encoding for items, results and errors.
 
-Callers keep their own in-process guard (``use_ray=False``, a single
-merge); ``fan_out`` always dispatches. It starts only Ray Data tasks and
-consumes its Dataset before it returns, so nothing outlives the call.
+Callers keep their own in-process guard; ``fan_out`` always dispatches,
+and ``ray.get`` waits for every task, so nothing outlives the call.
 """
 
 from __future__ import annotations
-
-import pickle
-import traceback
-
-import pyarrow as pa
 
 from lucene_ray.config import PER_NODE_HEAVY_WORKERS
 
 
 def _concurrency(n_items: int, requested: int | None = None) -> int:
-    """Concurrent tasks for ``n_items`` allocation-heavy items: ``requested``
-    or, by default, every core up to 8 cores, else 3/4 of them capped at
-    PER_NODE_HEAVY_WORKERS; never more than ``n_items``. Segment builds
-    and merges are both allocation-heavy (for merges this is
-    ConcurrentMergeScheduler's maxMergeCount role,
-    index/ConcurrentMergeScheduler.java:61).
-
-    Above ~10 concurrent heavy workers the bench VM hits a memory-subsystem
-    cliff (BASELINE.md; re-measured r3: the identical 200K-doc build runs
-    9.1s at 10-way vs 17.5s at 24-way in the same VM state), so large
-    budgets cap at PER_NODE_HEAVY_WORKERS — a PER-NODE saturation constant,
-    not an engine limit: on a real cluster each node runs its own ~10-task
-    pool and nodes scale linearly (zero cross-task coordination). Small
-    budgets (<= 8) are below the cliff and use every core — capping there
-    would also silently break the N -> 4N worker ratio the scaling
-    criterion measures (2 workers -> 6 workers is 3x, bounding efficiency
-    at 0.75 before any real loss)."""
+    """Concurrent tasks for ``n_items`` allocation-heavy items (segment
+    builds; merges, ConcurrentMergeScheduler's maxMergeCount role):
+    ``requested``, else every core up to 8 cores, else 3/4 of them capped
+    at PER_NODE_HEAVY_WORKERS; never more than ``n_items``. Above ~10 heavy
+    workers a node hits a memory-subsystem cliff (BASELINE.md: a 200K-doc
+    build runs 9.1 s at 10-way vs 17.5 s at 24-way); the cap is per node,
+    not an engine limit. Up to 8 cores every core is used, which keeps the
+    N -> 4N worker ratio the scaling criterion measures."""
     if requested is None:
         import ray
 
@@ -54,37 +39,25 @@ def _concurrency(n_items: int, requested: int | None = None) -> int:
 def fan_out(fn, items, concurrency: int | None = None) -> list:
     """``[fn(x) for x in items]``, each item in its own Ray task.
 
-    ``concurrency`` caps the concurrent tasks (default: the
-    :func:`_concurrency` rule). ``fan_out([])`` returns ``[]`` without
-    touching Ray."""
+    ``concurrency`` caps the concurrent tasks. The default is the
+    :func:`_concurrency` rule for allocation-heavy work; replication,
+    delete-by-term and HNSW shards pass ``len(items)`` (CPU slots only).
+    ``fan_out([])`` returns ``[]`` without touching Ray."""
     items = list(items)
     if not items:
         return []
-    import ray.data
+    import ray
 
-    def run(batch: pa.Table) -> pa.Table:
-        out = []
-        for b in batch.column("item").to_pylist():
-            try:
-                out.append(pickle.dumps((True, fn(pickle.loads(b)))))
-            except Exception as ex:
-                # re-raised in the caller; keep the task's traceback with it
-                ex.add_note(traceback.format_exc())
-                out.append(pickle.dumps((False, ex)))
-        return pa.table({"i": batch.column("i"), "out": pa.array(out, pa.binary())})
+    task, fn_ref = ray.remote(_call), ray.put(fn)
+    cap = _concurrency(len(items), concurrency)
+    refs: list = []
+    for x in items:
+        if len(refs) >= cap:
+            # keep at most ``cap`` tasks in flight
+            ray.wait(refs, num_returns=len(refs) - cap + 1)
+        refs.append(task.remote(fn_ref, x))
+    return ray.get(refs)
 
-    ds = ray.data.from_items(
-        [{"i": i, "item": pickle.dumps(x)} for i, x in enumerate(items)],
-        override_num_blocks=len(items),
-    )
-    results: list = [None] * len(items)
-    for batch in ds.map_batches(
-        run, batch_format="pyarrow", batch_size=None,
-        concurrency=_concurrency(len(items), concurrency),
-    ).iter_batches(batch_format="pyarrow", batch_size=None):
-        for i, b in zip(batch.column("i").to_pylist(), batch.column("out").to_pylist()):
-            results[i] = pickle.loads(b)
-    for ok, r in results:
-        if not ok:
-            raise r
-    return [r for _, r in results]
+
+def _call(fn, x):
+    return fn(x)

@@ -212,7 +212,9 @@ def _tombstone_by_term(
         return entry.del_gen, entry.del_count, entry.del_count - before
 
     if use_ray and len(live_entries) > 1:
-        results = fan_out(one, live_entries)
+        # a postings lookup and a bitmap write per segment: no heavy-worker
+        # cap, one task per segment up to the cluster's CPU slots
+        results = fan_out(one, live_entries, len(live_entries))
     else:
         results = [one(e) for e in live_entries]
     # a Ray task updated a copy of its entry: carry the generation back

@@ -353,7 +353,9 @@ def build_hnsw_index(
         with open(os.path.join(d, "meta.json"), "w") as f:
             json.dump(meta, f)
 
-    fan_out(build_shard, specs)
+    # one task per shard up to the cluster's CPU slots: the heavy-worker
+    # cap was measured on segment builds, not on shard graphs
+    fan_out(build_shard, specs, len(specs))
     with open(os.path.join(tmp_dir, "_HNSW_DONE"), "w") as f:
         f.write("ok")
     shutil.rmtree(index_dir, ignore_errors=True)

@@ -476,17 +476,35 @@ class TestExorcise:
         assert got  # still finds matches in surviving segments
 
     @staticmethod
-    def _exorcise_second(ix):
+    def _exorcise(ix, i):
         import os
 
         from lucene_ray.index.checkindex import exorcise_index
         from lucene_ray.index.manifest import segment_dir
 
         live = sorted(read_manifest(ix).live_segments, key=lambda e: e.docid_base)
-        with open(os.path.join(segment_dir(ix, live[1].name), "postings.parquet"), "wb") as f:
+        with open(os.path.join(segment_dir(ix, live[i].name), "postings.parquet"), "wb") as f:
             f.write(b"corrupt")
-        assert [n for n, _ in exorcise_index(ix)["removed"]] == [live[1].name]
+        assert [n for n, _ in exorcise_index(ix)["removed"]] == [live[i].name]
         return live
+
+    def _exorcise_second(self, ix):
+        return self._exorcise(ix, 1)
+
+    @staticmethod
+    def _assert_exorcised_kept(ix, name):
+        # the detached entry stays in the manifest: it holds its docid
+        # range, so later appends never reuse those docids
+        assert [e.deleted for e in read_manifest(ix).segments if e.name == name] == [True]
+
+    @staticmethod
+    def _add_one(ix, key):
+        add_documents(ix, pa.table({
+            "repo": ["r9"], "path": ["new/one.py"], "commit": ["c1"],
+            "lang": ["py"], "content": [f"merge {key}"],
+        }))
+        (docid,) = doc_set(IndexSearcher(ix), key)
+        return docid
 
     @staticmethod
     def _assert_live_counts(ix):
@@ -552,6 +570,7 @@ class TestExorcise:
             problems = check_index(ix)["problems"]
             assert [p for p in problems if "prefix sum" not in p] == []
             self._assert_live_counts(ix)
+            self._assert_exorcised_kept(ix, segs[1].name)
             return live
 
         force_merge_deletes(ix, pct_allowed=10.0)
@@ -563,6 +582,20 @@ class TestExorcise:
         assert sorted(e.docid_base for e in live) == [0, gap[1]]
         maybe_merge(ix, use_ray=False)
         assert len(check()) == 2
+        end = max(e.docid_base + e.doc_count for e in segs)
+        assert self._add_one(ix, _key(900)) == end
+
+    def test_force_merge_keeps_exorcised_tail(self, ix):
+        """force_merge after the LAST segment is exorcised keeps its entry,
+        so the next add_documents gets a docid past the gap, not one of the
+        detached segment's docids."""
+        segs = self._exorcise(ix, -1)
+        force_merge(ix)
+        self._assert_exorcised_kept(ix, segs[-1].name)
+        self._assert_live_counts(ix)
+        assert len(read_manifest(ix).live_segments) == 1
+        end = segs[-1].docid_base + segs[-1].doc_count
+        assert self._add_one(ix, _key(901)) == end
 
     def test_exorcise_clean_index_is_noop(self, ix):
         from lucene_ray.index.checkindex import exorcise_index

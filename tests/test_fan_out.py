@@ -3,12 +3,14 @@
 ``index.tasks.fan_out(fn, items)`` is the only dispatcher of per-segment
 Ray tasks (build, merge, delete-by-term, replicate, the HNSW shard build):
   - results come back in input order, each item from its own Ray task;
-  - an exception raised by ``fn`` reaches the caller as itself;
+  - ``concurrency`` caps the tasks in flight;
+  - an exception raised by ``fn`` reaches the caller as its own type;
   - ``fan_out([])`` touches no Ray API;
   - results are the pickled objects themselves, not JSON round-trips: a
     built ``SegmentEntry`` equals the in-process one;
-  - under ``lucene_ray/index/`` nothing else builds a control Dataset,
-    nothing repartitions, and only tasks.py reads the concurrency cap.
+  - under ``lucene_ray/index/`` nothing else submits Ray tasks or builds
+    a control Dataset, nothing repartitions, and only tasks.py reads the
+    concurrency cap.
 """
 
 import dataclasses
@@ -44,6 +46,20 @@ def test_input_order_one_task_per_item(ray_session):
     assert len(set(tasks)) == 7
 
 
+def test_concurrency_caps_tasks_in_flight(ray_session):
+    def span(x):
+        import time
+
+        t0 = time.time()
+        time.sleep(0.2)
+        return t0, time.time()
+
+    spans = fan_out(span, range(6), concurrency=2)
+    # no instant lies inside more than two task spans
+    for t0, _ in spans:
+        assert sum(a <= t0 < b for a, b in spans) <= 2
+
+
 def test_exception_reaches_caller(ray_session):
     def fail_on_two(x):
         if x == 2:
@@ -56,13 +72,12 @@ def test_exception_reaches_caller(ray_session):
 
 def test_empty_starts_nothing(monkeypatch):
     import ray
-    import ray.data
 
     def untouchable(*_a, **_k):
         raise AssertionError("fan_out([]) reached Ray")
 
-    monkeypatch.setattr(ray.data, "from_items", untouchable)
-    monkeypatch.setattr(ray, "cluster_resources", untouchable)
+    for name in ("remote", "put", "wait", "get", "cluster_resources"):
+        monkeypatch.setattr(ray, name, untouchable)
     assert fan_out(untouchable, []) == []
     assert fan_out(untouchable, iter(())) == []
 
@@ -106,9 +121,12 @@ def test_one_fan_out_under_index():
         src = p.read_text()
         assert ".repartition(" not in src, p.name
         # stats.py's from_items feeds a groupby shuffle (a Dataset, not a
-        # list of per-item results), so it is not a fan-out
-        if p.name not in ("tasks.py", "stats.py"):
+        # list of per-item results) and corpus.py's task writes synthetic
+        # corpus shards, not segments: neither is a fan-out
+        if p.name != "stats.py":
             assert "ray.data.from_items" not in src, p.name
+        if p.name not in ("tasks.py", "corpus.py"):
+            assert "ray.remote" not in src, p.name
     readers = {
         p.relative_to(ROOT).as_posix()
         for p in ROOT.rglob("*.py")
