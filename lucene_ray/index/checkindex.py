@@ -14,7 +14,10 @@ Checks per segment:
     len(positions), sorted-numeric values ascending, shape edge flags
   - stored-fields sha256 matches the source Parquet rows (content invariant)
 Index-level:
-  - docid_base prefix-sum consistency, doc_count totals
+  - live docid ranges ascending and disjoint; every gap between them is
+    covered by a detached (``deleted=True``) entry, the range an exorcised
+    or removed segment keeps
+  - manifest doc_count/sum_ttf equal the live segments' sums
 """
 
 from __future__ import annotations
@@ -38,14 +41,8 @@ def check_index(index_dir: str, verify_content: bool = True) -> dict:
     problems: list[str] = []
     n_terms = n_postings = 0
 
-    expected_base = 0
+    problems += _docid_range_problems(reader.manifest)
     for entry in reader.segments:
-        if entry.docid_base != expected_base:
-            problems.append(
-                f"{entry.name}: docid_base {entry.docid_base} != prefix sum {expected_base}"
-            )
-        expected_base += entry.doc_count
-
         sr = reader.segment_reader(entry.name)
         d = segment_dir(index_dir, entry.name)
         postings = pq.read_table(segfiles.POSTINGS.path(d))
@@ -303,8 +300,6 @@ def check_index(index_dir: str, verify_content: bool = True) -> dict:
             if expect != got:
                 problems.append(f"{entry.name}: content sha256 mismatch vs source")
 
-    if reader.doc_count != expected_base:
-        problems.append(f"manifest doc_count {reader.doc_count} != sum {expected_base}")
     return {
         "ok": not problems,
         "problems": problems,
@@ -312,6 +307,39 @@ def check_index(index_dir: str, verify_content: bool = True) -> dict:
         "terms": n_terms,
         "postings": n_postings,
     }
+
+
+def _docid_range_problems(manifest) -> list[str]:
+    """Index-level checks of the manifest: live ranges ascending and
+    disjoint, each gap before or between them covered by detached
+    entries, and doc_count/sum_ttf equal to the live sums (BM25's N and
+    avgdl)."""
+    problems = []
+    live = manifest.live_segments
+    detached = sorted(
+        (e.docid_base, e.docid_base + e.doc_count) for e in manifest.segments if e.deleted
+    )
+    end = 0
+    for e in live:
+        if e.docid_base < end:
+            problems.append(
+                f"{e.name}: docid_base {e.docid_base} overlaps the range ending at {end}"
+            )
+        elif e.docid_base > end:
+            covered = end
+            for lo, hi in detached:
+                if lo <= covered:
+                    covered = max(covered, hi)
+            if covered < e.docid_base:
+                problems.append(
+                    f"{e.name}: docids [{covered}, {e.docid_base}) in no segment"
+                )
+        end = max(end, e.docid_base + e.doc_count)
+    for attr in ("doc_count", "sum_ttf"):
+        total = sum(getattr(e, attr) for e in live)
+        if getattr(manifest, attr) != total:
+            problems.append(f"manifest {attr} {getattr(manifest, attr)} != live sum {total}")
+    return problems
 
 
 def exorcise_index(index_dir: str) -> dict:

@@ -5,8 +5,9 @@
       IndexSplitter.java — file-level segment copy into a fresh index
       (segment files address docs by LOCAL ids here, so the copy is
       byte-verbatim and only the manifest entry rebases), listing, and
-      in-place segment removal (remaining docid_bases keep their gaps —
-      the repo's docids-never-renumber invariant, same as exorcise).
+      in-place segment removal (a removed segment stays as a detached
+      entry and remaining docid_bases keep their gaps — the repo's
+      docids-never-renumber invariant, same as exorcise).
   multipass_split_index
       MultiPassIndexSplitter.java:70-110 — N parts over the ORIGINAL
       global docid space: seq = [i*partLen, (i+1)*partLen) with the last
@@ -105,9 +106,11 @@ def split_index(src_dir: str, dest_dir: str, segment_names: list[str]) -> Manife
 
 
 def remove_segments(index_dir: str, segment_names: list[str]) -> Manifest:
-    """IndexSplitter -d: drop the named segments from the manifest
-    (files remain for retained commits; remaining docid_bases keep their
-    gaps — docids never renumber)."""
+    """IndexSplitter -d: detach the named segments. Each stays in the
+    manifest as a ``deleted=True`` entry holding its docid range, as
+    ``exorcise_index`` leaves one (files remain for retained commits;
+    remaining docid_bases keep their gaps and later appends never reuse
+    the range — docids never renumber)."""
     m = read_manifest(index_dir)
     if m is None:
         raise FileNotFoundError(f"no manifest under {index_dir}")
@@ -116,9 +119,11 @@ def remove_segments(index_dir: str, segment_names: list[str]) -> Manifest:
     missing = names - have
     if missing:
         raise ValueError(f"segments not in index: {sorted(missing)}")
-    m.segments = [e for e in m.segments if e.name not in names]
-    m.doc_count = sum(e.doc_count for e in m.segments)
-    m.sum_ttf = sum(e.sum_ttf for e in m.segments)
+    for e in m.segments:
+        if e.name in names:
+            e.deleted = True
+    m.doc_count = sum(e.doc_count for e in m.live_segments)
+    m.sum_ttf = sum(e.sum_ttf for e in m.live_segments)
     m.generation += 1
     write_manifest(index_dir, m)
     return m

@@ -5,9 +5,9 @@ Search lifecycle (SURVEY.md §3.3):
   2. gather GLOBAL term stats across segments (CollectionStatistics /
      TermStatistics summed over leaves BEFORE scoring, so every segment
      scores against identical idf/avgdl — IndexSearcher semantics)
-  3. per-segment scoring (pruned block-max MaxScore or exhaustive oracle),
-     carrying the min-competitive floor θ across segments
-     (MaxScoreAccumulator.java:26 cross-slice floor analog)
+  3. per-segment scoring (bulk top-k with block-max segment skipping, or
+     the exhaustive oracle), carrying the min-competitive floor θ across
+     segments (MaxScoreAccumulator.java:26 cross-slice floor analog)
   4. deterministic merge: score desc, global docid asc (TopDocs.java:90-130)
 
 Ray-shape: queries stream AS A DATASET through ``QueryScorerStage`` — a
@@ -74,9 +74,9 @@ from lucene_ray.search.similarity import BM25Similarity
 
 class TopDocs:
     """``relation``: "eq" when total_hits is exact, "gte" when the pruned
-    path may have skipped counting docs reachable only through skipped
-    non-essential clauses (TotalHits.Relation.GREATER_THAN_OR_EQUAL_TO,
-    search/TotalHits.java)."""
+    path skipped whole segments whose block-max bound could not beat the
+    min-competitive floor, so their hits were never counted
+    (TotalHits.Relation.GREATER_THAN_OR_EQUAL_TO, search/TotalHits.java)."""
 
     __slots__ = ("docids", "scores", "total_hits", "relation")
 
@@ -391,10 +391,10 @@ def segment_hits(
     empty segments included. Segments are scored only as the caller
     advances, so ``TopDocs.merge`` of what it took is the result so far.
 
-    ``pruned`` scores with block-max MaxScore and carries the
-    min-competitive floor θ across segments: the kth-best score collected
-    so far (MaxScoreAccumulator). ``after`` is a (score, global docid)
-    searchAfter cursor; it forces the exhaustive path, as the floor
+    ``pruned`` carries the min-competitive floor θ across segments, the
+    kth-best score collected so far (MaxScoreAccumulator), and skips a
+    segment whose block-max bound cannot beat it. ``after`` is a (score,
+    global docid) searchAfter cursor; it forces the exhaustive path, as the floor
     assumes top-of-index scores (TopScoreDocCollector.java:104-160). The
     score functions are looked up as module globals at call time, so a
     wrapper installed on this module sees every segment."""

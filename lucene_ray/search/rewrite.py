@@ -504,7 +504,7 @@ def rewrite_query(
                             )
                     else:
                         # flat SHOULD expansion scores identically (sum over
-                        # matching expansions) and lets MaxScore prune
+                        # matching expansions) and joins the segment bound
                         out.should.extend(expanded)
             else:
                 getattr(out, occur).extend(expanded)

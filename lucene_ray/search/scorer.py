@@ -1,6 +1,6 @@
 """Per-segment query execution: the clause table, an exhaustive TAAT oracle
-and a block-max pruned MaxScore path, sharing one contribution model so
-scores are bit-identical.
+and a bulk top-k scorer, sharing one contribution model so scores are
+bit-identical.
 
 Clause table (the rewrite -> Weight -> per-segment Scorer step, SURVEY.md
 §2.11): every query type is ONE row of ``CLAUSE_TABLE``, keyed by its
@@ -11,7 +11,7 @@ A type without a row raises TypeError: multi-term, span-wrapper,
 phrase-wildcard and reader-lazy queries are rewritten away before scoring.
 The four kinds:
   - TERM: a TermQuery's SegmentTermCursor — lazy, block-selective decode
-    and per-block max scores for pruning (TermScorer + ImpactsDISI).
+    and per-block max scores (TermScorer + ImpactsDISI).
   - FREQ: (docids, freqs) scored by the clause's similarity, max score over
     the matches — phrase, sloppy/n-gram/multi-phrase, interval, span-near,
     span algebra, synonym (the PhraseWeight/SpanWeight shape).
@@ -25,26 +25,27 @@ The four kinds:
     disjunctions.
 
 Reference machinery being re-expressed (SURVEY.md §2.11):
-  - TermScorer + ImpactsDISI block skipping (search/TermScorer.java:29-95,
-    search/ImpactsDISI.java:28-70): here per-128-doc blocks are decoded
-    *selectively* through stored block offsets and pruned through pareto
-    (tf,norm) impact metadata (MaxScoreCache.java:34-79 analog).
-  - MaxScore essential/non-essential partition (search/MaxScoreBulkScorer.java:
-    27-65): clauses sorted by max-score; low-bound floor θ from the k-heap;
-    docs that can only be reached through non-essential clauses are never
-    materialized.
-  - Block-max refinement (BlockMaxConjunctionScorer / Ding&Suel BMW): before
-    decoding a non-essential clause for a surviving candidate, its per-block
-    max-score bound is applied.
-  - Exhaustive windowed OR (search/BooleanScorer.java): the TAAT oracle —
-    dense float32 accumulator over the segment's doc space.
-  - Conjunction leapfrog (search/ConjunctionDISI.java): smallest-df clause
-    drives; other clauses are probed by block-selective lookup.
+  - TermScorer + ImpactsDISI (search/TermScorer.java:29-95,
+    search/ImpactsDISI.java:28-70): per-128-doc blocks are decoded
+    *selectively* through stored block offsets, and pareto (tf, norm)
+    impact metadata gives per-block max scores (MaxScoreCache.java:34-79
+    analog) without decoding postings.
+  - Min-competitive floor (TopScoreDocCollector.java:283-320,
+    MaxScoreAccumulator): θ, the kth-best score collected so far, skips a
+    whole segment whose summed clause maxima cannot beat it.
+  - Bulk scoring (search/BooleanScorer.java, "score all" over a doc
+    window): the window is the whole segment — every scoring clause is
+    added into one dense float32 accumulator in canonical clause order,
+    for every boolean shape; MUST, MUST_NOT and minimum-should-match
+    filter the candidates through the dense match masks.
+  - Exhaustive TAAT (``evaluate_boolean``): the oracle — the same match
+    set, each candidate rescored clause by clause (``_canonical_scores``).
   - Tie-breaks: score desc, then docID asc (search/HitQueue.java:78-84).
 
-Vectorization stance: no per-doc Python loops — per-clause numpy kernels,
-per-BLOCK selective decode, final exact rescore of the few survivors in
-canonical clause order (guaranteeing pruned == exhaustive bit-for-bit, the
+Vectorization stance: no per-doc Python loops — per-clause numpy kernels
+and per-BLOCK selective decode. Every path adds a candidate's clause
+scores in canonical clause order (an unmatched clause adds +0.0f, which
+changes no sum), so the top-k path equals the oracle bit for bit (the
 CheckHits duel contract, test-framework/.../CheckHits.java:691-712).
 """
 
@@ -133,6 +134,10 @@ TERM, FREQ, CONST, SCORED = "term", "freq", "const", "scored"
 # below this many hits a plain lexsort beats partition + lexsort in _topk
 _PARTITION_MIN = 512
 
+# a term clause with more than this many postings per candidate is looked
+# up at the candidates instead of scored whole
+_LOOKUP_RATIO = 8
+
 # relative safety margin applied to float upper bounds before pruning
 # (absorbs float32 summation-order differences; ImpactsDISI uses exact
 # float32 arithmetic instead — our bounds are float64 with a margin)
@@ -144,7 +149,7 @@ class SegmentTermCursor:
     Cursors are CACHED per segment reader, so decode work amortizes across
     queries (reader.term_cursor)."""
 
-    __slots__ = ("row", "df", "_full", "_block_last", "_impacts_flat", "_tfs")
+    __slots__ = ("row", "df", "_full", "_block_last", "_impacts_flat", "_tfs", "_norm_tfs")
 
     def __init__(self, row):
         self.row = row
@@ -153,6 +158,7 @@ class SegmentTermCursor:
         self._block_last = np.asarray(row["block_last_docid"], dtype=np.int64)
         self._impacts_flat = None
         self._tfs = None
+        self._norm_tfs = None
 
     def _tf_full(self) -> np.ndarray:
         if self._tfs is None:
@@ -188,6 +194,22 @@ class SegmentTermCursor:
         if len(tfs) == 0:
             return np.zeros(len(offsets), dtype=np.float64)
         return scorer.max_score_blocks(tfs, norms, offsets)
+
+    def max_score(self, scorer: BM25Scorer) -> float:
+        """The term's max score in this segment, floored at 0: the largest
+        of its ``block_max_scores``, from the max tf at each norm byte over
+        every block's impacts (cached per cursor, at most 256 pairs; a
+        score never falls as tf rises at a fixed norm)."""
+        if self._norm_tfs is None:
+            tfs, norms, _offsets = self._impacts()
+            best = np.zeros(256, dtype=tfs.dtype)
+            np.maximum.at(best, norms, tfs)
+            at = np.flatnonzero(best)
+            self._norm_tfs = best[at], at.astype(norms.dtype)
+        tfs, norms = self._norm_tfs
+        if len(tfs) == 0:
+            return 0.0
+        return max(0.0, float(scorer.max_score_blocks(tfs, norms, np.zeros(1, np.intp))[0]))
 
     def blocks_for(self, docids: np.ndarray) -> np.ndarray:
         """Block index that would contain each docid (searchsorted on the
@@ -1491,22 +1513,22 @@ def _canonical_scores(
     return total
 
 
-def match_segment(reader, bq: BooleanQuery, scorers: dict):
-    """The one per-segment match function (BooleanWeight candidate
-    computation, ScoreMode.COMPLETE_NO_SCORES): the boolean doc-set algebra
-    with live-doc and MUST_NOT filtering, then the minimum-should-match
-    filter. Returns (ascending local docids of the full boolean, must
-    clauses, should clauses); nothing is scored."""
-    none = _no_docs(), [], []
+def _segment_clauses(reader, bq: BooleanQuery, scorers: dict):
+    """(must, should, must_not) clause lists of ``bq`` in one segment, or
+    None when no doc of the segment can match."""
     must = build_clauses(reader, bq.must, scorers)
     if bq.must and len(must) < len(bq.must):
         # a required clause is absent from this segment -> no hits
-        return none
+        return None
     should = build_clauses(reader, bq.should, scorers)
     must_not = build_clauses(reader, bq.must_not, scorers)
     if not (must or should):
-        return none
+        return None
+    return must, should, must_not
 
+
+def _match(reader, bq: BooleanQuery, must, should, must_not) -> np.ndarray:
+    """Ascending local docids matching ``bq``, from its built clauses."""
     # dense per-segment masks: a hit count per doc for required clauses,
     # an OR of the optional clauses' docids otherwise
     if bq.must:
@@ -1534,7 +1556,19 @@ def match_segment(reader, bq: BooleanQuery, scorers: dict):
         for c in should:
             sm += (c.lookup(cand) > 0).astype(np.int32)
         cand = cand[sm >= msm]
-    return cand, must, should
+    return cand
+
+
+def match_segment(reader, bq: BooleanQuery, scorers: dict):
+    """The one per-segment match function (BooleanWeight candidate
+    computation, ScoreMode.COMPLETE_NO_SCORES): the boolean doc-set algebra
+    with live-doc and MUST_NOT filtering, then the minimum-should-match
+    filter. Returns (ascending local docids of the full boolean, must
+    clauses, should clauses); nothing is scored."""
+    parts = _segment_clauses(reader, bq, scorers)
+    if parts is None:
+        return _no_docs(), [], []
+    return _match(reader, bq, *parts), parts[0], parts[1]
 
 
 def evaluate_boolean(
@@ -1582,101 +1616,56 @@ def score_segment_exhaustive(
     return d, s, len(cand), True
 
 
+def _bound_beats(theta: float, clauses: list, scored: list) -> bool:
+    """Whether the sum of the clauses' segment maxima can beat ``theta``;
+    stops adding maxima as soon as it can."""
+    bound = 0.0
+    for c, ds in zip(clauses, scored):
+        bound += c.cursor.max_score(c.scorer) if ds is None else float(ds[1].max(initial=0.0))
+        if bound * (1 + _BOUND_MARGIN) > theta:
+            return True
+    return False
+
+
 def score_segment_pruned(
     reader, bq: BooleanQuery, scorers: dict, k: int, theta: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Block-max MaxScore path. Falls back to the exhaustive path for shapes
-    it doesn't prune (required clauses present, minShouldMatch > 1) — the
-    scorer-selection logic analog (BooleanWeight.java:221-322).
+    """Bulk scorer for one segment (BooleanScorer's score-all shape), for
+    every boolean shape.
 
-    Returns (docids, scores, total_hits, exact): ``exact`` is True iff every
-    clause was evaluated, so total_hits is the true count; False means docs
-    matched only by skipped clauses were never counted and total_hits is a
-    lower bound (TotalHits.Relation.GREATER_THAN_OR_EQUAL_TO).
+    The segment bound sums each scoring clause's maximum: a term's
+    ``max_score`` from its block impacts (no postings decode), any other
+    clause's one ``eval_scores`` pass. A segment whose bound cannot beat
+    ``theta`` (the min-competitive floor carried across segments,
+    MaxScoreAccumulator) is skipped whole. Otherwise the match set comes from the dense masks
+    (``_match``) and every scoring clause is added into one
+    ``float32[doc_count]`` accumulator in canonical clause order, so each
+    candidate gets ``evaluate_boolean``'s additions bit for bit; a term
+    clause much larger than the match set is looked up per candidate
+    instead of scored whole.
 
-    ``theta`` carries the min-competitive floor across segments
-    (TopScoreDocCollector.java:283-320 / MaxScoreAccumulator semantics).
+    Returns (docids, scores, total_hits, exact): ``exact`` is False only
+    for a skipped segment, whose uncounted hits make total_hits a lower
+    bound (TotalHits.Relation.GREATER_THAN_OR_EQUAL_TO).
     """
-    if bq.must or bq.must_not or bq.min_should_match > 1:
-        return score_segment_exhaustive(reader, bq, scorers, k)
-    clauses = build_clauses(reader, bq.should, scorers)
-    if not clauses:
-        return np.array([], dtype=np.int64), np.array([], dtype=np.float32), 0, True
-
-    # one bound pass per clause: a term's block maxima give its max score and
-    # its non-essential per-block bounds; any other clause is materialized,
-    # so its (docids, scores) are kept for the essential loop and the rescore
+    parts = _segment_clauses(reader, bq, scorers)
+    if parts is None:
+        return *_no_scored(), 0, True
+    clauses = parts[0] + parts[1]
     norm_bytes = reader.norm_bytes
-    bms = [c.cursor.block_max_scores(c.scorer) if c.kind == TERM else None for c in clauses]
     scored = [None if c.kind == TERM else c.eval_scores(norm_bytes) for c in clauses]
-    max_scores = np.array(
-        [b.max(initial=0.0) if b is not None else ds[1].max(initial=0.0)
-         for b, ds in zip(bms, scored)],
-        dtype=np.float64,
-    )
-    order = np.argsort(-max_scores, kind="stable")  # eval from strongest
+    if theta > 0 and not _bound_beats(theta, clauses, scored):
+        return *_no_scored(), 0, False
 
-    doc_count = reader.doc_count
-    live = getattr(reader, "live_mask", None)
-    acc = np.zeros(doc_count, dtype=np.float32)
-    in_cand = np.zeros(doc_count, dtype=bool)
-    theta = float(theta)
-    j = 0
-    while j < len(order):
-        rest_bound = float(max_scores[order[j:]].sum()) * (1 + _BOUND_MARGIN)
-        if theta > 0 and rest_bound <= theta:
-            break  # remaining clauses cannot introduce a competitive doc
-        i = order[j]
-        d, s = clauses[i].eval_scores(norm_bytes) if scored[i] is None else scored[i]
-        if live is not None:
-            # filter BEFORE the θ floor sees these scores — a tombstoned
-            # high scorer must not raise the floor and prune live docs
-            m = live[d]
-            d, s = d[m], s[m]
-        scored[i] = d, s
-        acc[d] += s
-        in_cand[d] = True
-        # floor = kth best current partial sum (valid lower bounds)
-        cand_scores = acc[in_cand]
-        if len(cand_scores) >= k:
-            kth = float(np.partition(cand_scores, -k)[-k])
-            theta = max(theta, kth)
-        j += 1
-
-    cand = np.flatnonzero(in_cand)
-    if j < len(order):
-        # refine upper bounds per candidate with per-block maxes, then prune
-        ub = acc[cand].astype(np.float64)
-        for i in order[j:]:
-            if bms[i] is not None:
-                bi = np.minimum(clauses[i].cursor.blocks_for(cand), len(bms[i]) - 1)
-                ub += bms[i][bi]
-            else:
-                ub += max_scores[i]
-        keep = ub * (1 + _BOUND_MARGIN) >= theta
-        survivors = cand[keep]
-    else:
-        survivors = cand
-        if theta > 0:
-            survivors = survivors[
-                acc[survivors].astype(np.float64) * (1 + _BOUND_MARGIN) >= theta
-            ]
-
-    exact = j == len(order)  # every clause evaluated
-    if len(survivors) == 0:
-        return survivors, np.array([], dtype=np.float32), int(len(cand)), exact
-    # canonical-order rescore (the _canonical_scores sum): a clause with kept
-    # scores is scattered into one dense buffer, gathered at the survivors
-    # and cleared (+0.0f off its matches is exact); only non-essential terms
-    # are looked up. Every survivor matched an evaluated clause.
-    total = np.zeros(len(survivors), dtype=np.float32)
-    buf = np.zeros(doc_count, dtype=np.float32)
+    cand = _match(reader, bq, *parts)
+    acc = np.zeros(reader.doc_count, dtype=np.float32)
     for c, ds in zip(clauses, scored):
-        if ds is None:
-            total = total + c.contrib(survivors, norm_bytes)[0]
+        # docids are unique, so += is one float32 addition per doc; a doc
+        # the clause misses gets nothing here and +0.0f in the oracle
+        if ds is None and len(cand) * _LOOKUP_RATIO < c.cursor.df:
+            acc[cand] += c.contrib(cand, norm_bytes)[0]
         else:
-            buf[ds[0]] = ds[1]
-            total = total + buf[survivors]
-            buf[ds[0]] = 0.0
-    d, s = _topk(survivors, total, k)
-    return d, s, int(len(cand)), exact
+            d, s = c.eval_scores(norm_bytes) if ds is None else ds
+            acc[d] += s
+    d, s = _topk(cand, acc[cand], k)
+    return d, s, len(cand), True

@@ -566,9 +566,7 @@ class TestExorcise:
                 for e in live
             )
             assert {q: doc_set(IndexSearcher(ix), q) for q in queries} == before
-            # the gap itself is the one whole-index finding
-            problems = check_index(ix)["problems"]
-            assert [p for p in problems if "prefix sum" not in p] == []
+            assert check_index(ix)["problems"] == []
             self._assert_live_counts(ix)
             self._assert_exorcised_kept(ix, segs[1].name)
             return live
@@ -596,6 +594,65 @@ class TestExorcise:
         assert len(read_manifest(ix).live_segments) == 1
         end = segs[-1].docid_base + segs[-1].doc_count
         assert self._add_one(ix, _key(901)) == end
+
+    def test_remove_segments_counts_live_segments(self, ix):
+        """remove_segments after an exorcise publishes the live sums as
+        doc_count/sum_ttf (BM25's N and avgdl), and the index checks ok."""
+        from lucene_ray.index.split import remove_segments
+
+        segs = self._exorcise(ix, 2)
+        remove_segments(ix, [segs[1].name])
+        self._assert_live_counts(ix)
+        self._assert_exorcised_kept(ix, segs[1].name)
+        live = segs[0].doc_count + segs[3].doc_count
+        assert IndexReader(ix).doc_count == live
+        assert check_index(ix)["problems"] == []
+
+    def test_remove_segments_keeps_detached_tail(self, ix):
+        """Removing the LAST segment keeps its entry, so the next
+        add_documents gets a docid past the removed range."""
+        from lucene_ray.index.split import remove_segments
+
+        segs = sorted(read_manifest(ix).live_segments, key=lambda e: e.docid_base)
+        remove_segments(ix, [segs[-1].name])
+        self._assert_exorcised_kept(ix, segs[-1].name)
+        end = segs[-1].docid_base + segs[-1].doc_count
+        assert self._add_one(ix, _key(902)) == end
+        self._assert_live_counts(ix)
+        assert check_index(ix)["problems"] == []
+
+    def test_check_index_docid_ranges(self, ix):
+        """check_index accepts a gap covered by a detached entry and still
+        flags an overlapping range, an uncovered gap and a wrong count."""
+        from lucene_ray.index.manifest import write_manifest
+
+        segs = self._exorcise_second(ix)
+        assert check_index(ix)["ok"]
+        good = read_manifest(ix)
+
+        def problems(edit):
+            m = read_manifest(ix)
+            edit(m)
+            write_manifest(ix, m)
+            try:
+                return check_index(ix, verify_content=False)["problems"]
+            finally:
+                good.generation = m.generation + 1
+                write_manifest(ix, good)
+
+        def overlap(m):
+            m.live_segments[-1].docid_base -= 1
+
+        def uncovered(m):
+            m.segments = [e for e in m.segments if e.name != segs[1].name]
+
+        def miscount(m):
+            m.sum_ttf += 1
+
+        assert any("overlaps" in p for p in problems(overlap))
+        assert any("in no segment" in p for p in problems(uncovered))
+        assert any("sum_ttf" in p for p in problems(miscount))
+        assert check_index(ix)["ok"]
 
     def test_exorcise_clean_index_is_noop(self, ix):
         from lucene_ray.index.checkindex import exorcise_index
