@@ -10,9 +10,22 @@ Logical parity with the reference's packed-postings kernels:
 
 This is a *storage-format re-expression*, not a byte-level port: the
 reference's SIMD lane layout (gen_ForUtil.py) is replaced by MSB-first
-bit-packing via ``np.packbits`` / ``np.unpackbits``; partial tail blocks are
-packed with their own width instead of Lucene's VInt tail encoding. Logical
-content (the int sequences) round-trips exactly.
+bit-packing (``np.packbits`` and uint64 word-lane shift-or on encode);
+partial tail blocks are packed with their own width instead of Lucene's
+VInt tail encoding. Logical content (the int sequences) round-trips exactly.
+
+There is one decode kernel. ``_unpack`` extracts every FOR/PFor value of
+any set of blocks at once, as a (blocks, 128) matrix: one gather of 8-byte
+big-endian words from a zero-padded copy of the bytes, one right shift per
+(width, slot) and one mask per width, both from small precomputed tables;
+CONST blocks get their value and ``_patch`` ORs the PFor exceptions in with
+one scatter. Its callers differ only in how they read block headers:
+``decode_blocks_batched`` reads those of many streams' blocks in one
+vectorized pass (merge); the query-time ``decode_stream`` (a whole stream)
+and ``decode_stream_blocks`` (selected blocks) read their one stream's
+headers in Python, one to three bytes per block, which costs less than
+the ~20 numpy calls of the vectorized pass for the few blocks of a
+stream. No path decodes block by block in Python.
 
 Stream grammar (one stream = one term's docid-deltas, tfs, or pos-deltas):
 
@@ -51,18 +64,6 @@ def _pack_bits(values: np.ndarray, width: int) -> bytes:
     return np.packbits(bits).tobytes()
 
 
-def _unpack_bits(buf: memoryview, n: int, width: int) -> np.ndarray:
-    if width == 0:
-        return np.zeros(n, dtype=np.uint32)
-    nbytes = (n * width + 7) // 8
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8, count=nbytes))[: n * width]
-    bits = bits.reshape(n, width).astype(np.uint32)
-    weights = (np.uint32(1) << np.arange(width - 1, -1, -1, dtype=np.uint32)).astype(
-        np.uint32
-    )
-    return bits @ weights
-
-
 def _encode_block(values: np.ndarray, allow_pfor: bool = True) -> bytes:
     """Encode one block (<= BLOCK_SIZE uint32 values)."""
     n = len(values)
@@ -98,31 +99,6 @@ def _encode_block(values: np.ndarray, allow_pfor: bool = True) -> bytes:
                     return bytes(out)
                 break  # wider bases only cost more
     return bytes([width]) + _pack_bits(values, width)
-
-
-def _decode_block(buf: memoryview, offset: int, n: int) -> tuple[np.ndarray, int]:
-    """Decode one block at ``offset``; returns (values, next_offset)."""
-    marker = buf[offset]
-    if marker == _CONST_MARKER:
-        val = np.frombuffer(buf, dtype=np.uint32, count=1, offset=offset + 1)[0]
-        return np.full(n, val, dtype=np.uint32), offset + 5
-    if marker == _PFOR_MARKER:
-        base = buf[offset + 1]
-        n_exc = buf[offset + 2]
-        p = offset + 3
-        exc = np.frombuffer(buf, dtype=np.uint8, count=2 * n_exc, offset=p).reshape(
-            n_exc, 2
-        )
-        p += 2 * n_exc
-        nbytes = (n * base + 7) // 8
-        values = _unpack_bits(buf[p : p + nbytes], n, base)
-        if n_exc:
-            values[exc[:, 0]] |= exc[:, 1].astype(np.uint32) << np.uint32(base)
-        return values, p + nbytes
-    width = marker
-    nbytes = (n * width + 7) // 8
-    values = _unpack_bits(buf[offset + 1 : offset + 1 + nbytes], n, width)
-    return values, offset + 1 + nbytes
 
 
 def _pack_full_blocks(vals: np.ndarray, width: int) -> np.ndarray:
@@ -313,148 +289,164 @@ def encode_stream(
     return b"".join(parts), offsets
 
 
-def _unpack_full_blocks(packed: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of ``_pack_full_blocks``: (k, 16*width) bytes -> (k,
-    BLOCK_SIZE) uint32, via big-endian uint64 word lanes."""
-    k = packed.shape[0]
-    n_words = BLOCK_SIZE * width // 64
-    words = (
-        packed[:, : n_words * 8]
-        .reshape(k, n_words, 8)
-        .copy()
-        .view(">u8")
-        .reshape(k, n_words)
-        .astype(np.uint64)
-    )
-    out = np.empty((k, BLOCK_SIZE), dtype=np.uint32)
-    mask = (np.uint64(1) << np.uint64(width)) - np.uint64(1)
-    for i in range(BLOCK_SIZE):
-        bitpos = i * width
-        w_idx = bitpos >> 6
-        shift = 64 - (bitpos & 63) - width
-        if shift >= 0:
-            out[:, i] = (words[:, w_idx] >> np.uint64(shift)) & mask
-        else:
-            hi = words[:, w_idx] << np.uint64(-shift)
-            lo = words[:, w_idx + 1] >> np.uint64(64 + shift)
-            out[:, i] = (hi | lo) & mask
-    return out
+_WORD = 8  # bytes read per value: bit offset (< 8) + width (<= 32) fits
+# zeros after the copied bytes: the words read for the slots past a short
+# block's end (and past the last byte) stay inside the copy
+_PAD = bytes(BLOCK_SIZE * 32 // 8 + _WORD)
+_U64LE, _U32LE = np.dtype("<u8"), np.dtype("<u4")
+_SLOT = np.arange(BLOCK_SIZE)
+# (width, slot) tables: the byte of the slot's first bit within its block's
+# packed bits, and the right shift that brings the slot's bits to the
+# bottom of the big-endian word read there; one mask per width
+_WIDTHS = np.arange(33)[:, None]
+_SLOT_BYTE = (_SLOT * _WIDTHS) >> 3
+_SLOT_SHIFT = (64 - _WIDTHS - ((_SLOT * _WIDTHS) & 7)).astype(np.uint64)
+_WIDTH_MASK = ((np.uint64(1) << _WIDTHS.astype(np.uint64)) - np.uint64(1)).astype(np.uint32)
+# per header byte: the bit width (read from the header byte, or for PFor
+# from the byte after it), the header bytes before the packed bits (PFor
+# adds two per exception), and whether the block is CONST
+_WIDTH_OF = np.zeros(256, dtype=np.intp)
+_WIDTH_OF[:33] = np.arange(33)
+_HEADER_BYTES = np.ones(256, dtype=np.intp)
+_HEADER_BYTES[_PFOR_MARKER] = 3
+_IS_PFOR = np.zeros(256, dtype=np.intp)
+_IS_PFOR[_PFOR_MARKER] = 1
+_IS_CONST = np.zeros(256, dtype=np.uint32)
+_IS_CONST[_CONST_MARKER] = 1
 
 
-def decode_blocks_batched(
-    buf: np.ndarray, block_offsets: np.ndarray, block_lens: np.ndarray
-) -> np.ndarray:
-    """Decode MANY blocks in one vectorized pass (mirror of
-    ``encode_blocks_batched``) — the whole-segment decoder used by merge.
+def _unpack(padded, packed, width) -> np.ndarray:
+    """The value extraction: the uint32 values of the blocks whose packed
+    bits start at byte ``packed`` of ``padded`` (bytes followed by
+    ``_PAD``) at ``width`` bits per value, BLOCK_SIZE slots per block.
+    ``packed`` and ``width`` are ints for one block (a (BLOCK_SIZE,) result;
+    the tables are then read by row views), or a (blocks, 1) column and a
+    (blocks,) array (a (blocks, BLOCK_SIZE) result). Slots past a short
+    block's length hold garbage for the caller to drop."""
+    # the 8 bytes at each slot's first byte, as one big-endian word (an
+    # index, not .take, which would first copy this overlapping view whole)
+    words = np.ndarray((len(padded) - _WORD + 1,), _U64LE, padded, 0, (1,))
+    w = words[_SLOT_BYTE[width] + packed]
+    w.byteswap(inplace=True)
+    w >>= _SLOT_SHIFT[width]
+    vals = w.astype(np.uint32)
+    vals &= _WIDTH_MASK[width]
+    return vals
 
-    ``buf``: uint8 array containing every block back to back (possibly with
-    unrelated bytes between streams); ``block_offsets`` absolute offsets of
-    each block header; ``block_lens`` value counts. Returns the concatenated
-    values in block order.
+
+def _patch(vals: np.ndarray, p: np.ndarray, width: np.ndarray, exc_block, exc_at) -> None:
+    """OR the PFor exceptions into ``vals``: the (slot, high bits) byte
+    pairs at ``exc_at`` of ``p``, of blocks ``exc_block``."""
+    high = p[exc_at + 1].astype(np.uint32) << width[exc_block].astype(np.uint32)
+    vals[exc_block, p[exc_at]] |= high
+
+
+def decode_blocks_batched(buf, block_offsets, block_lens) -> np.ndarray:
+    """Decode any set of blocks in one vectorized pass: every header is
+    read at once, then one ``_unpack`` call.
+
+    ``buf``: the bytes holding every block (bytes, memoryview or uint8
+    array, copied whole: pass the span the blocks occupy; unrelated bytes
+    may lie between blocks); ``block_offsets``: the offset of each block's
+    header in ``buf``; ``block_lens``: each block's value count
+    (1..BLOCK_SIZE). Returns the values of all blocks, concatenated in the
+    given order, as uint32.
+
+    Every block is unpacked as BLOCK_SIZE slots of a (blocks, BLOCK_SIZE)
+    matrix, so per-block fields broadcast instead of being repeated per
+    value; the slots past a short block's length are dropped at the end.
     """
-    n_b = len(block_offsets)
-    total = int(block_lens.sum())
-    out = np.empty(total, dtype=np.uint32)
-    if n_b == 0:
-        return out
-    out_starts = np.concatenate(([0], np.cumsum(block_lens)[:-1]))
-    headers = buf[block_offsets]
-    is_full = block_lens == BLOCK_SIZE
-
-    # constant blocks
-    ci = np.nonzero(headers == _CONST_MARKER)[0]
-    if len(ci):
-        vals = (
-            buf[block_offsets[ci][:, None] + 1 + np.arange(4)]
-            .copy()
-            .view("<u4")
-            .reshape(-1)
-        )
-        idx = np.repeat(out_starts[ci], block_lens[ci]) + (
-            np.arange(int(block_lens[ci].sum()))
-            - np.repeat(np.concatenate(([0], np.cumsum(block_lens[ci])[:-1])), block_lens[ci])
-        )
-        out[idx] = np.repeat(vals, block_lens[ci])
-
-    # full FOR blocks, grouped by width
-    fi = np.nonzero((headers <= 32) & is_full)[0]
-    if len(fi):
-        for w in np.unique(headers[fi]):
-            grp = fi[headers[fi] == w]
-            if w == 0:
-                for b in grp:
-                    out[out_starts[b] : out_starts[b] + BLOCK_SIZE] = 0
-                continue
-            nbytes = (BLOCK_SIZE * int(w) + 7) // 8
-            packed = buf[block_offsets[grp][:, None] + 1 + np.arange(nbytes)]
-            vals = _unpack_full_blocks(packed, int(w))
-            idx = out_starts[grp][:, None] + np.arange(BLOCK_SIZE)
-            out[idx.reshape(-1)] = vals.reshape(-1)
-
-    done = np.zeros(n_b, dtype=bool)
-    done[ci] = True
-    done[fi] = True
-
-    # full PFor blocks, grouped by base width (positions streams are mostly
-    # PFor); exceptions patched in a short python loop
-    pi = np.nonzero((headers == _PFOR_MARKER) & is_full)[0]
-    if len(pi):
-        bases = buf[block_offsets[pi] + 1]
-        n_excs = buf[block_offsets[pi] + 2].astype(np.int64)
-        for base in np.unique(bases):
-            grp_mask = bases == base
-            grp = pi[grp_mask]
-            ne = n_excs[grp_mask]
-            nbytes = (BLOCK_SIZE * int(base) + 7) // 8
-            starts_p = block_offsets[grp] + 3 + 2 * ne
-            packed = buf[starts_p[:, None] + np.arange(nbytes)]
-            vals = _unpack_full_blocks(packed, int(base))
-            for r in np.nonzero(ne)[0]:
-                o = int(block_offsets[grp[r]]) + 3
-                for _e in range(int(ne[r])):
-                    pos = int(buf[o])
-                    high = int(buf[o + 1])
-                    vals[r, pos] |= np.uint32(high) << np.uint32(int(base))
-                    o += 2
-            idx = out_starts[grp][:, None] + np.arange(BLOCK_SIZE)
-            out[idx.reshape(-1)] = vals.reshape(-1)
-        done[pi] = True
-
-    # tails (and any non-full PFor, which the encoder never emits) via the
-    # scalar block decoder
-    rest = np.nonzero(~done)[0]
-    for b in rest:
-        vals, _ = _decode_block(buf, int(block_offsets[b]), int(block_lens[b]))
-        out[out_starts[b] : out_starts[b] + block_lens[b]] = vals
-    return out
+    o = np.asarray(block_offsets, dtype=np.intp)
+    if not len(o):
+        return np.zeros(0, dtype=np.uint32)
+    p = np.frombuffer(bytes(memoryview(buf)) + _PAD, dtype=np.uint8)
+    head = p[o]
+    pfor = _IS_PFOR[head]
+    n_exc = p[o + 2] * pfor
+    width = _WIDTH_OF[p[o + pfor]]
+    vals = _unpack(p, (o + _HEADER_BYTES[head] + 2 * n_exc)[:, None], width)
+    # a CONST block's value: the u32le after its header
+    u32le = np.ndarray((len(p) - 3,), _U32LE, p, 0, (1,))
+    vals |= (u32le[o + 1] * _IS_CONST[head])[:, None]
+    if n_exc.any():
+        # exception j of a block: its (slot, high bits) bytes at header + 3 + 2j
+        exc_block = np.repeat(np.arange(len(o)), n_exc)
+        first = np.cumsum(n_exc) - n_exc
+        _patch(vals, p, width, exc_block,
+               np.repeat(o + 3 - 2 * first, n_exc) + 2 * np.arange(len(exc_block)))
+    return vals[_SLOT < np.asarray(block_lens)[:, None]]
 
 
-def decode_stream(blob: bytes | memoryview, n: int) -> np.ndarray:
-    """Decode a full stream of ``n`` values."""
+def _read_header(buf: memoryview, at: int, cnt: int, b: int, fields) -> int:
+    """Read the header of block ``b`` (``cnt`` values) at offset ``at`` of
+    ``buf`` into ``fields`` (packed-bits offsets, widths, CONST blocks and
+    values, PFor exception blocks and byte offsets); returns the offset
+    after the block. One to three byte reads, no values decoded."""
+    packed, width, const_block, const, exc_block, exc_at = fields
+    head = buf[at]
+    if head == _CONST_MARKER:
+        const_block.append(b)
+        const.append(int.from_bytes(buf[at + 1 : at + 5], "little"))
+        head = 0  # packs no bits
+        at += 4
+    elif head == _PFOR_MARKER:
+        head, k = buf[at + 1], buf[at + 2]
+        exc_block += [b] * k
+        exc_at += range(at + 3, at + 3 + 2 * k, 2)
+        at += 2 + 2 * k
+    packed.append(at + 1)
+    width.append(head)
+    return at + 1 + (cnt * head + 7) // 8
+
+
+def _values(buf: memoryview, fields) -> np.ndarray:
+    """The (blocks, BLOCK_SIZE) values of the blocks whose headers
+    ``_read_header`` read into ``fields``, from one ``_unpack`` call."""
+    packed, width, const_block, const, exc_block, exc_at = fields
+    if len(const) == len(width):  # nothing packed
+        values = np.repeat(np.asarray(const, dtype=np.uint32), BLOCK_SIZE)
+        return values.reshape(-1, BLOCK_SIZE)
+    padded = bytes(buf) + _PAD
+    if len(width) == 1:  # row views of the tables cost less than gathers
+        vals = _unpack(padded, packed[0], width[0])[None]
+    else:
+        vals = _unpack(padded, np.asarray(packed)[:, None], np.asarray(width))
+    if const:
+        vals[const_block] = np.asarray(const, dtype=np.uint32)[:, None]
+    if exc_at:
+        _patch(vals, np.frombuffer(padded, dtype=np.uint8), np.asarray(width),
+               np.asarray(exc_block), np.asarray(exc_at))
+    return vals
+
+
+def decode_stream(blob, n: int) -> np.ndarray:
+    """Decode a full stream of ``n`` values: its headers are read in
+    Python (locating its blocks needs them anyway), its values come from
+    one ``_unpack`` call."""
     buf = memoryview(blob)
-    out = np.empty(n, dtype=np.uint32)
-    offset = 0
-    done = 0
-    while done < n:
-        cnt = min(BLOCK_SIZE, n - done)
-        vals, offset = _decode_block(buf, offset, cnt)
-        out[done : done + cnt] = vals
-        done += cnt
-    return out
+    fields = ([], [], [], [], [], [])
+    at = 0
+    for b, start in enumerate(range(0, n, BLOCK_SIZE)):
+        at = _read_header(buf, at, min(BLOCK_SIZE, n - start), b, fields)
+    return _values(buf, fields).ravel()[:n]
 
 
 def decode_stream_blocks(
-    blob: bytes | memoryview,
+    blob,
     n: int,
     block_offsets: np.ndarray,
     block_indices: np.ndarray,
-) -> list[np.ndarray]:
-    """Selectively decode only ``block_indices`` (sorted) of a stream."""
+) -> np.ndarray:
+    """Decode only the blocks ``block_indices`` (sorted) of a stream of
+    ``n`` values, at their stored ``block_offsets``, with one ``_unpack``
+    call; returns their values concatenated in order."""
     buf = memoryview(blob)
-    out = []
-    for bi in block_indices:
-        start = int(bi) * BLOCK_SIZE
-        cnt = min(BLOCK_SIZE, n - start)
-        vals, _ = _decode_block(buf, int(block_offsets[bi]), cnt)
-        out.append(vals)
-    return out
+    fields = ([], [], [], [], [], [])
+    blocks = np.asarray(block_indices).tolist()
+    total = 0
+    for b, bi in enumerate(blocks):
+        cnt = min(BLOCK_SIZE, n - bi * BLOCK_SIZE)
+        _read_header(buf, int(block_offsets[bi]), cnt, b, fields)
+        total += cnt
+    # only a stream's last block is short, and it sorts last
+    return _values(buf, fields).ravel()[:total]

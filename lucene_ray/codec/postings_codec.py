@@ -34,7 +34,7 @@ from collections.abc import Mapping
 import numpy as np
 import pyarrow as pa
 
-from lucene_ray.codec.forutil import decode_stream
+from lucene_ray.codec.forutil import decode_blocks_batched, decode_stream
 from lucene_ray.config import BLOCK_SIZE
 
 #: bumped when the on-disk layout changes (invalidates segment fingerprints)
@@ -547,6 +547,45 @@ class TermRow(Mapping):
         return self._readers.batch.num_columns
 
 
+# blocks per decode_blocks_batched call in decode_segment_pairs: bounds the
+# kernel's temporaries (a few (blocks, BLOCK_SIZE) int64 matrices, ~1 MB
+# each) however large the segment
+DECODE_CHUNK_BLOCKS = 1024
+
+
+def _stream_blocks(table: pa.Table, blob_col: str, off_col: str, counts: np.ndarray):
+    """(data, absolute block offsets, block lengths) of one stream column:
+    row j's stream holds ``counts[j]`` values (0 = row skipped) in
+    ceil(counts[j] / BLOCK_SIZE) blocks, located by the first that many
+    entries of its offset list."""
+    data, boffs = _binary_col(table.column(blob_col).combine_chunks())
+    rel, roffs = _list_col(table.column(off_col).combine_chunks())
+    n_list = np.diff(roffs)
+    nb = (counts + BLOCK_SIZE - 1) // BLOCK_SIZE
+    # entry i of row j's offset list is kept when i < nb[j]
+    entry = np.arange(int(roffs[-1] - roffs[0])) - np.repeat(roffs[:-1] - roffs[0], n_list)
+    keep = entry < np.repeat(nb, n_list)
+    abs_off = (rel[roffs[0] : roffs[-1]] + np.repeat(boffs[:-1], n_list))[keep]
+    lens = np.full(int(nb.sum()), BLOCK_SIZE, dtype=np.int64)
+    has = nb > 0
+    lens[np.cumsum(nb)[has] - 1] = counts[has] - (nb[has] - 1) * BLOCK_SIZE
+    return data, abs_off, lens
+
+
+def _decode_chunked(data: np.ndarray, offs: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``decode_blocks_batched`` over DECODE_CHUNK_BLOCKS blocks at a time,
+    each call given only the bytes its blocks span (offsets ascend)."""
+    out = np.empty(int(lens.sum()), dtype=np.uint32)
+    ends = np.cumsum(lens)
+    for i in range(0, len(offs), DECODE_CHUNK_BLOCKS):
+        j = min(i + DECODE_CHUNK_BLOCKS, len(offs))
+        lo = int(offs[i])
+        hi = int(offs[j]) if j < len(offs) else len(data)
+        out[ends[i] - lens[i] : ends[j - 1]] = decode_blocks_batched(
+            data[lo:hi], offs[i:j] - lo, lens[i:j])
+    return out
+
+
 def decode_segment_pairs(
     table: pa.Table,
     with_positions: bool = True,
@@ -557,13 +596,11 @@ def decode_segment_pairs(
 
     Returns (terms object-array sorted, df per term, pair_doc local,
     pair_tf, pos_delta flat stream) — the exact inputs the merge rewrite
-    feeds back into ``postings_table_from_pairs``. Uses the stored per-block
-    offsets + ``decode_blocks_batched`` (no per-term python decode loops).
+    feeds back into ``postings_table_from_pairs``. Plans every stream's
+    blocks from the stored per-block offsets and decodes them in bounded
+    chunks of ``decode_blocks_batched`` calls (no per-term Python loop).
     ``with_offsets=True`` appends (off_delta, off_len) flat uint32 streams.
     """
-    from lucene_ray.codec.forutil import decode_blocks_batched
-
-    n_terms = table.num_rows
     terms = np.asarray(table.column("term").to_pylist(), dtype=object)
     df = table.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
     ttf = table.column("ttf").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -574,36 +611,11 @@ def decode_segment_pairs(
 
     multi = df > 1
     if multi.any():
-        def stream_blocks(blob_col: str, off_col: str, counts: np.ndarray):
-            data, boffs = _binary_col(table.column(blob_col).combine_chunks())
-            rel, roffs = _list_col(table.column(off_col).combine_chunks())
-            nb = (counts + BLOCK_SIZE - 1) // BLOCK_SIZE
-            nb = np.where(multi_mask_for(counts), nb, 0)
-            # per-term slices of the rel-offset lists (list lengths can
-            # exceed nb for singleton rows -> take first nb entries per row)
-            sel = []
-            for j in np.nonzero(nb > 0)[0]:
-                sel.append(rel[roffs[j] : roffs[j] + nb[j]] + boffs[j])
-            if not sel:
-                return data, np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-            abs_off = np.concatenate(sel)
-            lens = np.concatenate(
-                [
-                    np.minimum(
-                        counts[j] - np.arange(nb[j]) * BLOCK_SIZE, BLOCK_SIZE
-                    )
-                    for j in np.nonzero(nb > 0)[0]
-                ]
-            )
-            return data, abs_off, lens
-
-        def multi_mask_for(counts):
-            return multi
-
-        d_data, d_off, d_lens = stream_blocks("doc_blob", "doc_block_offsets", df)
-        deltas = decode_blocks_batched(d_data, d_off, d_lens).astype(np.int64)
-        t_data, t_off, t_lens = stream_blocks("tf_blob", "tf_block_offsets", df)
-        tfs_m = decode_blocks_batched(t_data, t_off, t_lens).astype(np.int64)
+        m_counts = np.where(multi, df, 0)
+        deltas = _decode_chunked(*_stream_blocks(
+            table, "doc_blob", "doc_block_offsets", m_counts)).astype(np.int64)
+        tfs_m = _decode_chunked(*_stream_blocks(
+            table, "tf_blob", "tf_block_offsets", m_counts)).astype(np.int64)
         # segmented cumsum (first delta absolute)
         m_df = df[multi]
         m_starts = np.concatenate(([0], np.cumsum(m_df)[:-1]))
@@ -631,29 +643,15 @@ def decode_segment_pairs(
 
     # per-occurrence streams: every term (incl. singletons) has
     # ceil(ttf/128) blocks; positions and offsets share the block structure
-    p_nb = (ttf + BLOCK_SIZE - 1) // BLOCK_SIZE
-    lens = np.concatenate(
-        [np.minimum(ttf[j] - np.arange(p_nb[j]) * BLOCK_SIZE, BLOCK_SIZE) for j in range(n_terms)]
-    ) if n_terms else np.array([], dtype=np.int64)
+    def occ_decode(name: str) -> np.ndarray:
+        return _decode_chunked(*_stream_blocks(table, f"{name}_blob", f"{name}_block_offsets", ttf))
 
-    def occ_decode(blob_col: str, off_col: str) -> np.ndarray:
-        data, boffs = _binary_col(table.column(blob_col).combine_chunks())
-        rel, roffs = _list_col(table.column(off_col).combine_chunks())
-        abs_off = rel + np.repeat(boffs[:-1], np.diff(roffs))
-        return decode_blocks_batched(data, abs_off, lens)
-
-    pos_delta = (
-        occ_decode("pos_blob", "pos_block_offsets")
-        if with_positions
-        else np.array([], dtype=np.uint32)
-    )
+    pos_delta = occ_decode("pos") if with_positions else np.array([], dtype=np.uint32)
     out = (terms, df, pair_doc, pair_tf, pos_delta)
     if with_offsets:
-        off_delta = occ_decode("off_blob", "off_block_offsets")
-        off_len = occ_decode("offlen_blob", "offlen_block_offsets")
-        out = out + (off_delta, off_len)
+        out = out + (occ_decode("off"), occ_decode("offlen"))
     if with_payloads:
-        out = out + (occ_decode("pay_blob", "pay_block_offsets"),)
+        out = out + (occ_decode("pay"),)
     return out
 
 

@@ -189,17 +189,11 @@ class SegmentTermCursor:
                 self._full = (docids, tfs)
         return self._full
 
-    def block_max_scores(self, scorer: BM25Scorer) -> np.ndarray:
-        tfs, norms, offsets = self._impacts()
-        if len(tfs) == 0:
-            return np.zeros(len(offsets), dtype=np.float64)
-        return scorer.max_score_blocks(tfs, norms, offsets)
-
     def max_score(self, scorer: BM25Scorer) -> float:
-        """The term's max score in this segment, floored at 0: the largest
-        of its ``block_max_scores``, from the max tf at each norm byte over
-        every block's impacts (cached per cursor, at most 256 pairs; a
-        score never falls as tf rises at a fixed norm)."""
+        """The term's max score in this segment, floored at 0: the max over
+        its blocks' impact pairs, taken from the max tf at each norm byte
+        (cached per cursor, at most 256 pairs; a score never falls as tf
+        rises at a fixed norm), so no postings are decoded."""
         if self._norm_tfs is None:
             tfs, norms, _offsets = self._impacts()
             best = np.zeros(256, dtype=tfs.dtype)
@@ -239,28 +233,22 @@ class SegmentTermCursor:
             if len(blocks) == 0:
                 return np.zeros(len(cand), dtype=np.int64)
             offsets = np.asarray(self.row["doc_block_offsets"], dtype=np.int64)
-            d_parts = decode_stream_blocks(
+            deltas = decode_stream_blocks(
                 self.row["doc_blob"], self.df, offsets, blocks
-            )
+            ).astype(np.int64)
+            # docids are delta-coded across block boundaries: block b's
+            # first delta is relative to block b-1's last docid, in
+            # block_last; one segmented cumsum rebases every block
+            lens = np.minimum(self.df - blocks * BLOCK_SIZE, BLOCK_SIZE)
+            starts = np.cumsum(lens) - lens
+            base = np.where(blocks > 0, self._block_last[blocks - 1], 0)
+            c = np.cumsum(deltas)
+            docids = c + np.repeat(base - c[starts] + deltas[starts], lens)
             # tf blocks share doc-block boundaries but only doc offsets are
             # stored; decode the tf stream fully ONCE per cursor (cached —
             # cursors persist across queries)
-            tf_all = self._tf_full()
-            docids_parts = []
-            tf_parts = []
-            for b, dp in zip(blocks, d_parts):
-                start = int(b) * BLOCK_SIZE
-                base = 0
-                if start > 0:
-                    # docids are delta-coded across block boundaries: the
-                    # first delta of block b is relative to the last docid of
-                    # block b-1, which we have in block_last
-                    base = int(self._block_last[b - 1])
-                d = np.cumsum(dp.astype(np.int64)) + base
-                docids_parts.append(d)
-                tf_parts.append(tf_all[start : start + len(d)])
-            docids = np.concatenate(docids_parts)
-            tfs = np.concatenate(tf_parts)
+            at = np.repeat(blocks * BLOCK_SIZE - starts, lens) + np.arange(len(deltas))
+            tfs = self._tf_full()[at]
         idx = np.searchsorted(docids, cand)
         idx = np.minimum(idx, len(docids) - 1)
         hit = docids[idx] == cand

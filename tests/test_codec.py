@@ -1,18 +1,26 @@
 """Codec round-trip tests (BasePostingsFormatTestCase-style, FIXTURES.md §5):
 decode(encode(x)) == x across block-boundary lengths; block maxes are true
-upper bounds; selective block decode agrees with the full decode."""
+upper bounds; selective block decode agrees with the full decode; every
+decode path agrees with a bit-by-bit reference reader of the stream grammar
+(``lucene_ray/codec/forutil.py`` module docstring)."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
 from lucene_ray.codec.forutil import (
+    decode_blocks_batched,
     decode_stream,
     decode_stream_blocks,
+    encode_blocks_batched,
     encode_stream,
 )
 from lucene_ray.codec.postings_codec import (
+    BatchReaders,
+    TermRow,
     build_segment_postings,
+    column_reader,
+    decode_segment_pairs,
     decode_term_postings,
     pareto_impacts,
 )
@@ -56,10 +64,8 @@ def test_selective_block_decode():
     rng = np.random.default_rng(7)
     v = rng.integers(0, 1000, size=1000).astype(np.uint32)
     blob, offsets = encode_stream(v)
-    blocks = decode_stream_blocks(blob, 1000, offsets, np.array([0, 3, 7]))
-    assert np.array_equal(blocks[0], v[0:128])
-    assert np.array_equal(blocks[1], v[3 * 128 : 4 * 128])
-    assert np.array_equal(blocks[2], v[7 * 128 :])
+    got = decode_stream_blocks(blob, 1000, offsets, np.array([0, 3, 7]))
+    assert np.array_equal(got, np.concatenate([v[0:128], v[3 * 128 : 4 * 128], v[7 * 128 :]]))
 
 
 def test_pareto_impacts_upper_bound():
@@ -234,3 +240,221 @@ def test_bloom_probe_matches_build_without_warnings():
                 cleared[b] = 0
                 assert not may_contain(np.packbits(cleared, bitorder="little"), t)
         assert not may_contain(np.zeros_like(full), terms[0])
+
+
+# ------------------------------------------------- differential decoder test
+
+
+def _ref_block(buf: bytes, at: int, n: int) -> tuple[list[int], int]:
+    """Reference reader of one block of ``n`` values at ``at``: bit by
+    bit, MSB-first; CONST is a u32le; PFor ORs each (slot, high) pair's
+    high bits above the base width. Returns (values, next offset)."""
+    head = buf[at]
+    if head == 0x40:
+        return [int.from_bytes(buf[at + 1 : at + 5], "little")] * n, at + 5
+    width, exceptions, at = head, [], at + 1
+    if head == 0x41:
+        width, k = buf[at], buf[at + 1]
+        exceptions = [(buf[at + 2 + 2 * j], buf[at + 3 + 2 * j]) for j in range(k)]
+        at += 2 + 2 * k
+    values, bit = [], at * 8
+    for _ in range(n):
+        v = 0
+        for _ in range(width):
+            v = (v << 1) | ((buf[bit // 8] >> (7 - bit % 8)) & 1)
+            bit += 1
+        values.append(v)
+    for slot, high in exceptions:
+        values[slot] |= high << width
+    return values, at + (n * width + 7) // 8
+
+
+def _ref_stream(buf: bytes, n: int) -> list[int]:
+    out, at = [], 0
+    for start in range(0, n, BLOCK_SIZE):
+        values, at = _ref_block(buf, at, min(BLOCK_SIZE, n - start))
+        out += values
+    return out
+
+
+def _ref_pack(values, width: int) -> bytes:
+    bits = "".join(format(v, f"0{width}b") for v in values) if width else ""
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def _random_block(rng, n: int) -> bytes:
+    """One block of ``n`` values in any form the grammar allows: FOR at
+    any width 0-32, CONST, or PFor with 0-7 exceptions (tails included)."""
+    kind = rng.integers(3)
+    if kind == 0:
+        width = int(rng.integers(33))
+        values = rng.integers(0, 1 << width, n, dtype=np.uint64).tolist()
+        return bytes([width]) + _ref_pack(values, width)
+    if kind == 1:
+        return bytes([0x40]) + int(rng.integers(1 << 32)).to_bytes(4, "little")
+    base = int(rng.integers(1, 33))
+    k = int(rng.integers(8)) if n >= 8 else 0
+    slots = rng.choice(n, k, replace=False).tolist()
+    highs = rng.integers(0, min(256, 1 << (32 - base)), k).tolist()  # values stay u32
+    values = rng.integers(0, 1 << base, n, dtype=np.uint64).tolist()
+    pairs = b"".join(bytes([s, h]) for s, h in zip(slots, highs))
+    return bytes([0x41, base, k]) + pairs + _ref_pack(values, base)
+
+
+def _random_stream(rng, n: int) -> tuple[bytes, list[int]]:
+    """(blob, block offsets) of a random ``n``-value stream."""
+    blocks = [_random_block(rng, min(BLOCK_SIZE, n - s)) for s in range(0, n, BLOCK_SIZE)]
+    offsets = np.cumsum([0] + [len(b) for b in blocks[:-1]]).tolist()
+    return b"".join(blocks), offsets
+
+
+def _block_lens(n: int) -> np.ndarray:
+    return np.minimum(n - np.arange(0, n, BLOCK_SIZE), BLOCK_SIZE)
+
+
+STREAM_LENS = [1, 2, 7, 127, 128, 129, 255, 256, 300, 1000, 1281]
+
+
+def _every_width_stream(rng) -> tuple[bytes, list[int]]:
+    """33 full FOR blocks, block w at width w, then a 5-value PFor tail."""
+    blocks = [
+        bytes([w]) + _ref_pack(rng.integers(0, 1 << w, BLOCK_SIZE, dtype=np.uint64).tolist(), w)
+        for w in range(33)
+    ]
+    blocks.append(bytes([0x41, 3, 1, 4, 0xFF]) + _ref_pack([1, 2, 3, 4, 5], 3))
+    offsets = np.cumsum([0] + [len(b) for b in blocks[:-1]]).tolist()
+    return b"".join(blocks), offsets
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decoders_match_reference_reader(seed):
+    rng = np.random.default_rng(seed)
+    blob, offsets = _every_width_stream(rng)
+    n = 33 * BLOCK_SIZE + 5
+    want = _ref_stream(blob, n)
+    assert want[-1] == (0xFF << 3) | 5
+    assert decode_stream(blob, n).tolist() == want
+    streams = [(blob, offsets, n, want)]
+    for n in STREAM_LENS + rng.integers(1, 2000, 6).tolist():
+        blob, offsets = _random_stream(rng, n)
+        want = _ref_stream(blob, n)
+        assert decode_stream(blob, n).tolist() == want, n
+        pick = np.flatnonzero(rng.random(len(offsets)) < 0.5)
+        got = decode_stream_blocks(blob, n, np.array(offsets), pick)
+        picked = [want[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE] for b in pick]
+        assert got.tolist() == [v for block in picked for v in block]
+        streams.append((blob, offsets, n, want))
+    # many streams in one buffer, unrelated bytes between them
+    buf, offs, lens, want = b"", [], [], []
+    for blob, offsets, n, values in streams:
+        buf += rng.integers(0, 256, int(rng.integers(0, 40)), dtype=np.uint8).tobytes()
+        offs += [len(buf) + o for o in offsets]
+        lens += _block_lens(n).tolist()
+        want += values
+        buf += blob
+    got = decode_blocks_batched(np.frombuffer(buf, dtype=np.uint8), offs, lens)
+    assert got.dtype == np.uint32 and got.tolist() == want
+    # shuffled block order
+    order = rng.permutation(len(offs))
+    starts = np.cumsum([0] + lens[:-1])
+    got = decode_blocks_batched(buf, np.array(offs)[order], np.array(lens)[order])
+    assert got.tolist() == [want[starts[b] + i] for b in order for i in range(lens[b])]
+
+
+@pytest.mark.parametrize("width", range(33))
+def test_encoders_match_reference_reader(width):
+    """Every width through both encoders, with CONST blocks, PFor
+    exceptions and tails of 1-127 values."""
+    rng = np.random.default_rng(width)
+    for n in (1, 64, 127, 128, 129, 300, 512 + 77):
+        values = rng.integers(0, 1 << width, n, dtype=np.uint64).astype(np.uint32)
+        if n >= 128:  # first block: PFor, small values and a few at full width
+            values[:128] >>= min(width, 4)
+            values[rng.choice(128, 5, replace=False)] = (1 << width) - 1
+        if n > 256:
+            values[128:256] = 5  # one CONST block
+        blob, offsets = encode_stream(values)
+        lens = _block_lens(n)
+        assert encode_blocks_batched(values, lens)[0] == blob
+        assert _ref_stream(blob, n) == values.tolist()
+        assert np.array_equal(decode_stream(blob, n), values)
+        assert np.array_equal(decode_blocks_batched(blob, offsets, lens), values)
+
+
+def test_decoders_read_arrow_memoryview_slices():
+    """Blobs read as the query path reads them: memoryview slices of an
+    Arrow binary column that starts at a non-zero offset."""
+    rng = np.random.default_rng(17)
+    rows, want = [b"junk"], [None]
+    for n in (1, 128, 129, 700):
+        blob, offsets = _random_stream(rng, n)
+        rows += [blob, rng.integers(0, 256, 9, dtype=np.uint8).tobytes()]
+        want += [(n, offsets, _ref_stream(blob, n)), None]
+    arr = pa.array(rows, type=pa.large_binary()).slice(1)
+    read = column_reader(arr)
+    for j, w in enumerate(want[1:]):
+        if w is None:
+            continue
+        n, offsets, values = w
+        blob = read(j)
+        assert isinstance(blob, memoryview)
+        assert decode_stream(blob, n).tolist() == values
+        last = np.array([len(offsets) - 1])
+        got = decode_stream_blocks(blob, n, np.array(offsets), last)
+        assert got.tolist() == values[last[0] * BLOCK_SIZE :]
+        assert decode_blocks_batched(blob, offsets, _block_lens(n)).tolist() == values
+
+
+def test_segment_streams_match_reference_reader():
+    """Every stream of a built segment with offsets and payloads, decoded by
+    the query path (decode_stream on the row's blobs, the cursor's
+    selective lookup) and by decode_segment_pairs, equals the reference."""
+    from lucene_ray.search.scorer import SegmentTermCursor
+
+    rng = np.random.default_rng(23)
+    n_docs = 1500
+    docs = [
+        ["hot"] * int(rng.integers(1, 4))
+        + [f"t{i}" for i in rng.integers(0, 40, rng.integers(0, 12))]
+        for _ in range(n_docs)
+    ]
+    row_idx, terms, pos = _explode(docs)
+    starts = (pos * 7).astype(np.int32)
+    lens = rng.integers(1, 9, len(pos)).astype(np.int32)
+    payloads = rng.integers(0, 1 << 20, len(pos)).astype(np.uint32)
+    norms = np.array([min(len(d), 255) for d in docs], dtype=np.uint8)
+    table, _ = build_segment_postings(
+        row_idx, terms, pos, n_docs, norms, tok_starts=starts, tok_lens=lens, payloads=payloads
+    )
+    table = table.combine_chunks()
+    batch = table.to_batches()[0]
+    readers = BatchReaders(batch)
+    ref = {c: [] for c in ("doc", "tf", "pos", "off", "offlen", "pay")}
+    for j in range(table.num_rows):
+        row = TermRow(readers, j)
+        df, ttf = row["df"], row["ttf"]
+        for c in ref:
+            n = df if c in ("doc", "tf") else ttf
+            blob = row[f"{c}_blob"]
+            if c in ("doc", "tf") and df == 1:
+                ref[c].append([row["singleton_docid"] if c == "doc" else row["singleton_tf"]])
+                continue
+            want = _ref_stream(bytes(blob), n)
+            assert decode_stream(blob, n).tolist() == want, (c, j)
+            ref[c].append(want)
+        docids = np.cumsum(ref["doc"][-1])
+        if df > 4 * BLOCK_SIZE:
+            cursor = SegmentTermCursor(row)
+            cand = np.concatenate([docids[BLOCK_SIZE + 3 : BLOCK_SIZE + 9], [docids[-1] + 1]])
+            want_tf = ref["tf"][-1][BLOCK_SIZE + 3 : BLOCK_SIZE + 9] + [0]
+            assert cursor.lookup(cand).tolist() == want_tf
+            assert cursor._full is None  # the selective path answered
+    assert max(len(r) for r in ref["doc"]) > 4 * BLOCK_SIZE
+    got = decode_segment_pairs(table, True, True, True)
+    _terms, df, pair_doc, pair_tf, pos_d, off_d, off_len, pay = got
+    doc_ref = [np.cumsum(d) if len(d) > 1 else d for d in ref["doc"]]
+    assert pair_doc.tolist() == [int(x) for d in doc_ref for x in d]
+    assert pair_tf.tolist() == [x for t in ref["tf"] for x in t]
+    for c, flat in (("pos", pos_d), ("off", off_d), ("offlen", off_len), ("pay", pay)):
+        assert flat.tolist() == [x for s in ref[c] for x in s], c

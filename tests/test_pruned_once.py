@@ -137,8 +137,8 @@ def test_topk_all_tied():
 
 
 def test_each_clause_scored_once_per_segment(ix, monkeypatch):
-    """Per (segment, clause): block maxima at most once, and at most one
-    BM25Scorer.score call, within one search."""
+    """Per (segment, clause): the term's segment max score at most once
+    per scorer, and at most one BM25Scorer.score call, within one search."""
     seg = [None]
     bm_calls, score_calls = Counter(), Counter()
 
@@ -148,11 +148,11 @@ def test_each_clause_scored_once_per_segment(ix, monkeypatch):
         seg[0] = id(sr)
         return real_pruned(sr, *a, **kw)
 
-    real_bms = scorer.SegmentTermCursor.block_max_scores
+    real_max = scorer.SegmentTermCursor.max_score
 
-    def bms(self, sc):
+    def max_score(self, sc):
         bm_calls[(seg[0], id(self), id(sc))] += 1
-        return real_bms(self, sc)
+        return real_max(self, sc)
 
     real_score = BM25Scorer.score
 
@@ -161,9 +161,10 @@ def test_each_clause_scored_once_per_segment(ix, monkeypatch):
         return real_score(self, freq, norm_bytes)
 
     monkeypatch.setattr(engine, "score_segment_pruned", pruned)
-    monkeypatch.setattr(scorer.SegmentTermCursor, "block_max_scores", bms)
+    monkeypatch.setattr(scorer.SegmentTermCursor, "max_score", max_score)
     monkeypatch.setattr(BM25Scorer, "score", score)
     s = IndexSearcher(ix, pruned=True)
+    bounded = 0
     for q in QUERIES:
         for k in KS:
             bm_calls.clear()
@@ -172,3 +173,5 @@ def test_each_clause_scored_once_per_segment(ix, monkeypatch):
             assert score_calls, (q, k)
             assert max(bm_calls.values(), default=0) <= 1, (q, k, bm_calls)
             assert max(score_calls.values()) <= 1, (q, k, score_calls)
+            bounded += len(bm_calls)
+    assert bounded, "no search bounded a segment by its terms' max scores"
