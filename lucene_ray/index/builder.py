@@ -47,6 +47,7 @@ from lucene_ray.index import segfiles
 from lucene_ray.index.manifest import (
     Manifest,
     SegmentEntry,
+    next_manifest,
     read_entry,
     read_manifest,
     segment_dir,
@@ -1000,18 +1001,13 @@ def build_index(
         todo,
         concurrency,
     )
-    done.sort(key=lambda e: e.docid_base)
-    prev = read_manifest(index_dir)
-    manifest = Manifest(
-        generation=(prev.generation + 1 if prev else 1),
-        analyzer=options.analyzer_name,
-        index_sort=list(options.index_sort) if options.index_sort else None,
-        doc_count=sum(e.doc_count for e in done),
-        sum_ttf=sum(e.sum_ttf for e in done),
-        segments=done,
-    )
-    write_manifest(index_dir, manifest)
-    return manifest
+    # a (re)build resets the commit user data, as Lucene's CREATE mode does
+    sort = list(options.index_sort) if options.index_sort else None
+    write_manifest(index_dir, m := next_manifest(
+        read_manifest(index_dir), done, analyzer=options.analyzer_name,
+        index_sort=sort, user_data=None,
+    ))
+    return m
 
 
 def upgrade_index(index_dir: str) -> dict:
@@ -1070,7 +1066,7 @@ def upgrade_index(index_dir: str) -> dict:
             }
             if (
                 inp.get("fingerprint") not in legacy_fps
-                or getattr(manifest, "index_sort", None)
+                or manifest.index_sort
                 or analyzer_name != "code"
             ):
                 skipped.append(e.name)
@@ -1110,17 +1106,5 @@ def upgrade_index(index_dir: str) -> dict:
         new_segments[i] = new_entry
         upgraded.append((e.name, new_entry.name))
     if upgraded:
-        live = [s for s in new_segments if not s.deleted]
-        write_manifest(
-            index_dir,
-            Manifest(
-                generation=manifest.generation + 1,
-                analyzer=manifest.analyzer,
-                index_sort=getattr(manifest, "index_sort", None),
-                user_data=getattr(manifest, "user_data", None),
-                doc_count=sum(s.doc_count for s in live),
-                sum_ttf=sum(s.sum_ttf for s in live),
-                segments=new_segments,
-            ),
-        )
+        write_manifest(index_dir, next_manifest(manifest, new_segments))
     return {"upgraded": upgraded, "current": current, "skipped": skipped}

@@ -92,7 +92,7 @@ def check_index(index_dir: str, verify_content: bool = True) -> dict:
                 f"{entry.name}: postings ttf {seg_ttf} != manifest {entry.sum_ttf}"
             )
         dl_all = int(sr.doc_len.sum())
-        reclaimed = getattr(entry, "reclaimed", 0)
+        reclaimed = entry.reclaimed
         # discountOverlaps: norms exclude posInc==0 tokens, sum_ttf counts
         # them (BM25Similarity.java:99-101 / sumTotalTermFreq semantics) —
         # the invariant is sum_ttf == doc_len sum + overlaps (exact at
@@ -108,7 +108,7 @@ def check_index(index_dir: str, verify_content: bool = True) -> dict:
                 f"{entry.name}: sum_ttf {entry.sum_ttf} exceeds doc_len sum"
                 f" {dl_all} + overlaps {overlaps}"
             )
-        if reclaimed > getattr(entry, "del_count", 0):
+        if reclaimed > entry.del_count:
             problems.append(f"{entry.name}: reclaimed > del_count")
 
         if not np.array_equal(int_to_byte4(sr.doc_len), sr.norm_bytes):
@@ -229,7 +229,7 @@ def check_index(index_dir: str, verify_content: bool = True) -> dict:
             )
             # TV freqs count every token; doc_len may be overlap-discounted
             # (posInc==0 synonyms) — equality only for overlap-free segments
-            if getattr(entry, "reclaimed", 0) == 0 and overlaps == 0:
+            if entry.reclaimed == 0 and overlaps == 0:
                 mismatch = per_doc != sr.doc_len
             else:
                 mismatch = live & (per_doc < sr.doc_len)
@@ -355,7 +355,7 @@ def exorcise_index(index_dir: str) -> dict:
     import os
 
     from lucene_ray.index.manifest import (
-        Manifest,
+        next_manifest,
         read_manifest,
         write_manifest,
     )
@@ -379,17 +379,9 @@ def exorcise_index(index_dir: str) -> dict:
         for e in manifest.segments:
             if e.name in bad:
                 e.deleted = True
-        live = manifest.live_segments
-        manifest = Manifest(
-            generation=manifest.generation + 1,
-            analyzer=manifest.analyzer,
-            index_sort=getattr(manifest, "index_sort", None),
-            user_data=getattr(manifest, "user_data", None),
-            doc_count=sum(e.doc_count for e in live),
-            sum_ttf=sum(e.sum_ttf for e in live),
-            segments=manifest.segments,
+        write_manifest(
+            index_dir, manifest := next_manifest(manifest, manifest.segments)
         )
-        write_manifest(index_dir, manifest)
     return {
         "removed": removed,
         "segments_left": len(manifest.live_segments),

@@ -9,6 +9,13 @@ The analog of Lucene's ``segments_N`` + generation (index/SegmentInfos.java:
   - ``<index>/manifest.json`` lists all segments with a monotonically
     increasing generation; written atomically by the driver (the two-phase
     commit analog, IndexWriter.java:4080)
+  - ``next_manifest`` is the one successor rule: every commit publishes
+    ``write_manifest(index_dir, next_manifest(prev, segments, ...))``, so
+    what changes between two generations is defined here only — the
+    generation is prev + 1 (1 for a new index), segments are ordered by
+    docid_base, doc_count/sum_ttf are the LIVE sums (BM25's N and avgdl)
+    and analyzer/index_sort/user_data carry over unless replaced. It does
+    no I/O; the caller already holds ``prev``.
   - resume = skip segment specs whose entry.json exists with a matching
     input fingerprint (IndexFileDeleter keeps-last-commit semantics are
     replaced by overwrite-by-name idempotency)
@@ -95,6 +102,32 @@ class Manifest:
         return [s for s in self.segments if not s.deleted]
 
 
+_CARRIED = ("analyzer", "index_sort", "user_data")
+
+
+def next_manifest(prev: Manifest | None, segments, **changes) -> Manifest:
+    """The successor of ``prev`` (None = a new index) listing ``segments``:
+    generation prev + 1 (or 1), segments ordered by docid_base,
+    doc_count/sum_ttf summed over the non-deleted entries, and
+    analyzer/index_sort/user_data carried from ``prev`` unless ``changes``
+    gives them (IndexWriter.commit's SegmentInfos, whose counts come from
+    its segment list). An unknown key raises TypeError. No I/O."""
+    unknown = sorted(set(changes) - set(_CARRIED))
+    if unknown:
+        raise TypeError(f"next_manifest got unexpected keyword(s) {unknown}")
+    carried = {k: getattr(prev, k) for k in _CARRIED} if prev is not None else {}
+    carried.update(changes)
+    segments = sorted(segments, key=lambda e: e.docid_base)
+    live = [e for e in segments if not e.deleted]
+    return Manifest(
+        generation=prev.generation + 1 if prev is not None else 1,
+        doc_count=sum(e.doc_count for e in live),
+        sum_ttf=sum(e.sum_ttf for e in live),
+        segments=segments,
+        **carried,
+    )
+
+
 def segment_groups(entries: list, global_docids):
     """The one global-to-segment grouping: yields (entry, positions, local
     docids) for each of ``entries`` (ascending by docid_base) holding any
@@ -160,16 +193,8 @@ def set_live_commit_data(index_dir: str, data: dict | None) -> Manifest:
     m = read_manifest(index_dir)
     if m is None:
         raise FileNotFoundError(f"no index at {index_dir}")
-    m2 = Manifest(
-        generation=m.generation + 1,
-        analyzer=m.analyzer,
-        doc_count=m.doc_count,
-        sum_ttf=m.sum_ttf,
-        segments=m.segments,
-        index_sort=getattr(m, "index_sort", None),
-        user_data=dict(data) if data is not None else None,
-    )
-    write_manifest(index_dir, m2)
+    data = dict(data) if data is not None else None
+    write_manifest(index_dir, m2 := next_manifest(m, m.segments, user_data=data))
     return m2
 
 
@@ -178,7 +203,7 @@ def get_live_commit_data(
 ) -> dict | None:
     """IndexCommit.getUserData for the current (or a retained) commit."""
     m = read_manifest(index_dir, generation)
-    return None if m is None else getattr(m, "user_data", None)
+    return None if m is None else m.user_data
 
 
 def _pending_path(index_dir: str) -> str:
@@ -200,12 +225,7 @@ def prepare_commit(index_dir: str, manifest: Manifest) -> str:
             "prepareCommit was already called with no corresponding call "
             "to commit or rollback"
         )
-    cur = read_manifest(index_dir)
-    if cur is not None and manifest.generation <= cur.generation:
-        raise ValueError(
-            f"pending generation {manifest.generation} must exceed the "
-            f"current commit {cur.generation}"
-        )
+    _require_newer(index_dir, manifest.generation)
     os.makedirs(index_dir, exist_ok=True)
     tmp = p + ".tmp"
     with open(tmp, "w") as f:
@@ -216,19 +236,30 @@ def prepare_commit(index_dir: str, manifest: Manifest) -> str:
     return p
 
 
+def _require_newer(index_dir: str, generation: int) -> None:
+    cur = read_manifest(index_dir)
+    if cur is not None and generation <= cur.generation:
+        raise ValueError(
+            f"pending generation {generation} must exceed the current "
+            f"commit {cur.generation}"
+        )
+
+
 def commit_prepared(index_dir: str) -> int:
     """Second phase (IndexWriter.commit after prepareCommit /
     finishCommit): atomically promote the pending manifest to the current
     commit — one rename flips what readers see; the retained-history copy
     is written first so the generation stays openable by number. Raises if
-    nothing is pending. Returns the committed generation."""
+    nothing is pending, and raises ValueError (publishing nothing, the
+    pending commit left for rollback_prepared) when a commit made since
+    prepare_commit already reached the pending generation — promoting it
+    would overwrite that published commit. Returns the committed
+    generation."""
     p = _pending_path(index_dir)
     if not os.path.exists(p):
         raise RuntimeError("commit_prepared called with no pending commit")
-    with open(p) as f:
-        d = json.load(f)
-    d["segments"] = [SegmentEntry(**s) for s in d["segments"]]
-    m = Manifest(**d)
+    m = _load(p)
+    _require_newer(index_dir, m.generation)
     write_manifest(index_dir, m)  # retained copy + atomic manifest.json flip
     os.remove(p)
     return m.generation
@@ -239,12 +270,9 @@ def rollback_prepared(index_dir: str) -> int | None:
     cleanup): the staged manifest is deleted, the published state is
     untouched. Returns the discarded generation, or None if nothing was
     pending (rollback is idempotent, as in the reference)."""
-    p = _pending_path(index_dir)
-    if not os.path.exists(p):
-        return None
-    with open(p) as f:
-        gen = json.load(f)["generation"]
-    os.remove(p)
+    gen = pending_commit_generation(index_dir)
+    if gen is not None:
+        os.remove(_pending_path(index_dir))
     return gen
 
 
@@ -348,9 +376,11 @@ def read_manifest(index_dir: str, generation: int | None = None) -> Manifest | N
         p = os.path.join(index_dir, "manifest.json")
     else:
         p = os.path.join(index_dir, "commits", f"manifest_g{generation}.json")
-    if not os.path.exists(p):
-        return None
-    with open(p) as f:
+    return _load(p) if os.path.exists(p) else None
+
+
+def _load(path: str) -> Manifest:
+    with open(path) as f:
         d = json.load(f)
     d["segments"] = [SegmentEntry(**s) for s in d["segments"]]
     return Manifest(**d)

@@ -51,6 +51,7 @@ from lucene_ray.index import segfiles
 from lucene_ray.index.manifest import (
     Manifest,
     SegmentEntry,
+    next_manifest,
     read_manifest,
     segment_dir,
     write_entry,
@@ -192,7 +193,7 @@ class TieredMergePolicy:
                 if best_score is not None and not hit_too_large and len(cand) < merge_factor:
                     break  # tail of the list, only smaller merges left (:585-589)
                 n_docs = sum(c.doc_count for c in cand)
-                n_del = sum(getattr(c, "del_count", 0) for c in cand)
+                n_del = sum(c.del_count for c in cand)
                 s = self.score(
                     [c.bytes for c in cand],
                     hit_too_large,
@@ -661,9 +662,7 @@ def merge_segments(
     # index/IndexSorter.java — builder.py documents the divergence). A DV
     # update may have broken an input's sort invariant: drop the runs.
     sorted_runs = None
-    if all(getattr(e, "sorted_runs", None) for e in entries) and not any(
-        getattr(e, "dv_gen", 0) > 0 for e in entries
-    ):
+    if all(e.sorted_runs for e in entries) and not any(e.dv_gen for e in entries):
         sorted_runs = [
             [off + r[0], off + r[1]]
             for e, off in zip(entries, offsets)
@@ -807,19 +806,8 @@ def _apply_merges(
     new_entries = _execute_merges(index_dir, specs, use_ray)
     merged_away = {n for spec in specs for n in spec}
     keep = [e for e in segments if e.name not in merged_away] + new_entries
-    keep.sort(key=lambda e: e.docid_base)
-    live = [e for e in keep if not e.deleted]
-    manifest = Manifest(
-        generation=manifest.generation + 1,
-        analyzer=manifest.analyzer,
-        index_sort=getattr(manifest, "index_sort", None),
-        user_data=getattr(manifest, "user_data", None),
-        doc_count=sum(e.doc_count for e in live),
-        sum_ttf=sum(e.sum_ttf for e in live),
-        segments=keep,
-    )
-    write_manifest(index_dir, manifest)
-    return manifest
+    write_manifest(index_dir, m := next_manifest(manifest, keep))
+    return m
 
 
 def _execute_merges(index_dir: str, specs: list[list[str]], use_ray: bool) -> list[SegmentEntry]:
@@ -847,7 +835,7 @@ def force_merge_deletes(
         # a previous reclaiming merge keeps the tombstoned SLOTS (stable
         # docids) but already dropped their postings, so re-rewriting it
         # would be wasted work (idempotency)
-        dels = getattr(e, "del_count", 0) - getattr(e, "reclaimed", 0)
+        dels = e.del_count - e.reclaimed
         return bool(e.doc_count) and 100.0 * dels / e.doc_count > pct_allowed
 
     specs = _adjacent_runs(live, qualifies, MERGE_MAX_MERGE_AT_ONCE)

@@ -26,13 +26,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 
 from lucene_ray.index.manifest import (
     Manifest,
+    next_manifest,
     read_manifest,
     segment_dir,
+    write_entry,
     write_manifest,
 )
 from lucene_ray.index.writer import add_indexes, delete_docs
@@ -48,25 +51,29 @@ def list_segments(index_dir: str) -> list[dict]:
         {
             "name": e.name,
             "doc_count": e.doc_count,
-            "del_count": getattr(e, "del_count", 0),
+            "del_count": e.del_count,
             "bytes": e.bytes,
         }
         for e in m.live_segments
     ]
 
 
-def _fresh_like(src_manifest: Manifest) -> Manifest:
-    return Manifest(
-        generation=0,
-        analyzer=src_manifest.analyzer,
-        doc_count=0,
-        sum_ttf=0,
-        segments=[],
-        index_sort=src_manifest.index_sort,
-        # IndexSplitter copies SegmentInfos verbatim — commit user data
-        # travels with it
-        user_data=getattr(src_manifest, "user_data", None),
-    )
+def _require_new(dest_dir: str) -> None:
+    # a split writes a NEW index; IndexSplitter fails on an existing
+    # segments_N too (publishing here would overwrite dest's history)
+    if os.path.exists(os.path.join(dest_dir, "manifest.json")):
+        raise FileExistsError(f"{dest_dir} already holds an index")
+    os.makedirs(os.path.join(dest_dir, "segments"), exist_ok=True)
+
+
+def _first_commit(dest_dir: str, sm: Manifest, segments) -> Manifest:
+    # IndexSplitter copies SegmentInfos verbatim — analyzer, sort and
+    # commit user data travel with it
+    write_manifest(dest_dir, m := next_manifest(
+        None, segments, analyzer=sm.analyzer, index_sort=sm.index_sort,
+        user_data=sm.user_data,
+    ))
+    return m
 
 
 def split_index(src_dir: str, dest_dir: str, segment_names: list[str]) -> Manifest:
@@ -80,9 +87,8 @@ def split_index(src_dir: str, dest_dir: str, segment_names: list[str]) -> Manife
     missing = [n for n in segment_names if n not in by_name]
     if missing:
         raise ValueError(f"segments not in source index: {missing}")
-    os.makedirs(os.path.join(dest_dir, "segments"), exist_ok=True)
-    dest = _fresh_like(sm)
-    base = 0
+    _require_new(dest_dir)
+    segments, base = [], 0
     for e in sorted(
         (by_name[n] for n in segment_names), key=lambda x: x.docid_base
     ):
@@ -90,19 +96,11 @@ def split_index(src_dir: str, dest_dir: str, segment_names: list[str]) -> Manife
         if os.path.exists(sd_dst):
             shutil.rmtree(sd_dst)
         shutil.copytree(segment_dir(src_dir, e.name), sd_dst)
-        import dataclasses
-
         ne = dataclasses.replace(e, docid_base=base)
-        from lucene_ray.index.manifest import write_entry
-
         write_entry(dest_dir, ne)
-        dest.segments.append(ne)
+        segments.append(ne)
         base += e.doc_count
-    dest.doc_count = sum(e.doc_count for e in dest.segments)
-    dest.sum_ttf = sum(e.sum_ttf for e in dest.segments)
-    dest.generation = 1
-    write_manifest(dest_dir, dest)
-    return dest
+    return _first_commit(dest_dir, sm, segments)
 
 
 def remove_segments(index_dir: str, segment_names: list[str]) -> Manifest:
@@ -122,17 +120,13 @@ def remove_segments(index_dir: str, segment_names: list[str]) -> Manifest:
     for e in m.segments:
         if e.name in names:
             e.deleted = True
-    m.doc_count = sum(e.doc_count for e in m.live_segments)
-    m.sum_ttf = sum(e.sum_ttf for e in m.live_segments)
-    m.generation += 1
-    write_manifest(index_dir, m)
-    return m
+    write_manifest(index_dir, m2 := next_manifest(m, m.segments))
+    return m2
 
 
 def _copy_full(src_dir: str, dest_dir: str) -> None:
-    sm = read_manifest(src_dir)
-    os.makedirs(os.path.join(dest_dir, "segments"), exist_ok=True)
-    write_manifest(dest_dir, _fresh_like(sm))
+    _require_new(dest_dir)
+    _first_commit(dest_dir, read_manifest(src_dir), [])
     add_indexes(dest_dir, [src_dir])
 
 
@@ -204,8 +198,8 @@ def rearrange_index(
         if s & seen:
             raise ValueError("segment selectors must be disjoint")
         seen |= s
-    os.makedirs(os.path.join(dest_dir, "segments"), exist_ok=True)
-    write_manifest(dest_dir, _fresh_like(sm))
+    _require_new(dest_dir)
+    _first_commit(dest_dir, sm, [])
     tmp_root = tempfile.mkdtemp(prefix="rearrange_", dir="/tmp")
     try:
         for i, want in enumerate(sel_sets):

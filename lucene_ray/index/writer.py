@@ -38,6 +38,7 @@ from lucene_ray.index.builder import (
 from lucene_ray.index.manifest import (
     Manifest,
     SegmentEntry,
+    next_manifest,
     read_manifest,
     segment_dir,
     segment_groups,
@@ -64,7 +65,7 @@ def _apply_segment_deletes(
     if newly == 0:
         return entry
     live[hit] = False
-    entry.del_gen = getattr(entry, "del_gen", 0) + 1
+    entry.del_gen += 1
     entry.del_count = int((~live).sum())
     segfiles.write_mask(segfiles.LIVEDOCS, seg_d, entry.del_gen, live)
     write_entry(index_dir, entry)
@@ -76,15 +77,14 @@ def delete_docs(index_dir: str, global_docids) -> int:
     manifest = read_manifest(index_dir)
     g = np.unique(np.asarray(global_docids, dtype=np.int64))
     live_entries = sorted(manifest.live_segments, key=lambda e: e.docid_base)
-    before = sum(getattr(e, "del_count", 0) for e in live_entries)
+    before = sum(e.del_count for e in live_entries)
     for e, _pos, local in segment_groups(live_entries, g):
         _apply_segment_deletes(index_dir, e, local)
-    after = sum(getattr(e, "del_count", 0) for e in live_entries)
+    after = sum(e.del_count for e in live_entries)
     if after - before:
         # only a real tombstone advances the generation — openIfChanged
         # stays None for no-op deletes (mirrors update_numeric_docvalues)
-        manifest.generation += 1
-        write_manifest(index_dir, manifest)
+        write_manifest(index_dir, next_manifest(manifest, manifest.segments))
     return int(after - before)
 
 
@@ -99,7 +99,7 @@ def _apply_soft(index_dir: str, global_docids, value: bool) -> int:
     for e, _pos, local in segment_groups(live_entries, g):
         seg_d = segment_dir(index_dir, e.name)
         local = local[local < e.doc_count]
-        if value and getattr(e, "del_gen", 0) > 0:
+        if value and e.del_gen > 0:
             # never soft-mark a hard tombstone (keeps del_count +
             # soft_del_count disjoint for live_doc_count)
             live = _load_mask(segfiles.LIVEDOCS, seg_d, e)
@@ -109,14 +109,13 @@ def _apply_soft(index_dir: str, global_docids, value: bool) -> int:
         if newly == 0:
             continue
         soft[local] = value
-        e.soft_del_gen = getattr(e, "soft_del_gen", 0) + 1
+        e.soft_del_gen += 1
         e.soft_del_count = int(soft.sum())
         segfiles.write_mask(segfiles.SOFTDELETES, seg_d, e.soft_del_gen, soft)
         write_entry(index_dir, e)
         changed += newly
     if changed:
-        manifest.generation += 1
-        write_manifest(index_dir, manifest)
+        write_manifest(index_dir, next_manifest(manifest, manifest.segments))
     return changed
 
 
@@ -146,7 +145,7 @@ def prune_soft_deletes(index_dir: str, retain_term: str | None = None) -> int:
     reader = IndexReader(index_dir)
     pruned = 0
     for e in sorted(manifest.live_segments, key=lambda x: x.docid_base):
-        if getattr(e, "soft_del_gen", 0) <= 0:
+        if e.soft_del_gen <= 0:
             continue
         seg_d = segment_dir(index_dir, e.name)
         soft = _load_mask(segfiles.SOFTDELETES, seg_d, e)
@@ -160,7 +159,7 @@ def prune_soft_deletes(index_dir: str, retain_term: str | None = None) -> int:
         if len(cand) == 0:
             continue
         soft[cand] = False
-        e.soft_del_gen = getattr(e, "soft_del_gen", 0) + 1
+        e.soft_del_gen += 1
         e.soft_del_count = int(soft.sum())
         segfiles.write_mask(segfiles.SOFTDELETES, seg_d, e.soft_del_gen, soft)
         write_entry(index_dir, e)  # _apply_segment_deletes rewrites it too
@@ -168,8 +167,7 @@ def prune_soft_deletes(index_dir: str, retain_term: str | None = None) -> int:
         pruned += len(cand)
     if pruned:
         # the mutated entry objects ARE the manifest's (delete_docs flow)
-        manifest.generation += 1
-        write_manifest(index_dir, manifest)
+        write_manifest(index_dir, next_manifest(manifest, manifest.segments))
     return pruned
 
 
@@ -182,8 +180,7 @@ def delete_by_term(index_dir: str, term: str, use_ray: bool = False) -> int:
     if total:
         # only a real tombstone advances the generation (no-op guard, as in
         # update_numeric_docvalues)
-        manifest.generation += 1
-        write_manifest(index_dir, manifest)
+        write_manifest(index_dir, next_manifest(manifest, manifest.segments))
     return int(total)
 
 
@@ -311,12 +308,8 @@ def add_indexes(dest_dir: str, src_dirs: list[str]) -> Manifest:
             write_entry(dest_dir, ne)
             manifest.segments.append(ne)
             base += e.doc_count
-    manifest.segments.sort(key=lambda x: x.docid_base)
-    manifest.generation += 1
-    manifest.doc_count = sum(e.doc_count for e in manifest.live_segments)
-    manifest.sum_ttf = sum(e.sum_ttf for e in manifest.live_segments)
-    write_manifest(dest_dir, manifest)
-    return manifest
+    write_manifest(dest_dir, m := next_manifest(manifest, manifest.segments))
+    return m
 
 
 def add_documents(index_dir: str, table: pa.Table) -> Manifest:
@@ -367,13 +360,10 @@ def _append_documents(
         variant=options.variant,
     )
     entry = build_one_segment(spec, index_dir, options)
-    manifest.segments.append(entry)
-    manifest.segments.sort(key=lambda e: e.docid_base)
-    manifest.generation += 1
-    manifest.doc_count = sum(e.doc_count for e in manifest.live_segments)
-    manifest.sum_ttf = sum(e.sum_ttf for e in manifest.live_segments)
-    write_manifest(index_dir, manifest)
-    return manifest
+    write_manifest(
+        index_dir, m := next_manifest(manifest, manifest.segments + [entry])
+    )
+    return m
 
 
 def update_documents(index_dir: str, key_term: str, table: pa.Table) -> Manifest:
@@ -418,8 +408,8 @@ def update_numeric_docvalues(
         seg_d = segment_dir(index_dir, entry.name)
         sr = SegmentReader(
             seg_d, entry.docid_base, entry.doc_count,
-            del_gen=getattr(entry, "del_gen", 0),
-            dv_gen=getattr(entry, "dv_gen", 0),
+            del_gen=entry.del_gen,
+            dv_gen=entry.dv_gen,
         )
         tp = sr.postings(term)
         if tp is None:
@@ -436,7 +426,7 @@ def update_numeric_docvalues(
             if name == field:
                 arr[docs] = value
             cols[name] = arr
-        gen = getattr(entry, "dv_gen", 0) + 1
+        gen = entry.dv_gen + 1
         segfiles.DOCVALUES.write(seg_d, pa.table(cols), gen)
         entry.dv_gen = gen
         write_entry(index_dir, entry)
@@ -444,8 +434,7 @@ def update_numeric_docvalues(
     if total:
         # only a real change advances the generation — openIfChanged must
         # stay None for no-op updates
-        manifest.generation += 1
-        write_manifest(index_dir, manifest)
+        write_manifest(index_dir, next_manifest(manifest, manifest.segments))
     return total
 
 
@@ -463,7 +452,7 @@ def rollback(index_dir: str, generation: int) -> "Manifest":
     timeline (the restored commit's doc-space end), exactly as the
     reference's ephemeral doc coordinates do across commits; retained
     snapshots of the abandoned timeline keep reading their own segments."""
-    from lucene_ray.index.manifest import list_commits
+    from lucene_ray.index.manifest import list_commits, read_entry
 
     old = read_manifest(index_dir, generation=generation)
     if old is None:
@@ -471,10 +460,6 @@ def rollback(index_dir: str, generation: int) -> "Manifest":
             f"no retained commit for generation {generation} "
             f"(have {list_commits(index_dir)})"
         )
-    from lucene_ray.index.manifest import read_entry
-
-    cur = read_manifest(index_dir)
-    old.generation = max(cur.generation, max(list_commits(index_dir))) + 1
     # Per-segment generation counters must stay monotonic across timelines:
     # if a restored generation (hard/soft deletes, DV) differs from the
     # segment's LATEST on-disk one, re-publish the restored state under a
@@ -495,5 +480,10 @@ def rollback(index_dir: str, generation: int) -> "Manifest":
                 segfiles.write_mask(f, seg_d, new_gen, _load_mask(f, seg_d, e))
             setattr(e, f.gen_attr, new_gen)
         write_entry(index_dir, e)
-    write_manifest(index_dir, old)
-    return old
+    # the current commit is the newest retained one (commit_prepared and
+    # the split tools never publish over a newer commit)
+    write_manifest(index_dir, m := next_manifest(
+        read_manifest(index_dir), old.segments, analyzer=old.analyzer,
+        index_sort=old.index_sort, user_data=old.user_data,
+    ))
+    return m

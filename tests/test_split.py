@@ -132,3 +132,30 @@ def test_rearrange_index(src, tmp_path):
     assert s.search("docbf", 100).docids.tolist() == [40 + 15]
     with pytest.raises(ValueError):
         rearrange_index(src, str(tmp_path / "x"), [[1, 2], [2, 3]])
+
+
+def test_split_into_an_existing_index_raises(src, tmp_path):
+    """Every split tool writes a NEW index: a dest that already holds one
+    (here: an earlier split) keeps its commits untouched."""
+    from lucene_ray.index.manifest import list_commits, read_manifest
+    from lucene_ray.index.split import rearrange_index
+
+    segs = list_segments(src)
+    dest = str(tmp_path / "dest")
+    split_index(src, dest, [segs[0]["name"]])
+    retained = os.path.join(dest, "commits", "manifest_g1.json")
+    with open(retained) as f:
+        before = f.read()
+    with pytest.raises(FileExistsError):
+        split_index(src, dest, [segs[1]["name"]])
+    with pytest.raises(FileExistsError):
+        multipass_split_index(src, [dest, str(tmp_path / "other")])
+    with pytest.raises(FileExistsError):
+        pk_split_index(src, dest, str(tmp_path / "p2"), mid_term="lang:py")
+    with pytest.raises(FileExistsError):
+        rearrange_index(src, dest, [list(range(40))])
+    with open(retained) as f:
+        assert f.read() == before
+    assert list_commits(dest) == [1]
+    assert _docset(dest) == list(range(10))
+    assert read_manifest(dest).segments[0].name == segs[0]["name"]

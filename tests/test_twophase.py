@@ -113,3 +113,23 @@ def test_pending_file_is_durable_json(small_index):
         d = json.load(f)
     assert d["segments"] and "generation" in d
     mf.rollback_prepared(ix)
+
+
+def test_stale_commit_prepared_never_overwrites_a_published_commit(small_index):
+    """prepare(g+1), then a delete publishes g+1 itself: promoting the
+    staged g+1 would silently undo the delete in the current AND the
+    retained commit. commit_prepared refuses and publishes nothing."""
+    from lucene_ray.index import manifest as mf
+    from lucene_ray.index.writer import delete_docs
+
+    ix = small_index
+    g = mf.read_manifest(ix).generation
+    mf.prepare_commit(ix, _next_manifest(ix))
+    assert delete_docs(ix, [0, 1, 2]) == 3
+    with pytest.raises(ValueError, match="must exceed"):
+        mf.commit_prepared(ix)
+    for m in (mf.read_manifest(ix), mf.read_manifest(ix, generation=g + 1)):
+        assert m.generation == g + 1
+        assert sum(e.del_count for e in m.segments) == 3
+    # the pending commit stays until the caller discards it
+    assert mf.rollback_prepared(ix) == g + 1
