@@ -7,10 +7,14 @@ function* over a pyarrow StringArray: ``tokenize_flat`` returns the token
 stream (row_idx, term, position[, start, length]) and every token filter is
 a function of that stream (the helpers below: ``_add_twins`` injects tokens
 at their source's position, ``_drop`` removes tokens and renumbers
-positions). ``tokenize_array`` (one token list per row) and
-``tokenize_text`` (one string) are views over the stream defined once on
-:class:`Analyzer`, so the index builder, the query parser and every op run
-the same chain.
+positions). ``tokenize_array`` (one token list per row of an Arrow
+array) and the list views ``tokenize_texts`` (a few Python strings, one
+stream call) and ``tokenize_text`` (one string) are views over the stream
+defined once on :class:`Analyzer`, so the index builder, the query parser
+and every op run the same chain. ``code`` has the one scalar view:
+``CodeAnalyzer.tokenize_texts`` scans short query texts with one bytes
+regex instead of the bulk kernel, and is held to the kernel and the RE2
+passes by tests.
 
 ``CodeAnalyzer`` (default for the index — the north star's
 "StandardAnalyzer-equivalent with code-aware splitting"):
@@ -223,9 +227,21 @@ class Analyzer:
         offsets = np.concatenate(([0], np.cumsum(counts)))
         return pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), terms)
 
+    def tokenize_texts(self, texts: list[str]) -> list[list[str]]:
+        """List view for a few Python strings (query parsing): the token
+        list of every text, from ONE ``tokenize_flat`` call whose
+        ``row_idx`` maps each token back to its text (a None text gives
+        [])."""
+        words: list[list[str]] = [[] for _ in texts]
+        if texts:
+            row_idx, terms = self.tokenize_flat(pa.array(texts, type=pa.string()))[:2]
+            for r, t in zip(row_idx.tolist(), terms.to_pylist()):
+                words[r].append(t)
+        return words
+
     def tokenize_text(self, text: str) -> list[str]:
-        """Single-string view (query parsing, tests)."""
-        return self.tokenize_flat(pa.array([text], type=pa.string()))[1].to_pylist()
+        """Single-string view (query helpers, tests)."""
+        return self.tokenize_texts([text])[0]
 
 
 class _ListAnalyzer(Analyzer):
@@ -273,6 +289,11 @@ _STARTS = (_C > 0) & (
     | ((_P == 2) & (_C == 2) & (_N == 1))    # UPPER -> UPPER lower
     | ((_P > 0) & ((_P == 3) != (_C == 3)))  # letter <-> digit
 )
+#: The _STARTS rules as one scan of a text's UTF-8 bytes, for
+#: ``CodeAnalyzer.tokenize_texts``: an UPPER run up to the last UPPER
+#: before a lower, an optional UPPER and its lower run, the rest of an
+#: UPPER run, a digit run. Every other byte (non-ASCII too) separates.
+_TOKEN_RE = re.compile(rb"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")
 _INT32_MAX = np.iinfo(np.int32).max
 #: byte -> lowercased byte for A-Z, identity otherwise
 _LUT_TOLOWER = (np.arange(256) + 32 * (_CLASS == 2)).astype(np.uint8)
@@ -296,9 +317,30 @@ class CodeAnalyzer(Analyzer):
     specification (:func:`tokenize_re2`; :func:`tokenize_sql_expr` in the
     oracle), and tests/test_analyzer.py::test_fast_path_matches_re2 holds
     the kernel to them.
+
+    ``tokenize_texts`` has one scalar view for the few short strings of a
+    query parse: ``_TOKEN_RE`` over each text's bytes, which skips the
+    kernel's fixed cost of some 25 numpy/Arrow calls. It is the one view
+    that does not read the stream, so tests/test_analyzer.py holds the
+    RE2 passes, the kernel and this view to each other.
     """
 
     name = "code"
+
+    def tokenize_texts(self, texts: list[str]) -> list[list[str]]:
+        """Scalar list view: ``_TOKEN_RE`` matches, lowercased, over-long
+        ones cut into MAX_TOKEN_LEN chunks (``_split_overlong``). Only the
+        bare kernel takes it: a subclass that adds filters in its own
+        ``tokenize_flat`` keeps the stream view."""
+        if type(self).tokenize_flat is not CodeAnalyzer.tokenize_flat:
+            return super().tokenize_texts(texts)
+        return [
+            _split_overlong([
+                m.lower().decode("ascii")
+                for m in _TOKEN_RE.findall((t or "").encode("utf-8"))
+            ])
+            for t in texts
+        ]
 
     def tokenize_flat(
         self, texts: pa.Array | pa.ChunkedArray, with_offsets: bool = False

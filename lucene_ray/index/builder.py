@@ -553,6 +553,41 @@ def build_term_vectors(
     return pa.table(cols)
 
 
+def numeric_dv(table: pa.Table, fld: str, docid_base: int) -> pa.Array:
+    """The int64 NUMERIC doc value ``fld`` of every row of a segment's
+    ``table`` (its first row is global docid ``docid_base``): ``n_chars``
+    (content length), a derived field, or the source column; null -> 0."""
+    import pyarrow.compute as pc
+
+    if fld == "n_chars":
+        return pc.fill_null(
+            pc.utf8_length(table.column("content").combine_chunks()).cast(
+                pa.int64()
+            ),
+            0,
+        )
+    if fld in NUMERIC_DV_DERIVED:
+        gdoc = docid_base + np.arange(table.num_rows, dtype=np.int64)
+        return pa.array(
+            _numeric_dv_derivers()[fld](table, gdoc), type=pa.int64()
+        )
+    return pc.fill_null(
+        table.column(fld).combine_chunks().cast(pa.int64()), 0
+    )
+
+
+def index_sort_permutation(table: pa.Table, index_sort: tuple, docid_base: int) -> np.ndarray:
+    """The row order of a segment built with ``index_sort`` = (field,
+    "asc"|"desc"), over its source rows in corpus order: stable by source
+    row, so within equal keys docids keep corpus order (and global
+    docid-asc tie-breaks equal doc_id-asc in the oracle)."""
+    fld, direction = index_sort
+    key = numeric_dv(table, fld, docid_base).to_numpy(zero_copy_only=False)
+    if direction == "desc":
+        key = -key
+    return np.lexsort((np.arange(len(key)), key))
+
+
 def build_one_segment(
     spec: SegmentSpec, index_dir: str, options: BuildOptions = BuildOptions()
 ) -> SegmentEntry:
@@ -598,35 +633,11 @@ def build_one_segment(
 
     import pyarrow.compute as pc
 
-    def _numeric_dv(fld: str) -> pa.Array:
-        if fld == "n_chars":
-            return pc.fill_null(
-                pc.utf8_length(table.column("content").combine_chunks()).cast(
-                    pa.int64()
-                ),
-                0,
-            )
-        if fld in NUMERIC_DV_DERIVED:
-            gdoc = spec.docid_base + np.arange(n, dtype=np.int64)
-            return pa.array(
-                _numeric_dv_derivers()[fld](table, gdoc), type=pa.int64()
-            )
-        return pc.fill_null(
-            table.column(fld).combine_chunks().cast(pa.int64()), 0
-        )
-
     numeric_dv_schema = ("n_chars",) + options.dv_fields
 
     sorted_runs = None
     if options.index_sort is not None:
-        fld, direction = options.index_sort
-        key = _numeric_dv(fld).to_numpy(zero_copy_only=False)
-        if direction == "desc":
-            key = -key
-        # stable by source row: within equal keys, docids keep corpus order
-        # (so global docid-asc tie-breaks equal doc_id-asc in the oracle)
-        perm = np.lexsort((np.arange(n), key))
-        table = table.take(perm)
+        table = table.take(index_sort_permutation(table, options.index_sort, spec.docid_base))
         sorted_runs = [[0, n]]
 
     content = table.column("content").combine_chunks()
@@ -804,7 +815,7 @@ def build_one_segment(
 
     # numeric doc values + 1-D points (value-sorted view for range filters);
     # null content counts as 0 chars (missing-value doc-values convention)
-    dv_cols = {f: _numeric_dv(f) for f in numeric_dv_schema}
+    dv_cols = {f: numeric_dv(table, f, spec.docid_base) for f in numeric_dv_schema}
     segfiles.DOCVALUES.write(d, pa.table({f: dv_cols[f] for f in numeric_dv_schema}))
     # SORTED / SORTED_SET sidecar: doc-ordered values; parquet dictionary-
     # encodes the strings, the reader derives term-sorted ordinals

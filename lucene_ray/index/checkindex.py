@@ -12,7 +12,9 @@ Checks per segment:
     every generation the entry names exists; delete-mask counts match
   - file-specific invariants: points == doc values, term-vector freq ==
     len(positions), sorted-numeric values ascending, shape edge flags
-  - stored-fields sha256 matches the source Parquet rows (content invariant)
+  - stored-fields sha256 matches the source Parquet rows (content
+    invariant), in the build's row order when the segment was built with
+    an index sort
 Index-level:
   - live docid ranges ascending and disjoint; every gap between them is
     covered by a detached (``deleted=True``) entry, the range an exorcised
@@ -31,6 +33,7 @@ import pyarrow.parquet as pq
 from lucene_ray.codec.postings_codec import decode_term_postings
 from lucene_ray.config import BLOCK_SIZE
 from lucene_ray.index import segfiles
+from lucene_ray.index.builder import index_sort_permutation
 from lucene_ray.index.manifest import segment_dir
 from lucene_ray.search.reader import IndexReader
 from lucene_ray.util.smallfloat import int_to_byte4
@@ -288,10 +291,16 @@ def check_index(index_dir: str, verify_content: bool = True) -> dict:
             # merged segments carry "merged_from" lineage instead; their
             # stored sha256 column was concatenated from verified inputs
             stored = pq.read_table(segfiles.STORED.path(d))
-            src = pq.ParquetFile(entry.input["file"]).read_row_groups(
-                list(range(entry.input["rg_start"], entry.input["rg_end"])),
-                columns=["content"],
+            pf = pq.ParquetFile(entry.input["file"])
+            sort = (entry.input.get("options") or {}).get("index_sort")
+            cols = ["content"]
+            if sort and sort[0] in pf.schema_arrow.names and sort[0] != "content":
+                cols.append(sort[0])  # n_chars and derived keys need only content
+            src = pf.read_row_groups(
+                list(range(entry.input["rg_start"], entry.input["rg_end"])), columns=cols
             )
+            if sort:
+                src = src.take(index_sort_permutation(src, sort, entry.docid_base))
             expect = [
                 hashlib.sha256(t.encode()).hexdigest() if t is not None else None
                 for t in src.column("content").to_pylist()

@@ -57,7 +57,6 @@ from lucene_ray.search.query import (
     _group_clause,
     _range_query,
     _token_queries,
-    analyze_texts,
     discard_escapes,
 )
 
@@ -291,7 +290,7 @@ class StandardQueryParser:
             _token_queries(w, is_phrase, boost, slop, texts, field=f)
             for f in (self.fields if multi else [field])
         ]
-        words = analyze_texts(self.analyzer, texts)
+        words = self.analyzer.tokenize_texts(texts)
         qs = [q for build in builds for q in build(words)]
         self._check_wildcards(qs)
         if multi and len(qs) > 1:
@@ -328,7 +327,7 @@ class StandardQueryParser:
             )
         texts: list[str] = []
         build = _range_query(field, lo_raw, hi_raw, incl_lo, incl_hi, boost, texts)
-        return build(analyze_texts(self.analyzer, texts))[0]
+        return build(self.analyzer.tokenize_texts(texts))[0]
 
     # -- fn: interval functions ----------------------------------------------
 

@@ -25,8 +25,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-import pyarrow as pa
-
 
 @dataclass(frozen=True)
 class TermQuery:
@@ -1084,17 +1082,6 @@ def _ends_escaped(s: str) -> bool:
     return (len(s) - len(s.rstrip("\\"))) % 2 == 1
 
 
-def analyze_texts(analyzer, texts: list[str]) -> list[list[str]]:
-    """The token list of every text, from ONE ``analyzer.tokenize_flat``
-    call: the stream's ``row_idx`` maps each token back to its text."""
-    words: list[list[str]] = [[] for _ in texts]
-    if texts:
-        row_idx, terms = analyzer.tokenize_flat(pa.array(texts, type=pa.string()))[:2]
-        for r, t in zip(row_idx.tolist(), terms.to_pylist()):
-            words[r].append(t)
-    return words
-
-
 def _queued(texts: list, s: str) -> int:
     """Queue ``s`` for analysis: ``words[k]`` is then its token list."""
     texts.append(s)
@@ -1297,13 +1284,14 @@ def parse_query(text: str, analyzer) -> BooleanQuery:
     to required and requires the current one; default operator is OR).
     Raises ValueError on unbalanced parentheses. The descent queues the
     text of every analyzable terminal; ONE analyzer call then analyzes
-    them all (:func:`analyze_texts`), and only then is the query built."""
+    them all (``analyzer.tokenize_texts``), and only then is the query
+    built."""
     toks = [m for m in _LEX_RE.finditer(text) if not m.group("space")]
     texts: list[str] = []
     build, i = _parse_bool(toks, 0, texts, None, 0)
     if i != len(toks):
         raise ValueError("unbalanced ')' in query")
-    return build(analyze_texts(analyzer, texts))
+    return build(analyzer.tokenize_texts(texts) if texts else [])
 
 
 def _parse_bool(toks: list, i: int, texts: list, field_ctx: str | None, depth: int):

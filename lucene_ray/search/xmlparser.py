@@ -177,7 +177,7 @@ class CoreParser:
         )
 
     def _q_RangeQuery(self, el):
-        from lucene_ray.search.query import _range_query, analyze_texts
+        from lucene_ray.search.query import _range_query
 
         field = self._field(el)
         lo = el.get("lowerTerm")
@@ -189,7 +189,7 @@ class CoreParser:
             field, lo if lo is not None else "*", hi if hi is not None else "*",
             incl_lo, incl_hi, self._boost(el), texts,
         )
-        return build(analyze_texts(self.analyzer, texts))[0]
+        return build(self.analyzer.tokenize_texts(texts))[0]
 
     def _q_PointRangeQuery(self, el):
         lo = el.get("lowerTerm")

@@ -84,8 +84,9 @@ def test_duckdb_parity():
 
 
 def test_fast_path_matches_re2():
-    """tokenize_flat (byte kernel) must produce exactly the RE2 pipeline's
-    tokens on adversarial inputs + a corpus sample."""
+    """tokenize_flat (byte kernel) and the scalar ``tokenize_texts`` view
+    must produce exactly the RE2 pipeline's tokens on adversarial inputs +
+    a corpus sample."""
     import numpy as np
 
     from lucene_ray.index.corpus import generate_shard
@@ -118,12 +119,57 @@ def test_fast_path_matches_re2():
     assert rows.tolist() == want_rows.tolist()
     assert terms.to_pylist() == want_terms
     assert pos.tolist() == want_pos
+    # the scalar view (a null text gives [])
+    assert an.tokenize_texts(texts) == [r or [] for r in toks.to_pylist()]
 
     # sliced array (non-zero arrow offset)
     sl = arr.slice(3, 10)
     toks2 = tokenize_re2(sl)
     rows2, terms2, _ = an.tokenize_flat(sl)
     assert terms2.to_pylist() == toks2.values.to_pylist()
+
+
+# the fuzz alphabet: every ASCII class edge, separators, NUL and
+# whitespace, and multi-byte characters. "İ" and the Kelvin sign lowercase
+# to ASCII under Unicode rules, which the RE2 passes apply and the byte
+# kernel does not (a known divergence), so they join only the
+# kernel-vs-scalar comparison.
+_FUZZ_CHARS = list("aAbBzZyY09_ .-/") + ["\x00", "\t", "\n", "é", "İ", "\u212a", "ß", "中"]
+
+
+def _fuzz_texts(n: int, seed: int) -> list[str]:
+    """``n`` short random strings over ``_FUZZ_CHARS`` plus runs of
+    254-511 characters of one class, mixed case or digits, around the
+    MAX_TOKEN_LEN (255) chunk edge."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    chars = np.array(_FUZZ_CHARS, dtype=object)
+    lens = rng.integers(0, 13, size=n)
+    picks = rng.integers(0, len(chars), size=int(lens.sum()))
+    ends = np.cumsum(lens)
+    texts = ["".join(chars[picks[e - k:e]]) for k, e in zip(lens.tolist(), ends.tolist())]
+    for run in range(254, 512):
+        head = rng.choice(["", "x", "Ab", "1", " ", "é"])
+        texts += [
+            head + "a" * run, "B" * run + "c", "7" * run + "Q",
+            "".join(rng.choice(list("aAbB09"), size=run)) + head,
+        ]
+    return texts
+
+
+def test_scalar_view_matches_kernel_fuzz():
+    """The ``code`` scalar view (``tokenize_texts``) gives the byte
+    kernel's tokens on 100k+ seeded random strings: case and digit
+    transitions, separators (``_`` included), NUL, multi-byte characters
+    and over-long runs chunked at MAX_TOKEN_LEN."""
+    texts = _fuzz_texts(100_000, seed=19)
+    an = CodeAnalyzer()
+    want = an.tokenize_array(pa.array(texts, type=pa.string())).to_pylist()
+    got = an.tokenize_texts(texts)
+    bad = [(t, w, g) for t, w, g in zip(texts, want, got) if w != g]
+    assert not bad, bad[:5]
+    assert sum(len(w) for w in want) > 100_000
 
 
 # every registry analyzer plus the four the registry loads lazily
@@ -152,8 +198,10 @@ def view_texts():
 
 @pytest.mark.parametrize("name", ALL_ANALYZERS)
 def test_views_agree_with_stream(name, view_texts):
-    """tokenize_array and tokenize_text are views of tokenize_flat: the
-    stream's terms grouped by row, in stream order; a null row is []."""
+    """tokenize_array, tokenize_texts and tokenize_text are views of
+    tokenize_flat: the stream's terms grouped by row, in stream order; a
+    null row is []. (A subclass of the ``code`` analyzer must not take its
+    scalar ``tokenize_texts``: that would skip the subclass's filters.)"""
     an = get_analyzer(name)
     arr = pa.array(view_texts, type=pa.string())
     row_idx, terms, _pos = an.tokenize_flat(arr)
@@ -162,6 +210,7 @@ def test_views_agree_with_stream(name, view_texts):
         by_row[r].append(t)
     assert by_row[view_texts.index(None)] == []
     assert an.tokenize_array(arr).to_pylist() == by_row
+    assert an.tokenize_texts(view_texts) == by_row
     assert [an.tokenize_text(t) for t in view_texts if t is not None] == [
         row for row, t in zip(by_row, view_texts) if t is not None
     ]

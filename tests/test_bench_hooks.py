@@ -13,7 +13,7 @@ from spans import Tracer, instrumented  # noqa: E402
 
 
 def test_tracer_hooks_install_and_restore():
-    from lucene_ray.analysis import CodeAnalyzer
+    from lucene_ray.analysis import CodeAnalyzer, get_analyzer
     from lucene_ray.search import engine
 
     before = (CodeAnalyzer.__dict__["tokenize_flat"], engine.parse_query)
@@ -23,14 +23,17 @@ def test_tracer_hooks_install_and_restore():
         tracer.enabled = True
         with tracer.span("op.query"):
             engine.parse_query("fooBar AND baz", CodeAnalyzer())
+            engine.parse_query("fooBar AND baz", get_analyzer("english"))
         tracer.enabled = False
     assert (CodeAnalyzer.__dict__["tokenize_flat"], engine.parse_query) == before
-    # query-time analysis is ONE run of the stream kernel per parse, inside
+    # a parse analyzes in ONE analyzer call: the ``code`` analyzer's scalar
+    # view runs no stream kernel, a subclass's chain runs it once, inside
     # the parse span
     names = {i: s[0] for i, s in enumerate(tracer.spans)}
     tokenize = [s for s in tracer.spans if s[0] == "analysis.tokenize"]
     assert len(tokenize) == 1
     assert names[tokenize[0][3]] == "search.query.parse"
+    assert len([s for s in tracer.spans if s[0] == "search.query.parse"]) == 2
 
 
 def test_tracer_hooks_stay_on_the_search_path(tmp_path, ray_session):

@@ -192,6 +192,33 @@ def test_degenerate_corpus(tmp_path, ray_session):
     assert check_index(ix)["ok"]
 
 
+def test_check_index_content_of_sorted_build(tmp_path, ray_session, sf_dir):
+    """verify_content compares the stored hashes with the source rows in
+    the build's order: an index-sorted sf0.001 build passes, and one
+    tampered stored hash is still reported."""
+    import pyarrow as pa
+
+    from lucene_ray.index.corpus import documents_as_corpus
+
+    src = str(tmp_path / "corpus.parquet")
+    pq.write_table(pq.read_table(documents_as_corpus(sf_dir)), src, row_group_size=64)
+    ix = str(tmp_path / "ix")
+    build_index([src], ix, target_docs=64, index_sort=("n_chars", "desc"))
+    report = check_index(ix, verify_content=True)
+    assert report["ok"], report
+
+    victim = read_manifest(ix).live_segments[1]
+    path = os.path.join(segment_dir(ix, victim.name), "stored.parquet")
+    stored = pq.read_table(path)
+    col = stored.schema.get_field_index("content_sha256")
+    hashes = stored.column(col).to_pylist()
+    hashes[0] = "0" * 64
+    pq.write_table(stored.set_column(col, "content_sha256", pa.array(hashes)), path)
+    assert check_index(ix, verify_content=True)["problems"] == [
+        f"{victim.name}: content sha256 mismatch vs source"
+    ]
+
+
 def test_plan_segments_byte_bound(tmp_path):
     """A spec closes at the COMPRESSED-byte bound even when far under the
     doc bound (the RAM-buffer flush analog) — giant docs cannot produce a

@@ -30,9 +30,7 @@ def _assert_commit(ix, before, delta, user_data):
     gens = list_commits(ix)
     assert all(a < b for a, b in zip(gens, gens[1:]))
     assert gens[-1] == m.generation
-    # verify_content compares stored rows with the source in corpus order,
-    # which an index-sorted segment permutes; every structural check runs
-    report = check_index(ix, verify_content=False)
+    report = check_index(ix)
     assert report["ok"], report
     return m
 

@@ -286,19 +286,19 @@ PIN_QUERIES = [q for _qid, q, _k in REFERENCE_QUERIES] + [
 def _pin(q: str, an) -> tuple[str, int]:
     """(repr of the parse or the error type, analyzer calls it made)."""
     calls = []
-    flat = an.tokenize_flat
+    texts = an.tokenize_texts
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return flat(*args, **kwargs)
+        return texts(*args, **kwargs)
 
-    an.tokenize_flat = counted
+    an.tokenize_texts = counted
     try:
         return repr(parse_query(q, an)), len(calls)
     except ValueError:
         return "ValueError", len(calls)
     finally:
-        del an.tokenize_flat
+        del an.tokenize_texts
 
 
 def _pins() -> dict:

@@ -6,6 +6,8 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 from lucene_ray.pipelines.flagship import REFERENCE_QUERIES
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools",
@@ -33,6 +35,8 @@ def test_ref_queries_table(tmp_path, capsys, ray_session):
         if r["relation"] == "eq":
             assert r["total_hits"] == r["exhaustive_total_hits"], r
         assert r["pruned_ms"] >= 0 and r["exhaustive_ms"] >= 0
+        assert r["prepare_ms"] >= 0
+    assert out["prepare_sum_ms"] == pytest.approx(sum(r["prepare_ms"] for r in out["queries"]))
     index_dir = out["index"]
     mtime = os.path.getmtime(os.path.join(index_dir, "manifest.json"))
     assert tool.main(argv)["index"] == index_dir  # cached: not rebuilt

@@ -12,8 +12,11 @@ Prints one JSON object. Per entry: the best process CPU time (ms) over
 ``--reps`` searches of each path, after one warm search, the two paths
 taking turns to go first; ``total_hits``
 and ``relation`` of both paths; whether the pruned docids and float32
-score bytes equal the exhaustive path's. ``pruned_sum_ms`` and
-``exhaustive_sum_ms`` add the entries up.
+score bytes equal the exhaustive path's; ``prepare_ms``, the best process
+CPU time over the same reps of ``searcher.prepare(q)`` alone (parse,
+lazy rewrite and multi-term expansion: the query layer before scoring).
+``pruned_sum_ms``, ``exhaustive_sum_ms`` and ``prepare_sum_ms`` add the
+entries up.
 
 Usage: python tools/ref_queries.py [--docs 200000] [--seed 42]
        [--shards 32] [--target-docs 5000] [--reps 5]
@@ -75,7 +78,7 @@ def query_table(index_dir: str, reps: int = 5) -> dict:
         "pruned": IndexSearcher(index_dir, pruned=True),
         "exhaustive": IndexSearcher(index_dir, pruned=False),
     }
-    best = {p: [float("inf")] * len(REFERENCE_QUERIES) for p in paths}
+    best = {p: [float("inf")] * len(REFERENCE_QUERIES) for p in (*paths, "prepare")}
     hits = {p: [s.search(q, k) for _qid, q, k in REFERENCE_QUERIES] for p, s in paths.items()}
     for rep in range(reps):
         for i, (_qid, q, k) in enumerate(REFERENCE_QUERIES):
@@ -85,6 +88,9 @@ def query_table(index_dir: str, reps: int = 5) -> dict:
                 t0 = time.process_time()
                 s.search(q, k)
                 best[p][i] = min(best[p][i], (time.process_time() - t0) * 1000)
+            t0 = time.process_time()
+            paths["pruned"].prepare(q)
+            best["prepare"][i] = min(best["prepare"][i], (time.process_time() - t0) * 1000)
 
     rows = []
     for i, (qid, q, k) in enumerate(REFERENCE_QUERIES):
@@ -95,6 +101,7 @@ def query_table(index_dir: str, reps: int = 5) -> dict:
             "k": k,
             "pruned_ms": round(best["pruned"][i], 3),
             "exhaustive_ms": round(best["exhaustive"][i], 3),
+            "prepare_ms": round(best["prepare"][i], 3),
             "total_hits": int(a.total_hits),
             "relation": a.relation,
             "exhaustive_total_hits": int(b.total_hits),
@@ -109,6 +116,7 @@ def query_table(index_dir: str, reps: int = 5) -> dict:
         "reps": reps,
         "pruned_sum_ms": round(sum(r["pruned_ms"] for r in rows), 3),
         "exhaustive_sum_ms": round(sum(r["exhaustive_ms"] for r in rows), 3),
+        "prepare_sum_ms": round(sum(r["prepare_ms"] for r in rows), 3),
         "all_equal": all(r["equal"] for r in rows),
         "queries": rows,
     }
