@@ -317,21 +317,18 @@ class CodeAnalyzer(Analyzer):
     specification (:func:`tokenize_re2`; :func:`tokenize_sql_expr` in the
     oracle), and tests/test_analyzer.py::test_fast_path_matches_re2 holds
     the kernel to them.
-
-    ``tokenize_texts`` has one scalar view for the few short strings of a
-    query parse: ``_TOKEN_RE`` over each text's bytes, which skips the
-    kernel's fixed cost of some 25 numpy/Arrow calls. It is the one view
-    that does not read the stream, so tests/test_analyzer.py holds the
-    RE2 passes, the kernel and this view to each other.
     """
 
     name = "code"
 
     def tokenize_texts(self, texts: list[str]) -> list[list[str]]:
-        """Scalar list view: ``_TOKEN_RE`` matches, lowercased, over-long
-        ones cut into MAX_TOKEN_LEN chunks (``_split_overlong``). Only the
-        bare kernel takes it: a subclass that adds filters in its own
-        ``tokenize_flat`` keeps the stream view."""
+        """Scalar list view for the few short texts of a query parse:
+        ``_TOKEN_RE`` matches, lowercased, over-long ones cut into
+        MAX_TOKEN_LEN chunks (``_split_overlong``), without the kernel's
+        fixed cost of some 25 numpy/Arrow calls. Only the bare kernel
+        takes it: a subclass that adds filters in its own ``tokenize_flat``
+        keeps the stream view. tests/test_analyzer.py holds this view, the
+        kernel and the RE2 passes to each other."""
         if type(self).tokenize_flat is not CodeAnalyzer.tokenize_flat:
             return super().tokenize_texts(texts)
         return [
