@@ -10,9 +10,22 @@ Logical parity with the reference's packed-postings kernels:
 
 This is a *storage-format re-expression*, not a byte-level port: the
 reference's SIMD lane layout (gen_ForUtil.py) is replaced by MSB-first
-bit-packing (``np.packbits`` and uint64 word-lane shift-or on encode);
-partial tail blocks are packed with their own width instead of Lucene's
-VInt tail encoding. Logical content (the int sequences) round-trips exactly.
+bit-packing; partial tail blocks are packed with their own width instead of
+Lucene's VInt tail encoding. Logical content (the int sequences)
+round-trips exactly.
+
+There is one encode kernel. ``_pack`` writes any set of blocks, full or
+tail, of any widths, from a (blocks, 128) matrix of their values: CONST
+when a block's values are equal, else FOR at its width, or for a full
+block PFor when shorter (the base from the 8th largest value, the
+exceptions placed with one scatter). The bits are packed by one left shift
+per (width, slot) into 64-bit windows of 32-bit half-words, one
+``np.add.reduceat`` per half-word's run of slots and one spill of each
+window's bottom half into the next half-word, all from precomputed tables;
+one row per block holds its header and bits, and one mask keeps their
+bytes. ``encode_blocks_batched`` calls it per ENCODE_CHUNK_BLOCKS blocks
+(build and merge encode a whole segment in one call); ``encode_stream``
+is that call for one stream. No path encodes block by block in Python.
 
 There is one decode kernel. ``_unpack`` extracts every FOR/PFor value of
 any set of blocks at once, as a (blocks, 128) matrix: one gather of 8-byte
@@ -50,78 +63,97 @@ _CONST_MARKER = 0x40
 _PFOR_MARKER = 0x41
 
 
-def _bit_width(max_val: int) -> int:
-    return int(max_val).bit_length()
+_SLOT = np.arange(BLOCK_SIZE)
+_WIDTHS = np.arange(33)[:, None]
+_WIDTH_MASK = ((np.uint64(1) << _WIDTHS.astype(np.uint64)) - np.uint64(1)).astype(np.uint32)
+_U32BE = np.dtype(">u4")
+_U64_32, _U64_LOW32 = np.uint64(32), np.uint64(0xFFFFFFFF)
+# blocks per ``_pack`` call: bounds the kernel's temporaries (a few
+# (blocks, BLOCK_SIZE) matrices, ~1 MB each) however many blocks are encoded
+ENCODE_CHUNK_BLOCKS = 1024
+# encode tables. Values are packed into the 32-bit half-words of the packed
+# bits: a slot starting in half-word h is shifted (by _PACK_SHIFT, per
+# (width, slot)) to its place in the 64-bit window of half-words h and h + 1,
+# and one sum per half-word over the slots starting in it (from
+# _HALF_FIRST[width, h]; width <= 32, so every half-word holds a start)
+# gives that window: its top half is h, its bottom half spills into h + 1.
+# A block of width w fills its first 4 * w half-words (_HALVES)
+_POW2 = 1 << np.arange(32)  # bit length = _POW2.searchsorted(v, "right")
+_PACK_SHIFT = (64 - _WIDTHS - ((_SLOT * _WIDTHS) & 31)).astype(np.uint64)
+_HALF_FIRST = -(-32 * _SLOT // np.maximum(_WIDTHS, 1))
+_HALVES = _SLOT < 4 * _WIDTHS
+_ROW_START = BLOCK_SIZE * np.arange(ENCODE_CHUNK_BLOCKS)[:, None]
+# per (width, length): the packed bytes, and whether PFor may apply (full
+# blocks only, as Lucene encodes tails apart)
+_LENS = np.arange(BLOCK_SIZE + 1)
+_PACKED_BYTES = (_WIDTHS * _LENS + 7) >> 3
+_PFOR_CANDIDATE = (_WIDTHS > 1) & (_LENS == BLOCK_SIZE)
+# a block as one row: its header (at most 3 + 2 * PFOR_MAX_EXCEPTIONS bytes,
+# padded to whole half-words), then the half-words of its packed bits
+_HDR = 20
+_HDR_COL = np.arange(_HDR)
+_BIT_COL = np.arange(4 * BLOCK_SIZE)
+_EIGHTH = BLOCK_SIZE - 1 - PFOR_MAX_EXCEPTIONS  # sorted slot of the 8th largest
 
 
-def _pack_bits(values: np.ndarray, width: int) -> bytes:
-    """MSB-first pack of uint32 values at ``width`` bits each."""
-    n = len(values)
-    if width == 0:
-        return b""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
-    bits = ((values[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-    return np.packbits(bits).tobytes()
-
-
-def _encode_block(values: np.ndarray, allow_pfor: bool = True) -> bytes:
-    """Encode one block (<= BLOCK_SIZE uint32 values)."""
-    n = len(values)
-    vmax = int(values.max()) if n else 0
-    vmin = int(values.min()) if n else 0
-    if n and vmax == vmin:
-        return bytes([_CONST_MARKER]) + np.uint32(vmax).tobytes()
-    width = _bit_width(vmax)
-    for_bytes = 1 + (n * width + 7) // 8
-
-    if allow_pfor and width > 1 and n == BLOCK_SIZE:
-        # PFor: pick the base width covering all but <= 7 exceptions, with
-        # exception high bits fitting one byte (width - base <= 8), as in
-        # PForUtil.java: exceptions are (position, top-bits-byte) pairs.
-        # Only full blocks (Lucene encodes tails separately too).
-        # bit widths via frexp exponent (exact for ints < 2^53, vectorized)
-        widths = np.frexp(values.astype(np.float64))[1]
-        hist = np.bincount(widths, minlength=width + 2)
-        tail = hist[::-1].cumsum()[::-1]  # tail[b] = count(widths >= b)
-        for base in range(max(width - 8, 1), width):
-            n_exc = int(tail[base + 1])
-            if n_exc <= PFOR_MAX_EXCEPTIONS:
-                pfor_bytes = 3 + 2 * n_exc + (n * base + 7) // 8
-                if pfor_bytes < for_bytes:
-                    exc = np.nonzero(widths > base)[0]
-                    low = values.copy()
-                    high = (values[exc] >> np.uint32(base)).astype(np.uint8)
-                    low[exc] = values[exc] & ((np.uint32(1) << np.uint32(base)) - 1)
-                    out = bytearray([_PFOR_MARKER, base, n_exc])
-                    for p, h in zip(exc, high):
-                        out += bytes([int(p), int(h)])
-                    out += _pack_bits(low, base)
-                    return bytes(out)
-                break  # wider bases only cost more
-    return bytes([width]) + _pack_bits(values, width)
-
-
-def _pack_full_blocks(vals: np.ndarray, width: int) -> np.ndarray:
-    """Pack a (k, BLOCK_SIZE) uint32 matrix at ``width`` bits/value into
-    (k, 16*width) bytes, MSB-first — identical layout to ``_pack_bits`` but
-    via uint64 word-lane shift-or (no 8-bytes-per-bit expansion; ~10x less
-    memory traffic than the bit-tensor + packbits route)."""
-    k = vals.shape[0]
-    n_words = BLOCK_SIZE * width // 64  # BLOCK_SIZE*width is a multiple of 64
-    words = np.zeros((k, n_words), dtype=np.uint64)
-    v64 = vals.astype(np.uint64)
-    for i in range(BLOCK_SIZE):
-        bitpos = i * width
-        w_idx = bitpos >> 6
-        shift = 64 - (bitpos & 63) - width
-        col = v64[:, i]
-        if shift >= 0:
-            words[:, w_idx] |= col << np.uint64(shift)
-        else:
-            words[:, w_idx] |= col >> np.uint64(-shift)
-            words[:, w_idx + 1] |= col << np.uint64(64 + shift)
-    # MSB-first byte order == big-endian words
-    return words.byteswap().view(np.uint8).reshape(k, n_words * 8)
+def _pack(values, lens, vmin, vmax, allow_pfor: bool):
+    """The pack kernel: the encoded bytes of the blocks that tile
+    ``values``, ``lens`` (1..BLOCK_SIZE) values each, with their minima
+    and maxima, and each block's byte count. The blocks become the rows of
+    a (blocks, BLOCK_SIZE) matrix, zero past a short block's end; every
+    block, full or tail, is packed at its width by one shift from
+    ``_PACK_SHIFT`` and one ``np.add.reduceat`` over the ``_HALF_FIRST``
+    runs; one row per block holds its header and bits, and one mask keeps
+    each row's bytes."""
+    k = len(lens)
+    vals = np.zeros((k, BLOCK_SIZE), dtype=np.uint32)
+    vals[_SLOT < lens[:, None]] = values
+    const = vmin == vmax
+    width = _POW2.searchsorted(vmax, side="right")
+    width[const] = 0  # CONST packs no bits
+    wide = 4 * int(width.max())  # half-words of the widest block
+    rows = np.zeros((k, _HDR + 4 * wide), dtype=np.uint8)
+    rows[:, 0] = np.where(const, _CONST_MARKER, width)
+    rows[:, 1:5].view("<u4")[:, 0] = vmax  # read only for CONST
+    head = np.where(const, 5, 1)
+    p = _PFOR_CANDIDATE[width, lens].nonzero()[0] if allow_pfor else ()
+    if len(p):
+        # PFor for a full block: the narrowest base of at most 8 bits below
+        # its width that leaves <= PFOR_MAX_EXCEPTIONS wider values, each
+        # stored as a (slot, high bits) byte pair, when that is shorter
+        sub = vals[p]
+        eighth = np.sort(sub, axis=1)[:, _EIGHTH]
+        base = np.maximum(_POW2.searchsorted(eighth, side="right"),
+                          np.maximum(width[p] - 8, 1))
+        high = sub >> base[:, None].astype(np.uint32)
+        exc = high != 0
+        n_exc = exc.sum(axis=1)
+        use = (base < width[p]) & (2 + 2 * n_exc + 16 * base < 16 * width[p])
+        p, base, high, exc, n_exc = p[use], base[use], high[use], exc[use], n_exc[use]
+        vals[p] = sub[use] & _WIDTH_MASK[base]
+        width[p] = base
+        head[p] = 3 + 2 * n_exc
+        rows[p, 0] = _PFOR_MARKER
+        rows[p, 1] = base
+        rows[p, 2] = n_exc
+        # exception j of a block: its (slot, high bits) at header bytes 3 + 2j
+        e_row, e_slot = np.nonzero(exc)
+        col = 3 + 2 * (np.arange(len(e_row)) - (np.cumsum(n_exc) - n_exc)[e_row])
+        rows[p[e_row], col] = e_slot
+        rows[p[e_row], col + 1] = high[e_row, e_slot]
+    # a CONST row keeps its values: _PACK_SHIFT[0] is 64, which numpy shifts
+    # to 0, so they add nothing to the last run of the block before it
+    shifted = np.left_shift(vals, _PACK_SHIFT[width], dtype=np.uint64)
+    halves = _HALVES[:, :wide][width]
+    window = np.add.reduceat(shifted.ravel(), (_ROW_START[:k] + _HALF_FIRST[:, :wide][width])[halves])
+    bits = window >> _U64_32
+    # a block's last half-word ends with its last slot: its window's bottom
+    # half is 0, so nothing spills from one block into the next
+    bits[1:] |= window[:-1] & _U64_LOW32
+    rows[:, _HDR:].view(_U32BE)[halves] = bits
+    n_bytes = _PACKED_BYTES[width, lens]
+    keep = np.concatenate((_HDR_COL < head[:, None], _BIT_COL[: 4 * wide] < n_bytes[:, None]), axis=1)
+    return rows[keep], head + n_bytes
 
 
 def encode_blocks_batched(
@@ -129,140 +161,25 @@ def encode_blocks_batched(
     lens: np.ndarray,
     allow_pfor: bool = True,
 ) -> tuple[bytes, np.ndarray]:
-    """Batch-encode MANY blocks in one vectorized pass.
-
-    ``values`` is a contiguous tiling of blocks; ``lens`` (each 1..BLOCK_SIZE)
-    gives the block lengths in order. Produces the same byte grammar as
-    ``_encode_block`` per block. Returns (buffer, per-block byte offsets).
-
-    Vectorization: per-block min/max via ``reduceat``; constant blocks
-    scatter 5-byte runs; full FOR blocks group by bit width and pack each
-    width group with ONE ``np.packbits`` call; PFor-eligible blocks pick the
-    base as the 8th-largest per-value width; only partial tail blocks and
-    the (rare) PFor blocks fall back to the scalar encoder. This is what
-    makes segment build vectorized end-to-end (gen_ForUtil.py's generated
-    SIMD kernels are the reference analog, codecs/lucene99/ForUtil.java:30).
-    """
-    n_b = len(lens)
-    offsets = np.zeros(n_b, dtype=np.int64)
-    if n_b == 0:
-        return b"", offsets
-    values = np.ascontiguousarray(values, dtype=np.uint32)
-    lens = np.asarray(lens, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    ends = starts + lens
-    maxs = np.maximum.reduceat(values, starts)
-    mins = np.minimum.reduceat(values, starts)
-    widths = np.frexp(maxs.astype(np.float64))[1].astype(np.int64)  # bit_length
-
-    is_const = maxs == mins
-    is_full = lens == BLOCK_SIZE
-
-    # scheme per block: 0=const, 1=FOR-full (width-grouped), 2=scalar
-    scheme = np.full(n_b, 2, dtype=np.int8)
-    scheme[is_const] = 0
-    scheme[(~is_const) & is_full] = 1
-
-    pfor_base = np.zeros(n_b, dtype=np.int64)
-    n_exc_arr = np.zeros(n_b, dtype=np.int64)
-    if allow_pfor:
-        cand = np.nonzero((scheme == 1) & (widths > 1))[0]
-        if len(cand):
-            idx = starts[cand][:, None] + np.arange(BLOCK_SIZE)
-            vw = np.frexp(values[idx].astype(np.float64))[1].astype(np.int64)
-            vw_sorted = np.sort(vw, axis=1)
-            eighth = vw_sorted[:, -(PFOR_MAX_EXCEPTIONS + 1)]
-            w = widths[cand]
-            base = np.maximum(np.maximum(eighth, w - 8), 1)
-            n_exc = (vw > base[:, None]).sum(axis=1)
-            pfor_bytes = 3 + 2 * n_exc + (BLOCK_SIZE * base + 7) // 8
-            for_bytes = 1 + (BLOCK_SIZE * w + 7) // 8
-            use = (base < w) & (pfor_bytes < for_bytes)
-            sel = cand[use]
-            scheme[sel] = 3
-            pfor_base[sel] = base[use]
-            n_exc_arr[sel] = n_exc[use]
-
-    # encoded byte size per block
-    sizes = np.empty(n_b, dtype=np.int64)
-    sizes[scheme == 0] = 5
-    sizes[scheme == 1] = 1 + (BLOCK_SIZE * widths[scheme == 1] + 7) // 8
-    sizes[scheme == 2] = 1 + (lens[scheme == 2] * widths[scheme == 2] + 7) // 8
-    sizes[scheme == 3] = (
-        3 + 2 * n_exc_arr[scheme == 3] + (BLOCK_SIZE * pfor_base[scheme == 3] + 7) // 8
-    )
-    offsets[1:] = np.cumsum(sizes)[:-1]
-    buf = np.zeros(int(sizes.sum()), dtype=np.uint8)
-
-    # constant blocks: header 0x40 + u32le, scattered in one shot
-    ci = np.nonzero(scheme == 0)[0]
-    if len(ci):
-        rows = np.empty((len(ci), 5), dtype=np.uint8)
-        rows[:, 0] = _CONST_MARKER
-        rows[:, 1:] = maxs[ci].astype("<u4").view(np.uint8).reshape(len(ci), 4)
-        buf[offsets[ci][:, None] + np.arange(5)] = rows
-
-    # full FOR blocks, one word-lane pack per distinct width
-    fi = np.nonzero(scheme == 1)[0]
-    if len(fi):
-        for w in np.unique(widths[fi]):
-            grp = fi[widths[fi] == w]
-            if w == 0:
-                buf[offsets[grp]] = 0
-                continue
-            idx = starts[grp][:, None] + np.arange(BLOCK_SIZE)
-            packed = _pack_full_blocks(values[idx], int(w))
-            nbytes = (BLOCK_SIZE * int(w) + 7) // 8
-            buf[offsets[grp]] = w
-            buf[offsets[grp][:, None] + 1 + np.arange(nbytes)] = packed[:, :nbytes]
-
-    # PFor blocks, batched by base width (positions-delta streams are mostly
-    # PFor: small deltas + few large gaps)
-    pi = np.nonzero(scheme == 3)[0]
-    if len(pi):
-        for base in np.unique(pfor_base[pi]):
-            grp = pi[pfor_base[pi] == base]
-            idx = starts[grp][:, None] + np.arange(BLOCK_SIZE)
-            vals = values[idx]
-            vw = np.frexp(vals.astype(np.float64))[1]
-            exc_mask = vw > base
-            lows = np.where(
-                exc_mask, vals & ((np.uint32(1) << np.uint32(base)) - 1), vals
-            ).astype(np.uint32)
-            packed = _pack_full_blocks(lows, int(base))
-            nbytes = (BLOCK_SIZE * int(base) + 7) // 8
-            hdr_off = offsets[grp]
-            n_exc_g = n_exc_arr[grp]
-            buf[hdr_off] = _PFOR_MARKER
-            buf[hdr_off + 1] = base
-            buf[hdr_off + 2] = n_exc_g
-            # exception (pos, high-byte) pairs: ragged/tiny -> python loop,
-            # no numpy calls inside
-            highs = (vals >> np.uint32(base)).astype(np.uint8)
-            exc_rows, exc_pos = np.nonzero(exc_mask)
-            high_vals = highs[exc_rows, exc_pos]
-            row_start = np.searchsorted(exc_rows, np.arange(len(grp)))
-            row_end = np.append(row_start[1:], len(exc_rows))
-            for r in range(len(grp)):
-                o = int(hdr_off[r]) + 3
-                for e in range(int(row_start[r]), int(row_end[r])):
-                    buf[o] = exc_pos[e]
-                    buf[o + 1] = high_vals[e]
-                    o += 2
-            pack_start = hdr_off + 3 + 2 * n_exc_g
-            buf[pack_start[:, None] + np.arange(nbytes)] = packed[:, :nbytes]
-
-    # scalar fallback: partial tail blocks only (one per term)
-    rest = np.nonzero(scheme == 2)[0]
-    for b in rest:
-        enc = _encode_block(values[starts[b] : ends[b]], allow_pfor=False)
-        if len(enc) != sizes[b]:  # both paths must agree on the scheme
-            raise AssertionError(
-                f"batched size mismatch: block {b} "
-                f"expected {sizes[b]} got {len(enc)}"
-            )
-        buf[offsets[b] : offsets[b] + len(enc)] = np.frombuffer(enc, dtype=np.uint8)
-    return buf.tobytes(), offsets
+    """Encode many blocks: ``values`` is a contiguous tiling of blocks,
+    ``lens`` (each 1..BLOCK_SIZE) their lengths in order. Returns (buffer,
+    per-block byte offsets). One ``_pack`` call per ENCODE_CHUNK_BLOCKS
+    blocks (gen_ForUtil.py's generated SIMD kernels are the reference
+    analog, codecs/lucene99/ForUtil.java:30)."""
+    if not len(lens):
+        return b"", np.zeros(0, dtype=np.int64)
+    values = np.asarray(values, dtype=np.uint32)
+    lens = np.asarray(lens, dtype=np.intp)
+    ends = lens.cumsum()
+    starts = ends - lens
+    vmin = np.minimum.reduceat(values, starts)
+    vmax = np.maximum.reduceat(values, starts)
+    chunks = []
+    for i in range(0, len(lens), ENCODE_CHUNK_BLOCKS):
+        j = min(i + ENCODE_CHUNK_BLOCKS, len(lens))
+        chunks.append(_pack(values[starts[i] : ends[j - 1]], lens[i:j], vmin[i:j], vmax[i:j], allow_pfor))
+    out, sizes = chunks[0] if len(chunks) == 1 else (np.concatenate(c) for c in zip(*chunks))
+    return out.tobytes(), sizes.cumsum() - sizes
 
 
 def encode_stream(
@@ -274,19 +191,12 @@ def encode_stream(
     per-block decode (the skip-list replacement, SURVEY.md §2.1 skip-list
     sink row: random access over ``block_meta`` replaces skip levels).
     """
-    values = np.ascontiguousarray(values, dtype=np.uint32)
     n = len(values)
-    n_blocks = max(1, (n + BLOCK_SIZE - 1) // BLOCK_SIZE)
-    offsets = np.empty(n_blocks, dtype=np.int32)
-    parts: list[bytes] = []
-    pos = 0
-    for i in range(n_blocks):
-        block = values[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE]
-        offsets[i] = pos
-        enc = _encode_block(block, allow_pfor=allow_pfor)
-        parts.append(enc)
-        pos += len(enc)
-    return b"".join(parts), offsets
+    if not n:  # one empty FOR block
+        return b"\x00", np.zeros(1, dtype=np.int32)
+    lens = np.minimum(n - np.arange(0, n, BLOCK_SIZE), BLOCK_SIZE)
+    blob, offsets = encode_blocks_batched(values, lens, allow_pfor)
+    return blob, offsets.astype(np.int32)
 
 
 _WORD = 8  # bytes read per value: bit offset (< 8) + width (<= 32) fits
@@ -294,14 +204,11 @@ _WORD = 8  # bytes read per value: bit offset (< 8) + width (<= 32) fits
 # block's end (and past the last byte) stay inside the copy
 _PAD = bytes(BLOCK_SIZE * 32 // 8 + _WORD)
 _U64LE, _U32LE = np.dtype("<u8"), np.dtype("<u4")
-_SLOT = np.arange(BLOCK_SIZE)
 # (width, slot) tables: the byte of the slot's first bit within its block's
 # packed bits, and the right shift that brings the slot's bits to the
-# bottom of the big-endian word read there; one mask per width
-_WIDTHS = np.arange(33)[:, None]
+# bottom of the big-endian word read there
 _SLOT_BYTE = (_SLOT * _WIDTHS) >> 3
 _SLOT_SHIFT = (64 - _WIDTHS - ((_SLOT * _WIDTHS) & 7)).astype(np.uint64)
-_WIDTH_MASK = ((np.uint64(1) << _WIDTHS.astype(np.uint64)) - np.uint64(1)).astype(np.uint32)
 # per header byte: the bit width (read from the header byte, or for PFor
 # from the byte after it), the header bytes before the packed bits (PFor
 # adds two per exception), and whether the block is CONST

@@ -177,8 +177,13 @@ def build_segment_postings(
 
     # tokenize_flat emits tokens in (doc, position) order, so ONE stable
     # sort by term id yields (term, doc, position) order — much cheaper
-    # than a 3-key lexsort over millions of tokens
-    order = np.argsort(term_ids.astype(np.int32), kind="stable")
+    # than a 3-key lexsort over millions of tokens. The ids are dense, so it
+    # is a counting sort: numpy's stable argsort of uint16 keys is a radix
+    # sort, one pass per 16 bits of the vocabulary size
+    order = np.argsort((term_ids & 0xFFFF).astype(np.uint16), kind="stable")
+    if len(vocab_np) > 1 << 16:
+        high = (term_ids[order] >> 16).astype(np.uint16)
+        order = order[np.argsort(high, kind="stable")]
     t_sorted = term_ids[order]
     d_sorted = row_idx[order]
     p_sorted = positions[order].astype(np.int64)
@@ -288,8 +293,42 @@ def postings_table_from_pairs(
     n_blocks = len(blk_term)
     block_last = pair_doc[blk_end - 1]
 
-    doc_buf, doc_offsets = encode_blocks_batched(deltas, blk_len)
-    tf_buf, tf_offsets = encode_blocks_batched(tfs.astype(np.uint32), blk_len)
+    # ---- per-occurrence streams (positions, offset starts, offset
+    # lengths, payloads): blocks of 128 within each term, one block
+    # structure for all (each has term_ttf entries per term) --------------
+    with_offsets = off_delta is not None
+    with_payloads = pay is not None
+    occ = {
+        name: v for name, v, on in (
+            ("pos", pos_delta, with_positions), ("off", off_delta, with_offsets),
+            ("offlen", off_len, with_offsets), ("pay", pay, with_payloads)) if on
+    }
+    pos_nblocks = (term_ttf + BLOCK_SIZE - 1) // BLOCK_SIZE
+    pos_blk_bounds = np.concatenate(([0], np.cumsum(pos_nblocks)))
+    p_blk_term = np.repeat(np.arange(n_terms), pos_nblocks)
+    p_blk_ord = np.arange(len(p_blk_term)) - np.repeat(pos_blk_bounds[:-1], pos_nblocks)
+    p_len = np.minimum(term_ttf[p_blk_term] - p_blk_ord * BLOCK_SIZE, BLOCK_SIZE)
+
+    # one encode call for the doc, tf and occurrence streams; each stream is
+    # a contiguous byte range of the output
+    names = ["doc", "tf", *occ]
+    stream_lens = [blk_len, blk_len] + [p_len] * len(occ)
+    buf, offs = encode_blocks_batched(
+        np.concatenate([deltas, tfs.astype(np.uint32), *occ.values()]),
+        np.concatenate(stream_lens),
+    )
+    first_blk = np.cumsum([0] + [len(b) for b in stream_lens])
+    stream_at = np.append(offs, len(buf))[first_blk]
+    mv = memoryview(buf)
+
+    def stream(name: str):
+        """(bytes, block offsets from its start) of one encoded stream."""
+        i = names.index(name)
+        lo = stream_at[i]
+        return mv[lo : stream_at[i + 1]], offs[first_blk[i] : first_blk[i + 1]] - lo
+
+    doc_buf, doc_offsets = stream("doc")
+    tf_buf, tf_offsets = stream("tf")
 
     # per-term byte ranges in the stream buffers
     term_blk_offsets = np.concatenate(([0], np.cumsum(n_blocks_per_term)))
@@ -298,31 +337,17 @@ def postings_table_from_pairs(
     tf_term_bounds = tf_offsets[term_blk_offsets[:-1]]
     tf_term_bounds = np.append(tf_term_bounds, len(tf_buf))
 
-    # ---- per-occurrence streams (positions / offset starts / offset
-    # lengths): blocks of 128 deltas within each term, identical block
-    # structure (all three have term_ttf entries per term) ----------------
-    with_offsets = off_delta is not None
-    with_payloads = pay is not None
-    if with_positions or with_offsets or with_payloads:
-        pos_nblocks = (term_ttf + BLOCK_SIZE - 1) // BLOCK_SIZE
-        p_blk_term = np.repeat(np.arange(n_terms), pos_nblocks)
-        p_blk_ord = np.arange(len(p_blk_term)) - np.repeat(
-            np.concatenate(([0], np.cumsum(pos_nblocks)[:-1])), pos_nblocks
+    def occ_stream(name: str):
+        """(memoryview, per-term byte bounds, list<int64> rel offsets)."""
+        buf, offs = stream(name)
+        bounds = offs[pos_blk_bounds[:-1]]
+        bounds = np.append(bounds, len(buf))
+        rel = offs - np.repeat(bounds[:-1], pos_nblocks)
+        arr = pa.ListArray.from_arrays(
+            pa.array(pos_blk_bounds, type=pa.int32()),
+            pa.array(rel, type=pa.int64()),
         )
-        p_len = np.minimum(term_ttf[p_blk_term] - p_blk_ord * BLOCK_SIZE, BLOCK_SIZE)
-        pos_blk_bounds = np.concatenate(([0], np.cumsum(pos_nblocks)))
-
-        def occ_stream(values: np.ndarray):
-            """(memoryview, per-term byte bounds, list<int64> rel offsets)."""
-            buf, offs = encode_blocks_batched(values, p_len)
-            bounds = offs[pos_blk_bounds[:-1]]
-            bounds = np.append(bounds, len(buf))
-            rel = offs - np.repeat(bounds[:-1], pos_nblocks)
-            arr = pa.ListArray.from_arrays(
-                pa.array(pos_blk_bounds, type=pa.int32()),
-                pa.array(rel, type=pa.int64()),
-            )
-            return memoryview(buf), bounds, arr
+        return buf, bounds, arr
 
     def empty_stream():
         return (
@@ -335,17 +360,17 @@ def postings_table_from_pairs(
         )
 
     if with_positions:
-        pos_mv, pos_term_bounds, pos_offsets_arr = occ_stream(pos_delta)
+        pos_mv, pos_term_bounds, pos_offsets_arr = occ_stream("pos")
     else:
         pos_mv, pos_term_bounds, pos_offsets_arr = empty_stream()
     if with_offsets:
-        off_mv, off_term_bounds, off_offsets_arr = occ_stream(off_delta)
-        ol_mv, ol_term_bounds, ol_offsets_arr = occ_stream(off_len)
+        off_mv, off_term_bounds, off_offsets_arr = occ_stream("off")
+        ol_mv, ol_term_bounds, ol_offsets_arr = occ_stream("offlen")
     else:
         off_mv, off_term_bounds, off_offsets_arr = empty_stream()
         ol_mv, ol_term_bounds, ol_offsets_arr = empty_stream()
     if with_payloads:
-        pay_mv, pay_term_bounds, pay_offsets_arr = occ_stream(pay)
+        pay_mv, pay_term_bounds, pay_offsets_arr = occ_stream("pay")
     else:
         pay_mv, pay_term_bounds, pay_offsets_arr = empty_stream()
 

@@ -12,7 +12,8 @@ and some are singletons (exercising the SingletonDocID path). Mirrors the
 reference demo's corpus role (demo/.../IndexFiles.java:206-277 walks a source
 tree; here the Parquet table replaces the crawler).
 
-Generation is vectorized (numpy RNG, one python join per doc) and sharded:
+Generation is vectorized (numpy RNG draws, one ``str.join`` per doc over
+one token/glue list for the shard) and sharded:
 ``write_corpus`` writes one Parquet file per shard with deterministic
 per-shard seeds, so the same (n_docs, n_shards, seed) always produces
 byte-identical files regardless of parallelism.
@@ -43,6 +44,7 @@ _ID_TAILS = (
     "Manager Builder Reader Writer Impl Factory Handler Context Config "
     "Util Helper State Cache Pool Entry Info Meta Spec Task Worker"
 ).split()
+_PUNCT = np.array(["(", ");", " = ", ".", ", ", " { ", " } ", "[0]", " // ", " + "], dtype=object)
 
 
 def _make_vocab(rng: np.ndarray) -> list[str]:
@@ -78,17 +80,16 @@ def generate_shard(
     lengths = rng.integers(50, 401, size=n_docs)
     total = int(lengths.sum())
     token_ids = perm[rng.choice(v, size=total, p=probs)]
-    tokens = vocab[token_ids]
+    glue_ids = rng.integers(0, len(_PUNCT), size=total)
 
-    punct = np.array(["(", ");", " = ", ".", ", ", " { ", " } ", "[0]", " // ", " + "])
-    glue = punct[rng.integers(0, len(punct), size=total)]
-
-    contents = []
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    for i in range(n_docs):
-        s, e = offsets[i], offsets[i + 1]
-        parts = np.char.add(tokens[s:e], glue[s:e])
-        contents.append("".join(parts.tolist()))
+    # token i then its glue, for every token of the shard: one list of
+    # shared str objects, joined once per document slice
+    parts = np.empty((total, 2), dtype=object)
+    parts[:, 0] = vocab.astype(object)[token_ids]
+    parts[:, 1] = _PUNCT[glue_ids]
+    parts = parts.ravel().tolist()
+    bounds = (2 * np.concatenate(([0], np.cumsum(lengths)))).tolist()
+    contents = ["".join(parts[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
 
     repos = [f"org{i % 7}/proj{i % 23}" for i in range(n_docs)]
     commits = [

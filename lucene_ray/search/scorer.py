@@ -191,15 +191,18 @@ class SegmentTermCursor:
 
     def max_score(self, scorer: BM25Scorer) -> float:
         """The term's max score in this segment, floored at 0: the max over
-        its blocks' impact pairs, taken from the max tf at each norm byte
-        (cached per cursor, at most 256 pairs; a score never falls as tf
-        rises at a fixed norm), so no postings are decoded."""
+        its blocks' impact pairs, so no postings are decoded. Past 256 pairs
+        they are first cut to the max tf at each norm byte (cached per
+        cursor; a score never falls as tf rises at a fixed norm, so the max
+        is the same float)."""
         if self._norm_tfs is None:
             tfs, norms, _offsets = self._impacts()
-            best = np.zeros(256, dtype=tfs.dtype)
-            np.maximum.at(best, norms, tfs)
-            at = np.flatnonzero(best)
-            self._norm_tfs = best[at], at.astype(norms.dtype)
+            if len(tfs) > 256:
+                best = np.zeros(256, dtype=tfs.dtype)
+                np.maximum.at(best, norms, tfs)
+                at = np.flatnonzero(best)
+                tfs, norms = best[at], at.astype(norms.dtype)
+            self._norm_tfs = tfs, norms
         tfs, norms = self._norm_tfs
         if len(tfs) == 0:
             return 0.0

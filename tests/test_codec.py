@@ -2,12 +2,14 @@
 decode(encode(x)) == x across block-boundary lengths; block maxes are true
 upper bounds; selective block decode agrees with the full decode; every
 decode path agrees with a bit-by-bit reference reader of the stream grammar
-(``lucene_ray/codec/forutil.py`` module docstring)."""
+(``lucene_ray/codec/forutil.py`` module docstring), and the encoder writes
+the bytes of a bit-by-bit reference writer."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
+from lucene_ray.codec import forutil
 from lucene_ray.codec.forutil import (
     decode_blocks_batched,
     decode_stream,
@@ -24,7 +26,7 @@ from lucene_ray.codec.postings_codec import (
     decode_term_postings,
     pareto_impacts,
 )
-from lucene_ray.config import BLOCK_SIZE
+from lucene_ray.config import BLOCK_SIZE, PFOR_MAX_EXCEPTIONS
 
 
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 256, 1000, 10_000])
@@ -283,6 +285,42 @@ def _ref_pack(values, width: int) -> bytes:
     return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
 
 
+def ref_encode_block(values, allow_pfor: bool = True) -> bytes:
+    """The reference writer of one block (``values``: a list of ints):
+    CONST when every value is equal; else FOR at the max's bit width or,
+    for a full block, PFor at the narrowest base of at most 8 bits below
+    that width leaving <= PFOR_MAX_EXCEPTIONS wider values, when shorter
+    (PForUtil.java: exceptions are (slot, high-bits byte) pairs)."""
+    n = len(values)
+    if n and min(values) == max(values):
+        return bytes([0x40]) + values[0].to_bytes(4, "little")
+    width = max(values, default=0).bit_length()
+    plain = bytes([width]) + _ref_pack(values, width)
+    if allow_pfor and width > 1 and n == BLOCK_SIZE:
+        for base in range(max(width - 8, 1), width):
+            exc = [i for i, v in enumerate(values) if v >> base]
+            if len(exc) <= PFOR_MAX_EXCEPTIONS:
+                pairs = b"".join(bytes([i, values[i] >> base]) for i in exc)
+                low = [v & ((1 << base) - 1) for v in values]
+                pfor = bytes([0x41, base, len(exc)]) + pairs + _ref_pack(low, base)
+                return pfor if len(pfor) < len(plain) else plain
+    return plain
+
+
+def ref_encode_blocks(values, lens, allow_pfor: bool = True) -> tuple[bytes, list[int]]:
+    """(bytes, block offsets) of blocks of ``lens`` values tiling ``values``."""
+    values, blocks, at = [int(v) for v in values], [], 0
+    for n in lens:
+        blocks.append(ref_encode_block(values[at : at + n], allow_pfor))
+        at += n
+    return b"".join(blocks), np.cumsum([0] + [len(b) for b in blocks[:-1]]).tolist()
+
+
+def ref_encode_stream(values, allow_pfor: bool = True) -> tuple[bytes, list[int]]:
+    """A stream as blocks of BLOCK_SIZE; an empty one is one empty block."""
+    return ref_encode_blocks(values, _block_lens(len(values)).tolist() or [0], allow_pfor)
+
+
 def _random_block(rng, n: int) -> bytes:
     """One block of ``n`` values in any form the grammar allows: FOR at
     any width 0-32, CONST, or PFor with 0-7 exceptions (tails included)."""
@@ -364,8 +402,9 @@ def test_decoders_match_reference_reader(seed):
 
 @pytest.mark.parametrize("width", range(33))
 def test_encoders_match_reference_reader(width):
-    """Every width through both encoders, with CONST blocks, PFor
-    exceptions and tails of 1-127 values."""
+    """Every width through the encoder, with CONST blocks, PFor exceptions
+    and tails of 1-127 values: the reference writer's bytes, which the
+    reference reader and every decoder read back."""
     rng = np.random.default_rng(width)
     for n in (1, 64, 127, 128, 129, 300, 512 + 77):
         values = rng.integers(0, 1 << width, n, dtype=np.uint64).astype(np.uint32)
@@ -376,10 +415,112 @@ def test_encoders_match_reference_reader(width):
             values[128:256] = 5  # one CONST block
         blob, offsets = encode_stream(values)
         lens = _block_lens(n)
-        assert encode_blocks_batched(values, lens)[0] == blob
+        assert (blob, offsets.tolist()) == ref_encode_stream(values)
         assert _ref_stream(blob, n) == values.tolist()
         assert np.array_equal(decode_stream(blob, n), values)
         assert np.array_equal(decode_blocks_batched(blob, offsets, lens), values)
+
+
+def _width_block(rng, width: int, n: int) -> np.ndarray:
+    """``n`` random values of exactly ``width`` bits (the first at the top)."""
+    values = rng.integers(0, 1 << width, n, dtype=np.uint64).astype(np.uint32)
+    if width:
+        values[0] |= np.uint32(1 << (width - 1))
+    return values
+
+
+@pytest.mark.parametrize("width", range(33))
+def test_encoder_every_width_and_tail_length(width):
+    """Full blocks and tails of every length 1-127 at ``width`` bits, one
+    call, against the reference writer; every block decodes back."""
+    rng = np.random.default_rng(100 + width)
+    lens = [BLOCK_SIZE, *range(1, BLOCK_SIZE), BLOCK_SIZE]
+    values = np.concatenate([_width_block(rng, width, n) for n in lens])
+    for allow_pfor in (True, False):
+        buf, offsets = encode_blocks_batched(values, lens, allow_pfor)
+        assert (buf, offsets.tolist()) == ref_encode_blocks(values, lens, allow_pfor)
+        assert np.array_equal(decode_blocks_batched(buf, offsets, lens), values)
+
+
+@pytest.mark.parametrize("n_exc", range(1, PFOR_MAX_EXCEPTIONS + 2))
+def test_encoder_pfor_exceptions(n_exc):
+    """A full block of 3-bit values with ``n_exc`` 11-bit outliers: PFor
+    with that many exceptions up to 7, FOR at 8; FOR without PFor. (No
+    block encodes as PFor with 0 exceptions: its max is always one.)"""
+    rng = np.random.default_rng(n_exc)
+    values = rng.integers(0, 8, BLOCK_SIZE).astype(np.uint32)
+    slots = np.sort(rng.choice(BLOCK_SIZE, n_exc, replace=False))
+    values[slots] = rng.integers(1 << 10, 1 << 11, n_exc)
+    blob, offsets = encode_stream(values)
+    assert (blob, offsets.tolist()) == ref_encode_stream(values)
+    if n_exc <= PFOR_MAX_EXCEPTIONS:
+        assert blob[:3] == bytes([0x41, 3, n_exc])
+        assert list(blob[3 : 3 + 2 * n_exc : 2]) == slots.tolist()  # slot order
+    else:
+        assert blob[0] == 11
+    plain, _ = encode_stream(values, allow_pfor=False)
+    assert plain == ref_encode_stream(values, allow_pfor=False)[0]
+    assert plain[0] == 11
+    for b in (blob, plain):
+        assert np.array_equal(decode_stream(b, BLOCK_SIZE), values)
+
+
+def test_encoder_chunks(monkeypatch):
+    """Blocks of every kind across ``_pack`` chunk boundaries: the real
+    chunk size, and a chunk of 3 blocks."""
+    rng = np.random.default_rng(9)
+    kinds = []
+    for b in range(forutil.ENCODE_CHUNK_BLOCKS + 5):
+        n = BLOCK_SIZE if b % 5 else int(rng.integers(1, BLOCK_SIZE))
+        v = _width_block(rng, int(rng.integers(0, 12)), n)
+        if b % 7 == 0:
+            v[:] = b  # CONST
+        elif b % 3 == 0 and n == BLOCK_SIZE:
+            v[rng.choice(BLOCK_SIZE, 2, replace=False)] = 1 << 20  # PFor
+        kinds.append(v)
+    lens = [len(v) for v in kinds]
+    values = np.concatenate(kinds)
+    want = ref_encode_blocks(values, lens)
+    buf, offsets = encode_blocks_batched(values, lens)
+    assert (buf, offsets.tolist()) == want
+    assert np.array_equal(decode_blocks_batched(buf, offsets, lens), values)
+    monkeypatch.setattr(forutil, "ENCODE_CHUNK_BLOCKS", 3)
+    buf, offsets = encode_blocks_batched(values[: sum(lens[:20])], lens[:20])
+    assert buf == want[0][: want[1][20]] and offsets.tolist() == want[1][:20]
+
+
+@pytest.mark.parametrize("n", [0, *STREAM_LENS])
+def test_encode_stream_round_trip(n):
+    rng = np.random.default_rng(n)
+    values = rng.geometric(0.05, n).astype(np.uint32)
+    blob, offsets = encode_stream(values)
+    assert (blob, offsets.tolist()) == ref_encode_stream(values)
+    assert offsets.dtype == np.int32
+    assert np.array_equal(decode_stream(blob, n), values)
+
+
+def test_term_sort_past_16_bit_vocabulary():
+    """More than 65,536 terms: the counting sort's second (high 16 bits)
+    pass keeps every term's postings in (doc, position) order."""
+    n_terms = (1 << 16) + 300
+    rng = np.random.default_rng(4)
+    term_of = rng.permutation(np.repeat(np.arange(n_terms), 2))
+    docs = np.sort(rng.integers(0, 50, len(term_of)))
+    pos = np.arange(len(term_of)) - np.searchsorted(docs, docs)
+    terms = pa.array([f"t{t:06d}" for t in term_of.tolist()], type=pa.string())
+    table, _ = build_segment_postings(docs, terms, pos.astype(np.int32), 50, np.ones(50, np.uint8))
+    assert table.num_rows == n_terms
+    _terms, df, pair_doc, pair_tf, pos_d, *_ = decode_segment_pairs(table, True)
+    order = np.lexsort((pos, docs, term_of))
+    want_pos = []
+    for t in range(n_terms):  # two postings per term, in (doc, position) order
+        (a, b) = order[2 * t : 2 * t + 2]
+        if docs[a] == docs[b]:
+            want_pos += [pos[a], pos[b] - pos[a]]
+        else:
+            want_pos += [pos[a], pos[b]]
+    assert pos_d.tolist() == want_pos
+    assert int(df.sum()) == len(pair_doc) == int(pair_tf.size)
 
 
 def test_decoders_read_arrow_memoryview_slices():

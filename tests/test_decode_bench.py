@@ -1,6 +1,8 @@
 """Smoke test of tools/decode_bench.py on a small index: every stream of
-every live segment lands in one size bucket, and the whole-segment decode
-is timed on the segment with the most postings."""
+every live segment lands in one size bucket of the decode and the encode
+pass, the whole-segment decode and encode are timed on the segment with the
+most postings, and ``--against`` times a second checkout's kernels on the
+same streams (here this checkout's own, so no stream's bytes differ)."""
 
 import importlib.util
 import json
@@ -29,7 +31,8 @@ def test_decode_bench_table(tmp_path, capsys, ray_session):
     paths = write_corpus(str(tmp_path / "corpus"), n_docs=400, n_shards=2, seed=5)
     index_dir = str(tmp_path / "ix")
     build_index(paths, index_dir, target_docs=200)
-    out = _tool().main([index_dir, "--reps", "1"])
+    root = os.path.dirname(os.path.dirname(TOOL))
+    out = _tool().main([index_dir, "--reps", "1", "--against", root])
     assert json.loads(capsys.readouterr().out) == out
 
     # every non-empty stream blob of every live segment, counted once
@@ -45,8 +48,16 @@ def test_decode_bench_table(tmp_path, capsys, ray_session):
     assert out["segments"] == len(live) >= 2
     assert sum(b["streams"] for b in buckets.values()) == streams
     assert buckets["le_128"]["streams"] and buckets["129_1024"]["streams"]
-    assert all(b["ms"] >= 0 for b in buckets.values())
+    assert all(b["ms"] >= 0 and b["against_ms"] >= 0 for b in buckets.values())
+    encode = out["encode_stream"]
+    for name, b in encode.items():
+        assert (b["streams"], b["values"]) == (buckets[name]["streams"], buckets[name]["values"])
+        assert b["differ"] == 0 and b["ms"] >= 0 and b["against_ms"] >= 0
     pairs = out["decode_segment_pairs"]
     assert pairs["segment"] in {e.name for e in live}
     assert pairs["positions"] == max(positions)
     assert pairs["ms"] > 0
+    seg = out["encode_segment"]
+    assert seg["segment"] == pairs["segment"]
+    assert seg["values"] >= pairs["positions"] and seg["blocks"] > 0
+    assert seg["ms"] > 0 and seg["against_ms"] > 0

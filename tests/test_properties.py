@@ -15,6 +15,7 @@ from lucene_ray.codec.forutil import (
 )
 from lucene_ray.config import BLOCK_SIZE
 from lucene_ray.util.smallfloat import byte4_to_int, int_to_byte4
+from test_codec import ref_encode_stream
 
 
 @st.composite
@@ -43,7 +44,8 @@ def int_streams(draw):
 def test_stream_roundtrip_property(values):
     blob, offsets = encode_stream(values)
     assert np.array_equal(decode_stream(blob, len(values)), values)
-    # batched encoder must produce byte-identical output to the scalar one
+    # the encoder writes the reference writer's bytes
+    assert (blob, offsets.tolist()) == ref_encode_stream(values)
     lens = np.minimum(
         len(values) - np.arange(0, len(values), BLOCK_SIZE), BLOCK_SIZE
     )
