@@ -3712,7 +3712,7 @@ def multiterm_engine(sf_dir: str) -> pa.Table:
     """(qid, docid): multi-term queries (prefix/wildcard/range/fuzzy/set)
     rewritten against the term dictionary and executed by the engine —
     float-free doc sets, SQL-checked exactly (fuzzy via DuckDB levenshtein,
-    which matches the engine's banded Levenshtein by definition of edit
+    which matches the engine's Levenshtein distance by definition of edit
     distance)."""
     from lucene_ray.search.engine import IndexSearcher
     from lucene_ray.search.query import BooleanQuery
@@ -6988,7 +6988,7 @@ def fuzzy_suggest(sf_dir: str) -> pa.Table:
     """(qid, surface, weight): FuzzySuggester lookups — analyzed input may
     differ from the key prefix by <=1 Levenshtein edit
     (suggest/.../analyzing/FuzzySuggester.java; the Levenshtein automaton
-    becomes FuzzyQuery's banded DP over distinct key prefixes)."""
+    becomes FuzzyQuery's expansion over distinct key prefixes)."""
     from lucene_ray.search.suggest import FuzzySuggester
 
     surfaces, weights = _suggest_entries(sf_dir)

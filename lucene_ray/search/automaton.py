@@ -21,7 +21,7 @@ Python-``re`` regexps (no next-string API); tests pin scan == seek.
 DFAs are built by subset construction over code-point ranges from two NFA
 families: Lucene wildcard patterns (WildcardQuery.java:55-82 toAutomaton)
 and the Levenshtein NFA (FuzzyQuery's LevenshteinAutomata, plain edits —
-the banded-DP semantics of rewrite.py, which it must mirror exactly).
+the ``rewrite.edit_distances`` semantics, which it must mirror exactly).
 """
 
 from __future__ import annotations
@@ -238,8 +238,8 @@ def wildcard_dfa(pattern: str) -> CharDFA:
 
 def levenshtein_dfa(term: str, k: int) -> CharDFA:
     """Levenshtein NFA (states (i, e) = matched i chars with e edits;
-    insert/substitute/delete, NO transpositions — mirrors rewrite.py's
-    banded DP) determinized over code-point ranges."""
+    insert/substitute/delete, NO transpositions — mirrors
+    rewrite.edit_distances) determinized over code-point ranges."""
     m = len(term)
 
     def sid(i: int, e: int) -> int:

@@ -395,7 +395,6 @@ class KNearestFuzzyClassifier:
             MAX_VARIANTS_PER_TERM,
             FuzzyLikeThisQuery,
         )
-        from lucene_ray.search.rewrite import _levenshtein_dist
 
         flt = FuzzyLikeThisQuery(self.max_num_terms)
         vocab = self.reader.vocabulary()
@@ -411,25 +410,19 @@ class KNearestFuzzyClassifier:
             )
             if not variants:
                 continue
+            terms = [v for v, _ed in variants]
             stats = self.reader.global_term_stats(
-                list(dict.fromkeys(variants + [term]))
+                list(dict.fromkeys(terms + [term]))
             )
-            plen = min(self.prefix_length, len(term))
             scored = []
-            for v in variants:
-                if v == term:
-                    boost = 1.0
-                else:
-                    ed = _levenshtein_dist(
-                        term[plen:], v[plen:], self.max_edits
-                    )
-                    boost = 1.0 - ed / min(len(v), len(term))
+            for v, ed in variants:
+                boost = 1.0 if ed == 0 else 1.0 - ed / min(len(v), len(term))
                 scored.append((boost, v))
             scored.sort(key=lambda bv: (-bv[0], bv[1]))
             top = scored[:MAX_VARIANTS_PER_TERM]
             df = stats[term][0]
             if df == 0:
-                df = sum(stats[v][0] for v in variants) // len(variants)
+                df = sum(stats[v][0] for v in terms) // len(terms)
             idf = math.log((n + 1) / (df + 1)) + 1.0
             for boost, v in top:
                 out.append(((boost * boost) * idf, v))

@@ -20,8 +20,9 @@ boosted TermQuery, a documented divergence).
 
 Divergence, documented: edit distance is plain Levenshtein (the repo-wide
 FuzzyQuery semantics) — the reference enumerator passes
-transpositions=true. Variant enumeration reuses the seek-based
-Levenshtein DFA (search/automaton.py) over the prefix-sliced vocabulary.
+transpositions=true. Variants are enumerated by FuzzyQuery's own
+expansion (rewrite.expand_fuzzy_with_distance) over the suffixes of the
+prefix-sliced vocabulary, which also yields each variant's distance.
 """
 
 from __future__ import annotations
@@ -75,39 +76,33 @@ class FuzzyLikeThisQuery:
     # ------------------------------------------------------------- selection
 
     def _variants(self, vocab: np.ndarray, term: str, max_edits: int,
-                  prefix_length: int) -> list[str]:
-        """Every vocabulary term whose first prefix_length chars equal the
-        source's and whose remaining suffix is within max_edits."""
-        from lucene_ray.search.automaton import levenshtein_dfa
-        from lucene_ray.search.rewrite import _levenshtein_dist
+                  prefix_length: int) -> list[tuple[str, int]]:
+        """(variant, suffix distance) for every vocabulary term whose first
+        prefix_length chars equal the source's and whose remaining suffix
+        is within max_edits, in vocabulary order."""
+        from lucene_ray.search.query import FuzzyQuery, PrefixQuery
+        from lucene_ray.search.rewrite import (
+            expand_fuzzy_with_distance,
+            expand_prefix,
+        )
 
         # FuzzyTermsEnum clamps the prefix to the term length
         prefix_length = min(prefix_length, len(term))
         pre, suf = term[:prefix_length], term[prefix_length:]
         if prefix_length:
-            lo = np.searchsorted(vocab, pre, side="left")
-            hi = np.searchsorted(vocab, pre + "\U0010FFFF", side="right")
-            cand = vocab[lo:hi]
-            return [
-                pre + c[prefix_length:]
-                for c in cand.tolist()
-                if _levenshtein_dist(suf, c[prefix_length:], max_edits)
-                is not None
-            ]
-        try:
-            return levenshtein_dfa(suf, max_edits).intersect(vocab)
-        except OverflowError:
-            return [
-                c for c in vocab.tolist()
-                if _levenshtein_dist(suf, c, max_edits) is not None
-            ]
+            # the suffixes of a prefix slice are sorted too
+            vocab = np.asarray(
+                [c[prefix_length:] for c in expand_prefix(vocab, PrefixQuery(pre))],
+                dtype=object,
+            )
+        pairs = expand_fuzzy_with_distance(vocab, FuzzyQuery(suf, max_edits))
+        return [(pre + s, d) for s, d in pairs]
 
     def selected_terms(self, reader) -> list[tuple[str, str, float]]:
         """The global top max_num_terms as (source_term, variant, score),
         ordered (score desc, variant asc) — the rewrite()'s term set and
         the gate's observable."""
         from lucene_ray.analysis import get_analyzer
-        from lucene_ray.search.rewrite import _levenshtein_dist
 
         an = get_analyzer(self.analyzer)
         vocab = reader.vocabulary()
@@ -126,19 +121,16 @@ class FuzzyLikeThisQuery:
                 )
                 if not variants:
                     continue
+                terms = [v for v, _ed in variants]
                 stats = reader.global_term_stats(
-                    list(dict.fromkeys(variants + [term]))
+                    list(dict.fromkeys(terms + [term]))
                 )
                 # edit-similarity boost, float32 (FuzzyTermsEnum)
-                plen = min(fv.prefix_length, len(term))
                 scored = []
-                for v in variants:
-                    if v == term:
+                for v, ed in variants:
+                    if ed == 0:
                         boost = np.float32(1.0)
                     else:
-                        ed = _levenshtein_dist(
-                            term[plen:], v[plen:], fv.max_edits
-                        )
                         boost = np.float32(1.0) - np.float32(ed) / np.float32(
                             min(len(v), len(term))
                         )
@@ -149,7 +141,7 @@ class FuzzyLikeThisQuery:
                 df = stats[term][0]
                 if df == 0:
                     # integer-mean df of ALL enumerated variants
-                    df = sum(stats[v][0] for v in variants) // len(variants)
+                    df = sum(stats[v][0] for v in terms) // len(terms)
                 idf = _classic_idf(df, doc_count)
                 for boost, v in top:
                     score = np.float32(boost * boost) * idf

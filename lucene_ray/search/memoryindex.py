@@ -34,7 +34,7 @@ from lucene_ray.search.query import (
     WildcardQuery,
     parse_query,
 )
-from lucene_ray.search.rewrite import _levenshtein_within
+from lucene_ray.search.rewrite import expand_fuzzy
 
 
 def _phrase_match_count(pos_lists, slop: int) -> int:
@@ -175,7 +175,11 @@ class MemoryIndex:
             dfa = regexp_dfa(q.pattern)  # == rewrite.expand_regexp
             expand = lambda t: dfa.accepts(t)
         elif isinstance(q, FuzzyQuery):
-            expand = lambda t: _levenshtein_within(t, q.term, q.max_edits)
+            import numpy as np
+
+            terms = np.asarray(sorted(self._positions), dtype=object)
+            hits = set(expand_fuzzy(terms, q))
+            expand = lambda t: t in hits
         elif isinstance(q, TermRangeQuery):
             def expand(t, q=q):
                 lo_ok = (

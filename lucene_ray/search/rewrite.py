@@ -35,7 +35,7 @@ from lucene_ray.search.query import (
     TermRangeQuery,
     WildcardQuery,
 )
-from lucene_ray.search.suggest import _prefix_successor
+from lucene_ray.search.suggest import _prefix_window
 
 MAX_EXPANSIONS = 1024
 
@@ -158,9 +158,7 @@ def rewrite_span(q, vocab):
 
 
 def expand_prefix(vocab: np.ndarray, q: PrefixQuery) -> list[str]:
-    lo = np.searchsorted(vocab, q.prefix, side="left")
-    succ = _prefix_successor(q.prefix)
-    hi = len(vocab) if succ is None else np.searchsorted(vocab, succ, side="left")
+    lo, hi = _prefix_window(vocab, q.prefix)
     return vocab[lo:hi].tolist()
 
 
@@ -232,87 +230,54 @@ def expand_wildcard(vocab: np.ndarray, q: WildcardQuery) -> list[str]:
     return [t for t in cands if rx.match(t)]
 
 
-def _levenshtein_within(a: str, b: str, k: int) -> bool:
-    """Banded edit distance <= k (FuzzyQuery's Levenshtein automaton
-    replaced by a banded DP — vocab-sized work, not postings-sized)."""
-    if abs(len(a) - len(b)) > k:
-        return False
-    big = k + 1
-    prev = [min(j, big) for j in range(len(b) + 1)]
-    for i, ca in enumerate(a, 1):
-        cur = [big] * (len(b) + 1)  # cells outside the band are "infinity"
-        if i <= k:
-            cur[0] = i
-        lo, hi = max(1, i - k), min(len(b), i + k)
-        for j in range(lo, hi + 1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (ca != b[j - 1]),
-                big,
-            )
-        prev = cur
-        if min(prev) > k:
-            return False
-    return prev[len(b)] <= k
-
-
-def _levenshtein_dist(a: str, b: str, k: int) -> int | None:
-    """Banded edit distance: the exact value when <= k, else None — one DP
-    pass where _levenshtein_within only answers the predicate."""
-    if abs(len(a) - len(b)) > k:
-        return None
-    big = k + 1
-    prev = [min(j, big) for j in range(len(b) + 1)]
-    for i, ca in enumerate(a, 1):
-        cur = [big] * (len(b) + 1)
-        if i <= k:
-            cur[0] = i
-        lo, hi = max(1, i - k), min(len(b), i + k)
-        for j in range(lo, hi + 1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (ca != b[j - 1]),
-                big,
-            )
-        prev = cur
-        if min(prev) > k:
-            return None
-    d = prev[len(b)]
-    return d if d <= k else None
+def edit_distances(term: str, cands) -> np.ndarray:
+    """Exact Levenshtein distance (insert, delete, substitute; no
+    transpositions) from ``term`` to every candidate string, in one DP over
+    a padded code-point matrix of the candidates (one column each): each
+    character of ``term`` is one row update for all candidates at once
+    (FuzzyQuery's LevenshteinAutomata replaced by vocab-sized array work).
+    Cell j of a candidate depends only on its first j code points, so the
+    padding is never read; lengths come from ``len``, since numpy ``U``
+    strings drop trailing NULs."""
+    cands = list(cands)
+    n = len(cands)
+    lens = np.fromiter(map(len, cands), dtype=np.intp, count=n)
+    width = max(int(lens.max(initial=0)), 1)
+    b = np.array(cands, dtype=f"<U{width}").view("<u4").reshape(n, width).T
+    j = np.arange(width + 1, dtype=np.int32)[:, None]
+    prev = np.repeat(j, n, axis=1)
+    for i, c in enumerate(term, 1):
+        t = np.empty_like(prev)
+        t[0] = i
+        np.minimum(prev[1:] + 1, prev[:-1] + (b != ord(c)), out=t[1:])
+        prev = np.minimum.accumulate(t - j, axis=0) + j
+    return prev[lens, np.arange(n)]
 
 
 def expand_fuzzy_with_distance(
     vocab: np.ndarray, q: FuzzyQuery
 ) -> list[tuple[str, int]]:
-    """(term, distance) pairs within the edit budget (DirectSpellChecker
-    needs the distances for ranking). Large vocabularies go through the
-    seek-based Levenshtein-DFA intersect (search/automaton.py — the
-    FuzzyQuery LevenshteinAutomata path; 100-1000x fewer terms touched
-    than the length-banded scan), with ONE exact DP per surviving match;
-    small ones keep the banded-DP scan. Both paths are result-identical
-    (tests/test_automaton.py pins it)."""
+    """(term, distance) pairs within the edit budget, in vocabulary order
+    (DirectSpellChecker needs the distances for ranking). Large
+    vocabularies find their candidates with the seek-based Levenshtein-DFA
+    intersect (search/automaton.py — the FuzzyQuery LevenshteinAutomata
+    path; it skips the dictionary gaps a scan would visit), small ones by
+    the length band; either way one ``edit_distances`` call gives the
+    distances. Both paths are result-identical (tests/test_automaton.py
+    pins it)."""
+    cands = None
     if len(vocab) > _SEEK_MIN_VOCAB:
         from lucene_ray.search.automaton import levenshtein_dfa
 
         try:
-            dfa = levenshtein_dfa(q.term, q.max_edits)
+            cands = levenshtein_dfa(q.term, q.max_edits).intersect(vocab)
         except OverflowError:
-            dfa = None  # enormous term/budget: fall back to the scan
-        if dfa is not None:
-            return [
-                (t, _levenshtein_dist(q.term, t, q.max_edits))
-                for t in dfa.intersect(vocab)
-            ]
-    lens = np.char.str_len(vocab.astype(str))
-    cand = vocab[np.abs(lens - len(q.term)) <= q.max_edits]
-    out = []
-    for t in cand:
-        d = _levenshtein_dist(q.term, t, q.max_edits)
-        if d is not None:
-            out.append((t, d))
-    return out
+            pass  # enormous term/budget: fall back to the scan
+    if cands is None:
+        lens = np.fromiter(map(len, vocab), dtype=np.intp, count=len(vocab))
+        cands = vocab[np.abs(lens - len(q.term)) <= q.max_edits].tolist()
+    dist = edit_distances(q.term, cands)
+    return [(t, int(d)) for t, d in zip(cands, dist) if d <= q.max_edits]
 
 
 def expand_fuzzy(vocab: np.ndarray, q: FuzzyQuery) -> list[str]:

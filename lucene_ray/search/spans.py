@@ -349,23 +349,11 @@ def eval_spans(reader, q, _validated: bool = False) -> Spans:
     if isinstance(q, SpanWithinQuery):
         return containing_spans(ev(q.big), ev(q.little), invert=True)
     if isinstance(q, SpanMultiTermWrapper):
-        terms = _expand_multiterm(reader, q.query)
-        return or_spans([term_spans(reader, t) for t in terms])
+        from lucene_ray.search.rewrite import rewrite_span
+
+        # SpanMultiTermQueryWrapper.java: OR of the segment's matching terms
+        return ev(rewrite_span(q, reader._terms_split(False)))
     raise TypeError(f"not a span source: {type(q).__name__}")
-
-
-def _expand_multiterm(reader, mq) -> list[str]:
-    """SpanMultiTermQueryWrapper.java: expand the wrapped multi-term query
-    against the segment's term dict (the SpanRewriteMethod's OR of all
-    matching terms)."""
-    from lucene_ray.search.query import PrefixQuery, WildcardQuery
-    from lucene_ray.search.rewrite import expand_multiterm
-
-    if not isinstance(mq, (PrefixQuery, WildcardQuery)):
-        raise TypeError(
-            f"SpanMultiTermWrapper supports Prefix/Wildcard, got {type(mq).__name__}"
-        )
-    return expand_multiterm(reader, mq)
 
 
 def span_postings(reader, q) -> tuple[np.ndarray, np.ndarray]:

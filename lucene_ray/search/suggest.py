@@ -1,9 +1,9 @@
 """Spell-check term suggester — the suggest module's core
 (suggest/.../spell/DirectSpellChecker.java): candidate terms within a
 Levenshtein budget of the input, ranked by (edit distance asc, doc freq
-desc, term asc). The Levenshtein-automaton-vs-FST intersection becomes the
-banded-DP scan over the (content) vocabulary that FuzzyQuery already uses —
-vocab-sized work, never postings-sized.
+desc, term asc). The Levenshtein-automaton-vs-FST intersection becomes
+FuzzyQuery's own expansion over the (content) vocabulary — vocab-sized
+work, never postings-sized.
 """
 
 from __future__ import annotations
@@ -143,13 +143,6 @@ class AnalyzingSuggester:
         self._keys, self._surfaces, self._weights = keys[order], surf[order], wts[order]
         return self
 
-    def _window(self, key: str):
-        import numpy as np
-
-        lo = int(np.searchsorted(self._keys, key, side="left"))
-        hi = int(np.searchsorted(self._keys, key + "\U0010ffff", side="right"))
-        return lo, hi
-
     def lookup(self, text: str, n: int = 5) -> list[tuple[str, int]]:
         """Top-n (surface, weight) whose analyzed key starts with the
         analyzed input; exact analyzed matches first (exactFirst), then
@@ -159,7 +152,7 @@ class AnalyzingSuggester:
         if self._keys is None:
             raise ValueError("lookup before build()")
         key = self._analyze(text)
-        lo, hi = self._window(key)
+        lo, hi = _prefix_window(self._keys, key)
         if lo == hi:
             return []
         k_w, k_s, k_k = (
@@ -176,10 +169,9 @@ class FuzzySuggester(AnalyzingSuggester):
     """suggest/.../analyzing/FuzzySuggester.java: like AnalyzingSuggester
     but the analyzed input may differ from the key PREFIX by up to
     ``max_edits`` Levenshtein edits (the reference intersects the FST with
-    a Levenshtein automaton; here the automaton becomes the banded-DP scan
-    FuzzyQuery already uses, run over the DISTINCT key prefixes —
-    dictionary-sized work). Ranking: min distance asc, then weight desc,
-    surface asc."""
+    a Levenshtein automaton; here it becomes FuzzyQuery's own expansion,
+    run over the DISTINCT key prefixes — dictionary-sized work). Ranking:
+    min distance asc, then weight desc, surface asc."""
 
     def __init__(self, analyzer=None, max_edits: int = 1):
         super().__init__(analyzer, exact_first=False)
@@ -257,6 +249,17 @@ def _prefix_successor(prefix: str) -> str | None:
     completions continuing with a supplementary-plane codepoint."""
     p = prefix.rstrip(chr(0x10FFFF))
     return p[:-1] + chr(ord(p[-1]) + 1) if p else None
+
+
+def _prefix_window(keys, prefix: str) -> tuple[int, int]:
+    """[lo, hi) of the sorted array ``keys`` whose entries start with
+    ``prefix`` (a binary-search slice; the one prefix-window rule)."""
+    import numpy as np
+
+    lo = int(np.searchsorted(keys, prefix, side="left"))
+    succ = _prefix_successor(prefix)
+    hi = len(keys) if succ is None else int(np.searchsorted(keys, succ, side="left"))
+    return lo, hi
 
 
 class FSTCompletionLookup:

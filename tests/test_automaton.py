@@ -29,10 +29,35 @@ def _scan_wildcard(vocab, pattern):
     return [t for t in vocab.tolist() if rx.match(t)]
 
 
-def _scan_fuzzy(vocab, term, k):
-    from lucene_ray.search.rewrite import _levenshtein_dist
+def ref_levenshtein(a: str, b: str, k: int) -> int | None:
+    """Reference banded edit distance (insert, delete, substitute; no
+    transpositions), one scalar DP per pair: the exact value when <= k,
+    else None. rewrite.edit_distances and levenshtein_dfa must match it."""
+    if abs(len(a) - len(b)) > k:
+        return None
+    big = k + 1
+    prev = [min(j, big) for j in range(len(b) + 1)]
+    for i, ca in enumerate(a, 1):
+        cur = [big] * (len(b) + 1)  # cells outside the band are "infinity"
+        if i <= k:
+            cur[0] = i
+        lo, hi = max(1, i - k), min(len(b), i + k)
+        for j in range(lo, hi + 1):
+            cur[j] = min(
+                prev[j] + 1,
+                cur[j - 1] + 1,
+                prev[j - 1] + (ca != b[j - 1]),
+                big,
+            )
+        prev = cur
+        if min(prev) > k:
+            return None
+    d = prev[len(b)]
+    return d if d <= k else None
 
-    return [t for t in vocab.tolist() if _levenshtein_dist(term, t, k) is not None]
+
+def _scan_fuzzy(vocab, term, k):
+    return [t for t in vocab.tolist() if ref_levenshtein(term, t, k) is not None]
 
 
 def test_wildcard_seek_equals_scan():
@@ -126,14 +151,43 @@ def test_rewrite_paths_use_seek_and_match():
         assert sorted(got) == _scan_fuzzy(VOCAB, term, 2)
 
 
-def test_fuzzy_distances_survive_seek_path():
+def test_fuzzy_distances_survive_seek_path(monkeypatch):
+    """The DFA path and the length-band scan return order-identical
+    (term, distance) lists, equal to the reference DP's."""
+    import lucene_ray.search.rewrite as rw
     from lucene_ray.search.query import FuzzyQuery
-    from lucene_ray.search.rewrite import (
-        _levenshtein_dist,
-        expand_fuzzy_with_distance,
-    )
 
-    pairs = expand_fuzzy_with_distance(VOCAB, FuzzyQuery("merge", max_edits=2))
-    assert pairs, "expected at least one fuzzy match in the synthetic vocab"
-    for t, d in pairs:
-        assert d == _levenshtein_dist("merge", t, 2)
+    for term in ("merge", "tokn", "a", ""):
+        for k in (0, 1, 2):
+            q = FuzzyQuery(term, max_edits=k)
+            monkeypatch.setattr(rw, "_SEEK_MIN_VOCAB", len(VOCAB))
+            scan = rw.expand_fuzzy_with_distance(VOCAB, q)
+            monkeypatch.setattr(rw, "_SEEK_MIN_VOCAB", 0)
+            seek = rw.expand_fuzzy_with_distance(VOCAB, q)
+            want = [(t, ref_levenshtein(term, t, k)) for t in _scan_fuzzy(VOCAB, term, k)]
+            assert scan == seek == want, (term, k)
+            if term == "merge" and k == 2:
+                assert want, "expected fuzzy matches in the synthetic vocab"
+
+
+def test_edit_distances_match_reference():
+    """Seeded fuzz: edit_distances equals the reference DP for every
+    budget, over empty strings, 'é', an astral code point and NUL (numpy
+    str arrays drop trailing NULs, so lengths must come from len)."""
+    from lucene_ray.search.rewrite import edit_distances
+
+    assert edit_distances("ab", []).tolist() == []
+    rng = random.Random(29)
+    alpha = "abcé\U0001F600\x00"
+
+    def word():
+        return "".join(rng.choice(alpha) for _ in range(rng.randint(0, 6)))
+
+    for _ in range(300):
+        term = word()
+        cands = [word() for _ in range(rng.randint(0, 12))] + [""]
+        got = edit_distances(term, cands).tolist()
+        for k in (0, 1, 2, 12):
+            assert [d if d <= k else None for d in got] == [
+                ref_levenshtein(term, c, k) for c in cands
+            ], (term, cands, k)

@@ -3209,6 +3209,28 @@ class TestPrefixBoundsAboveBmp:
         assert expand_prefix(vocab, PrefixQuery("ab")) == ["ab", "abz", clef]
         assert expand_prefix(vocab, PrefixQuery(top)) == [top, top + "x"]
 
+    def test_analyzing_suggester_past_top_codepoint(self):
+        """A key continuing past U+10FFFF stays inside the input's window
+        (a U+10FFFF sentinel would end the window before it)."""
+        from lucene_ray.analysis import get_analyzer
+        from lucene_ray.search.suggest import AnalyzingSuggester
+
+        far = "a\U0010FFFFb"
+        sug = AnalyzingSuggester(get_analyzer("whitespace")).build(
+            ["a", far, "b"], [1, 2, 3]
+        )
+        assert sug.lookup("a") == [("a", 1), (far, 2)]
+
+    def test_fuzzylikethis_prefix_past_top_codepoint(self):
+        """FuzzyLikeThis's prefix slice keeps a variant whose suffix starts
+        with U+10FFFF."""
+        from lucene_ray.search.fuzzylikethis import FuzzyLikeThisQuery
+
+        far = "a\U0010FFFFb"
+        vocab = np.array(sorted(["ab", far, "b"]), dtype=object)
+        got = FuzzyLikeThisQuery(10)._variants(vocab, "ab", 1, 1)
+        assert got == [("ab", 0), (far, 1)]
+
     def test_suggest_akey_range_above_bmp(self, tmp_path, monkeypatch):
         import pyarrow as pa
         import pyarrow.parquet as pq

@@ -6,6 +6,7 @@ import glob
 
 import numpy as np
 import pytest
+from test_automaton import ref_levenshtein
 
 from lucene_ray.analysis import get_analyzer
 from lucene_ray.index.builder import build_index
@@ -133,29 +134,10 @@ class TestQueryTypes:
         s = IndexSearcher(ix)
         got = doc_set(s, BooleanQuery(should=[FuzzyQuery("mergr", max_edits=1)]))
 
-        def within1(a, b):
-            if abs(len(a) - len(b)) > 1:
-                return False
-            # tiny reference levenshtein
-            import functools
-
-            @functools.lru_cache(maxsize=None)
-            def lev(i, j):
-                if i == 0:
-                    return j
-                if j == 0:
-                    return i
-                return min(
-                    lev(i - 1, j) + 1,
-                    lev(i, j - 1) + 1,
-                    lev(i - 1, j - 1) + (a[i - 1] != b[j - 1]),
-                )
-
-            r = lev(len(a), len(b)) <= 1
-            lev.cache_clear()
-            return r
-
-        want = {i for i, d in enumerate(docs) if any(within1("mergr", t) for t in d)}
+        want = {
+            i for i, d in enumerate(docs)
+            if any(ref_levenshtein("mergr", t, 1) is not None for t in d)
+        }
         assert got == want
 
     def test_boost_scales_scores(self, ix):
@@ -1613,6 +1595,19 @@ class TestSpanOps:
         tb = s.search(BooleanQuery(should=[qb]), 10_000)
         assert ta.docids.tolist() == tb.docids.tolist()
         np.testing.assert_array_equal(ta.scores, tb.scores)
+
+    def test_span_wrapper_below_constant_score(self, ix):
+        """A wrapper the query-level rewrite does not reach (under
+        ConstantScoreQuery) expands against each segment's vocabulary:
+        the same doc set as the top-level SpanOrQuery."""
+        from lucene_ray.search.query import SpanMultiTermWrapper, SpanOrQuery
+
+        s = IndexSearcher(ix)
+        inner = SpanOrQuery((SpanMultiTermWrapper(PrefixQuery("mer")),))
+        want = doc_set(s, BooleanQuery(should=[inner]))
+        assert want
+        got = doc_set(s, BooleanQuery(should=[ConstantScoreQuery(inner)]))
+        assert got == want
 
     def test_containing_within_algebra(self):
         """Hand-built spans: containing keeps big spans holding a little
