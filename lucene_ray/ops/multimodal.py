@@ -16,10 +16,28 @@ with the pure-Python codecs in ops/media_codec.py. The plumbing:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 
 import ray.data
+
+
+def _pool_size(requested: int, cpus: int | None = None) -> int:
+    """Actors for a one-CPU-per-actor stage: ``requested``, but at most
+    the session's CPUs less one, and at least one. The free slot runs the
+    upstream tasks (the parquet read); a pool holding every slot waits on
+    them forever (a 2-CPU session with 2 actors never finished
+    ``media_decode``). Without a session yet, Ray Data starts one on
+    every local CPU."""
+    if cpus is None:
+        cpus = (
+            int(ray.cluster_resources().get("CPU", 1))
+            if ray.is_initialized()
+            else os.cpu_count() or 1
+        )
+    return max(1, min(requested, cpus - 1))
 
 
 def media_table(sf_dir: str) -> "ray.data.Dataset":
@@ -74,7 +92,7 @@ def extract_features(sf_dir: str, concurrency: int = 2) -> "ray.data.Dataset":
         fn_constructor_kwargs=dict(n_bins=16),
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=concurrency,
+        concurrency=_pool_size(concurrency),
         num_cpus=1,
     )
 
@@ -122,7 +140,7 @@ def media_features_summary(sf_dir: str, concurrency: int = 2) -> pa.Table:
         fn_constructor_kwargs=dict(n_bins=16),
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=concurrency,
+        concurrency=_pool_size(concurrency),
         num_cpus=1,
     )
     import ray
@@ -240,7 +258,7 @@ def sample_frames(sf_dir: str, concurrency: int = 2) -> "ray.data.Dataset":
         FrameSampler,
         batch_format="pyarrow",
         batch_size=128,
-        concurrency=concurrency,
+        concurrency=_pool_size(concurrency),
         num_cpus=1,
     )
 
@@ -251,7 +269,7 @@ def resize_thumbs(sf_dir: str, concurrency: int = 2) -> "ray.data.Dataset":
         Resizer,
         batch_format="pyarrow",
         batch_size=128,
-        concurrency=concurrency,
+        concurrency=_pool_size(concurrency),
         num_cpus=1,
     )
 
@@ -370,7 +388,7 @@ def media_decode(sf_dir: str, concurrency: int = 2) -> pa.Table:
         MediaDecoder,
         batch_format="pyarrow",
         batch_size=256,
-        concurrency=concurrency,
+        concurrency=_pool_size(concurrency),
         num_cpus=1,
     )
     import ray

@@ -1417,6 +1417,8 @@ def iter_clauses(bq: BooleanQuery):
     while stack:
         q = stack.pop()
         yield q
+        if type(q) is TermQuery or type(q) is PhraseQuery:
+            continue  # the common leaves: no branch below holds them
         if isinstance(q, (DisjunctionMaxQuery, DisjunctionSumQuery)):
             stack.extend(q.disjuncts)
         elif isinstance(q, ConstantScoreQuery):

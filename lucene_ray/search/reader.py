@@ -157,8 +157,9 @@ class SegmentReader:
         # decoded-cursor cache: hot query terms keep their decoded postings
         # (docids/tfs arrays) resident across queries — the page-cache/
         # hot-data-structure role Lucene gets from mmap + JIT'd enums.
-        # Size-capped by decoded postings count, evicted wholesale (cheap,
-        # and the working set of query terms is small).
+        # Size-capped by decoded postings count (a cursor's memoized
+        # float32 scores count a quarter posting each), evicted wholesale
+        # (cheap, and the working set of query terms is small).
         self._cursor_cache: dict = {}
         self._cursor_cache_postings = 0
         self._cursor_cache_max_postings = 2_000_000  # ~32 MB of arrays
@@ -290,7 +291,8 @@ class SegmentReader:
         return row["df"], row["ttf"]
 
     def term_cursor(self, term: str):
-        """Cached SegmentTermCursor (decode state persists across queries)."""
+        """Cached SegmentTermCursor (decode state and scoring memo persist
+        across queries)."""
         from lucene_ray.search.scorer import SegmentTermCursor
 
         cur = self._cursor_cache.get(term)
@@ -299,11 +301,14 @@ class SegmentReader:
             if row is None:
                 return None
             cur = SegmentTermCursor(row)
-            if self._cursor_cache_postings + cur.df > self._cursor_cache_max_postings:
+            # charged for its decoded postings (int64 docid + tf, 16 B
+            # each) and for its memo's float32 scores (4 B each)
+            n = cur.df + (cur.df + 3) // 4
+            if self._cursor_cache_postings + n > self._cursor_cache_max_postings:
                 self._cursor_cache.clear()
                 self._cursor_cache_postings = 0
             self._cursor_cache[term] = cur
-            self._cursor_cache_postings += cur.df
+            self._cursor_cache_postings += n
         return cur
 
     def postings(self, term: str) -> TermPostings | None:

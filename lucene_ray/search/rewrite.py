@@ -16,6 +16,7 @@ search/IndexSearcher.java default 1024).
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -28,12 +29,23 @@ from lucene_ray.search.query import (
     NestedBooleanQuery,
     PhraseWildcardQuery,
     PrefixQuery,
+    SpanContainingQuery,
+    SpanFirstQuery,
+    SpanMultiTermWrapper,
+    SpanNearQuery,
+    SpanNotQuery,
+    SpanOrQuery,
+    SpanPositionRangeQuery,
+    SpanTermQuery,
+    SpanWithinQuery,
     ToParentBlockJoinQuery,
     RegexpQuery,
     TermInSetQuery,
     TermQuery,
     TermRangeQuery,
     WildcardQuery,
+    _has_unescaped,
+    iter_clauses,
 )
 from lucene_ray.search.suggest import _prefix_window
 
@@ -52,8 +64,6 @@ def maybe_rewrite(bq: BooleanQuery, vocab, field_vocab=None) -> BooleanQuery:
     when a rewrite actually happens. The single shared entry point for
     IndexSearcher and DistributedSearcher (drift here silently drops
     un-rewritten multi-term clauses in build_clauses)."""
-    from lucene_ray.search.query import iter_clauses
-
     if any(
         isinstance(q, MULTI_TERM_TYPES + (PhraseWildcardQuery,))
         or _span_has_wrapper(q)
@@ -65,16 +75,6 @@ def maybe_rewrite(bq: BooleanQuery, vocab, field_vocab=None) -> BooleanQuery:
 
 
 def _span_children(q) -> list:
-    from lucene_ray.search.query import (
-        SpanContainingQuery,
-        SpanFirstQuery,
-        SpanNearQuery,
-        SpanNotQuery,
-        SpanOrQuery,
-        SpanPositionRangeQuery,
-        SpanWithinQuery,
-    )
-
     if isinstance(q, SpanOrQuery):
         return list(q.clauses)
     if isinstance(q, SpanNotQuery):
@@ -89,8 +89,6 @@ def _span_children(q) -> list:
 
 
 def _span_has_wrapper(q) -> bool:
-    from lucene_ray.search.query import SpanMultiTermWrapper
-
     if isinstance(q, SpanMultiTermWrapper):
         return True
     return any(_span_has_wrapper(c) for c in _span_children(q))
@@ -100,20 +98,6 @@ def rewrite_span(q, vocab):
     """Expand SpanMultiTermWrapper nodes into SpanOr-of-SpanTerm against
     the vocabulary (SpanMultiTermQueryWrapper.java SpanRewriteMethod);
     rebuilds only the path holding a wrapper."""
-    import dataclasses
-
-    from lucene_ray.search.query import (
-        SpanContainingQuery,
-        SpanFirstQuery,
-        SpanMultiTermWrapper,
-        SpanNearQuery,
-        SpanNotQuery,
-        SpanOrQuery,
-        SpanPositionRangeQuery,
-        SpanTermQuery,
-        SpanWithinQuery,
-    )
-
     if isinstance(q, SpanMultiTermWrapper):
         mq = q.query
         if isinstance(mq, PrefixQuery):
@@ -209,13 +193,20 @@ def _wildcard_literal_prefix(pattern: str) -> str:
     return "".join(lit)
 
 
-_SEEK_MIN_VOCAB = 4096  # below this a vectorized scan beats seeking
+# below these vocabulary sizes a vectorized scan beats seeking with an
+# automaton (random vocabularies, one CPU, median ms per query, scan vs
+# DFA): a prefix-less wildcard's regex scan loses from ~4K terms (1K 0.13
+# vs 0.32, 4K 0.51 vs 0.42, 40K 6.4 vs 0.51), a `~2` fuzzy length-band
+# scan plus edit_distances only from ~40K (30K 24.5 vs 31.5, 40K 39.3 vs
+# 38.8, 50K 48.9 vs 41.6, 90K 103.6 vs 52.6)
+_WILDCARD_SEEK_MIN_VOCAB = 4096
+_SEEK_MIN_VOCAB = 40_000
 
 
 def expand_wildcard(vocab: np.ndarray, q: WildcardQuery) -> list[str]:
     # cheap pre-slice on any literal prefix before the first wildcard
     lit = _wildcard_literal_prefix(q.pattern)
-    if not lit and len(vocab) > _SEEK_MIN_VOCAB:
+    if not lit and len(vocab) > _WILDCARD_SEEK_MIN_VOCAB:
         # no usable prefix ("?bc*", "*x?y"): the seek-based automaton
         # intersect (search/automaton.py, the AutomatonTermsEnum leapfrog)
         # skips dictionary gaps the regex scan would visit term by term
@@ -354,8 +345,6 @@ def rewrite_query(
         # "field:value" keyword terms — a content-side expansion (e.g. range
         # 'k'..'m') must not sweep in 'lang:py'; a field-side pattern
         # ('lang:p*') must not match content tokens
-        from lucene_ray.search.query import _has_unescaped
-
         wants_fields = _has_unescaped(pattern, ":")
         if wants_fields and field_vocab is not None:
             v = field_vocab() if callable(field_vocab) else field_vocab
@@ -383,8 +372,6 @@ def rewrite_query(
                 getattr(out, occur).append(rewrite_span(q, vocab))
                 continue
             if isinstance(q, ToParentBlockJoinQuery):
-                import dataclasses
-
                 def _one_clause(sub):
                     exp = rewrite_clause(sub)
                     if not exp:

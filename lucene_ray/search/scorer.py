@@ -51,6 +51,8 @@ CheckHits duel contract, test-framework/.../CheckHits.java:691-712).
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -144,12 +146,52 @@ _LOOKUP_RATIO = 8
 _BOUND_MARGIN = 1e-5
 
 
+@functools.cache
+def _slot_names(cls) -> tuple | None:
+    """Every slot name of ``cls`` and its bases, or None when an instance
+    can hold state outside slots (a class without ``__slots__``)."""
+    bases = cls.__mro__[:-1]
+    if not all("__slots__" in vars(c) for c in bases):
+        return None
+    return tuple(n for c in bases for n in c.__slots__)
+
+
+def _same_scorer(a, b) -> bool:
+    """Whether scorers ``a`` and ``b`` give the same floats. Every scorer
+    in search/similarity.py is a pure function of its ``__slots__``, so
+    that is: the same slotted class, with equal slot values (numpy tables
+    compared by identity, signed zeros told apart)."""
+    if a is b:
+        return True
+    names = _slot_names(type(a))
+    if names is None or type(b) is not type(a):
+        return False
+    for n in names:
+        x, y = getattr(a, n), getattr(b, n)
+        if x is y:
+            continue
+        if isinstance(x, np.ndarray) or type(x) is not type(y) or x != y:
+            return False
+        if x == 0 and math.copysign(1.0, x) != math.copysign(1.0, y):
+            return False  # 0.0 == -0.0, but they can score differently
+    return True
+
+
 class SegmentTermCursor:
     """One term's postings in one segment, with lazy/selective block decode.
     Cursors are CACHED per segment reader, so decode work amortizes across
-    queries (reader.term_cursor)."""
+    queries (reader.term_cursor).
 
-    __slots__ = ("row", "df", "_full", "_block_last", "_impacts_flat", "_tfs", "_norm_tfs")
+    The cursor also keeps its scoring state (MaxScoreCache's role): the
+    segment bound ``max_score`` returns and the float32 scores of its
+    decoded postings, in one memo slot keyed by the scorer that filled it
+    (``_same_scorer``), never by query. A warm term repeated with the same
+    idf, boost and norm table is neither re-bounded nor rescored."""
+
+    __slots__ = (
+        "row", "df", "_full", "_block_last", "_impacts_flat", "_tfs",
+        "_memo_scorer", "_bound", "_scores",
+    )
 
     def __init__(self, row):
         self.row = row
@@ -158,7 +200,7 @@ class SegmentTermCursor:
         self._block_last = np.asarray(row["block_last_docid"], dtype=np.int64)
         self._impacts_flat = None
         self._tfs = None
-        self._norm_tfs = None
+        self._memo_scorer = self._bound = self._scores = None
 
     def _tf_full(self) -> np.ndarray:
         if self._tfs is None:
@@ -185,28 +227,40 @@ class SegmentTermCursor:
             else:
                 deltas = decode_stream(self.row["doc_blob"], self.df)
                 docids = np.cumsum(deltas.astype(np.int64))
-                tfs = decode_stream(self.row["tf_blob"], self.df).astype(np.int64)
-                self._full = (docids, tfs)
+                self._full = (docids, self._tf_full())
         return self._full
+
+    def _memo(self, scorer) -> None:
+        """Point the memo at ``scorer``: kept when the scorer that filled
+        it gives the same floats, emptied otherwise. The memo holds the
+        scorer (the tables are the same objects either way), so no table
+        identity is reused while the memo is, and the next call with this
+        scorer is one identity test."""
+        if not _same_scorer(self._memo_scorer, scorer):
+            self._bound = self._scores = None
+        self._memo_scorer = scorer
 
     def max_score(self, scorer: BM25Scorer) -> float:
         """The term's max score in this segment, floored at 0: the max over
-        its blocks' impact pairs, so no postings are decoded. Past 256 pairs
-        they are first cut to the max tf at each norm byte (cached per
-        cursor; a score never falls as tf rises at a fixed norm, so the max
-        is the same float)."""
-        if self._norm_tfs is None:
+        its blocks' impact pairs, so no postings are decoded. Memoized."""
+        self._memo(scorer)
+        if self._bound is None:
             tfs, norms, _offsets = self._impacts()
-            if len(tfs) > 256:
-                best = np.zeros(256, dtype=tfs.dtype)
-                np.maximum.at(best, norms, tfs)
-                at = np.flatnonzero(best)
-                tfs, norms = best[at], at.astype(norms.dtype)
-            self._norm_tfs = tfs, norms
-        tfs, norms = self._norm_tfs
-        if len(tfs) == 0:
-            return 0.0
-        return max(0.0, float(scorer.max_score_blocks(tfs, norms, np.zeros(1, np.intp))[0]))
+            self._bound = 0.0 if len(tfs) == 0 else max(
+                0.0, float(scorer.max_score_blocks(tfs, norms, np.zeros(1, np.intp))[0])
+            )
+        return self._bound
+
+    def scored(self, scorer: BM25Scorer, norm_bytes: np.ndarray):
+        """(docids, float32 scores) of every posting, both read-only; the
+        scores are memoized with the ``norm_bytes`` array they came from."""
+        self._memo(scorer)
+        docids, tfs = self.decode_all()
+        if self._scores is None or self._scores[0] is not norm_bytes:
+            s = scorer.score(tfs.astype(np.float32), norm_bytes[docids])
+            s.flags.writeable = False
+            self._scores = norm_bytes, s
+        return docids, self._scores[1]
 
     def blocks_for(self, docids: np.ndarray) -> np.ndarray:
         """Block index that would contain each docid (searchsorted on the
@@ -1633,7 +1687,9 @@ def score_segment_pruned(
     ``float32[doc_count]`` accumulator in canonical clause order, so each
     candidate gets ``evaluate_boolean``'s additions bit for bit; a term
     clause much larger than the match set is looked up per candidate
-    instead of scored whole.
+    instead of scored whole. A term's bound and whole-postings scores come
+    from its cursor's memo (``SegmentTermCursor.scored``), which the
+    exhaustive path never reads.
 
     Returns (docids, scores, total_hits, exact): ``exact`` is False only
     for a skipped segment, whose uncounted hits make total_hits a lower
@@ -1656,7 +1712,7 @@ def score_segment_pruned(
         if ds is None and len(cand) * _LOOKUP_RATIO < c.cursor.df:
             acc[cand] += c.contrib(cand, norm_bytes)[0]
         else:
-            d, s = c.eval_scores(norm_bytes) if ds is None else ds
+            d, s = c.cursor.scored(c.scorer, norm_bytes) if ds is None else ds
             acc[d] += s
     d, s = _topk(cand, acc[cand], k)
     return d, s, len(cand), True

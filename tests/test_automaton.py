@@ -138,8 +138,9 @@ def test_state_cap_falls_back(monkeypatch):
 
 
 def test_rewrite_paths_use_seek_and_match():
-    """expand_wildcard (no literal prefix, big vocab) and expand_fuzzy
-    route through the DFA and still equal the reference scan."""
+    """expand_wildcard (no literal prefix, big vocab; through the DFA) and
+    expand_fuzzy (below _SEEK_MIN_VOCAB: the length-band scan) equal the
+    reference scan."""
     from lucene_ray.search.query import FuzzyQuery, WildcardQuery
     from lucene_ray.search.rewrite import expand_fuzzy, expand_wildcard
 
@@ -168,6 +169,34 @@ def test_fuzzy_distances_survive_seek_path(monkeypatch):
             assert scan == seek == want, (term, k)
             if term == "merge" and k == 2:
                 assert want, "expected fuzzy matches in the synthetic vocab"
+
+
+def test_fuzzy_paths_agree_across_seek_threshold(monkeypatch):
+    """On vocabularies just below and just above ``_SEEK_MIN_VOCAB`` the
+    rewrite takes the scan and the DFA path respectively, and forcing the
+    other path gives the same (term, distance) list."""
+    import lucene_ray.search.automaton as am
+    import lucene_ray.search.rewrite as rw
+    from lucene_ray.search.query import FuzzyQuery
+
+    n0 = rw._SEEK_MIN_VOCAB
+    seeks = []
+    real_dfa = am.levenshtein_dfa
+    monkeypatch.setattr(am, "levenshtein_dfa", lambda *a: seeks.append(a) or real_dfa(*a))
+    big = _vocab(n=n0 * 3 // 2, seed=11)
+    assert len(big) > n0
+    for vocab, seeks_natural in ((big[: n0 - 50], False), (big, True)):
+        rng = random.Random(len(vocab))
+        for term in [vocab[rng.randrange(len(vocab))] for _ in range(3)] + ["zzqx"]:
+            q = FuzzyQuery(term, max_edits=2)
+            seeks.clear()
+            natural = rw.expand_fuzzy_with_distance(vocab, q)
+            assert bool(seeks) == seeks_natural, (len(vocab), term)
+            monkeypatch.setattr(rw, "_SEEK_MIN_VOCAB", 0 if not seeks_natural else len(vocab))
+            forced = rw.expand_fuzzy_with_distance(vocab, q)
+            monkeypatch.setattr(rw, "_SEEK_MIN_VOCAB", n0)
+            assert natural == forced, (len(vocab), term)
+            assert natural or term == "zzqx", term
 
 
 def test_edit_distances_match_reference():

@@ -1242,6 +1242,16 @@ class TestMediaCodecs:
         with _pytest.raises(ValueError, match="RIFF"):
             decode_wav(b"nope" * 4)
 
+    def test_actor_pool_leaves_a_cpu(self):
+        """Actor-pool stages keep one CPU slot free for their upstream
+        tasks: the requested actors, capped at the session's CPUs less one,
+        never fewer than one."""
+        from lucene_ray.ops.multimodal import _pool_size
+
+        assert [_pool_size(2, cpus) for cpus in (1, 2, 3, 4, 32)] == [1, 1, 2, 2, 2]
+        assert [_pool_size(6, cpus) for cpus in (2, 4, 7, 8)] == [1, 3, 6, 6]
+        assert _pool_size(1, 16) == 1
+
     def test_media_decoder_stage(self, ray_session, sf_dir):
         import numpy as np
 

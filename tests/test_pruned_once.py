@@ -6,9 +6,10 @@ equal norms), a hard delete and MUST_NOT clauses:
     float32 score bytes, and ``total_hits`` agrees with ``count``;
   - ``_topk`` equals a full (score desc, docid asc) lexsort even when ties
     straddle the kth score;
-  - within one ``search``, each clause's block maxima are computed at most
-    once per segment and each BM25 scorer scores at most once per segment
-    (the essential loop's scores feed the canonical rescore).
+  - within one ``search``, each term clause's segment bound and scores
+    are asked for at most once per segment and each BM25 scorer scores at
+    most once per segment; across searches, each term cursor fills its
+    scoring memo at most once per scorer key.
 """
 
 from collections import Counter
@@ -137,10 +138,13 @@ def test_topk_all_tied():
 
 
 def test_each_clause_scored_once_per_segment(ix, monkeypatch):
-    """Per (segment, clause): the term's segment max score at most once
-    per scorer, and at most one BM25Scorer.score call, within one search."""
-    seg = [None]
-    bm_calls, score_calls = Counter(), Counter()
+    """Within one search, per (segment, clause): the term's segment bound
+    and its scores are asked for at most once, and each BM25 scorer scores
+    at most once. Across searches, a term cursor fills its memo at most
+    once per scorer key (weight, norm table): a repeat of the query reads
+    the memo and fills nothing."""
+    seg, filling = [None], [None]
+    asked, score_calls, fills = Counter(), Counter(), Counter()
 
     real_pruned = engine.score_segment_pruned
 
@@ -148,30 +152,50 @@ def test_each_clause_scored_once_per_segment(ix, monkeypatch):
         seg[0] = id(sr)
         return real_pruned(sr, *a, **kw)
 
-    real_max = scorer.SegmentTermCursor.max_score
+    def entry(name):
+        real = getattr(scorer.SegmentTermCursor, name)
 
-    def max_score(self, sc):
-        bm_calls[(seg[0], id(self), id(sc))] += 1
-        return real_max(self, sc)
+        def wrapped(self, sc, *a):
+            asked[(name, seg[0], id(self), id(sc))] += 1
+            filling[0] = (name, id(self), float(sc.weight), id(sc.cache))
+            try:
+                return real(self, sc, *a)
+            finally:
+                filling[0] = None
 
-    real_score = BM25Scorer.score
+        monkeypatch.setattr(scorer.SegmentTermCursor, name, wrapped)
 
-    def score(self, freq, norm_bytes):
-        score_calls[(seg[0], id(self))] += 1
-        return real_score(self, freq, norm_bytes)
+    def counted(real):
+        def wrapped(self, *a):
+            if filling[0] is not None:
+                fills[filling[0]] += 1
+            else:
+                score_calls[(seg[0], id(self))] += 1
+            return real(self, *a)
+        return wrapped
 
     monkeypatch.setattr(engine, "score_segment_pruned", pruned)
-    monkeypatch.setattr(scorer.SegmentTermCursor, "max_score", max_score)
-    monkeypatch.setattr(BM25Scorer, "score", score)
+    entry("max_score")
+    entry("scored")
+    monkeypatch.setattr(BM25Scorer, "score", counted(BM25Scorer.score))
+    monkeypatch.setattr(BM25Scorer, "max_score_blocks", counted(BM25Scorer.max_score_blocks))
     s = IndexSearcher(ix, pruned=True)
-    bounded = 0
+    bounded, kinds = 0, set()
     for q in QUERIES:
+        fills.clear()
         for k in KS:
-            bm_calls.clear()
+            asked.clear()
             score_calls.clear()
+            before = sum(fills.values())
             s.search(q, k)
-            assert score_calls, (q, k)
-            assert max(bm_calls.values(), default=0) <= 1, (q, k, bm_calls)
-            assert max(score_calls.values()) <= 1, (q, k, score_calls)
-            bounded += len(bm_calls)
+            assert asked or score_calls, (q, k)
+            assert max(asked.values(), default=0) <= 1, (q, k, asked)
+            assert max(score_calls.values(), default=0) <= 1, (q, k, score_calls)
+            if k != KS[0]:
+                # same query again: every scorer key is the memo's
+                assert sum(fills.values()) == before, (q, k, fills)
+            bounded += sum(n == "max_score" for n, *_ in asked)
+        assert max(fills.values(), default=0) <= 1, (q, fills)
+        kinds |= {n for n, *_ in fills}
+    assert kinds == {"max_score", "scored"}, kinds
     assert bounded, "no search bounded a segment by its terms' max scores"
